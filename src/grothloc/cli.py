@@ -250,11 +250,7 @@ def _cmd_localize_decompose(args):
         components[json.dumps(_groth_key_json(key), separators=(",", ":"))] = entry
     back = sum_components(loc, [part for _, part in ordered])
     group = loc.groth_group
-    distinct = all(
-        not group.eq(ordered[i][0], ordered[j][0])
-        for i in range(len(ordered))
-        for j in range(i + 1, len(ordered))
-    )
+    distinct = len({group.key(key) for key, _ in ordered}) == len(ordered)
     idempotent = all(
         len(decompose_fraction(loc, part)) <= 1 for _, part in ordered
     )
@@ -392,8 +388,14 @@ def _run_corpus_entry(entry: dict, seed: int) -> dict:
 
 def _cmd_corpus_run(args):
     if args.dir is not None:
-        with open(f"{args.dir}/corpus.json", "r", encoding="utf-8") as fh:
-            specs = json.load(fh)
+        path = f"{args.dir}/corpus.json"
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                specs = json.load(fh)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+        except ValueError as exc:
+            raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
     else:
         specs = json.loads(
             (_corpus_dir() / "corpus.json").read_text(encoding="utf-8")

@@ -1,13 +1,22 @@
 """Grothendieck group of a commutative monoid, exactly.
 
 A class is an ordered pair [a, b] read as "a minus b"; two pairs are
-identified when (a+d) + m = (b+c) + m for some witness m.  Three decision
+identified when (a+d) + m = (b+c) + m for some witness m.  Every class has
+a hashable normal form, ``GrothendieckGroup.key``, so class lists, term
+merging and membership tests are dict and set operations.  Three decision
 strategies cover the supported families:
 
-* cancellative-cross-sum: test a+d = b+c directly (witness never needed),
-* finite-witness-enumeration: scan every m in a finite carrier,
+* cancellative-cross-sum: a+d = b+c directly (witness never needed); the
+  key is a - b for free and lattice monoids, a + (-b) for finite groups,
+  and the tuple of component keys for direct sums.
+* finite-witness-enumeration: one witness suffices.  With e the idempotent
+  power of the sum of all elements, K = M + e is a group with identity e
+  (the minimal ideal; Clifford & Preston, Grillet), so [a, b] = [c, d] iff
+  a+d+e = b+c+e, and the key is (a+e) + inverse_K(b+e).  G(M) is K.
 * presentation-lattice: membership of (a+d) - (b+c) in the integer row
-  lattice of the relation matrix, decided through Smith normal form.
+  lattice of the relation matrix, read off the Smith normal form; the key
+  is y = (a-b)V with free slots kept, torsion slots reduced mod d_j and
+  unit slots dropped.
 
 All integer linear algebra uses arbitrary-precision Python ints.
 """
@@ -41,7 +50,7 @@ from .monoid import (
 
 
 class GrothElement(NamedTuple):
-    """Formal difference first - second; no canonical form is ever stored."""
+    """Formal difference first - second; its normal form is GrothendieckGroup.key."""
 
     first: MonoidValue
     second: MonoidValue
@@ -255,12 +264,19 @@ class GrothendieckGroup:
     def __init__(self, base: CommutativeMonoid):
         base = base_monoid(base)
         self.base = base
-        self._snf = None
+        self._slots = None
+        self._kernel = None
+        self._parts = None
         if isinstance(base, MonoidPresentation):
             self.strategy = "presentation-lattice"
-            self._snf = smith_normal_form(
-                presentation_matrix(base), ncols=base.generators
-            )
+            snf = smith_normal_form(presentation_matrix(base), ncols=base.generators)
+            diag = snf.invariant_factors
+            # (column j of V, modulus) for every non-unit slot; 0 marks a free one
+            self._slots = [
+                ([row[j] for row in snf.V], diag[j] if j < len(diag) else 0)
+                for j in range(base.generators)
+                if j >= len(diag) or diag[j] != 1
+            ]
         else:
             try:
                 cancellative = is_cancellative(base)
@@ -309,35 +325,70 @@ class GrothendieckGroup:
             acc = self.add(acc, x)
         return acc
 
-    # -- equality
+    # -- normal form and equality
+
+    def _kernel_inverses(self) -> tuple:
+        """(e, inverse map of K = M + e) for a finite base, built on first use.
+
+        e is the idempotent power of the sum of all elements; K is the
+        minimal ideal, a group with identity e.
+        """
+        if self._kernel is None:
+            m = self.base
+            elems = list(m.elements())
+            s = m.identity
+            for a in elems:
+                s = m.op(s, a)
+            e = s
+            while m.op(e, e) != e:
+                e = m.op(e, s)
+            inv = {}
+            for k in {m.op(a, e) for a in elems}:
+                # the power just before e in k's cycle is its inverse
+                prev, acc = e, k
+                while acc != e:
+                    prev, acc = acc, m.op(acc, k)
+                inv[k] = prev
+            self._kernel = (e, inv)
+        return self._kernel
+
+    def _lattice_key(self, w) -> tuple:
+        out = []
+        for col, d in self._slots:
+            y = sum(a * v for a, v in zip(w, col))
+            out.append(y % d if d else y)
+        return tuple(out)
+
+    def key(self, x: GrothElement):
+        """Hashable normal form: key(x) == key(y) exactly when eq(x, y)."""
+        base = self.base
+        if self._slots is not None:
+            return self._lattice_key([p - q for p, q in zip(x.first, x.second)])
+        if base.is_finite:
+            e, inv = self._kernel_inverses()
+            # (a+e) - (b+e) in K; the inverse already lies in K, so +e is implied
+            return base.op(x.first, inv[base.op(x.second, e)])
+        if isinstance(base, DirectSumMonoid):
+            if self._parts is None:
+                self._parts = [GrothendieckGroup(c) for c in base.components]
+            return tuple(
+                g.key(GrothElement(a, b))
+                for g, a, b in zip(self._parts, x.first, x.second)
+            )
+        return tuple(p - q for p, q in zip(x.first, x.second))
 
     def eq(self, x: GrothElement, y: GrothElement) -> bool:
         m = self.base
         lhs = m.op(x.first, y.second)
         rhs = m.op(x.second, y.first)
+        if lhs == rhs:
+            return True
         if self.strategy == "cancellative-cross-sum":
-            return lhs == rhs
+            return False
         if self.strategy == "finite-witness-enumeration":
-            if lhs == rhs:
-                return True
-            return any(m.op(lhs, w) == m.op(rhs, w) for w in m.elements())
-        w = tuple(p - q for p, q in zip(lhs, rhs))
-        return self._in_relation_lattice(w)
-
-    def _in_relation_lattice(self, w: tuple) -> bool:
-        snf = self._snf
-        k = snf.ncols
-        V = snf.V
-        y = [sum(w[i] * V[i][j] for i in range(k)) for j in range(k)]
-        diag = snf.invariant_factors
-        for j in range(k):
-            d = diag[j] if j < len(diag) else 0
-            if d == 0:
-                if y[j] != 0:
-                    return False
-            elif y[j] % d:
-                return False
-        return True
+            e = self._kernel_inverses()[0]
+            return m.op(lhs, e) == m.op(rhs, e)
+        return not any(self._lattice_key([p - q for p, q in zip(lhs, rhs)]))
 
     def is_zero(self, x: GrothElement) -> bool:
         return self.eq(x, self.zero())
@@ -345,28 +396,19 @@ class GrothendieckGroup:
     def is_trivial(self) -> bool:
         """Whether every class collapses to zero."""
         if self.strategy == "presentation-lattice":
-            s = structure_from_snf(self._snf)
-            return s.free_rank == 0 and not s.torsion_invariants
+            return not self._slots
         if self.base.is_finite:
-            return all(self.is_zero(self.canonical(a)) for a in self.base.elements())
+            return len(self._kernel_inverses()[1]) == 1
         # infinite cancellative: trivial only for the trivial monoid
         return False
 
 
-def canonical_map(group: GrothendieckGroup) -> Callable:
-    return group.canonical
-
-
 def canonical_map_injective(group: GrothendieckGroup) -> bool:
-    """Whether m -> [m, 0] is injective; exhaustive on finite carriers."""
+    """Whether m -> [m, 0] is injective; distinct keys on finite carriers."""
     base = group.base
     if base.is_finite:
         elems = list(base.elements())
-        for i, a in enumerate(elems):
-            for b in elems[i + 1:]:
-                if group.eq(group.canonical(a), group.canonical(b)):
-                    return False
-        return True
+        return len({group.key(group.canonical(a)) for a in elems}) == len(elems)
     if isinstance(base, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
         # [a,0] = [b,0] means a + m = b + m for some m, hence a = b
         return True
@@ -384,20 +426,21 @@ def groth_classes(group: GrothendieckGroup) -> list:
     base = group.base
     if not base.is_finite:
         raise UnsupportedFamilyError("class enumeration needs a finite base")
-    reps = []
-    for a in base.elements():
-        for b in base.elements():
+    elems = list(base.elements())
+    reps = {}
+    for a in elems:
+        for b in elems:
             x = GrothElement(a, b)
-            if not any(group.eq(x, r) for r in reps):
-                reps.append(x)
-    return reps
+            reps.setdefault(group.key(x), x)
+    return list(reps.values())
 
 
 def class_index(group: GrothendieckGroup, reps: list, x: GrothElement) -> int:
-    for i, r in enumerate(reps):
-        if group.eq(x, r):
-            return i
-    raise AxiomViolationError("class-cover", (x,))
+    index = {group.key(r): i for i, r in enumerate(reps)}
+    try:
+        return index[group.key(x)]
+    except KeyError:
+        raise AxiomViolationError("class-cover", (x,)) from None
 
 
 # ---------------------------------------------------------------------------

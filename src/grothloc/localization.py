@@ -7,8 +7,14 @@ expire; only user-facing construction consults the materialized closure
 
 Equality r/s = r'/s' is decided by exactly two strategies:
 cross-multiplication when every denominator is a non-zero-divisor, and
-exhaustive witness search t*(r*s' - r'*s) = 0 over a finite ring.  Any other
-configuration is rejected outright rather than approximated.
+exhaustive-witness over a finite ring.  There the closure is all of S and
+every t in S divides t0 = the product of all of S, so t*(r*s' - r'*s) = 0
+for some t in S exactly when t0*(r*s' - r'*s) = 0: one multiplication by
+t0, computed once, decides.  Any other configuration is rejected outright
+rather than approximated.
+
+Degree classes of a localized monoid ring are merged and looked up in
+dicts and sets on the Grothendieck normal form ``GrothendieckGroup.key``.
 """
 from __future__ import annotations
 
@@ -127,6 +133,7 @@ class LocalizedRing:
         self.one = Fraction(ring.one, ring.one, ())
         self.is_finite = ring.is_finite
         self._groth = None
+        self._t0 = None
 
     # -- construction
 
@@ -182,9 +189,12 @@ class LocalizedRing:
             return r.is_zero(cross)
         if r.is_zero(cross):
             return True
-        return any(
-            r.is_zero(r.mul(t, cross)) for t in self.sset.closure
-        )
+        if self._t0 is None:
+            t0 = r.one
+            for t in self.sset.closure:
+                t0 = r.mul(t0, t)
+            self._t0 = t0
+        return r.is_zero(r.mul(self._t0, cross))
 
     def is_zero(self, f: Fraction) -> bool:
         return self.eq(f, self.zero)
@@ -232,17 +242,17 @@ def decompose_fraction(loc: LocalizedRing, f: Fraction) -> dict:
         raise PreconditionError("decomposition needs homogeneous denominators")
     group = loc.groth_group
     den_deg = degree_of(f.den)
-    acc = []
+    acc = {}
     for part in homogeneous_components(f.num):
         key = GrothElement(part.degree, den_deg)
-        for slot in acc:
-            if group.eq(slot[0], key):
-                slot[1] = slot[1] + part.value
-                break
+        k = group.key(key)
+        slot = acc.get(k)
+        if slot is None:
+            acc[k] = [key, part.value]
         else:
-            acc.append([key, part.value])
+            slot[1] = slot[1] + part.value
     out = {}
-    for key, num in acc:
+    for key, num in acc.values():
         cand = Fraction(num, f.den, f.den_witness)
         if not loc.is_zero(cand):
             out[key] = cand
@@ -258,13 +268,16 @@ def sum_components(loc: LocalizedRing, parts) -> Fraction:
 
 @dataclass
 class SupportSubmonoid:
-    """Materialized chunk of {[m, deg s]}; membership is a semantic scan."""
+    """Materialized chunk of {[m, deg s]}; membership is a set lookup."""
 
     group: GrothendieckGroup
     members: list
 
+    def __post_init__(self):
+        self._keys = {self.group.key(x) for x in self.members}
+
     def contains(self, key: GrothElement) -> bool:
-        return any(self.group.eq(key, x) for x in self.members)
+        return self.group.key(key) in self._keys
 
     def __len__(self):
         return len(self.members)
@@ -297,25 +310,24 @@ def support_submonoid(loc: LocalizedRing, m_degrees=None, depth: int = 8,
         if not frontier:
             break
         s_degs |= frontier
-    members = []
+    members = {}
     for m in m_degrees:
         for s in sorted(s_degs, key=lambda d: (d,) if isinstance(d, int) else d):
             key = GrothElement(monoid.validate(m), s)
-            if not any(group.eq(key, x) for x in members):
-                members.append(key)
+            members.setdefault(group.key(key), key)
     for _ in range(rounds):
-        fresh = []
-        for x in members:
-            for y in members:
-                z = GrothElement(
-                    monoid.op(x.first, y.first), monoid.op(x.second, y.second)
-                )
-                if not any(group.eq(z, w) for w in members + fresh):
-                    fresh.append(z)
+        fresh = {}
+        current = list(members.values())
+        for x in current:
+            for y in current:
+                z = group.add(x, y)
+                k = group.key(z)
+                if k not in members:
+                    fresh.setdefault(k, z)
         if not fresh:
             break
-        members.extend(fresh)
-    return SupportSubmonoid(group, members)
+        members.update(fresh)
+    return SupportSubmonoid(group, list(members.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 A monoid-ring element is a finite-support coefficient map degree -> coeff
 with zero coefficients pruned eagerly, so structural dict equality is
-semantic equality.  Group-ring keys are Grothendieck classes, which have no
-canonical form; group-ring terms are therefore merged by semantic key
-equality instead of hashing.
+semantic equality.  Group-ring keys are Grothendieck classes; terms are
+merged in a dict on the class normal form ``GrothendieckGroup.key``, and
+each class keeps its first-seen pair as its displayed key.
 """
 from __future__ import annotations
 
@@ -421,16 +421,11 @@ def regrade(f: MRElement, group: GrothendieckGroup) -> list:
     Returns (class key, part) pairs with keys pairwise distinct in the group;
     for non-cancellative M several M-degrees can land in one part.
     """
-    acc = []
+    acc = {}
     for d in f.support():
         key = group.canonical(d)
-        for slot in acc:
-            if group.eq(slot[0], key):
-                slot[1][d] = f.coeffs[d]
-                break
-        else:
-            acc.append([key, {d: f.coeffs[d]}])
-    return [(key, MRElement(f.ring, f.monoid, part)) for key, part in acc]
+        acc.setdefault(group.key(key), (key, {}))[1][d] = f.coeffs[d]
+    return [(key, MRElement(f.ring, f.monoid, part)) for key, part in acc.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +459,6 @@ def monomial_is_nonzerodivisor(mring: MonoidRing, m) -> bool:
     return True
 
 
-def all_monomials_nonzerodivisors(mring: MonoidRing) -> bool:
-    return all(monomial_is_nonzerodivisor(mring, m) for m in mring.monoid.elements())
-
-
 def group_ring_map_injective(mring: MonoidRing, group: GrothendieckGroup | None = None) -> bool:
     """Whether R[M] -> R[G(M)] (coefficients summed per class) kills only 0."""
     _require_finite_modring(mring)
@@ -477,18 +468,11 @@ def group_ring_map_injective(mring: MonoidRing, group: GrothendieckGroup | None 
     n = mring.coeff_ring.n
     elems = list(monoid.elements())
     # precompute the class partition of the canonical images
-    class_of = []
-    reps = []
-    for x in elems:
-        key = group.canonical(x)
-        for i, r in enumerate(reps):
-            if group.eq(key, r):
-                class_of.append(i)
-                break
-        else:
-            class_of.append(len(reps))
-            reps.append(key)
-    nclasses = len(reps)
+    index = {}
+    class_of = [
+        index.setdefault(group.key(group.canonical(x)), len(index)) for x in elems
+    ]
+    nclasses = len(index)
     for f in itertools.product(range(n), repeat=len(elems)):
         if not any(f):
             continue
@@ -505,7 +489,7 @@ def group_ring_map_injective(mring: MonoidRing, group: GrothendieckGroup | None 
 
 
 class GroupRingElement:
-    """Terms (class key, coeff); keys pairwise distinct semantically."""
+    """Terms (class representative, coeff); no two in the same class."""
 
     __slots__ = ("context", "terms")
 
@@ -546,18 +530,18 @@ class GroupRing:
         return self.from_terms([(key, c)])
 
     def from_terms(self, pairs) -> GroupRingElement:
-        group = self.group
+        group_key = self.group.key
         coeff = self.coeff
-        acc = []
+        acc = {}
         for key, c in pairs:
-            for slot in acc:
-                if group.eq(slot[0], key):
-                    slot[1] = coeff.add(slot[1], c)
-                    break
+            k = group_key(key)
+            slot = acc.get(k)
+            if slot is None:
+                acc[k] = [key, c]
             else:
-                acc.append([key, c])
+                slot[1] = coeff.add(slot[1], c)
         return GroupRingElement(
-            self, [(k, c) for k, c in acc if not coeff.is_zero(c)]
+            self, [(k, c) for k, c in acc.values() if not coeff.is_zero(c)]
         )
 
     def add(self, u: GroupRingElement, v: GroupRingElement) -> GroupRingElement:

@@ -329,6 +329,19 @@ class TestCorpusRun:
         assert row["actual"]["quasi_zero_size"] == 2
 
 
+    def test_missing_dir_exits_two(self, tmp_path):
+        code, rep = run(tmp_path, "corpus", "run", "--dir", str(tmp_path / "missing"))
+        assert code == 2
+        assert rep["error"] == "InvalidInputError"
+
+    def test_float_table_in_monoid_file_exits_two(self, tmp_path):
+        bad = tmp_path / "float.json"
+        bad.write_text('{"kind": "cayley", "table": [[0, 1.7], [1.2, 1]]}', encoding="utf-8")
+        code, rep = run(tmp_path, "monoid", "check", str(bad))
+        assert code == 2
+        assert rep["error"] == "InvalidInputError"
+
+
 class TestReportEnvelope:
     def test_digest_is_stable_across_runs(self, tmp_path):
         _, rep1 = run(tmp_path, "groth", "compute",

@@ -9,6 +9,7 @@ from grothloc import (
     DirectSumMonoid,
     FreeCommutativeMonoid,
     IntegerLatticeMonoid,
+    InvalidInputError,
     Lcg64,
     MalformedElementError,
     MissingOrderError,
@@ -55,6 +56,36 @@ class TestCayleyValidation:
         with pytest.raises(AxiomViolationError) as exc:
             CayleyMonoid([[0, 1], [1, 5]])
         assert exc.value.law == "closure"
+
+    @pytest.mark.parametrize("table", [
+        [[0, 1.7], [1.2, 1]],
+        [[0, 1.0], [1.0, 1]],
+        [[False, True], [True, True]],
+        [[0, "1"], [1, 1]],
+    ])
+    def test_non_integer_entries_rejected(self, table):
+        # np.asarray(dtype=int64) would truncate these to the two-element chain
+        with pytest.raises(InvalidInputError):
+            CayleyMonoid(table)
+
+    def test_over_large_entry_is_invalid_input(self):
+        with pytest.raises(InvalidInputError):
+            CayleyMonoid([[0, 2**70], [2**70, 1]])
+
+    def test_bool_identity_rejected(self):
+        with pytest.raises(InvalidInputError):
+            CayleyMonoid(zoo.join_chain_table(2), identity=False)
+
+    def test_ragged_table_is_invalid_input(self):
+        with pytest.raises(InvalidInputError):
+            CayleyMonoid([[0, 1], [1]])
+
+    def test_op_returns_plain_ints(self):
+        m = CayleyMonoid(zoo.mult_mod_table(6), identity=1)
+        assert all(
+            type(m.op(a, b)) is int and m.op(a, b) == int(m.table[a, b])
+            for a in m.elements() for b in m.elements()
+        )
 
     def test_valid_tables_accepted(self):
         for m in (zoo.t2(), zoo.t3(), zoo.z4(), zoo.z6_mult(), zoo.subsets2()):
