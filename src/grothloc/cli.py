@@ -400,9 +400,19 @@ def _cmd_corpus_run(args):
         specs = json.loads(
             (_corpus_dir() / "corpus.json").read_text(encoding="utf-8")
         )
+    entries = specs.get("entries") if isinstance(specs, dict) else None
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and {"kind", "name", "expected"} <= e.keys()
+        and isinstance(e["name"], str) and isinstance(e["expected"], dict)
+        for e in entries
+    ):
+        raise InvalidInputError(
+            'corpus needs an "entries" list of objects with "kind", '
+            'a string "name" and an "expected" object'
+        )
     rows = [
         _run_corpus_entry(entry, args.seed)
-        for entry in sorted(specs["entries"], key=lambda e: e["name"])
+        for entry in sorted(entries, key=lambda e: e["name"])
     ]
     passed = sum(r["ok"] for r in rows)
     results = {

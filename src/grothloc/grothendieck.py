@@ -22,6 +22,7 @@ All integer linear algebra uses arbitrary-precision Python ints.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -258,6 +259,26 @@ def groth_of_presentation(p: MonoidPresentation) -> FGAbelianStructure:
 # the group itself
 
 
+def kernel_group(op, elems) -> tuple:
+    """(e, inverse map of K = elems*e) for a finite commutative monoid.
+
+    e is the idempotent power of the product of the whole carrier ``elems``
+    under ``op``; K is the minimal ideal, a group with identity e, and the
+    inverse of k in K is the power of k just before e.
+    """
+    s = functools.reduce(op, elems)
+    e = s
+    while op(e, e) != e:
+        e = op(e, s)
+    inv = {}
+    for k in {op(a, e) for a in elems}:
+        prev, acc = e, k
+        while acc != e:
+            prev, acc = acc, op(acc, k)
+        inv[k] = prev
+    return e, inv
+
+
 class GrothendieckGroup:
     """Pairs over a base monoid with a decidable identification."""
 
@@ -328,28 +349,9 @@ class GrothendieckGroup:
     # -- normal form and equality
 
     def _kernel_inverses(self) -> tuple:
-        """(e, inverse map of K = M + e) for a finite base, built on first use.
-
-        e is the idempotent power of the sum of all elements; K is the
-        minimal ideal, a group with identity e.
-        """
+        """``kernel_group`` of a finite base, built on first use."""
         if self._kernel is None:
-            m = self.base
-            elems = list(m.elements())
-            s = m.identity
-            for a in elems:
-                s = m.op(s, a)
-            e = s
-            while m.op(e, e) != e:
-                e = m.op(e, s)
-            inv = {}
-            for k in {m.op(a, e) for a in elems}:
-                # the power just before e in k's cycle is its inverse
-                prev, acc = e, k
-                while acc != e:
-                    prev, acc = acc, m.op(acc, k)
-                inv[k] = prev
-            self._kernel = (e, inv)
+            self._kernel = kernel_group(self.base.op, list(self.base.elements()))
         return self._kernel
 
     def _lattice_key(self, w) -> tuple:

@@ -68,11 +68,7 @@ class HMapContext:
         )
         self.tloc = LocalizedRing(self.mring, self.tset)
 
-    # -- witness plumbing
-
-    def lift_witness(self, s_witness: tuple) -> tuple:
-        # lifted S generators sit at the same indices inside T
-        return tuple(s_witness)
+    # -- witness plumbing (lifted S generators keep their indices inside T)
 
     def monomial_witness(self, n) -> tuple:
         if self._mono_index is not None:
@@ -90,7 +86,7 @@ class HMapContext:
             raise MalformedDenominatorError(f"{s!r} is not a recognized S element")
         n = self.monoid.validate(n)
         den = self.mring.element({n: s})
-        wit = self.lift_witness(self.sset.witness(s)) + self.monomial_witness(n)
+        wit = self.sset.witness(s) + self.monomial_witness(n)
         return Fraction(self.mring.validate(num), den, wit)
 
 
@@ -132,7 +128,7 @@ def h_inverse(ctx: HMapContext, u) -> Fraction:
     for key, c in u.terms:
         nums.append(mring.element({key.first: c.num}))
         den_i = mring.element({key.second: c.den})
-        wit_i = ctx.lift_witness(c.den_witness) + ctx.monomial_witness(key.second)
+        wit_i = c.den_witness + ctx.monomial_witness(key.second)
         factors.append((den_i, wit_i))
     total_den = mring.one
     total_wit = ()
@@ -153,6 +149,15 @@ def h_inverse(ctx: HMapContext, u) -> Fraction:
 # sampling
 
 
+def _sample_s(ctx: HMapContext, rng: Lcg64, max_powers: int = 2):
+    """Random product of at most max_powers S generators (1 when S has none)."""
+    k = rng.below(max_powers + 1) if ctx.sset.generators else 0
+    s = ctx.ring.one
+    for _ in range(k):
+        s = ctx.ring.mul(s, rng.choice(ctx.sset.generators))
+    return s
+
+
 def sample_t_fraction(ctx: HMapContext, rng: Lcg64, max_support: int = 3,
                       exp_bound: int = 4, coeff_bound: int = 9,
                       max_s_powers: int = 2) -> Fraction:
@@ -160,10 +165,7 @@ def sample_t_fraction(ctx: HMapContext, rng: Lcg64, max_support: int = 3,
     num = ctx.mring.sample(
         rng, max_support=max_support, exp_bound=exp_bound, coeff_bound=coeff_bound
     )
-    k = rng.below(max_s_powers + 1) if ctx.sset.generators else 0
-    s = ctx.ring.one
-    for _ in range(k):
-        s = ctx.ring.mul(s, rng.choice(ctx.sset.generators))
+    s = _sample_s(ctx, rng, max_s_powers)
     n = sample_element(ctx.monoid, rng, exp_bound)
     return ctx.monomial_fraction(num, s, n)
 
@@ -176,10 +178,7 @@ def sample_group_ring_element(ctx: HMapContext, rng: Lcg64, max_terms: int = 3,
         a = sample_element(ctx.monoid, rng, exp_bound)
         b = sample_element(ctx.monoid, rng, exp_bound)
         r = ctx.ring.sample_nonzero(rng, coeff_bound)
-        k = rng.below(max_s_powers + 1) if ctx.sset.generators else 0
-        s = ctx.ring.one
-        for _ in range(k):
-            s = ctx.ring.mul(s, rng.choice(ctx.sset.generators))
+        s = _sample_s(ctx, rng, max_s_powers)
         coeff = Fraction(r, s, ctx.sset.witness(s))
         terms.append((GrothElement(a, b), coeff))
     return ctx.group_ring.from_terms(terms)
@@ -226,10 +225,7 @@ def verify_isomorphism(ctx: HMapContext, samples: int = 200, seed: int = 0,
         m = sample_element(ctx.monoid, rng)
         n = sample_element(ctx.monoid, rng)
         r = ctx.ring.sample(rng)
-        k = rng.below(3) if ctx.sset.generators else 0
-        s = ctx.ring.one
-        for _ in range(k):
-            s = ctx.ring.mul(s, rng.choice(ctx.sset.generators))
+        s = _sample_s(ctx, rng)
         f = ctx.monomial_fraction(ctx.mring.element({m: r}), s, n)
         if gr.is_zero(h_forward(ctx, f)):
             zero_hits += 1

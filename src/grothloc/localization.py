@@ -8,13 +8,14 @@ expire; only user-facing construction consults the materialized closure
 Equality r/s = r'/s' is decided by exactly two strategies:
 cross-multiplication when every denominator is a non-zero-divisor, and
 exhaustive-witness over a finite ring.  There the closure is all of S and
-every t in S divides t0 = the product of all of S, so t*(r*s' - r'*s) = 0
-for some t in S exactly when t0*(r*s' - r'*s) = 0: one multiplication by
-t0, computed once, decides.  Any other configuration is rejected outright
-rather than approximated.
+e, the idempotent power of t0 = the product of all of S, lies in S and is
+divisible by every t in S, so t*(r*s' - r'*s) = 0 for some t in S exactly
+when e*(r*s' - r'*s) = 0.  Any other configuration is rejected outright.
 
-Degree classes of a localized monoid ring are merged and looked up in
-dicts and sets on the Grothendieck normal form ``GrothendieckGroup.key``.
+A finite S gives fractions a hashable normal form, ``LocalizedRing.key``:
+e*S is a group with identity e, S^-1 R is eR, and r/s goes to
+e*r*(e*s)^-1 (e and every (e*s)^-1 are built on first use).  Unit classes
+are dict lookups on this key, degree classes on ``GrothendieckGroup.key``.
 """
 from __future__ import annotations
 
@@ -31,8 +32,9 @@ from .grothendieck import (
     GrothElement,
     GrothendieckGroup,
     groth_classes,
+    kernel_group,
 )
-from .ring import MonoidRing, MRElement, degree_of, homogeneous_components
+from .ring import MonoidRing, degree_of, homogeneous_components
 
 
 class Fraction:
@@ -100,9 +102,6 @@ class MultiplicativeSet:
     def witness(self, s) -> tuple:
         return self.closure[s]
 
-    def elements(self) -> list:
-        return list(self.closure)
-
     def product_of(self, witness) -> object:
         acc = self.ring.one
         for i in witness:
@@ -133,7 +132,7 @@ class LocalizedRing:
         self.one = Fraction(ring.one, ring.one, ())
         self.is_finite = ring.is_finite
         self._groth = None
-        self._t0 = None
+        self._kernel = None
 
     # -- construction
 
@@ -177,9 +176,6 @@ class LocalizedRing:
             r.mul(f.num, g.num), r.mul(f.den, g.den), f.den_witness + g.den_witness
         )
 
-    def scale(self, c, f: Fraction) -> Fraction:
-        return Fraction(self.ring.mul(c, f.num), f.den, f.den_witness)
-
     # -- equality
 
     def eq(self, f: Fraction, g: Fraction) -> bool:
@@ -189,15 +185,32 @@ class LocalizedRing:
             return r.is_zero(cross)
         if r.is_zero(cross):
             return True
-        if self._t0 is None:
-            t0 = r.one
-            for t in self.sset.closure:
-                t0 = r.mul(t0, t)
-            self._t0 = t0
-        return r.is_zero(r.mul(self._t0, cross))
+        return r.is_zero(r.mul(self._kernel_inverses()[0], cross))
 
     def is_zero(self, f: Fraction) -> bool:
         return self.eq(f, self.zero)
+
+    def _kernel_inverses(self) -> tuple:
+        """(e, inverse map of K = e*S) for a complete closure, built on first use."""
+        if self._kernel is None:
+            if not self.sset.complete:
+                raise UnsupportedFamilyError(
+                    "a fraction key needs a completely materialized closure"
+                )
+            self._kernel = kernel_group(self.ring.mul, list(self.sset.closure))
+        return self._kernel
+
+    def key(self, f: Fraction):
+        """e*r*(e*s)^-1 in eR: key(f) == key(g) exactly when eq(f, g).
+
+        (e*s)^-1 lies in K, inside eR, so the factor e on r is implied.
+        """
+        e, inv = self._kernel_inverses()
+        r = self.ring
+        try:
+            return r.mul(f.num, inv[r.mul(e, f.den)])
+        except KeyError:
+            raise PreconditionError(f"denominator {f.den!r} is not in S") from None
 
     @property
     def groth_group(self) -> GrothendieckGroup:
@@ -356,11 +369,10 @@ def saturate(ring, sset: MultiplicativeSet) -> SaturationSet:
     elems = []
     witnesses = {}
     for a in ring.elements():
-        for b in ring.elements():
-            if sset.contains(ring.mul(a, b)):
-                elems.append(a)
-                witnesses[a] = b
-                break
+        b = find_saturation_witness(ring, sset, a, ring.elements())
+        if b is not None:
+            elems.append(a)
+            witnesses[a] = b
     return SaturationSet(ring, sset, tuple(elems), witnesses)
 
 
@@ -385,6 +397,7 @@ class UnitGroup:
     table: list
     identity_index: int
     unit_indices: list
+    index: dict  # LocalizedRing.key -> position in class_reps
 
     def order(self) -> int:
         return len(self.unit_indices)
@@ -392,19 +405,15 @@ class UnitGroup:
     def class_count(self) -> int:
         return len(self.class_reps)
 
-    def unit_reps(self) -> list:
-        return [self.class_reps[i] for i in self.unit_indices]
-
     def classify(self, f: Fraction) -> int:
-        for i, rep in enumerate(self.class_reps):
-            if self.loc.eq(f, rep):
-                return i
-        raise PreconditionError("fraction escapes the enumerated classes")
+        try:
+            return self.index[self.loc.key(f)]
+        except KeyError:
+            raise PreconditionError("fraction escapes the enumerated classes") from None
 
     def to_cayley(self) -> CayleyMonoid:
         """The unit classes re-indexed 0..k-1 as an explicit table."""
         pos = {ci: i for i, ci in enumerate(self.unit_indices)}
-        k = len(self.unit_indices)
         table = [
             [pos[self.table[a][b]] for b in self.unit_indices]
             for a in self.unit_indices
@@ -416,34 +425,24 @@ def localization_classes(loc: LocalizedRing) -> list:
     """Equality-class representatives of all r/s, first-seen order."""
     if not loc.ring.is_finite:
         raise UnsupportedFamilyError("class enumeration needs a finite ring")
-    reps = []
+    reps = {}
     for r in loc.ring.elements():
         for s, wit in loc.sset.closure.items():
             f = Fraction(r, s, wit)
-            if not any(loc.eq(f, rep) for rep in reps):
-                reps.append(f)
-    return reps
+            reps.setdefault(loc.key(f), f)
+    return list(reps.values())
 
 
 def units_of_localization(loc: LocalizedRing) -> UnitGroup:
     reps = localization_classes(loc)
-
-    def classify(f):
-        for i, rep in enumerate(reps):
-            if loc.eq(f, rep):
-                return i
-        raise PreconditionError("product escapes the class list")
-
+    index = {loc.key(f): i for i, f in enumerate(reps)}
     table = [
-        [classify(loc.mul(a, b)) for b in reps]
+        [index[loc.key(loc.mul(a, b))] for b in reps]
         for a in reps
     ]
-    one_idx = classify(loc.one)
-    unit_indices = sorted(
-        i for i in range(len(reps))
-        if any(table[i][j] == one_idx for j in range(len(reps)))
-    )
-    return UnitGroup(loc, reps, table, one_idx, unit_indices)
+    one_idx = index[loc.key(loc.one)]
+    unit_indices = [i for i, row in enumerate(table) if one_idx in row]
+    return UnitGroup(loc, reps, table, one_idx, unit_indices, index)
 
 
 # ---------------------------------------------------------------------------
@@ -479,33 +478,37 @@ class EmbeddingReport:
         return len(self.classes)
 
 
+def _units_map(sset: MultiplicativeSet, loc: LocalizedRing, embed):
+    """G(sset) -> S^-1 R, [s, t] -> embed(s, t): (report, image keys).
+
+    The morphism law compares keys on every pair of classes; injectivity
+    asks that the image keys be distinct.
+    """
+    monoid, elems = multset_cayley(sset)
+    group = GrothendieckGroup(monoid)
+    classes = groth_classes(group)
+
+    def image_of(x: GrothElement) -> Fraction:
+        return embed(elems[x.first], elems[x.second])
+
+    image = [image_of(x) for x in classes]
+    keys = [loc.key(f) for f in image]
+    morphism_ok = all(
+        loc.key(image_of(group.add(x, y))) == loc.key(loc.mul(image[i], image[j]))
+        for i, x in enumerate(classes)
+        for j, y in enumerate(classes)
+    )
+    injective = len(set(keys)) == len(keys)
+    return EmbeddingReport(group, classes, image, morphism_ok, injective), keys
+
+
 def groth_units_embedding(sset: MultiplicativeSet, loc: LocalizedRing) -> EmbeddingReport:
     """G(S) -> (S^-1 R)*: the class [s, t] goes to the fraction s/t.
 
     Both the morphism law and injectivity are checked exhaustively over the
     enumerated classes.
     """
-    monoid, elems = multset_cayley(sset)
-    group = GrothendieckGroup(monoid)
-    classes = groth_classes(group)
-
-    def embed(x: GrothElement) -> Fraction:
-        s, t = elems[x.first], elems[x.second]
-        return Fraction(s, t, sset.witness(t))
-
-    image = [embed(x) for x in classes]
-    morphism_ok = True
-    for i, x in enumerate(classes):
-        for j, y in enumerate(classes):
-            lhs = embed(group.add(x, y))
-            if not loc.eq(lhs, loc.mul(image[i], image[j])):
-                morphism_ok = False
-    injective = True
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if loc.eq(image[i], image[j]):
-                injective = False
-    return EmbeddingReport(group, classes, image, morphism_ok, injective)
+    return _units_map(sset, loc, lambda s, t: Fraction(s, t, sset.witness(t)))[0]
 
 
 @dataclass
@@ -527,51 +530,26 @@ def groth_units_iso(sset: MultiplicativeSet, loc: LocalizedRing) -> UnitsIsoRepo
 
     The saturation witness b turns a saturation denominator into a genuine
     one.  Morphism law, injectivity, and surjectivity onto the unit classes
-    are all checked exhaustively.
+    are all checked exhaustively; surjectivity asks that the image keys be
+    exactly the keys of the unit classes.
     """
     ring = loc.ring
     sat = saturate(ring, sset)
-    monoid, elems = multset_cayley(sat.as_mult_set())
-    group = GrothendieckGroup(monoid)
-    classes = groth_classes(group)
 
-    def embed(x: GrothElement) -> Fraction:
-        s, t = elems[x.first], elems[x.second]
+    def embed(s, t) -> Fraction:
         b = sat.witnesses[t]
         den = ring.mul(t, b)
         return Fraction(ring.mul(s, b), den, sset.witness(den))
 
-    image = [embed(x) for x in classes]
-    morphism_ok = all(
-        loc.eq(embed(group.add(x, y)), loc.mul(image[i], image[j]))
-        for i, x in enumerate(classes)
-        for j, y in enumerate(classes)
-    )
-    injective = not any(
-        loc.eq(image[i], image[j])
-        for i in range(len(classes))
-        for j in range(i + 1, len(classes))
-    )
+    emb, keys = _units_map(sat.as_mult_set(), loc, embed)
     units = units_of_localization(loc)
-    hit = set()
-    landed = True
-    for f in image:
-        idx = None
-        for ui in units.unit_indices:
-            if loc.eq(f, units.class_reps[ui]):
-                idx = ui
-                break
-        if idx is None:
-            landed = False
-        else:
-            hit.add(idx)
-    surjective = landed and hit == set(units.unit_indices)
+    unit_keys = {loc.key(units.class_reps[i]) for i in units.unit_indices}
     return UnitsIsoReport(
-        groth_order=len(classes),
+        groth_order=emb.group_order,
         unit_order=units.order(),
-        morphism_ok=morphism_ok,
-        injective=injective,
-        surjective=surjective,
+        morphism_ok=emb.morphism_ok,
+        injective=emb.injective,
+        surjective=set(keys) == unit_keys,
         saturation=sat,
     )
 

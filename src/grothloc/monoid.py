@@ -22,6 +22,9 @@ from .rng import Lcg64
 
 MonoidValue = int | tuple
 
+# cells per block of the associativity check (one pass up to 161 elements)
+ASSOC_BLOCK_CELLS = 1 << 22
+
 
 class CommutativeMonoid:
     """Shared surface of every monoid family."""
@@ -88,12 +91,15 @@ class CayleyMonoid(CommutativeMonoid):
         if not np.array_equal(arr, arr.T):
             i, j = np.unravel_index(int(np.argmax(arr != arr.T)), arr.shape)
             raise AxiomViolationError("commutativity", (int(i), int(j)))
-        # (a+b)+c vs a+(b+c) over all triples at once
-        left = arr[arr]          # left[a,b,c] = (a+b)+c
-        right = arr[:, arr]      # right[a,b,c] = a+(b+c)
-        if not np.array_equal(left, right):
-            i, j, k = np.unravel_index(int(np.argmax(left != right)), left.shape)
-            raise AxiomViolationError("associativity", (int(i), int(j), int(k)))
+        # (a+b)+c vs a+(b+c) over all triples, a few rows of a at a time
+        rows = max(1, ASSOC_BLOCK_CELLS // (n * n))
+        for lo in range(0, n, rows):
+            block = arr[lo:lo + rows]
+            left = arr[block]        # left[a,b,c] = (a+b)+c
+            right = block[:, arr]    # right[a,b,c] = a+(b+c)
+            if not np.array_equal(left, right):
+                i, j, k = np.unravel_index(int(np.argmax(left != right)), left.shape)
+                raise AxiomViolationError("associativity", (lo + int(i), int(j), int(k)))
         if not np.array_equal(arr[identity], np.arange(n)):
             bad = int(np.argmax(arr[identity] != np.arange(n)))
             raise AxiomViolationError("identity", (identity, bad))

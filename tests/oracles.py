@@ -1,13 +1,20 @@
 """Slow reference deciders that the library's class keys replaced.
 
-Each follows the definition of the Grothendieck group directly:
-[a, b] = [c, d] when (a+d) + m = (b+c) + m for some witness m.  They are
-kept only to cross-check ``GrothendieckGroup.key`` and the dict-based
-class enumeration, and they share no code path with either.
+Grothendieck classes follow the definition directly: [a, b] = [c, d] when
+(a+d) + m = (b+c) + m for some witness m.  Fractions of a localization
+follow theirs: r/s = r'/s' when t*(r*s' - r'*s) = 0 for some t in S.  The
+deciders are kept only to cross-check ``GrothendieckGroup.key``,
+``LocalizedRing.key`` and the dict-based class enumerations, and share no
+code path with either key.
 """
 from grothloc import (
+    Fraction,
     GrothElement,
+    GrothendieckGroup,
     MonoidPresentation,
+    MultiplicativeSet,
+    groth_classes,
+    multset_cayley,
     presentation_matrix,
     smith_normal_form,
 )
@@ -56,3 +63,139 @@ def scan_classes(group) -> list:
             if not any(scan_eq(group, x, r) for r in reps):
                 reps.append(x)
     return reps
+
+
+# ---------------------------------------------------------------------------
+# localizations of finite rings, by pairwise scanning
+
+
+def killed_by_s(loc) -> set:
+    """{x : t*x = 0 for some t in S}, every t of the closure tried."""
+    ring = loc.ring
+    svals = list(loc.sset.closure)
+    return {
+        x for x in ring.elements()
+        if any(ring.is_zero(ring.mul(t, x)) for t in svals)
+    }
+
+
+def raw_loc_eq(loc, killed, f, g) -> bool:
+    """r/s = r'/s' by definition: r*s' - r'*s is killed by some t in S."""
+    ring = loc.ring
+    return ring.sub(ring.mul(f.num, g.den), ring.mul(g.num, f.den)) in killed
+
+
+def scan_localization_classes(loc, killed=None) -> list:
+    """Class representatives of all r/s in first-seen order, by scanning."""
+    killed = killed_by_s(loc) if killed is None else killed
+    reps = []
+    for r in loc.ring.elements():
+        for s, wit in loc.sset.closure.items():
+            f = Fraction(r, s, wit)
+            if not any(raw_loc_eq(loc, killed, f, rep) for rep in reps):
+                reps.append(f)
+    return reps
+
+
+def _scan_index(loc, killed, reps, f):
+    for i, rep in enumerate(reps):
+        if raw_loc_eq(loc, killed, f, rep):
+            return i
+    return None
+
+
+def scan_units(loc) -> tuple:
+    """(class reps, multiplication table, index of 1, unit indices)."""
+    killed = killed_by_s(loc)
+    reps = scan_localization_classes(loc, killed)
+    table = [
+        [_scan_index(loc, killed, reps, loc.mul(a, b)) for b in reps]
+        for a in reps
+    ]
+    one = _scan_index(loc, killed, reps, loc.one)
+    units = [i for i in range(len(reps)) if one in table[i]]
+    return reps, table, one, units
+
+
+def scan_saturation(ring, sset) -> tuple:
+    """(elements, first witness b per element) of {a : a*b in S for some b}."""
+    elems = []
+    witnesses = {}
+    for a in ring.elements():
+        for b in ring.elements():
+            if ring.mul(a, b) in sset.closure:
+                elems.append(a)
+                witnesses[a] = b
+                break
+    return tuple(elems), witnesses
+
+
+def scan_units_map(sset, loc, killed, embed) -> tuple:
+    """(image, morphism_ok, injective) of G(sset) -> S^-1 R, pairwise."""
+    monoid, elems = multset_cayley(sset)
+    group = GrothendieckGroup(monoid)
+    classes = groth_classes(group)
+
+    def image_of(x):
+        return embed(elems[x.first], elems[x.second])
+
+    image = [image_of(x) for x in classes]
+    morphism_ok = all(
+        raw_loc_eq(loc, killed, image_of(group.add(x, y)), loc.mul(image[i], image[j]))
+        for i, x in enumerate(classes)
+        for j, y in enumerate(classes)
+    )
+    injective = not any(
+        raw_loc_eq(loc, killed, image[i], image[j])
+        for i in range(len(image))
+        for j in range(i + 1, len(image))
+    )
+    return image, morphism_ok, injective
+
+
+def scan_units_embedding(sset, loc) -> dict:
+    """G(S) -> (S^-1 R)*, [s, t] -> s/t, checked pairwise."""
+    killed = killed_by_s(loc)
+    image, morphism_ok, injective = scan_units_map(
+        sset, loc, killed, lambda s, t: Fraction(s, t, sset.witness(t))
+    )
+    return {
+        "group_order": len(image),
+        "morphism_ok": morphism_ok,
+        "injective": injective,
+    }
+
+
+def scan_units_iso(sset, loc) -> dict:
+    """G(S-bar) = (S^-1 R)*, with surjectivity found by scanning unit classes."""
+    ring = loc.ring
+    killed = killed_by_s(loc)
+    sat_elems, witnesses = scan_saturation(ring, sset)
+
+    def embed(s, t):
+        b = witnesses[t]
+        den = ring.mul(t, b)
+        return Fraction(ring.mul(s, b), den, sset.witness(den))
+
+    image, morphism_ok, injective = scan_units_map(
+        MultiplicativeSet(ring, list(sat_elems)), loc, killed, embed
+    )
+    reps, _, _, units = scan_units(loc)
+    hit = set()
+    landed = True
+    for f in image:
+        idx = next(
+            (u for u in units if raw_loc_eq(loc, killed, f, reps[u])), None
+        )
+        if idx is None:
+            landed = False
+        else:
+            hit.add(idx)
+    return {
+        "groth_order": len(image),
+        "unit_order": len(units),
+        "morphism_ok": morphism_ok,
+        "injective": injective,
+        "surjective": landed and hit == set(units),
+        "saturation": sat_elems,
+    }

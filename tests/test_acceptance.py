@@ -40,11 +40,13 @@ from grothloc import (
     smith_normal_form,
     structure_from_snf,
     sum_components,
+    units_of_localization,
     verify_isomorphism,
 )
 from grothloc.cli import main
 
 import zoo
+from oracles import scan_units, scan_units_iso
 from test_grothendieck import gcd_of_minors, random_matrix
 
 
@@ -486,6 +488,27 @@ def test_unit_group_correspondence():
     checks["nzds:already_saturated"] = sorted(
         rep2.saturation.elements
     ) == nzds
+
+    # the keyed library against the pairwise scans of tests/oracles.py
+    for label, mset, lring, report in [
+        ("idempotent", sset, loc, rep), ("nzds", sset2, loc2, rep2),
+    ]:
+        units = units_of_localization(lring)
+        reps, table, one, unit_indices = scan_units(lring)
+        checks[f"{label}:unit_table_matches_scan"] = (
+            [(f.num, f.den) for f in units.class_reps] == [(f.num, f.den) for f in reps]
+            and units.table == table
+            and units.identity_index == one
+            and units.unit_indices == unit_indices
+        )
+        checks[f"{label}:report_matches_scan"] = scan_units_iso(mset, lring) == {
+            "groth_order": report.groth_order,
+            "unit_order": report.unit_order,
+            "morphism_ok": report.morphism_ok,
+            "injective": report.injective,
+            "surjective": report.surjective,
+            "saturation": report.saturation.elements,
+        }
 
     for label, gens, want in [
         ("ideal-4", [4], {"s_size": 3, "t_size": 6, "unit_count": 2,

@@ -334,6 +334,17 @@ class TestCorpusRun:
         assert code == 2
         assert rep["error"] == "InvalidInputError"
 
+    @pytest.mark.parametrize("doc", [
+        {"entries": [{"name": "x"}]},
+        {"entries": [{"kind": "monoid", "expected": {}}]},
+        [1, 2],
+    ], ids=["entry-without-kind", "entry-without-name", "top-level-list"])
+    def test_malformed_corpus_file_exits_two(self, tmp_path, doc):
+        (tmp_path / "corpus.json").write_text(json.dumps(doc), encoding="utf-8")
+        code, rep = run(tmp_path, "corpus", "run", "--dir", str(tmp_path))
+        assert code == 2
+        assert rep["error"] == "InvalidInputError"
+
     def test_float_table_in_monoid_file_exits_two(self, tmp_path):
         bad = tmp_path / "float.json"
         bad.write_text('{"kind": "cayley", "table": [[0, 1.7], [1.2, 1]]}', encoding="utf-8")

@@ -1,0 +1,257 @@
+"""LocalizedRing.key against the scans it replaced (tests/oracles.py).
+
+For a finite multiplicative set S, key(r/s) = e*r*(e*s)^-1 in eR, where e
+is the idempotent power of the product of S.  key(f) == key(g) must hold
+exactly when t*(r*s' - r'*s) = 0 for some t in S.  The class
+representatives and their order, the unit table, and the embedding and
+unit-correspondence reports must equal the pairwise scans.
+"""
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from grothloc import (
+    CayleyMonoid,
+    Fraction,
+    IntegerRing,
+    LocalizedRing,
+    ModRing,
+    MonoidRing,
+    MultiplicativeSet,
+    PreconditionError,
+    UnsupportedFamilyError,
+    groth_units_embedding,
+    groth_units_iso,
+    localization_classes,
+    units_of_localization,
+)
+from grothloc import localization
+from grothloc.localization import SaturationSet, _units_map
+
+import zoo
+from oracles import (
+    killed_by_s,
+    raw_loc_eq,
+    scan_localization_classes,
+    scan_units,
+    scan_units_embedding,
+    scan_units_iso,
+    scan_units_map,
+)
+
+
+def plain(f):
+    return (f.num, f.den, f.den_witness)
+
+
+def fractions(loc):
+    return [
+        Fraction(r, s, wit)
+        for r in loc.ring.elements()
+        for s, wit in loc.sset.closure.items()
+    ]
+
+
+def check_key_partition(loc):
+    """Every fraction shares its key with its scan class, and only with it."""
+    killed = killed_by_s(loc)
+    reps = scan_localization_classes(loc, killed)
+    rep_keys = [loc.key(rep) for rep in reps]
+    assert len(set(rep_keys)) == len(reps)
+    for f in fractions(loc):
+        i = next(i for i, rep in enumerate(reps) if raw_loc_eq(loc, killed, f, rep))
+        assert loc.key(f) == rep_keys[i], (f, reps[i])
+    assert [plain(f) for f in localization_classes(loc)] == [plain(f) for f in reps]
+
+
+def check_every_pair(loc):
+    """key and eq against the literal definition, every t of S tried."""
+    ring = loc.ring
+    svals = list(loc.sset.closure)
+    fracs = fractions(loc)
+    keys = [loc.key(f) for f in fracs]
+    for f, kf in zip(fracs, keys):
+        for g, kg in zip(fracs, keys):
+            cross = ring.sub(ring.mul(f.num, g.den), ring.mul(g.num, f.den))
+            want = any(ring.is_zero(ring.mul(t, cross)) for t in svals)
+            assert (kf == kg) == want, (f, g)
+            assert loc.eq(f, g) == want, (f, g)
+
+
+def check_units_and_reports(sset, loc):
+    units = units_of_localization(loc)
+    reps, table, one, unit_indices = scan_units(loc)
+    assert [plain(f) for f in units.class_reps] == [plain(f) for f in reps]
+    assert units.table == table
+    assert units.identity_index == one
+    assert units.unit_indices == unit_indices
+    assert [units.classify(f) for f in reps] == list(range(len(reps)))
+
+    emb = groth_units_embedding(sset, loc)
+    assert {
+        "group_order": emb.group_order,
+        "morphism_ok": emb.morphism_ok,
+        "injective": emb.injective,
+    } == scan_units_embedding(sset, loc)
+
+    iso = groth_units_iso(sset, loc)
+    assert {
+        "groth_order": iso.groth_order,
+        "unit_order": iso.unit_order,
+        "morphism_ok": iso.morphism_ok,
+        "injective": iso.injective,
+        "surjective": iso.surjective,
+        "saturation": iso.saturation.elements,
+    } == scan_units_iso(sset, loc)
+    assert iso.iso
+
+
+def zmod_generator_sets(n):
+    """Zero, a zero-divisor, an idempotent, a unit, and mixtures."""
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    idem = [a for a in range(2, n) if a * a % n == a]
+    sets = [[], [0], [p], [n - 1], [p, n - 1], [p * p % n, n - 1]]
+    if idem:
+        sets += [[idem[0]], [idem[-1], p]]
+    out = []
+    for gens in sets:
+        if gens not in out:
+            out.append(gens)
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_zmod_keys_match_definition(n):
+    ring = ModRing(n)
+    for gens in zmod_generator_sets(n):
+        loc = LocalizedRing(ring, MultiplicativeSet(ring, gens))
+        check_key_partition(loc)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 9, 12])
+def test_small_zmod_every_pair(n):
+    ring = ModRing(n)
+    for gens in zmod_generator_sets(n):
+        check_every_pair(LocalizedRing(ring, MultiplicativeSet(ring, gens)))
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_zmod_units_and_reports(n):
+    ring = ModRing(n)
+    for gens in zmod_generator_sets(n):
+        sset = MultiplicativeSet(ring, gens)
+        check_units_and_reports(sset, LocalizedRing(ring, sset))
+
+
+@given(st.integers(2, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=3))
+))
+def test_hypothesis_zmod(case):
+    n, gens = case
+    ring = ModRing(n)
+    sset = MultiplicativeSet(ring, gens)
+    loc = LocalizedRing(ring, sset)
+    check_key_partition(loc)
+    check_units_and_reports(sset, loc)
+
+
+def z2_under_mult():
+    """{0, 1} under multiplication mod 2, identity 1."""
+    return CayleyMonoid(zoo.mult_mod_table(2), identity=1)
+
+
+def monoid_ring_cases():
+    """(label, ring, generators); each list holds a non-homogeneous generator."""
+    f2t2 = MonoidRing(ModRing(2), zoo.t2())
+    f3z2 = MonoidRing(ModRing(3), z2_under_mult())
+    f2t3 = MonoidRing(ModRing(2), zoo.t3())
+    return [
+        ("F2[T2] at x", f2t2, [f2t2.epsilon(1)]),
+        ("F2[T2] at 1+x", f2t2, [f2t2.one + f2t2.epsilon(1)]),
+        ("F3[Z2.] at eps0", f3z2, [f3z2.epsilon(0)]),
+        ("F3[Z2.] at eps0+2eps1", f3z2, [f3z2.epsilon(0) + f3z2.element({1: 2})]),
+        ("F3[Z2.] at 2, eps0+eps1", f3z2, [f3z2.scalar(2), f3z2.epsilon(0) + f3z2.one]),
+        ("F2[T3] at x1", f2t3, [f2t3.epsilon(1)]),
+        ("F2[T3] at x1+x2", f2t3, [f2t3.epsilon(1) + f2t3.epsilon(2)]),
+        ("F2[T3] at 1+x2, x1", f2t3, [f2t3.one + f2t3.epsilon(2), f2t3.epsilon(1)]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "label,ring,gens", monoid_ring_cases(), ids=[c[0] for c in monoid_ring_cases()]
+)
+def test_monoid_ring_keys(label, ring, gens):
+    sset = MultiplicativeSet(ring, gens)
+    loc = LocalizedRing(ring, sset)
+    check_every_pair(loc)
+    check_key_partition(loc)
+    check_units_and_reports(sset, loc)
+
+
+def test_key_needs_a_complete_closure():
+    zz = IntegerRing()
+    loc = LocalizedRing(zz, MultiplicativeSet(zz, [2], nzd=True))
+    with pytest.raises(UnsupportedFamilyError):
+        loc.key(loc.frac(1, 2))
+
+
+def test_key_over_a_finite_set_of_an_infinite_ring():
+    """S = {1, -1} in Z: the closure is complete, so G(S) still embeds."""
+    zz = IntegerRing()
+    sset = MultiplicativeSet(zz, [-1], nzd=True)
+    loc = LocalizedRing(zz, sset)
+    assert loc.key(loc.frac(3, -1)) == loc.key(loc.frac(-3)) == -3
+    rep = groth_units_embedding(sset, loc)
+    assert rep.group_order == 2 and rep.morphism_ok and rep.injective
+
+
+def test_classify_rejects_foreign_denominators():
+    ring = ModRing(12)
+    loc = LocalizedRing(ring, MultiplicativeSet(ring, [4]))
+    units = units_of_localization(loc)
+    with pytest.raises(PreconditionError):
+        units.classify(Fraction(1, 3, ()))
+
+
+@pytest.mark.parametrize("n,gens", [(12, [4]), (12, [5]), (20, [3, 4]), (30, [7]), (36, [5, 4])])
+def test_units_map_checks_match_scan_on_wrong_maps(n, gens):
+    """The morphism and injectivity checks themselves, fed maps that break them."""
+    ring = ModRing(n)
+    sset = MultiplicativeSet(ring, gens)
+    loc = LocalizedRing(ring, sset)
+    killed = killed_by_s(loc)
+    embeds = {
+        "s/t": lambda s, t: Fraction(s, t, sset.witness(t)),
+        "one": lambda s, t: loc.one,
+        "s/1": lambda s, t: loc.frac(s),
+        "(s+1)/t": lambda s, t: Fraction(ring.add(s, 1), t, sset.witness(t)),
+    }
+    seen = set()
+    for name, embed in embeds.items():
+        rep, keys = _units_map(sset, loc, embed)
+        image, morphism_ok, injective = scan_units_map(sset, loc, killed, embed)
+        assert [plain(f) for f in rep.image] == [plain(f) for f in image], name
+        assert (rep.morphism_ok, rep.injective) == (morphism_ok, injective), name
+        assert keys == [loc.key(f) for f in image]
+        seen.add((morphism_ok, injective))
+    assert len(seen) > 1
+
+
+@pytest.mark.parametrize("n,gens", [(12, [4]), (12, [5]), (24, [2, 5]), (30, [3]), (40, [7])])
+def test_surjectivity_fails_without_the_saturation(n, gens, monkeypatch):
+    """With S in place of its saturation, the image is onto exactly when G(S)
+    already has as many elements as the unit group."""
+    ring = ModRing(n)
+    sset = MultiplicativeSet(ring, gens)
+    loc = LocalizedRing(ring, sset)
+    unit_order = len(scan_units(loc)[3])
+    group_order = scan_units_embedding(sset, loc)["group_order"]
+
+    def bare(ring, sset):
+        closure = tuple(sset.closure)
+        return SaturationSet(ring, sset, closure, {t: ring.one for t in closure})
+
+    monkeypatch.setattr(localization, "saturate", bare)
+    rep = groth_units_iso(sset, loc)
+    assert rep.morphism_ok and rep.injective
+    assert rep.surjective == (group_order == unit_order)

@@ -27,6 +27,8 @@ from grothloc import (
     sample_element,
     tuple_lex_compare,
 )
+from grothloc import monoid
+from grothloc.monoid import ASSOC_BLOCK_CELLS
 
 import zoo
 
@@ -46,6 +48,36 @@ class TestCayleyValidation:
         assert exc.value.law == "associativity"
         a, b, c = exc.value.witness
         assert table[table[a][b]][c] != table[a][table[b][c]]
+
+    def test_associativity_witness_in_a_late_block(self):
+        """A chain 0 < ... < 249 under max, topped by a two-element magma
+        {250, 251} that absorbs the chain and is not associative.  Every
+        failing triple lies inside the top, so the first one, (250, 250, 251),
+        is found in a late row block."""
+        n = 252
+        assert ASSOC_BLOCK_CELLS // (n * n) < 250
+        table = [[max(i, j) for j in range(n)] for i in range(n)]
+        table[250][250] = 251
+        table[250][251] = table[251][250] = 250
+        table[251][251] = 250
+        with pytest.raises(AxiomViolationError) as exc:
+            CayleyMonoid(table)
+        assert exc.value.law == "associativity"
+        assert exc.value.witness == (250, 250, 251)
+
+    @pytest.mark.parametrize("cells", [1, 9, 10, 18, 1 << 22])
+    def test_associativity_witness_independent_of_block_size(self, cells, monkeypatch):
+        monkeypatch.setattr(monoid, "ASSOC_BLOCK_CELLS", cells)
+        table = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        with pytest.raises(AxiomViolationError) as exc:
+            CayleyMonoid(table)
+        assert exc.value.witness == (1, 1, 2)
+
+    def test_large_multiplication_table_builds(self):
+        """Z/300 under multiplication: 300^3 triples, checked in row blocks."""
+        m = CayleyMonoid(zoo.mult_mod_table(300), identity=1)
+        assert m.size() == 300
+        assert m.op(12, 25) == 0 and m.op(7, 43) == 1
 
     def test_bad_identity_rejected(self):
         with pytest.raises(AxiomViolationError) as exc:
