@@ -325,8 +325,27 @@ def _corpus_dir():
     return resources.files("grothloc") / "corpus"
 
 
+# the fields each corpus entry kind reads unconditionally
+_CORPUS_FIELDS = {
+    "monoid": ("monoid",),
+    "groth": ("monoid",),
+    "localize_units": ("ring", "sgens"),
+    "one_plus_ideal": ("ring", "ideal_gens"),
+    "kx": (),
+    "iso_verify": ("ring", "monoid"),
+    "iso_laurent": ("ring", "rank"),
+}
+
+
 def _run_corpus_entry(entry: dict, seed: int) -> dict:
     kind = entry["kind"]
+    if not isinstance(kind, str) or kind not in _CORPUS_FIELDS:
+        raise InvalidInputError(f"unknown corpus entry kind {kind!r}")
+    missing = [f for f in _CORPUS_FIELDS[kind] if f not in entry]
+    if missing:
+        raise InvalidInputError(
+            f"corpus entry {entry['name']!r} of kind {kind!r} lacks {missing}"
+        )
     if kind == "monoid":
         m = monoid_from_dict(entry["monoid"])
         actual = {}
@@ -365,14 +384,12 @@ def _run_corpus_entry(entry: dict, seed: int) -> dict:
         ctx = HMapContext(ring, m, entry.get("sgens", []))
         rep = verify_isomorphism(ctx, samples=entry.get("samples", 60), seed=seed)
         actual = {k: rep[k] for k in entry["expected"]}
-    elif kind == "iso_laurent":
+    else:  # iso_laurent
         ring = ring_from_dict(entry["ring"])
         rep = laurent_iso(
             ring, entry["rank"], samples=entry.get("samples", 60), seed=seed
         )
         actual = {k: rep[k] for k in entry["expected"]}
-    else:
-        raise InvalidInputError(f"unknown corpus entry kind {kind!r}")
     expected = entry["expected"]
     ok = all(actual.get(k) == v for k, v in expected.items()) and set(
         expected

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
+import numbers
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -82,14 +83,28 @@ def _eye(n: int) -> list:
 
 
 def _matmul(a: list, b: list) -> list:
+    """a * b over Z, skipping the zero entries of both factors."""
     if not a or not b:
         return [[] for _ in a]
     cols = len(b[0])
-    inner = len(b)
-    return [
-        [sum(row[i] * b[i][j] for i in range(inner)) for j in range(cols)]
-        for row in a
-    ]
+    nonzeros = [list(itertools.compress(enumerate(row), row)) for row in b]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for i, x in itertools.compress(enumerate(row), row):
+            for j, y in nonzeros[i]:
+                acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def _as_int(x) -> int:
+    """An exact integer entry: Python or numpy ints, never bools, floats or strings."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise InvalidInputError(f"matrix entries must be integers, got {x!r}")
+    return int(x)
 
 
 def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
@@ -97,9 +112,11 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
 
     Pivoting always promotes a minimum-|value| entry, which keeps
     intermediate entries small; arithmetic is exact regardless.
-    ``ncols`` is required when ``rows`` is empty.
+    ``ncols`` is required when ``rows`` is empty.  U is kept as sparse rows
+    ({col: value}) during elimination, and the certificate U*A*V == D is
+    checked exactly on every call.
     """
-    A = [[int(x) for x in row] for row in rows]
+    A = [list(map(_as_int, row)) for row in rows]
     m = len(A)
     if m:
         n = len(A[0])
@@ -112,7 +129,7 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
             raise InvalidInputError("empty matrix needs an explicit ncols")
         n = ncols
     orig = [row[:] for row in A]
-    U = _eye(m)
+    U = [{i: 1} for i in range(m)]
     V = _eye(n)
 
     def swap_rows(i, j):
@@ -127,12 +144,14 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
 
     def add_row(src, dst, q):
         # row dst += q * row src
-        asrc, adst = A[src], A[dst]
-        for k in range(n):
-            adst[k] += q * asrc[k]
-        usrc, udst = U[src], U[dst]
-        for k in range(m):
-            udst[k] += q * usrc[k]
+        A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
+        udst = U[dst]
+        for k, y in U[src].items():
+            x = udst.get(k, 0) + q * y
+            if x:
+                udst[k] = x
+            else:
+                del udst[k]
 
     def add_col(src, dst, q):
         for row in A:
@@ -142,25 +161,26 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
 
     def negate_row(i):
         A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
+        U[i] = {k: -x for k, x in U[i].items()}
 
     t = 0
     limit = min(m, n)
     while t < limit:
-        piv = None
-        best = None
+        # the first minimum-|value| entry in row-major order
+        pi, best = None, 0
         for i in range(t, m):
-            for j in range(t, n):
-                v = A[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
-        if piv is None:
+            low = min((abs(v) for v in A[i][t:] if v), default=0)
+            if low and (not best or low < best):
+                pi, best = i, low
+                if best == 1:
+                    break
+        if pi is None:
             break
-        if piv[0] != t:
-            swap_rows(t, piv[0])
-        if piv[1] != t:
-            swap_cols(t, piv[1])
+        pj = next(j for j in range(t, n) if abs(A[pi][j]) == best)
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
         if A[t][t] < 0:
             negate_row(t)
         while True:
@@ -190,6 +210,8 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
                 continue
             # row and column t are clear; force the divisibility chain
             d = A[t][t]
+            if d == 1:
+                break
             culprit = None
             for i in range(t + 1, m):
                 if any(A[i][j] % d for j in range(t + 1, n)):
@@ -200,6 +222,13 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
             add_row(culprit, t, 1)
         t += 1
 
+    dense = []
+    for row in U:
+        out = [0] * m
+        for k, x in row.items():
+            out[k] = x
+        dense.append(out)
+    U = dense
     check = _matmul(_matmul(U, orig), V)
     if check != A:
         raise AssertionError("transform bookkeeping broke: U*A*V != D")
@@ -260,23 +289,25 @@ def groth_of_presentation(p: MonoidPresentation) -> FGAbelianStructure:
 
 
 def kernel_group(op, elems) -> tuple:
-    """(e, inverse map of K = elems*e) for a finite commutative monoid.
+    """(e, inverse map, order map) of K = elems*e for a finite commutative monoid.
 
     e is the idempotent power of the product of the whole carrier ``elems``
-    under ``op``; K is the minimal ideal, a group with identity e, and the
-    inverse of k in K is the power of k just before e.
+    under ``op``; K is the minimal ideal, a group with identity e.  Walking
+    the powers of k in K until e gives its inverse (the power just before
+    e) and its order (the number of steps).
     """
     s = functools.reduce(op, elems)
     e = s
     while op(e, e) != e:
         e = op(e, s)
-    inv = {}
+    inv, order = {}, {}
     for k in {op(a, e) for a in elems}:
-        prev, acc = e, k
+        prev, acc, n = e, k, 1
         while acc != e:
-            prev, acc = acc, op(acc, k)
+            prev, acc, n = acc, op(acc, k), n + 1
         inv[k] = prev
-    return e, inv
+        order[k] = n
+    return e, inv, order
 
 
 class GrothendieckGroup:
@@ -367,7 +398,7 @@ class GrothendieckGroup:
         if self._slots is not None:
             return self._lattice_key([p - q for p, q in zip(x.first, x.second)])
         if base.is_finite:
-            e, inv = self._kernel_inverses()
+            e, inv, _ = self._kernel_inverses()
             # (a+e) - (b+e) in K; the inverse already lies in K, so +e is implied
             return base.op(x.first, inv[base.op(x.second, e)])
         if isinstance(base, DirectSumMonoid):
@@ -500,49 +531,43 @@ def universal_extend(group: GrothendieckGroup, g, target: CayleyMonoid,
 # structure of finite Grothendieck groups
 
 
-def _divisor_chains(n: int, prev: int = 1):
-    """Ascending divisibility chains (d1 | d2 | ...), all >= 2, product n."""
-    if n == 1:
-        yield ()
-        return
-    for d in range(max(prev, 2), n + 1):
-        if n % d == 0 and d % prev == 0:
-            for rest in _divisor_chains(n // d, d):
-                yield (d,) + rest
-
-
-def _order_multiset(chain: tuple) -> Counter:
-    counts = Counter()
-    for combo in itertools.product(*(range(d) for d in chain)):
-        o = 1
-        for x, d in zip(combo, chain):
-            o = lcm(o, d // gcd(x, d))
-        counts[o] += 1
-    return counts
-
-
 def finite_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
     """Invariant-factor decomposition of G(M) for finite M.
 
-    Classes are enumerated outright; the chain is recovered by matching the
-    multiset of element orders against every candidate divisor chain.
+    G(M) is the kernel group K = M + e.  For a prime p with p-parts p^e_i of
+    the invariant factors, #{x in K : ord(x) | p^k} = p^(sum_i min(k, e_i)),
+    so the step from k-1 to k counts the invariant factors divisible by p^k.
     """
     m = base_monoid(m)
-    group = GrothendieckGroup(m)
-    reps = groth_classes(group)
-    n = len(reps)
-    orders = Counter()
-    for r in reps:
-        acc = r
-        k = 1
-        while not group.is_zero(acc):
-            acc = group.add(acc, r)
-            k += 1
-        orders[k] += 1
-    for chain in _divisor_chains(n):
-        if _order_multiset(chain) == orders:
-            return FGAbelianStructure(0, chain)
-    raise AxiomViolationError("abelian-classification", (n, tuple(sorted(orders.items()))))
+    if not m.is_finite:
+        raise UnsupportedFamilyError("the kernel group needs a finite base")
+    orders = kernel_group(m.op, list(m.elements()))[2].values()
+    n = len(orders)
+    invariants = []  # largest first
+    rest, p = n, 2
+    while rest > 1:
+        if rest % p:
+            p += 1
+            continue
+        sylow = 1
+        while rest % p == 0:
+            rest //= p
+            sylow *= p
+        # for pk = p, p^2, ...: counted = p^s with s = sum_i min(k, e_i), and
+        # the s - prev largest invariant factors are divisible by pk
+        s, pk = 0, 1
+        while p ** s < sylow:
+            pk *= p
+            counted = sum(1 for o in orders if pk % o == 0)
+            prev = s
+            while p ** s < counted:
+                s += 1
+            if p ** s != counted or s == prev:
+                raise AxiomViolationError("abelian-classification", (n, pk, counted))
+            invariants += [1] * (s - prev - len(invariants))
+            for i in range(s - prev):
+                invariants[i] *= p
+    return FGAbelianStructure(0, tuple(reversed(invariants)))
 
 
 def monoid_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
@@ -607,18 +632,12 @@ class GrothOrder:
     def __init__(self, snf: SNFResult, free_positions: list):
         self.snf = snf
         self.free_positions = list(free_positions)
-        k = snf.ncols
-        self._v_is_identity = snf.V == _eye(k)
+        # only the free columns of V give coordinates
+        self._columns = [[row[j] for row in snf.V] for j in self.free_positions]
 
     def coords(self, x: GrothElement) -> tuple:
-        k = self.snf.ncols
         w = [a - b for a, b in zip(x.first, x.second)]
-        if self._v_is_identity:
-            y = w
-        else:
-            V = self.snf.V
-            y = [sum(w[i] * V[i][j] for i in range(k)) for j in range(k)]
-        return tuple(y[j] for j in self.free_positions)
+        return tuple([sum(map(mul, w, col)) for col in self._columns])
 
     def compare(self, x: GrothElement, y: GrothElement) -> int:
         cx = self.coords(x)

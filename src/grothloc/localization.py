@@ -191,7 +191,7 @@ class LocalizedRing:
         return self.eq(f, self.zero)
 
     def _kernel_inverses(self) -> tuple:
-        """(e, inverse map of K = e*S) for a complete closure, built on first use."""
+        """``kernel_group`` of a complete closure, built on first use."""
         if self._kernel is None:
             if not self.sset.complete:
                 raise UnsupportedFamilyError(
@@ -205,7 +205,7 @@ class LocalizedRing:
 
         (e*s)^-1 lies in K, inside eR, so the factor e on r is implied.
         """
-        e, inv = self._kernel_inverses()
+        e, inv, _ = self._kernel_inverses()
         r = self.ring
         try:
             return r.mul(f.num, inv[r.mul(e, f.den)])

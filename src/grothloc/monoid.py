@@ -210,16 +210,18 @@ class MonoidPresentation:
     is_finite = False
 
     def __post_init__(self):
-        if self.generators < 0:
-            raise InvalidInputError("generator count must be nonnegative")
+        g = self.generators
+        if isinstance(g, bool) or not isinstance(g, int) or g < 0:
+            raise InvalidInputError(f"generator count must be a nonnegative int, got {g!r}")
         rels = []
         for rel in self.relations:
             if len(rel) != 2:
                 raise InvalidInputError(f"relation must be a word pair, got {rel!r}")
             u, v = (tuple(side) for side in rel)
             for side in (u, v):
-                if len(side) != self.generators or any(
-                    not isinstance(x, int) or x < 0 for x in side
+                if len(side) != g or any(
+                    not isinstance(x, int) or isinstance(x, bool) or x < 0
+                    for x in side
                 ):
                     raise InvalidInputError(f"bad relation word {side!r}")
             rels.append((u, v))

@@ -6,8 +6,19 @@ follow theirs: r/s = r'/s' when t*(r*s' - r'*s) = 0 for some t in S.  The
 deciders are kept only to cross-check ``GrothendieckGroup.key``,
 ``LocalizedRing.key`` and the dict-based class enumerations, and share no
 code path with either key.
+
+The dense Smith normal form and the divisor-chain matching of element
+orders are the library's earlier implementations, kept verbatim as
+references for the sparse elimination and for the structure read off the
+kernel group.
 """
+import itertools
+from collections import Counter
+from math import gcd, lcm
+
 from grothloc import (
+    AxiomViolationError,
+    FGAbelianStructure,
     Fraction,
     GrothElement,
     GrothendieckGroup,
@@ -18,6 +29,9 @@ from grothloc import (
     presentation_matrix,
     smith_normal_form,
 )
+from grothloc.errors import InvalidInputError
+from grothloc.grothendieck import SNFResult, _eye
+from grothloc.monoid import CommutativeMonoid, base_monoid
 
 
 def in_relation_lattice(p: MonoidPresentation, w) -> bool:
@@ -199,3 +213,183 @@ def scan_units_iso(sset, loc) -> dict:
         "surjective": landed and hit == set(units),
         "saturation": sat_elems,
     }
+
+
+# ---------------------------------------------------------------------------
+# the dense Smith normal form, with its full U*A*V == D recheck
+
+
+def dense_matmul(a: list, b: list) -> list:
+    if not a or not b:
+        return [[] for _ in a]
+    cols = len(b[0])
+    inner = len(b)
+    return [
+        [sum(row[i] * b[i][j] for i in range(inner)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def dense_smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
+    """Diagonalize an integer matrix over Z, tracking both transforms.
+
+    Pivoting always promotes a minimum-|value| entry, which keeps
+    intermediate entries small; arithmetic is exact regardless.
+    ``ncols`` is required when ``rows`` is empty.
+    """
+    A = [[int(x) for x in row] for row in rows]
+    m = len(A)
+    if m:
+        n = len(A[0])
+        if any(len(row) != n for row in A):
+            raise InvalidInputError("ragged matrix")
+        if ncols is not None and ncols != n:
+            raise InvalidInputError("ncols disagrees with row length")
+    else:
+        if ncols is None:
+            raise InvalidInputError("empty matrix needs an explicit ncols")
+        n = ncols
+    orig = [row[:] for row in A]
+    U = _eye(m)
+    V = _eye(n)
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        # row dst += q * row src
+        asrc, adst = A[src], A[dst]
+        for k in range(n):
+            adst[k] += q * asrc[k]
+        usrc, udst = U[src], U[dst]
+        for k in range(m):
+            udst[k] += q * usrc[k]
+
+    def add_col(src, dst, q):
+        for row in A:
+            row[dst] += q * row[src]
+        for row in V:
+            row[dst] += q * row[src]
+
+    def negate_row(i):
+        A[i] = [-x for x in A[i]]
+        U[i] = [-x for x in U[i]]
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = A[i][j]
+                if v and (best is None or abs(v) < best):
+                    best = abs(v)
+                    piv = (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            swap_rows(t, piv[0])
+        if piv[1] != t:
+            swap_cols(t, piv[1])
+        if A[t][t] < 0:
+            negate_row(t)
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                v = A[i][t]
+                if v:
+                    q = v // A[t][t]
+                    if q:
+                        add_row(t, i, -q)
+                    if A[i][t]:
+                        # remainder beats the pivot; promote it
+                        swap_rows(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                v = A[t][j]
+                if v:
+                    q = v // A[t][t]
+                    if q:
+                        add_col(t, j, -q)
+                    if A[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # row and column t are clear; force the divisibility chain
+            d = A[t][t]
+            culprit = None
+            for i in range(t + 1, m):
+                if any(A[i][j] % d for j in range(t + 1, n)):
+                    culprit = i
+                    break
+            if culprit is None:
+                break
+            add_row(culprit, t, 1)
+        t += 1
+
+    check = dense_matmul(dense_matmul(U, orig), V)
+    if check != A:
+        raise AssertionError("transform bookkeeping broke: U*A*V != D")
+    diag = [A[i][i] for i in range(limit)]
+    return SNFResult(D=A, U=U, V=V, invariant_factors=diag, nrows=m, ncols=n)
+
+
+# ---------------------------------------------------------------------------
+# structure of finite G(M) by matching element-order multisets
+
+
+def divisor_chains(n: int, prev: int = 1):
+    """Ascending divisibility chains (d1 | d2 | ...), all >= 2, product n."""
+    if n == 1:
+        yield ()
+        return
+    for d in range(max(prev, 2), n + 1):
+        if n % d == 0 and d % prev == 0:
+            for rest in divisor_chains(n // d, d):
+                yield (d,) + rest
+
+
+def order_multiset(chain: tuple) -> Counter:
+    counts = Counter()
+    for combo in itertools.product(*(range(d) for d in chain)):
+        o = 1
+        for x, d in zip(combo, chain):
+            o = lcm(o, d // gcd(x, d))
+        counts[o] += 1
+    return counts
+
+
+def matched_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
+    """Invariant-factor decomposition of G(M) for finite M.
+
+    Classes are enumerated outright; the chain is recovered by matching the
+    multiset of element orders against every candidate divisor chain.
+    """
+    m = base_monoid(m)
+    group = GrothendieckGroup(m)
+    reps = groth_classes(group)
+    n = len(reps)
+    orders = Counter()
+    for r in reps:
+        acc = r
+        k = 1
+        while not group.is_zero(acc):
+            acc = group.add(acc, r)
+            k += 1
+        orders[k] += 1
+    for chain in divisor_chains(n):
+        if order_multiset(chain) == orders:
+            return FGAbelianStructure(0, chain)
+    raise AxiomViolationError("abelian-classification", (n, tuple(sorted(orders.items()))))
+

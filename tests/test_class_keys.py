@@ -4,10 +4,11 @@ On every quadruple (a, b, c, d) of a finite monoid, key([a, b]) ==
 key([c, d]) must hold exactly when the old witness scan finds some m with
 a+d+m = b+c+m, and eq must agree too.  Infinite bases are checked on
 seeded samples.  groth_classes must return the scan's representatives in
-the scan's order.
+the scan's order.  The structure of a finite G(M), read off the kernel
+group, must equal the old match of element orders against divisor chains.
 """
 import random
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +24,12 @@ from grothloc import (
     MonoidPresentation,
     canonical_map_injective,
     class_index,
+    finite_groth_structure,
     groth_classes,
 )
 
 import zoo
-from oracles import scan_classes, scan_eq
+from oracles import matched_groth_structure, scan_classes, scan_eq
 
 
 def check_every_quadruple(m):
@@ -61,6 +63,12 @@ FINITE_ZOO = [
 @pytest.mark.parametrize("build", FINITE_ZOO, ids=lambda b: b.__name__)
 def test_zoo_keys_match_witness_scan(build):
     check_every_quadruple(build())
+
+
+@pytest.mark.parametrize("build", FINITE_ZOO, ids=lambda b: b.__name__)
+def test_zoo_structure_matches_order_matching(build):
+    m = build()
+    assert finite_groth_structure(m) == matched_groth_structure(m)
 
 
 # -- generated commutative tables: (table, identity)
@@ -118,6 +126,38 @@ def test_generated_tables(spec):
 
 
 SUM_PARTS = TABLES.filter(lambda spec: len(spec[0]) <= 3)
+
+
+@given(TABLES)
+def test_generated_structures(spec):
+    m = CayleyMonoid(spec[0], identity=spec[1])
+    assert finite_groth_structure(m) == matched_groth_structure(m)
+
+
+# cyclic groups, so that G(M) has torsion with several primes and chains
+CYCLIC = st.integers(1, 12).map(
+    lambda n: ([[(x + y) % n for y in range(n)] for x in range(n)], 0)
+)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.one_of(CYCLIC, TABLES.filter(lambda spec: len(spec[0]) <= 4)),
+                min_size=1, max_size=3).filter(lambda parts: prod(len(t) for t, _ in parts) <= 48))
+def test_generated_sum_structures(parts):
+    m = DirectSumMonoid([CayleyMonoid(t, identity=e) for t, e in parts])
+    assert finite_groth_structure(m) == matched_groth_structure(m)
+
+
+def test_known_torsion_chains():
+    def sum_of_cyclic(*ns):
+        return DirectSumMonoid([
+            CayleyMonoid([[(x + y) % n for y in range(n)] for x in range(n)])
+            for n in ns
+        ])
+
+    for ns, chain in (((2, 4), (2, 4)), ((4, 6), (2, 12)), ((2, 2, 2), (2, 2, 2)),
+                      ((9, 3, 5), (3, 45)), ((8,), (8,)), ((1,), ())):
+        assert finite_groth_structure(sum_of_cyclic(*ns)).torsion_invariants == chain
 
 
 @settings(max_examples=25)

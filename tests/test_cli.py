@@ -345,12 +345,61 @@ class TestCorpusRun:
         assert code == 2
         assert rep["error"] == "InvalidInputError"
 
+    @pytest.mark.parametrize("kind, field", [
+        ("monoid", "monoid"),
+        ("groth", "monoid"),
+        ("localize_units", "ring"),
+        ("localize_units", "sgens"),
+        ("one_plus_ideal", "ring"),
+        ("one_plus_ideal", "ideal_gens"),
+        ("iso_verify", "ring"),
+        ("iso_verify", "monoid"),
+        ("iso_laurent", "ring"),
+        ("iso_laurent", "rank"),
+    ])
+    def test_entry_without_its_kind_field_exits_two(self, tmp_path, kind, field):
+        entry = {
+            "name": "x", "kind": kind, "expected": {},
+            "monoid": {"kind": "free", "rank": 1},
+            "ring": {"kind": "Zmod", "n": 5},
+            "sgens": [], "ideal_gens": [], "rank": 1,
+        }
+        del entry[field]
+        doc = {"entries": [entry]}
+        (tmp_path / "corpus.json").write_text(json.dumps(doc), encoding="utf-8")
+        code, rep = run(tmp_path, "corpus", "run", "--dir", str(tmp_path))
+        assert code == 2
+        assert rep["error"] == "InvalidInputError"
+        assert repr(field) in rep["detail"]
+
+    @pytest.mark.parametrize("kind", ["nope", ["monoid"]])
+    def test_unknown_entry_kind_exits_two(self, tmp_path, kind):
+        doc = {"entries": [{"name": "x", "kind": kind, "expected": {}}]}
+        (tmp_path / "corpus.json").write_text(json.dumps(doc), encoding="utf-8")
+        code, rep = run(tmp_path, "corpus", "run", "--dir", str(tmp_path))
+        assert code == 2
+        assert rep["error"] == "InvalidInputError"
+
     def test_float_table_in_monoid_file_exits_two(self, tmp_path):
         bad = tmp_path / "float.json"
         bad.write_text('{"kind": "cayley", "table": [[0, 1.7], [1.2, 1]]}', encoding="utf-8")
         code, rep = run(tmp_path, "monoid", "check", str(bad))
         assert code == 2
         assert rep["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("relations", [
+    [[[True, 0], [0, 1]]],
+    [[[1.0, 0], [0, 1]]],
+    [[["1", 0], [0, 1]]],
+], ids=["bool", "float", "string"])
+def test_non_integer_presentation_word_exits_two(tmp_path, relations):
+    p = tmp_path / "pres.json"
+    doc = {"kind": "presentation", "generators": 2, "relations": relations}
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, rep = run(tmp_path, "groth", "compute", "--monoid", str(p))
+    assert code == 2
+    assert rep["error"] == "InvalidInputError"
 
 
 class TestReportEnvelope:

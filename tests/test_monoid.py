@@ -223,6 +223,18 @@ class TestTupleFamilies:
         with pytest.raises(UnsupportedFamilyError):
             m.size()
 
+    @pytest.mark.parametrize("word", [(True, 0), (1.0, 0), ("1", 0), (None, 0)])
+    def test_presentation_relation_words_are_ints(self, word):
+        with pytest.raises(InvalidInputError):
+            MonoidPresentation(2, ((word, (0, 1)),))
+        with pytest.raises(InvalidInputError):
+            MonoidPresentation(2, (((0, 1), word),))
+
+    @pytest.mark.parametrize("generators", [True, 2.0, "2", -1])
+    def test_presentation_generator_count_is_a_nonnegative_int(self, generators):
+        with pytest.raises(InvalidInputError):
+            MonoidPresentation(generators, ())
+
 
 class TestOrders:
     def test_natural_order_on_free_monoid_is_compatible(self):
