@@ -521,6 +521,10 @@ def _inputs_digest(args) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _error_payload(command: str, exc: GrothlocError) -> dict:
+    return {"command": command, "error": type(exc).__name__, "detail": str(exc)}
+
+
 def _emit(payload: dict, out: str | None):
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out is None:
@@ -542,34 +546,35 @@ def main(argv=None) -> int:
     try:
         body, ok = args.func(args)
     except AxiomViolationError as exc:
-        _emit(
-            {
-                "command": command,
-                "error": "axiom-violation",
-                "law": exc.law,
-                "witness": list(exc.witness),
-            },
-            getattr(args, "out", None),
-        )
-        return 3
+        payload, code = {
+            "command": command,
+            "error": "axiom-violation",
+            "law": exc.law,
+            "witness": list(exc.witness),
+        }, 3
     except GrothlocError as exc:
-        _emit(
-            {"command": command, "error": type(exc).__name__, "detail": str(exc)},
-            getattr(args, "out", None),
-        )
+        payload, code = _error_payload(command, exc), 2
+    else:
+        payload = {
+            "command": command,
+            "seed": getattr(args, "seed", 0),
+            "inputs_sha256": _inputs_digest(args),
+        }
+        payload.update(body)
+        payload.setdefault("checks", {})
+        payload["ok"] = ok
+        code = 0 if ok else 1
+    try:
+        _emit(payload, args.out)
+    except OSError as exc:
+        err = InvalidInputError(f"cannot write {args.out}: {exc}")
+        _emit(_error_payload(command, err), None)
         return 2
-    report = {
-        "command": command,
-        "seed": getattr(args, "seed", 0),
-        "inputs_sha256": _inputs_digest(args),
-    }
-    report.update(body)
-    report.setdefault("checks", {})
-    report["ok"] = ok
-    _emit(report, args.out)
-    elapsed = int((time.monotonic() - started) * 1000)
-    print(f"elapsed_ms={elapsed}", file=sys.stderr)
-    return 0 if ok else 1
+    if code < 2:
+        # the command ran to its report
+        elapsed = int((time.monotonic() - started) * 1000)
+        print(f"elapsed_ms={elapsed}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

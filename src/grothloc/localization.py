@@ -27,14 +27,8 @@ from .errors import (
     UndecidableConfigurationError,
     UnsupportedFamilyError,
 )
-from .grothendieck import (
-    CayleyMonoid,
-    GrothElement,
-    GrothendieckGroup,
-    groth_classes,
-    kernel_group,
-)
-from .ring import MonoidRing, degree_of, homogeneous_components
+from .grothendieck import CayleyMonoid, GrothElement, GrothendieckGroup, kernel_group
+from .ring import MonoidRing, degree_of, degree_sums, homogeneous_components
 
 
 class Fraction:
@@ -315,14 +309,7 @@ def support_submonoid(loc: LocalizedRing, m_degrees=None, depth: int = 8,
         if not monoid.is_finite:
             raise PreconditionError("sample degrees are required for infinite monoids")
         m_degrees = list(monoid.elements())
-    gen_degs = [degree_of(g) for g in loc.sset.generators]
-    s_degs = {monoid.identity}
-    frontier = set(s_degs)
-    for _ in range(depth):
-        frontier = {monoid.op(x, d) for x in frontier for d in gen_degs} - s_degs
-        if not frontier:
-            break
-        s_degs |= frontier
+    s_degs = degree_sums(monoid, [degree_of(g) for g in loc.sset.generators], depth)
     members = {}
     for m in m_degrees:
         for s in sorted(s_degs, key=lambda d: (d,) if isinstance(d, int) else d):
@@ -449,25 +436,8 @@ def units_of_localization(loc: LocalizedRing) -> UnitGroup:
 # Grothendieck group of S versus units of the localization
 
 
-def multset_cayley(sset: MultiplicativeSet):
-    """The finite multiplicative set as an explicit commutative monoid.
-
-    Returns (monoid, elements) with elements[i] the ring value at index i.
-    """
-    if not sset.complete:
-        raise PreconditionError("need a completely materialized closure")
-    elems = list(sset.closure)
-    pos = {e: i for i, e in enumerate(elems)}
-    table = [
-        [pos[sset.ring.mul(a, b)] for b in elems]
-        for a in elems
-    ]
-    return CayleyMonoid(table, identity=pos[sset.ring.one]), elems
-
-
 @dataclass
 class EmbeddingReport:
-    group: GrothendieckGroup
     classes: list
     image: list
     morphism_ok: bool
@@ -481,25 +451,32 @@ class EmbeddingReport:
 def _units_map(sset: MultiplicativeSet, loc: LocalizedRing, embed):
     """G(sset) -> S^-1 R, [s, t] -> embed(s, t): (report, image keys).
 
-    The morphism law compares keys on every pair of classes; injectivity
-    asks that the image keys be distinct.
+    The finite S is a monoid under multiplication, and G(S) is its kernel
+    group e*S, e the idempotent power of the product of S, with [s, t] at
+    s*(t*e)^-1.  As t runs over S, t*e runs over e*S, so the classes [1, t]
+    are all of G(S), and [1, t] = [1, t'] exactly when t*e = t'*e.  Each
+    class is represented by [1, t] for its first t.  The morphism law
+    compares keys on every pair of classes; injectivity asks that the image
+    keys be distinct.
     """
-    monoid, elems = multset_cayley(sset)
-    group = GrothendieckGroup(monoid)
-    classes = groth_classes(group)
-
-    def image_of(x: GrothElement) -> Fraction:
-        return embed(elems[x.first], elems[x.second])
-
-    image = [image_of(x) for x in classes]
+    if not sset.complete:
+        raise PreconditionError("need a completely materialized closure")
+    one, mul = sset.ring.one, sset.ring.mul
+    e = kernel_group(mul, list(sset.closure))[0]
+    reps = {}
+    for t in sset.closure:
+        reps.setdefault(mul(t, e), GrothElement(one, t))
+    classes = list(reps.values())
+    image = [embed(s, t) for s, t in classes]
     keys = [loc.key(f) for f in image]
     morphism_ok = all(
-        loc.key(image_of(group.add(x, y))) == loc.key(loc.mul(image[i], image[j]))
+        loc.key(embed(mul(x.first, y.first), mul(x.second, y.second)))
+        == loc.key(loc.mul(image[i], image[j]))
         for i, x in enumerate(classes)
         for j, y in enumerate(classes)
     )
     injective = len(set(keys)) == len(keys)
-    return EmbeddingReport(group, classes, image, morphism_ok, injective), keys
+    return EmbeddingReport(classes, image, morphism_ok, injective), keys
 
 
 def groth_units_embedding(sset: MultiplicativeSet, loc: LocalizedRing) -> EmbeddingReport:

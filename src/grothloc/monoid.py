@@ -148,6 +148,8 @@ class _TupleMonoid(CommutativeMonoid):
     """Common code for families whose elements are integer tuples of fixed rank."""
 
     def __init__(self, rank: int):
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise InvalidInputError(f"rank must be an int, got {rank!r}")
         if rank < 0:
             raise InvalidInputError("rank must be nonnegative")
         self.rank = rank

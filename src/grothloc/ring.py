@@ -20,7 +20,7 @@ from .errors import (
     PreconditionError,
     UnsupportedFamilyError,
 )
-from .grothendieck import GrothElement, GrothendieckGroup
+from .grothendieck import GrothElement, GrothendieckGroup, canonical_map_injective
 from .monoid import CommutativeMonoid, base_monoid, is_cancellative
 
 
@@ -95,6 +95,8 @@ class ModRing:
     is_finite = True
 
     def __init__(self, n: int):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InvalidInputError(f"modulus must be an int, got {n!r}")
         if n < 2:
             raise InvalidInputError("modulus must be at least 2")
         self.n = n
@@ -158,8 +160,8 @@ def ring_from_dict(data: dict):
         return IntegerRing()
     if kind == "Zmod":
         try:
-            return ModRing(int(data["n"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return ModRing(data["n"])
+        except KeyError as exc:
             raise InvalidInputError(f"malformed Zmod description: {exc}") from exc
     raise InvalidInputError(f"unknown ring kind {kind!r}")
 
@@ -429,7 +431,7 @@ def regrade(f: MRElement, group: GrothendieckGroup) -> list:
 
 
 # ---------------------------------------------------------------------------
-# zero-divisor and injectivity sweeps (exhaustive, finite carriers only)
+# zero-divisors and injectivity, decided on the monoid (finite carriers only)
 
 
 def _require_finite_modring(mring: MonoidRing):
@@ -440,48 +442,29 @@ def _require_finite_modring(mring: MonoidRing):
 
 
 def monomial_is_nonzerodivisor(mring: MonoidRing, m) -> bool:
-    """Whether eps_m * f = 0 forces f = 0, by scanning every f in R[M]."""
+    """Whether eps_m * f = 0 forces f = 0: exactly when x -> m+x is injective.
+
+    eps_m * f sums the coefficients of f over each fiber of x -> m+x.  Over
+    R != 0 a fiber holding x != y carries f = eps_x - eps_y, and with
+    singleton fibers eps_m * f only moves the coefficients of f.
+    """
     _require_finite_modring(mring)
     monoid = mring.monoid
-    n = mring.coeff_ring.n
     elems = list(monoid.elements())
     m = monoid.validate(m)
-    pos = {x: i for i, x in enumerate(elems)}
-    fibers = {}
-    for x in elems:
-        fibers.setdefault(monoid.op(m, x), []).append(pos[x])
-    fiber_list = list(fibers.values())
-    for f in itertools.product(range(n), repeat=len(elems)):
-        if not any(f):
-            continue
-        if all(sum(f[i] for i in fiber) % n == 0 for fiber in fiber_list):
-            return False
-    return True
+    return len({monoid.op(m, x) for x in elems}) == len(elems)
 
 
 def group_ring_map_injective(mring: MonoidRing, group: GrothendieckGroup | None = None) -> bool:
-    """Whether R[M] -> R[G(M)] (coefficients summed per class) kills only 0."""
+    """Whether R[M] -> R[G(M)] (coefficients summed per class) kills only 0.
+
+    As for monomials, a class holding two elements x != y carries the kernel
+    element eps_x - eps_y, so the map is injective exactly when M -> G(M) is.
+    """
     _require_finite_modring(mring)
-    monoid = mring.monoid
     if group is None:
-        group = GrothendieckGroup(monoid)
-    n = mring.coeff_ring.n
-    elems = list(monoid.elements())
-    # precompute the class partition of the canonical images
-    index = {}
-    class_of = [
-        index.setdefault(group.key(group.canonical(x)), len(index)) for x in elems
-    ]
-    nclasses = len(index)
-    for f in itertools.product(range(n), repeat=len(elems)):
-        if not any(f):
-            continue
-        sums = [0] * nclasses
-        for i, c in enumerate(f):
-            sums[class_of[i]] += c
-        if all(s % n == 0 for s in sums):
-            return False
-    return True
+        group = GrothendieckGroup(mring.monoid)
+    return canonical_map_injective(group)
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +581,16 @@ def degrees_submonoid(gens, depth: int = 8) -> set:
     monoid = gens[0].monoid
     if not is_cancellative(monoid):
         raise PreconditionError("degree bookkeeping needs a cancellative monoid")
-    gen_degs = {degree_of(g) for g in gens}
-    degs = {monoid.identity} | set(gen_degs)
-    frontier = set(degs)
-    for _ in range(depth):
-        frontier = {
-            monoid.op(x, g) for x in frontier for g in gen_degs
-        } - degs
+    return degree_sums(monoid, {degree_of(g) for g in gens}, depth + 1)
+
+
+def degree_sums(monoid, degrees, k: int) -> set:
+    """Sums of at most k of the given degrees; the identity is the empty sum."""
+    sums = {monoid.identity}
+    frontier = set(sums)
+    for _ in range(k):
+        frontier = {monoid.op(x, d) for x in frontier for d in degrees} - sums
         if not frontier:
             break
-        degs |= frontier
-    return degs
+        sums |= frontier
+    return sums

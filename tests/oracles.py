@@ -7,10 +7,12 @@ deciders are kept only to cross-check ``GrothendieckGroup.key``,
 ``LocalizedRing.key`` and the dict-based class enumerations, and share no
 code path with either key.
 
-The dense Smith normal form and the divisor-chain matching of element
-orders are the library's earlier implementations, kept verbatim as
-references for the sparse elimination and for the structure read off the
-kernel group.
+The dense Smith normal form, the divisor-chain matching of element
+orders, the sweeps over every element of R[M] and the Cayley table of a
+multiplicative set are the library's earlier implementations, kept
+verbatim as references for the sparse elimination, for the structure read
+off the kernel group, for the monoid criteria that decide zero-divisors
+and group-ring injectivity, and for G(S) read off the kernel group of S.
 """
 import itertools
 from collections import Counter
@@ -18,20 +20,22 @@ from math import gcd, lcm
 
 from grothloc import (
     AxiomViolationError,
+    CayleyMonoid,
     FGAbelianStructure,
     Fraction,
     GrothElement,
     GrothendieckGroup,
     MonoidPresentation,
+    MonoidRing,
     MultiplicativeSet,
     groth_classes,
-    multset_cayley,
     presentation_matrix,
     smith_normal_form,
 )
-from grothloc.errors import InvalidInputError
+from grothloc.errors import InvalidInputError, PreconditionError
 from grothloc.grothendieck import SNFResult, _eye
 from grothloc.monoid import CommutativeMonoid, base_monoid
+from grothloc.ring import _require_finite_modring
 
 
 def in_relation_lattice(p: MonoidPresentation, w) -> bool:
@@ -144,6 +148,22 @@ def scan_saturation(ring, sset) -> tuple:
     return tuple(elems), witnesses
 
 
+def multset_cayley(sset: MultiplicativeSet):
+    """The finite multiplicative set as an explicit commutative monoid.
+
+    Returns (monoid, elements) with elements[i] the ring value at index i.
+    """
+    if not sset.complete:
+        raise PreconditionError("need a completely materialized closure")
+    elems = list(sset.closure)
+    pos = {e: i for i, e in enumerate(elems)}
+    table = [
+        [pos[sset.ring.mul(a, b)] for b in elems]
+        for a in elems
+    ]
+    return CayleyMonoid(table, identity=pos[sset.ring.one]), elems
+
+
 def scan_units_map(sset, loc, killed, embed) -> tuple:
     """(image, morphism_ok, injective) of G(sset) -> S^-1 R, pairwise."""
     monoid, elems = multset_cayley(sset)
@@ -213,6 +233,55 @@ def scan_units_iso(sset, loc) -> dict:
         "surjective": landed and hit == set(units),
         "saturation": sat_elems,
     }
+
+
+# ---------------------------------------------------------------------------
+# zero-divisor and injectivity sweeps over every element of R[M]
+
+
+def sweep_monomial_is_nonzerodivisor(mring: MonoidRing, m) -> bool:
+    """Whether eps_m * f = 0 forces f = 0, by scanning every f in R[M]."""
+    _require_finite_modring(mring)
+    monoid = mring.monoid
+    n = mring.coeff_ring.n
+    elems = list(monoid.elements())
+    m = monoid.validate(m)
+    pos = {x: i for i, x in enumerate(elems)}
+    fibers = {}
+    for x in elems:
+        fibers.setdefault(monoid.op(m, x), []).append(pos[x])
+    fiber_list = list(fibers.values())
+    for f in itertools.product(range(n), repeat=len(elems)):
+        if not any(f):
+            continue
+        if all(sum(f[i] for i in fiber) % n == 0 for fiber in fiber_list):
+            return False
+    return True
+
+
+def sweep_group_ring_map_injective(mring: MonoidRing, group: GrothendieckGroup | None = None) -> bool:
+    """Whether R[M] -> R[G(M)] (coefficients summed per class) kills only 0."""
+    _require_finite_modring(mring)
+    monoid = mring.monoid
+    if group is None:
+        group = GrothendieckGroup(monoid)
+    n = mring.coeff_ring.n
+    elems = list(monoid.elements())
+    # precompute the class partition of the canonical images
+    index = {}
+    class_of = [
+        index.setdefault(group.key(group.canonical(x)), len(index)) for x in elems
+    ]
+    nclasses = len(index)
+    for f in itertools.product(range(n), repeat=len(elems)):
+        if not any(f):
+            continue
+        sums = [0] * nclasses
+        for i, c in enumerate(f):
+            sums[class_of[i]] += c
+        if all(s % n == 0 for s in sums):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

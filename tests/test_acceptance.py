@@ -46,7 +46,12 @@ from grothloc import (
 from grothloc.cli import main
 
 import zoo
-from oracles import scan_units, scan_units_iso
+from oracles import (
+    scan_units,
+    scan_units_iso,
+    sweep_group_ring_map_injective,
+    sweep_monomial_is_nonzerodivisor,
+)
 from test_grothendieck import gcd_of_minors, random_matrix
 
 
@@ -216,6 +221,15 @@ def test_four_way_cancellativity_equivalence():
             )
             iv = group_ring_map_injective(mring, group)
             checks[f"{label}-mod{n}"] = i == ii == iii == iv
+            # the library decides iii and iv on M; the sweeps over every
+            # element of R[M] in tests/oracles.py decide them independently
+            sweep_iii = all(
+                sweep_monomial_is_nonzerodivisor(mring, x) for x in m.elements()
+            )
+            sweep_iv = sweep_group_ring_map_injective(mring, group)
+            checks[f"{label}-mod{n}-sweeps"] = (
+                i == ii == iii == iv == sweep_iii == sweep_iv
+            )
             entries += 1
     elapsed = time.monotonic() - started
     checks["within_60s"] = elapsed < 60
@@ -223,7 +237,7 @@ def test_four_way_cancellativity_equivalence():
         "four-way cancellativity equivalence",
         checks,
         f"{len(builders)} monoids x 2 coefficient rings = {entries} entries, "
-        f"{elapsed:.1f}s",
+        f"each against the sweeps over R[M], {elapsed:.1f}s",
     )
 
 

@@ -402,6 +402,34 @@ def test_non_integer_presentation_word_exits_two(tmp_path, relations):
     assert rep["error"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("modulus", [5.5, "7", True, None], ids=["float", "string", "bool", "null"])
+def test_non_integer_modulus_exits_two(tmp_path, modulus):
+    ring = json.dumps({"kind": "Zmod", "n": modulus})
+    code, rep = run(tmp_path, "iso", "laurent", "--ring", ring, "--rank", "1", "--samples", "5")
+    assert code == 2
+    assert rep["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("kind", ["free", "lattice"])
+@pytest.mark.parametrize("rank", [True, 1.0, "1", None])
+def test_non_integer_rank_exits_two(tmp_path, kind, rank):
+    p = tmp_path / "tuple.json"
+    p.write_text(json.dumps({"kind": kind, "rank": rank}), encoding="utf-8")
+    code, rep = run(tmp_path, "groth", "compute", "--monoid", str(p))
+    assert code == 2
+    assert rep["error"] == "InvalidInputError"
+
+
+def test_unwritable_out_path_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code = main(["groth", "compute", "--monoid", str(CORPUS / "t2.json"), "--out", str(target)])
+    assert code == 2
+    assert not target.exists()
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["command"] == "groth compute"
+    assert rep["error"] == "InvalidInputError"
+
+
 class TestReportEnvelope:
     def test_digest_is_stable_across_runs(self, tmp_path):
         _, rep1 = run(tmp_path, "groth", "compute",

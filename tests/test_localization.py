@@ -210,6 +210,16 @@ class TestSupportSubmonoid:
         assert sup.contains(group.element((0, 2), (1, 0)))   # y^2 / x
         assert not sup.contains(group.element((0, 0), (0, 1)))  # y^-1
 
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_denominators_are_products_of_at_most_depth_generators(self, depth):
+        mring = MonoidRing(ModRing(5), FreeCommutativeMonoid(1))
+        loc = LocalizedRing(mring, MultiplicativeSet(mring, [mring.epsilon((1,))], nzd=True))
+        sup = support_submonoid(loc, m_degrees=[(0,)], depth=depth, rounds=0)
+        group = loc.groth_group
+        assert len(sup) == depth + 1
+        assert sup.contains(group.element((0,), (depth,)))
+        assert not sup.contains(group.element((0,), (depth + 1,)))
+
     def test_requires_homogeneous_denominators(self):
         mring = MonoidRing(ModRing(5), FreeCommutativeMonoid(1))
         f = mring.one + mring.epsilon((1,))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from grothloc import (
     CayleyMonoid,
     Fraction,
+    GrothendieckGroup,
     IntegerRing,
     LocalizedRing,
     ModRing,
@@ -255,3 +256,18 @@ def test_surjectivity_fails_without_the_saturation(n, gens, monkeypatch):
     rep = groth_units_iso(sset, loc)
     assert rep.morphism_ok and rep.injective
     assert rep.surjective == (group_order == unit_order)
+
+
+def test_units_map_builds_no_table(monkeypatch):
+    """G(S-bar) is read off the kernel group of S-bar: no Cayley table of
+    S-bar and no Grothendieck group over it are built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table or group was built for S")
+
+    monkeypatch.setattr(CayleyMonoid, "__init__", refuse)
+    monkeypatch.setattr(GrothendieckGroup, "__init__", refuse)
+    ring = ModRing(120)
+    sset = MultiplicativeSet(ring, [2])
+    rep = groth_units_iso(sset, LocalizedRing(ring, sset))
+    assert rep.iso and rep.groth_order == rep.unit_order == 8
+    assert len(rep.saturation.elements) == 64

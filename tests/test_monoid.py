@@ -236,6 +236,13 @@ class TestTupleFamilies:
             MonoidPresentation(generators, ())
 
 
+    @pytest.mark.parametrize("family", [FreeCommutativeMonoid, IntegerLatticeMonoid])
+    @pytest.mark.parametrize("rank", [True, 2.0, "2", None, -1])
+    def test_tuple_rank_is_a_nonnegative_int(self, family, rank):
+        with pytest.raises(InvalidInputError):
+            family(rank)
+
+
 class TestOrders:
     def test_natural_order_on_free_monoid_is_compatible(self):
         om = natural_order(FreeCommutativeMonoid(2))

@@ -61,6 +61,14 @@ class TestCoefficientRings:
         with pytest.raises(InvalidInputError):
             ring_from_dict({"kind": "GF8"})
 
+    @pytest.mark.parametrize("n", [5.5, 7.0, "7", True, None, 1])
+    def test_modulus_is_an_int_of_at_least_two(self, n):
+        from grothloc import InvalidInputError
+        with pytest.raises(InvalidInputError):
+            ModRing(n)
+        with pytest.raises(InvalidInputError):
+            ring_from_dict({"kind": "Zmod", "n": n})
+
 
 @pytest.fixture(scope="module")
 def small():
