@@ -104,22 +104,28 @@ def _groth_key_json(key: GrothElement) -> list:
 # commands
 
 
+def _monoid_facts(m) -> dict:
+    """Cancellativity (None when undecided) and, on a finite carrier, the
+    quasi-zero submonoid's size and whether G(M) is trivial."""
+    facts = {}
+    try:
+        facts["cancellative"] = is_cancellative(m)
+    except GrothlocError:
+        facts["cancellative"] = None
+    if m.is_finite:
+        facts["quasi_zero_size"] = len(quasi_zero_submonoid(m))
+        facts["groth_trivial"] = GrothendieckGroup(m).is_trivial()
+    return facts
+
+
 def _cmd_monoid_check(args):
     m = _load_monoid_file(args.file)
-    results = {"axioms_ok": True}
-    try:
-        results["cancellative"] = is_cancellative(m)
-    except GrothlocError:
-        results["cancellative"] = None
+    results = {"axioms_ok": True, **_monoid_facts(m)}
     checks = {}
     if m.is_finite:
-        qz = quasi_zero_submonoid(m)
-        group = GrothendieckGroup(m)
-        trivial = group.is_trivial()
-        results["quasi_zero_size"] = len(qz)
         results["carrier_size"] = m.size()
-        results["groth_trivial"] = trivial
-        checks["quasi_zero_all_iff_trivial"] = (len(qz) == m.size()) == trivial
+        all_quasi_zero = results["quasi_zero_size"] == m.size()
+        checks["quasi_zero_all_iff_trivial"] = all_quasi_zero == results["groth_trivial"]
     elif isinstance(m, FreeCommutativeMonoid):
         results["groth_trivial"] = m.rank == 0
     elif isinstance(m, MonoidPresentation):
@@ -347,15 +353,7 @@ def _run_corpus_entry(entry: dict, seed: int) -> dict:
             f"corpus entry {entry['name']!r} of kind {kind!r} lacks {missing}"
         )
     if kind == "monoid":
-        m = monoid_from_dict(entry["monoid"])
-        actual = {}
-        try:
-            actual["cancellative"] = is_cancellative(m)
-        except GrothlocError:
-            actual["cancellative"] = None
-        if m.is_finite:
-            actual["quasi_zero_size"] = len(quasi_zero_submonoid(m))
-            actual["groth_trivial"] = GrothendieckGroup(m).is_trivial()
+        actual = _monoid_facts(monoid_from_dict(entry["monoid"]))
     elif kind == "groth":
         m = monoid_from_dict(entry["monoid"])
         actual = {"structure": _structure_json(monoid_groth_structure(m))}

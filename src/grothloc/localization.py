@@ -14,11 +14,14 @@ when e*(r*s' - r'*s) = 0.  Any other configuration is rejected outright.
 
 A finite S gives fractions a hashable normal form, ``LocalizedRing.key``:
 e*S is a group with identity e, S^-1 R is eR, and r/s goes to
-e*r*(e*s)^-1 (e and every (e*s)^-1 are built on first use).  Unit classes
-are dict lookups on this key, degree classes on ``GrothendieckGroup.key``.
+e*r*(e*s)^-1 (e and every (e*s)^-1 are built on first use).  The classes,
+the saturation and the non-zero-divisor flag are read off e and eR too.
+Unit classes are dict lookups on this key, degree classes on
+``GrothendieckGroup.key``.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -74,20 +77,17 @@ class MultiplicativeSet:
         self.complete = not frontier
         if nzd is None:
             # with no generators the closure is exactly {1}, which never
-            # kills anything, so the flag is decidable over any base ring
+            # kills anything, so the flag is decidable over any base ring;
+            # over a finite one a non-zero-divisor is a unit, so the flag asks
+            # that the generators' product have idempotent power 1
+            product = functools.reduce(ring.mul, self.generators, ring.one)
             self.nzd_flag = not self.generators or (
-                ring.is_finite and all(self._is_nzd(g) for g in self.generators)
+                ring.is_finite and kernel_group(ring.mul, [product])[0] == ring.one
             )
         else:
             self.nzd_flag = bool(nzd)
         self.homogeneous_flag = isinstance(ring, MonoidRing) and all(
             not g.is_zero() and len(g.coeffs) == 1 for g in self.generators
-        )
-
-    def _is_nzd(self, g) -> bool:
-        r = self.ring
-        return not any(
-            not r.is_zero(a) and r.is_zero(r.mul(g, a)) for a in r.elements()
         )
 
     def contains(self, s) -> bool:
@@ -343,32 +343,29 @@ class SaturationSet:
     elements: tuple
     witnesses: dict
 
-    def as_mult_set(self, *, nzd: bool | None = None) -> MultiplicativeSet:
-        return MultiplicativeSet(self.ring, list(self.elements), nzd=nzd)
-
 
 def saturate(ring, sset: MultiplicativeSet) -> SaturationSet:
-    """Exhaustive saturation; only finite rings can be swept completely."""
+    """S-bar read off eR: a lies in S-bar exactly when x = e*a is a unit of eR.
+
+    If a*b lies in S, e*a*b lies in the group e*S.  Conversely, when
+    ``kernel_group`` of x alone has identity e, it gives x*c = e with c in
+    eR, so a*c = e lies in S and c is a's witness.
+    """
     if not ring.is_finite:
         raise OracleRequiredError(
             "saturation over an infinite ring needs externally supplied witnesses"
         )
-    elems = []
+    e = kernel_group(ring.mul, [functools.reduce(ring.mul, sset.closure)])[0]
+    inverses = {}  # x -> its inverse in eR, or None when x is no unit
     witnesses = {}
     for a in ring.elements():
-        b = find_saturation_witness(ring, sset, a, ring.elements())
-        if b is not None:
-            elems.append(a)
-            witnesses[a] = b
-    return SaturationSet(ring, sset, tuple(elems), witnesses)
-
-
-def find_saturation_witness(ring, sset: MultiplicativeSet, a, candidates):
-    """First b among candidates with a*b in S, or None."""
-    for b in candidates:
-        if sset.contains(ring.mul(a, b)):
-            return b
-    return None
+        x = ring.mul(e, a)
+        if x not in inverses:
+            f, inv, _ = kernel_group(ring.mul, [x])
+            inverses[x] = inv[x] if f == e else None
+        if inverses[x] is not None:
+            witnesses[a] = inverses[x]
+    return SaturationSet(ring, sset, tuple(witnesses), witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +411,9 @@ def localization_classes(loc: LocalizedRing) -> list:
         raise UnsupportedFamilyError("class enumeration needs a finite ring")
     reps = {}
     for r in loc.ring.elements():
+        # r's keys e*r*(e*s)^-1 form the orbit e*r*(e*S): all new or all seen
+        if loc.key(Fraction(r, loc.ring.one, ())) in reps:
+            continue
         for s, wit in loc.sset.closure.items():
             f = Fraction(r, s, wit)
             reps.setdefault(loc.key(f), f)
@@ -448,23 +448,22 @@ class EmbeddingReport:
         return len(self.classes)
 
 
-def _units_map(sset: MultiplicativeSet, loc: LocalizedRing, embed):
-    """G(sset) -> S^-1 R, [s, t] -> embed(s, t): (report, image keys).
+def _units_map(carrier: list, loc: LocalizedRing, embed):
+    """G(S) -> S^-1 R, [s, t] -> embed(s, t): (report, image keys).
 
-    The finite S is a monoid under multiplication, and G(S) is its kernel
-    group e*S, e the idempotent power of the product of S, with [s, t] at
+    ``carrier`` lists, 1 first, the S of ``loc`` or its saturation, whose
+    idempotent power of the product is e as well (e*a is a unit of eR for
+    every a in S-bar).  G(S) is the kernel group e*S, with [s, t] at
     s*(t*e)^-1.  As t runs over S, t*e runs over e*S, so the classes [1, t]
     are all of G(S), and [1, t] = [1, t'] exactly when t*e = t'*e.  Each
     class is represented by [1, t] for its first t.  The morphism law
     compares keys on every pair of classes; injectivity asks that the image
     keys be distinct.
     """
-    if not sset.complete:
-        raise PreconditionError("need a completely materialized closure")
-    one, mul = sset.ring.one, sset.ring.mul
-    e = kernel_group(mul, list(sset.closure))[0]
+    one, mul = loc.ring.one, loc.ring.mul
+    e = loc._kernel_inverses()[0]
     reps = {}
-    for t in sset.closure:
+    for t in carrier:
         reps.setdefault(mul(t, e), GrothElement(one, t))
     classes = list(reps.values())
     image = [embed(s, t) for s, t in classes]
@@ -485,7 +484,9 @@ def groth_units_embedding(sset: MultiplicativeSet, loc: LocalizedRing) -> Embedd
     Both the morphism law and injectivity are checked exhaustively over the
     enumerated classes.
     """
-    return _units_map(sset, loc, lambda s, t: Fraction(s, t, sset.witness(t)))[0]
+    return _units_map(
+        list(sset.closure), loc, lambda s, t: Fraction(s, t, sset.witness(t))
+    )[0]
 
 
 @dataclass
@@ -518,7 +519,8 @@ def groth_units_iso(sset: MultiplicativeSet, loc: LocalizedRing) -> UnitsIsoRepo
         den = ring.mul(t, b)
         return Fraction(ring.mul(s, b), den, sset.witness(den))
 
-    emb, keys = _units_map(sat.as_mult_set(), loc, embed)
+    carrier = [ring.one] + [a for a in sat.elements if a != ring.one]
+    emb, keys = _units_map(carrier, loc, embed)
     units = units_of_localization(loc)
     unit_keys = {loc.key(units.class_reps[i]) for i in units.unit_indices}
     return UnitsIsoReport(

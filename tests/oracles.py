@@ -8,11 +8,13 @@ deciders are kept only to cross-check ``GrothendieckGroup.key``,
 code path with either key.
 
 The dense Smith normal form, the divisor-chain matching of element
-orders, the sweeps over every element of R[M] and the Cayley table of a
-multiplicative set are the library's earlier implementations, kept
-verbatim as references for the sparse elimination, for the structure read
-off the kernel group, for the monoid criteria that decide zero-divisors
-and group-ring injectivity, and for G(S) read off the kernel group of S.
+orders, the sweeps over every element of R[M] and of a finite R, the
+saturation search over R x R and the Cayley table of a multiplicative set
+are the library's earlier implementations, kept verbatim as references for
+the sparse elimination, for the structure read off the kernel group, for
+the monoid criteria that decide zero-divisors and group-ring injectivity,
+for the non-zero-divisor flag and the saturation read off e, and for G(S)
+read off the kernel group of S.
 """
 import itertools
 from collections import Counter
@@ -146,6 +148,14 @@ def scan_saturation(ring, sset) -> tuple:
                 witnesses[a] = b
                 break
     return tuple(elems), witnesses
+
+
+def sweep_is_nzd(ring, g) -> bool:
+    """Whether g kills no nonzero element of the finite ring, by scanning R."""
+    r = ring
+    return not any(
+        not r.is_zero(a) and r.is_zero(r.mul(g, a)) for a in r.elements()
+    )
 
 
 def multset_cayley(sset: MultiplicativeSet):

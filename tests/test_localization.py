@@ -16,7 +16,6 @@ from grothloc import (
     UndecidableConfigurationError,
     decompose_fraction,
     enumerate_ideals,
-    find_saturation_witness,
     fraction_degree,
     groth_units_embedding,
     groth_units_iso,
@@ -250,8 +249,10 @@ class TestSaturation:
 
     def test_witness_search(self, z12_at_4):
         ring, sset, _ = z12_at_4
-        assert find_saturation_witness(ring, sset, 2, ring.elements()) == 2
-        assert find_saturation_witness(ring, sset, 3, ring.elements()) is None
+        sat = saturate(ring, sset)
+        assert 2 in sat.elements
+        assert sset.contains(ring.mul(2, sat.witnesses[2]))
+        assert 3 not in sat.elements and 3 not in sat.witnesses
 
     def test_units_already_saturated(self):
         ring = ModRing(12)

@@ -3,8 +3,9 @@
 For a finite multiplicative set S, key(r/s) = e*r*(e*s)^-1 in eR, where e
 is the idempotent power of the product of S.  key(f) == key(g) must hold
 exactly when t*(r*s' - r'*s) = 0 for some t in S.  The class
-representatives and their order, the unit table, and the embedding and
-unit-correspondence reports must equal the pairwise scans.
+representatives and their order, the unit table, the saturation, the
+non-zero-divisor flag, and the embedding and unit-correspondence reports
+must equal the pairwise scans and sweeps.
 """
 import pytest
 from hypothesis import given
@@ -24,6 +25,7 @@ from grothloc import (
     groth_units_embedding,
     groth_units_iso,
     localization_classes,
+    saturate,
     units_of_localization,
 )
 from grothloc import localization
@@ -34,10 +36,12 @@ from oracles import (
     killed_by_s,
     raw_loc_eq,
     scan_localization_classes,
+    scan_saturation,
     scan_units,
     scan_units_embedding,
     scan_units_iso,
     scan_units_map,
+    sweep_is_nzd,
 )
 
 
@@ -79,7 +83,20 @@ def check_every_pair(loc):
             assert loc.eq(f, g) == want, (f, g)
 
 
+def check_saturation_and_nzd(sset):
+    """Saturation elements against the R x R search, each a*witness in S,
+    and the non-zero-divisor flag against a sweep of R per generator."""
+    ring = sset.ring
+    sat = saturate(ring, sset)
+    assert sat.elements == scan_saturation(ring, sset)[0]
+    assert tuple(sat.witnesses) == sat.elements
+    for a, b in sat.witnesses.items():
+        assert sset.contains(ring.mul(a, b)), (a, b)
+    assert sset.nzd_flag == all(sweep_is_nzd(ring, g) for g in sset.generators)
+
+
 def check_units_and_reports(sset, loc):
+    check_saturation_and_nzd(sset)
     units = units_of_localization(loc)
     reps, table, one, unit_indices = scan_units(loc)
     assert [plain(f) for f in units.class_reps] == [plain(f) for f in reps]
@@ -136,12 +153,19 @@ def test_small_zmod_every_pair(n):
         check_every_pair(LocalizedRing(ring, MultiplicativeSet(ring, gens)))
 
 
-@pytest.mark.parametrize("n", range(2, 41))
+@pytest.mark.parametrize("n", range(2, 61))
 def test_zmod_units_and_reports(n):
     ring = ModRing(n)
     for gens in zmod_generator_sets(n):
         sset = MultiplicativeSet(ring, gens)
         check_units_and_reports(sset, LocalizedRing(ring, sset))
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_zmod_saturation_and_nzd_every_generator(n):
+    ring = ModRing(n)
+    for gens in [[a] for a in range(n)] + zmod_generator_sets(n):
+        check_saturation_and_nzd(MultiplicativeSet(ring, gens))
 
 
 @given(st.integers(2, 40).flatmap(
@@ -162,10 +186,12 @@ def z2_under_mult():
 
 
 def monoid_ring_cases():
-    """(label, ring, generators); each list holds a non-homogeneous generator."""
+    """(label, ring, generators): units, zero-divisors and idempotents, some
+    of them non-homogeneous."""
     f2t2 = MonoidRing(ModRing(2), zoo.t2())
     f3z2 = MonoidRing(ModRing(3), z2_under_mult())
     f2t3 = MonoidRing(ModRing(2), zoo.t3())
+    f2c3 = MonoidRing(ModRing(2), CayleyMonoid(zoo.cyclic_table(3)))
     return [
         ("F2[T2] at x", f2t2, [f2t2.epsilon(1)]),
         ("F2[T2] at 1+x", f2t2, [f2t2.one + f2t2.epsilon(1)]),
@@ -175,6 +201,9 @@ def monoid_ring_cases():
         ("F2[T3] at x1", f2t3, [f2t3.epsilon(1)]),
         ("F2[T3] at x1+x2", f2t3, [f2t3.epsilon(1) + f2t3.epsilon(2)]),
         ("F2[T3] at 1+x2, x1", f2t3, [f2t3.one + f2t3.epsilon(2), f2t3.epsilon(1)]),
+        ("F2[Z3] at x", f2c3, [f2c3.epsilon(1)]),
+        ("F2[Z3] at 1+x", f2c3, [f2c3.one + f2c3.epsilon(1)]),
+        ("F2[Z3] at 1+x+x2", f2c3, [f2c3.one + f2c3.epsilon(1) + f2c3.epsilon(2)]),
     ]
 
 
@@ -229,7 +258,7 @@ def test_units_map_checks_match_scan_on_wrong_maps(n, gens):
     }
     seen = set()
     for name, embed in embeds.items():
-        rep, keys = _units_map(sset, loc, embed)
+        rep, keys = _units_map(list(sset.closure), loc, embed)
         image, morphism_ok, injective = scan_units_map(sset, loc, killed, embed)
         assert [plain(f) for f in rep.image] == [plain(f) for f in image], name
         assert (rep.morphism_ok, rep.injective) == (morphism_ok, injective), name
@@ -271,3 +300,41 @@ def test_units_map_builds_no_table(monkeypatch):
     rep = groth_units_iso(sset, LocalizedRing(ring, sset))
     assert rep.iso and rep.groth_order == rep.unit_order == 8
     assert len(rep.saturation.elements) == 64
+
+
+def test_nzd_flag_sweeps_no_ring(monkeypatch):
+    """Over Z/6[Z/7], eps_1 is a unit and 2*eps_1 a zero-divisor; the flag is
+    read off the idempotent power of the generators' product, never off the
+    6^7 elements of the ring."""
+    def refuse(self):
+        raise AssertionError("the flag enumerated the ring")
+
+    monkeypatch.setattr(MonoidRing, "elements", refuse)
+    mring = MonoidRing(ModRing(6), CayleyMonoid(zoo.cyclic_table(7)))
+    x = mring.epsilon(1)
+    assert MultiplicativeSet(mring, [x]).nzd_flag
+    assert not MultiplicativeSet(mring, [x, mring.scalar(2)]).nzd_flag
+
+
+def test_unit_correspondence_multiplications_grow_slowly(monkeypatch):
+    """Z/n at [2] for n = 2000 and 4000: eR is Z/125 for both, so doubling n
+    may add at most linear work.  ModRing.mul calls are counted, not timed."""
+    calls = [0]
+    mul = ModRing.mul
+
+    def counting(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(ModRing, "mul", counting)
+    counts = {}
+    for n in (2000, 4000):
+        ring = ModRing(n)
+        sset = MultiplicativeSet(ring, [2])
+        loc = LocalizedRing(ring, sset)
+        calls[0] = 0
+        emb = groth_units_embedding(sset, loc)
+        iso = groth_units_iso(sset, loc)
+        assert emb.morphism_ok and emb.injective and iso.iso
+        counts[n] = calls[0]
+    assert counts[4000] < 2 * counts[2000], counts
