@@ -58,11 +58,7 @@ class HMapContext:
             raise PreconditionError(
                 f"no T generator layout for {type(self.monoid).__name__}"
             )
-        try:
-            cancellative = is_cancellative(self.monoid)
-        except Exception:
-            cancellative = False
-        t_nzd = True if (self.sset.nzd_flag and cancellative) else None
+        t_nzd = True if (self.sset.nzd_flag and is_cancellative(self.monoid)) else None
         self.tset = MultiplicativeSet(
             self.mring, lifted + mono_gens, nzd=t_nzd, depth=depth
         )

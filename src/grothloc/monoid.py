@@ -7,9 +7,9 @@ arithmetic is exact; validation is eager for finite tables.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import itemgetter
 
 from .errors import (
     AxiomViolationError,
@@ -21,10 +21,6 @@ from .errors import (
 from .rng import Lcg64
 
 MonoidValue = int | tuple
-
-# cells per block of the associativity check (one pass up to 161 elements)
-ASSOC_BLOCK_CELLS = 1 << 22
-
 
 class CommutativeMonoid:
     """Shared surface of every monoid family."""
@@ -58,55 +54,54 @@ class CommutativeMonoid:
 class CayleyMonoid(CommutativeMonoid):
     """Finite commutative monoid given by an explicit operation table.
 
-    The table is validated eagerly: integer entries (no bools or floats),
-    closure and shape, commutativity, associativity, identity row.  A
-    violation raises AxiomViolationError carrying the offending law and
-    witness triple; malformed entries raise InvalidInputError.
+    The table is validated eagerly: integer entries (no bools or floats)
+    within the signed 64-bit range, square shape, closure, commutativity,
+    associativity, identity row.  A violation raises AxiomViolationError
+    carrying the offending law and its first witness in row-major order;
+    malformed entries raise InvalidInputError.  Associativity is decided by
+    Light's test on a generating set (see ``_first_assoc_failure``).
     """
 
     is_finite = True
 
     def __init__(self, table, identity: int = 0):
         try:
-            if any(
-                isinstance(v, bool) or not isinstance(v, (int, np.integer))
-                for row in table for v in row
-            ):
-                raise InvalidInputError("table entries must be integers")
-            arr = np.asarray(table, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError) as exc:
+            rows = [list(row) for row in table]
+        except TypeError as exc:
             raise InvalidInputError(f"malformed table: {exc}") from exc
-        if isinstance(identity, bool) or not isinstance(identity, (int, np.integer)):
+        kinds = set(map(type, itertools.chain.from_iterable(rows))) - {int}
+        if any(issubclass(t, bool) or not issubclass(t, numbers.Integral) for t in kinds):
+            raise InvalidInputError("table entries must be integers")
+        if kinds:
+            rows = [list(map(int, row)) for row in rows]
+        flat = list(itertools.chain.from_iterable(rows))
+        lo, hi = (min(flat), max(flat)) if flat else (0, 0)
+        if lo < -(1 << 63) or hi >= 1 << 63:
+            raise InvalidInputError("malformed table: entry outside the signed 64-bit range")
+        if isinstance(identity, bool) or not isinstance(identity, numbers.Integral):
             raise InvalidInputError(f"identity must be an integer, got {identity!r}")
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidInputError(f"table must be square, got shape {arr.shape}")
-        n = arr.shape[0]
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            widths = sorted(set(map(len, rows)))
+            raise InvalidInputError(f"table must be square, got {n} rows of lengths {widths}")
         if n == 0:
             raise InvalidInputError("empty Cayley table")
-        if arr.min() < 0 or arr.max() >= n:
-            i, j = np.unravel_index(int(np.argmax((arr < 0) | (arr >= n))), arr.shape)
-            raise AxiomViolationError("closure", (int(i), int(j), int(arr[i, j])))
+        if lo < 0 or hi >= n:
+            k = next(k for k, v in enumerate(flat) if not 0 <= v < n)
+            raise AxiomViolationError("closure", (*divmod(k, n), flat[k]))
         if not (0 <= identity < n):
             raise InvalidInputError(f"identity {identity} out of range")
-        if not np.array_equal(arr, arr.T):
-            i, j = np.unravel_index(int(np.argmax(arr != arr.T)), arr.shape)
-            raise AxiomViolationError("commutativity", (int(i), int(j)))
-        # (a+b)+c vs a+(b+c) over all triples, a few rows of a at a time
-        rows = max(1, ASSOC_BLOCK_CELLS // (n * n))
-        for lo in range(0, n, rows):
-            block = arr[lo:lo + rows]
-            left = arr[block]        # left[a,b,c] = (a+b)+c
-            right = block[:, arr]    # right[a,b,c] = a+(b+c)
-            if not np.array_equal(left, right):
-                i, j, k = np.unravel_index(int(np.argmax(left != right)), left.shape)
-                raise AxiomViolationError("associativity", (lo + int(i), int(j), int(k)))
-        if not np.array_equal(arr[identity], np.arange(n)):
-            bad = int(np.argmax(arr[identity] != np.arange(n)))
-            raise AxiomViolationError("identity", (identity, bad))
-        arr.setflags(write=False)
-        self.table = arr
-        # plain lists for op: indexing them is ~10x faster than numpy scalars
-        self._rows = arr.tolist()
+        table = tuple(map(tuple, rows))
+        if table != tuple(zip(*table)):
+            k = next(k for k, v in enumerate(flat) if v != table[k % n][k // n])
+            raise AxiomViolationError("commutativity", divmod(k, n))
+        bad = _first_assoc_failure(table)
+        if bad is not None:
+            raise AxiomViolationError("associativity", bad)
+        if table[identity] != tuple(range(n)):
+            bad = next(x for x, v in enumerate(table[identity]) if v != x)
+            raise AxiomViolationError("identity", (int(identity), bad))
+        self.table = table
         self._size = n
         self._identity = int(identity)
 
@@ -115,10 +110,10 @@ class CayleyMonoid(CommutativeMonoid):
         return self._identity
 
     def op(self, a: int, b: int) -> int:
-        return self._rows[a][b]
+        return self.table[a][b]
 
     def validate(self, a) -> int:
-        if not isinstance(a, (int, np.integer)) or isinstance(a, bool):
+        if type(a) is not int and (isinstance(a, bool) or not isinstance(a, numbers.Integral)):
             raise MalformedElementError(f"expected carrier index, got {a!r}")
         if not 0 <= a < self._size:
             raise MalformedElementError(f"index {a} outside carrier of size {self._size}")
@@ -131,17 +126,70 @@ class CayleyMonoid(CommutativeMonoid):
         return self._size
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, CayleyMonoid)
             and self._identity == other._identity
-            and np.array_equal(self.table, other.table)
+            and self.table == other.table
         )
 
     def __hash__(self):
-        return hash((self._identity, self.table.tobytes()))
+        return hash((self._identity, self.table))
 
     def __repr__(self):
         return f"CayleyMonoid(size={self._size})"
+
+
+def _magma_generators(table) -> list:
+    """A generating set of the commutative magma ``table``, chosen greedily.
+
+    In carrier order, each element that the earlier choices do not generate
+    is chosen.  The generated submagma grows as a list in which every member
+    is multiplied once by itself and by each member before it, so the whole
+    pass costs about n^2/2 lookups.
+    """
+    members, inside, gens = [], set(), []
+    for x in range(len(table)):
+        if x in inside:
+            continue
+        gens.append(x)
+        inside.add(x)
+        members.append(x)
+        i = len(members) - 1
+        while i < len(members):
+            row = table[members[i]]
+            i += 1
+            fresh = set(map(row.__getitem__, members[:i])) - inside
+            inside |= fresh
+            members.extend(fresh)
+    return gens
+
+
+def _first_assoc_failure(table):
+    """The first (a, b, c) in row-major order with (a+b)+c != a+(b+c), or None.
+
+    Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
+    section 1.2): the elements a with (x+a)+y == x+(a+y) for all x, y form a
+    submagma, so checking them on a generating set A decides associativity
+    in |A|*n^2 lookups.  For each a the identity is compared a whole row y at
+    a time: row x+a of the table against row x re-indexed by row a.  Only a
+    table that fails is scanned over all triples, for the first witness.
+    """
+    n = len(table)
+    if n == 1:
+        return None  # the closed 1x1 table is [[0]]
+    for a in _magma_generators(table):
+        shift = itemgetter(*table[a])
+        if any(table[row[a]] != shift(row) for row in table):
+            break
+    else:
+        return None
+    shifts = [itemgetter(*row) for row in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            left, right = table[ab], shifts[b](row)
+            if left != right:
+                return a, b, next(c for c in range(n) if left[c] != right[c])
+    raise AssertionError("Light's test failed on an associative table")
 
 
 class _TupleMonoid(CommutativeMonoid):
@@ -370,10 +418,9 @@ def is_cancellative(m: CommutativeMonoid) -> bool:
     if isinstance(m, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
         return True
     if isinstance(m, CayleyMonoid):
-        # a+c = b+c for a != b iff some column fails to be a bijection
+        # a+c = b+c for a != b iff some row fails to be a bijection
         n = m.size()
-        cols = np.sort(m.table, axis=0)
-        return bool(np.array_equal(cols, np.tile(np.arange(n)[:, None], (1, n))))
+        return all(len(set(row)) == n for row in m.table)
     if isinstance(m, DirectSumMonoid):
         return all(is_cancellative(c) for c in m.components)
     raise UnsupportedFamilyError(
@@ -495,7 +542,7 @@ def monoid_to_dict(m: CommutativeMonoid) -> dict:
             "kind": "cayley",
             "size": m.size(),
             "identity": m.identity,
-            "table": m.table.tolist(),
+            "table": [list(row) for row in m.table],
         }
     if isinstance(m, FreeCommutativeMonoid):
         return {"kind": "free", "rank": m.rank}

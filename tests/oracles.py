@@ -9,16 +9,19 @@ code path with either key.
 
 The dense Smith normal form, the divisor-chain matching of element
 orders, the sweeps over every element of R[M] and of a finite R, the
-saturation search over R x R and the Cayley table of a multiplicative set
-are the library's earlier implementations, kept verbatim as references for
-the sparse elimination, for the structure read off the kernel group, for
-the monoid criteria that decide zero-divisors and group-ring injectivity,
-for the non-zero-divisor flag and the saturation read off e, and for G(S)
-read off the kernel group of S.
+saturation search over R x R, the Cayley table of a multiplicative set
+and the numpy check of a Cayley table over all n^3 triples are the
+library's earlier implementations, kept verbatim as references for the
+sparse elimination, for the structure read off the kernel group, for the
+monoid criteria that decide zero-divisors and group-ring injectivity, for
+the non-zero-divisor flag and the saturation read off e, for G(S) read off
+the kernel group of S, and for Light's associativity test.
 """
 import itertools
 from collections import Counter
 from math import gcd, lcm
+
+import numpy as np
 
 from grothloc import (
     AxiomViolationError,
@@ -472,3 +475,55 @@ def matched_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
             return FGAbelianStructure(0, chain)
     raise AxiomViolationError("abelian-classification", (n, tuple(sorted(orders.items()))))
 
+
+
+# cells per block of the associativity check (one pass up to 161 elements)
+ASSOC_BLOCK_CELLS = 1 << 22
+
+
+def blocked_cayley_check(table, identity: int = 0):
+    """The numpy validation of a Cayley table, associativity over all triples.
+
+    Returns the table as a read-only int64 array, or raises the error the
+    library raises: InvalidInputError for malformed input, otherwise
+    AxiomViolationError with the law and its first witness in row-major
+    order.
+    """
+    try:
+        if any(
+            isinstance(v, bool) or not isinstance(v, (int, np.integer))
+            for row in table for v in row
+        ):
+            raise InvalidInputError("table entries must be integers")
+        arr = np.asarray(table, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"malformed table: {exc}") from exc
+    if isinstance(identity, bool) or not isinstance(identity, (int, np.integer)):
+        raise InvalidInputError(f"identity must be an integer, got {identity!r}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InvalidInputError(f"table must be square, got shape {arr.shape}")
+    n = arr.shape[0]
+    if n == 0:
+        raise InvalidInputError("empty Cayley table")
+    if arr.min() < 0 or arr.max() >= n:
+        i, j = np.unravel_index(int(np.argmax((arr < 0) | (arr >= n))), arr.shape)
+        raise AxiomViolationError("closure", (int(i), int(j), int(arr[i, j])))
+    if not (0 <= identity < n):
+        raise InvalidInputError(f"identity {identity} out of range")
+    if not np.array_equal(arr, arr.T):
+        i, j = np.unravel_index(int(np.argmax(arr != arr.T)), arr.shape)
+        raise AxiomViolationError("commutativity", (int(i), int(j)))
+    # (a+b)+c vs a+(b+c) over all triples, a few rows of a at a time
+    rows = max(1, ASSOC_BLOCK_CELLS // (n * n))
+    for lo in range(0, n, rows):
+        block = arr[lo:lo + rows]
+        left = arr[block]        # left[a,b,c] = (a+b)+c
+        right = block[:, arr]    # right[a,b,c] = a+(b+c)
+        if not np.array_equal(left, right):
+            i, j, k = np.unravel_index(int(np.argmax(left != right)), left.shape)
+            raise AxiomViolationError("associativity", (lo + int(i), int(j), int(k)))
+    if not np.array_equal(arr[identity], np.arange(n)):
+        bad = int(np.argmax(arr[identity] != np.arange(n)))
+        raise AxiomViolationError("identity", (identity, bad))
+    arr.setflags(write=False)
+    return arr

@@ -477,3 +477,33 @@ def test_subprocess_keeps_stdout_pure_json(tmp_path):
     rep = json.loads(proc.stdout)
     assert rep["ok"] is True
     assert "elapsed_ms=" in proc.stderr
+
+
+# `python -m grothloc argv...` in a child; the first statement may block numpy
+CHILD = (
+    "import runpy, sys; {block}"
+    "runpy.run_module('grothloc', run_name='__main__', alter_sys=True)"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["monoid", "check", str(CORPUS / "t2.json")],
+    ["groth", "compute", "--monoid", str(CORPUS / "z6_mult.json")],
+    ["localize", "units", "--ring", ZMOD12, "--sgens", "[4]"],
+    ["iso", "verify", "--ring", ZMOD5, "--monoid", str(CORPUS / "t2.json"),
+     "--sgens", "[2]", "--samples", "20"],
+    ["corpus", "run", "--seed", "0"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_runs_without_numpy(argv):
+    """A child whose `import numpy` fails gives the same exit code and stdout."""
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", CHILD.format(block=block), *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        for block in ("", "sys.modules['numpy'] = None; ")
+    ]
+    plain, blocked = runs
+    assert "Traceback" not in blocked.stderr, blocked.stderr
+    assert (blocked.returncode, blocked.stdout) == (plain.returncode, plain.stdout)
+    assert plain.returncode == 0 and json.loads(plain.stdout)["ok"] is True
