@@ -1,8 +1,9 @@
 """Command-line front end; every command emits one deterministic JSON report.
 
 Exit codes: 0 success, 1 a verification failed, 2 malformed input,
-3 monoid axiom violation, 64 usage error.  Timing goes to stderr so that
-report bytes depend only on the inputs and the seed.
+3 monoid axiom violation, 64 usage error, 70 internal error (a fault in
+grothloc itself, reported as JSON instead of a traceback).  Timing goes to
+stderr so that report bytes depend only on the inputs and the seed.
 """
 from __future__ import annotations
 
@@ -81,15 +82,18 @@ def _load_json_arg(text: str):
         raise InvalidInputError(f"bad JSON argument: {exc}") from exc
 
 
-def _load_monoid_file(path: str):
+def _read_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
-    return monoid_from_dict(data)
+
+
+def _load_monoid_file(path: str):
+    return monoid_from_dict(_read_json_file(path))
 
 
 def _structure_json(s) -> dict:
@@ -352,6 +356,12 @@ def _run_corpus_entry(entry: dict, seed: int) -> dict:
         raise InvalidInputError(
             f"corpus entry {entry['name']!r} of kind {kind!r} lacks {missing}"
         )
+    bad = [f"{f} must be a list" for f in ("sgens", "ideal_gens")
+           if not isinstance(entry.get(f, []), list)]
+    bad += [f"{f} must be an integer" for f in ("samples", "modulus", "rank")
+            if type(entry.get(f, 0)) is not int]
+    if bad:
+        raise InvalidInputError(f"corpus entry {entry['name']!r}: " + "; ".join(bad))
     if kind == "monoid":
         actual = _monoid_facts(monoid_from_dict(entry["monoid"]))
     elif kind == "groth":
@@ -403,14 +413,7 @@ def _run_corpus_entry(entry: dict, seed: int) -> dict:
 
 def _cmd_corpus_run(args):
     if args.dir is not None:
-        path = f"{args.dir}/corpus.json"
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                specs = json.load(fh)
-        except OSError as exc:
-            raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-        except ValueError as exc:
-            raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
+        specs = _read_json_file(f"{args.dir}/corpus.json")
     else:
         specs = json.loads(
             (_corpus_dir() / "corpus.json").read_text(encoding="utf-8")
@@ -508,10 +511,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# file arguments, digested by their parsed JSON content rather than their path
+_FILE_ARGS = {"file": "{}", "monoid": "{}", "dir": "{}/corpus.json"}
+
+
 def _inputs_digest(args) -> str:
     skip = {"func", "out", "group_cmd", "sub"}
     inputs = {
-        k: v
+        k: _read_json_file(_FILE_ARGS[k].format(v)) if k in _FILE_ARGS else v
         for k, v in vars(args).items()
         if k not in skip and v is not None and isinstance(v, (str, int, bool))
     }
@@ -543,6 +550,7 @@ def main(argv=None) -> int:
     command = f"{args.group_cmd} {args.sub}" if args.sub else args.group_cmd
     try:
         body, ok = args.func(args)
+        digest = _inputs_digest(args)
     except AxiomViolationError as exc:
         payload, code = {
             "command": command,
@@ -552,11 +560,17 @@ def main(argv=None) -> int:
         }, 3
     except GrothlocError as exc:
         payload, code = _error_payload(command, exc), 2
+    except Exception as exc:  # a fault in grothloc, not in the input
+        payload, code = {
+            "command": command,
+            "error": "internal",
+            "detail": f"{type(exc).__name__}: {exc}",
+        }, 70
     else:
         payload = {
             "command": command,
             "seed": getattr(args, "seed", 0),
-            "inputs_sha256": _inputs_digest(args),
+            "inputs_sha256": digest,
         }
         payload.update(body)
         payload.setdefault("checks", {})

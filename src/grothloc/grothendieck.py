@@ -47,6 +47,7 @@ from .monoid import (
     DirectSumMonoid,
     MonoidValue,
     base_monoid,
+    idempotent_power,
     is_cancellative,
 )
 
@@ -296,10 +297,7 @@ def kernel_group(op, elems) -> tuple:
     the powers of k in K until e gives its inverse (the power just before
     e) and its order (the number of steps).
     """
-    s = functools.reduce(op, elems)
-    e = s
-    while op(e, e) != e:
-        e = op(e, s)
+    e = idempotent_power(op, functools.reduce(op, elems))
     inv, order = {}, {}
     for k in {op(a, e) for a in elems}:
         prev, acc, n = e, k, 1
@@ -481,9 +479,9 @@ def class_index(group: GrothendieckGroup, reps: list, x: GrothElement) -> int:
 
 
 def is_abelian_group(m: CayleyMonoid) -> bool:
-    """Every element of the (validated commutative) table has an inverse."""
-    e = m.identity
-    return all(any(m.op(a, b) == e for b in m.elements()) for a in m.elements())
+    """Every element of the (validated commutative) table has an inverse,
+    which for a finite monoid means that it cancels."""
+    return is_cancellative(m)
 
 
 def universal_extend(group: GrothendieckGroup, g, target: CayleyMonoid,
@@ -513,13 +511,7 @@ def universal_extend(group: GrothendieckGroup, g, target: CayleyMonoid,
     for a, b in pairs:
         if gf(base.op(a, b)) != target.op(gf(a), gf(b)):
             raise AxiomViolationError("morphism", (a, b))
-    inv = {}
-    e = target.identity
-    for a in target.elements():
-        for b in target.elements():
-            if target.op(a, b) == e:
-                inv[a] = b
-                break
+    inv = kernel_group(target.op, list(target.elements()))[1]
 
     def h(x: GrothElement):
         return target.op(gf(x.first), inv[gf(x.second)])

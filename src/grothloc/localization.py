@@ -15,8 +15,8 @@ when e*(r*s' - r'*s) = 0.  Any other configuration is rejected outright.
 A finite S gives fractions a hashable normal form, ``LocalizedRing.key``:
 e*S is a group with identity e, S^-1 R is eR, and r/s goes to
 e*r*(e*s)^-1 (e and every (e*s)^-1 are built on first use).  The classes,
-the saturation and the non-zero-divisor flag are read off e and eR too.
-Unit classes are dict lookups on this key, degree classes on
+the units, the saturation and the non-zero-divisor flag are read off e and
+eR too.  Class lookups are dicts on this key, degree classes on
 ``GrothendieckGroup.key``.
 """
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .grothendieck import CayleyMonoid, GrothElement, GrothendieckGroup, kernel_group
+from .monoid import idempotent_power
 from .ring import MonoidRing, degree_of, degree_sums, homogeneous_components
 
 
@@ -82,7 +83,7 @@ class MultiplicativeSet:
             # that the generators' product have idempotent power 1
             product = functools.reduce(ring.mul, self.generators, ring.one)
             self.nzd_flag = not self.generators or (
-                ring.is_finite and kernel_group(ring.mul, [product])[0] == ring.one
+                ring.is_finite and idempotent_power(ring.mul, product) == ring.one
             )
         else:
             self.nzd_flag = bool(nzd)
@@ -355,7 +356,7 @@ def saturate(ring, sset: MultiplicativeSet) -> SaturationSet:
         raise OracleRequiredError(
             "saturation over an infinite ring needs externally supplied witnesses"
         )
-    e = kernel_group(ring.mul, [functools.reduce(ring.mul, sset.closure)])[0]
+    e = idempotent_power(ring.mul, functools.reduce(ring.mul, sset.closure))
     inverses = {}  # x -> its inverse in eR, or None when x is no unit
     witnesses = {}
     for a in ring.elements():
@@ -374,11 +375,10 @@ def saturate(ring, sset: MultiplicativeSet) -> SaturationSet:
 
 @dataclass
 class UnitGroup:
-    """Unit classes of a finite localization, with their multiplication."""
+    """Classes of a finite localization, with the unit classes among them."""
 
     loc: LocalizedRing
     class_reps: list
-    table: list
     identity_index: int
     unit_indices: list
     index: dict  # LocalizedRing.key -> position in class_reps
@@ -398,10 +398,8 @@ class UnitGroup:
     def to_cayley(self) -> CayleyMonoid:
         """The unit classes re-indexed 0..k-1 as an explicit table."""
         pos = {ci: i for i, ci in enumerate(self.unit_indices)}
-        table = [
-            [pos[self.table[a][b]] for b in self.unit_indices]
-            for a in self.unit_indices
-        ]
+        units = [self.class_reps[i] for i in self.unit_indices]
+        table = [[pos[self.classify(self.loc.mul(a, b))] for b in units] for a in units]
         return CayleyMonoid(table, identity=pos[self.identity_index])
 
 
@@ -421,15 +419,14 @@ def localization_classes(loc: LocalizedRing) -> list:
 
 
 def units_of_localization(loc: LocalizedRing) -> UnitGroup:
+    """A class is a unit exactly when its key x in eR has idempotent power e:
+    x^k = e inverts x, and the powers of a unit of eR meet no other idempotent.
+    """
     reps = localization_classes(loc)
     index = {loc.key(f): i for i, f in enumerate(reps)}
-    table = [
-        [index[loc.key(loc.mul(a, b))] for b in reps]
-        for a in reps
-    ]
-    one_idx = index[loc.key(loc.one)]
-    unit_indices = [i for i, row in enumerate(table) if one_idx in row]
-    return UnitGroup(loc, reps, table, one_idx, unit_indices, index)
+    e = loc._kernel_inverses()[0]
+    unit_indices = [i for x, i in index.items() if idempotent_power(loc.ring.mul, x) == e]
+    return UnitGroup(loc, reps, index[loc.key(loc.one)], unit_indices, index)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ arithmetic is exact; validation is eager for finite tables.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass, field
@@ -408,19 +409,27 @@ def natural_order(m: CommutativeMonoid) -> OrderedMonoid:
     raise MissingOrderError(f"no natural total order for {type(m).__name__}")
 
 
+def idempotent_power(op, s):
+    """The first of s, s*s, s*s*s, ... that is idempotent (finite carriers)."""
+    e = s
+    while op(e, e) != e:
+        e = op(e, s)
+    return e
+
+
 def is_cancellative(m: CommutativeMonoid) -> bool:
     """Decide a+c = b+c => a = b.
 
-    Exhaustive for Cayley tables, structural for free/lattice families,
+    Read off e for Cayley tables, structural for free/lattice families,
     componentwise for direct sums; presented monoids are rejected.
     """
     m = base_monoid(m)
     if isinstance(m, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
         return True
     if isinstance(m, CayleyMonoid):
-        # a+c = b+c for a != b iff some row fails to be a bijection
-        n = m.size()
-        return all(len(set(row)) == n for row in m.table)
+        # finite M cancels iff it is a group iff its minimal ideal M + e is M,
+        # with e the idempotent power of the sum of all of M
+        return idempotent_power(m.op, functools.reduce(m.op, m.elements())) == m.identity
     if isinstance(m, DirectSumMonoid):
         return all(is_cancellative(c) for c in m.components)
     raise UnsupportedFamilyError(
@@ -429,12 +438,13 @@ def is_cancellative(m: CommutativeMonoid) -> bool:
 
 
 def quasi_zero_submonoid(m: CommutativeMonoid) -> set:
-    """{x : x + y = y for some y}; the witness y makes x act like a zero."""
+    """{x : x + y = y for some y} = {x : x + e = e}: x + (y+e) = y+e in the
+    group M + e forces x + e = e, and y = e is a witness."""
     m = base_monoid(m)
     if not m.is_finite:
         raise UnsupportedFamilyError("quasi-zero search needs a finite carrier")
-    elems = list(m.elements())
-    return {x for x in elems if any(m.op(x, y) == y for y in elems)}
+    e = idempotent_power(m.op, functools.reduce(m.op, m.elements()))
+    return {x for x in m.elements() if m.op(x, e) == e}
 
 
 def lex_compare(m: DirectSumMonoid, a: tuple, b: tuple) -> int:

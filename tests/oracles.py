@@ -15,7 +15,9 @@ library's earlier implementations, kept verbatim as references for the
 sparse elimination, for the structure read off the kernel group, for the
 monoid criteria that decide zero-divisors and group-ring injectivity, for
 the non-zero-divisor flag and the saturation read off e, for G(S) read off
-the kernel group of S, and for Light's associativity test.
+the kernel group of S, and for Light's associativity test.  So are the
+pair scans behind quasi-zeros, cancellativity, group tables and their
+inverses, now read off the idempotent power e of the sum of a finite monoid.
 """
 import itertools
 from collections import Counter
@@ -37,7 +39,7 @@ from grothloc import (
     presentation_matrix,
     smith_normal_form,
 )
-from grothloc.errors import InvalidInputError, PreconditionError
+from grothloc.errors import InvalidInputError, PreconditionError, UnsupportedFamilyError
 from grothloc.grothendieck import SNFResult, _eye
 from grothloc.monoid import CommutativeMonoid, base_monoid
 from grothloc.ring import _require_finite_modring
@@ -138,6 +140,13 @@ def scan_units(loc) -> tuple:
     one = _scan_index(loc, killed, reps, loc.one)
     units = [i for i in range(len(reps)) if one in table[i]]
     return reps, table, one, units
+
+
+def unit_table(table, unit_indices) -> tuple:
+    """The rows and columns of ``unit_indices`` in a class table from
+    ``scan_units``, re-indexed 0..k-1 as in ``UnitGroup.to_cayley``."""
+    pos = {ci: i for i, ci in enumerate(unit_indices)}
+    return tuple(tuple(pos[table[a][b]] for b in unit_indices) for a in unit_indices)
 
 
 def scan_saturation(ring, sset) -> tuple:
@@ -295,6 +304,44 @@ def sweep_group_ring_map_injective(mring: MonoidRing, group: GrothendieckGroup |
         if all(s % n == 0 for s in sums):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# pair scans of a finite monoid, which its kernel identity e now answers
+
+
+def sweep_quasi_zero_submonoid(m: CommutativeMonoid) -> set:
+    """{x : x + y = y for some y}; the witness y makes x act like a zero."""
+    m = base_monoid(m)
+    if not m.is_finite:
+        raise UnsupportedFamilyError("quasi-zero search needs a finite carrier")
+    elems = list(m.elements())
+    return {x for x in elems if any(m.op(x, y) == y for y in elems)}
+
+
+def sweep_is_cancellative(m: CayleyMonoid) -> bool:
+    """Decide a+c = b+c => a = b on a Cayley table, one row at a time."""
+    # a+c = b+c for a != b iff some row fails to be a bijection
+    n = m.size()
+    return all(len(set(row)) == n for row in m.table)
+
+
+def sweep_is_abelian_group(m: CayleyMonoid) -> bool:
+    """Every element of the (validated commutative) table has an inverse."""
+    e = m.identity
+    return all(any(m.op(a, b) == e for b in m.elements()) for a in m.elements())
+
+
+def sweep_group_inverses(target: CayleyMonoid) -> dict:
+    """The inverse of every element of a group table, by scanning its row."""
+    inv = {}
+    e = target.identity
+    for a in target.elements():
+        for b in target.elements():
+            if target.op(a, b) == e:
+                inv[a] = b
+                break
+    return inv
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from oracles import (
     scan_units_iso,
     sweep_group_ring_map_injective,
     sweep_monomial_is_nonzerodivisor,
+    unit_table,
 )
 from test_grothendieck import gcd_of_minors, random_matrix
 
@@ -511,7 +512,7 @@ def test_unit_group_correspondence():
         reps, table, one, unit_indices = scan_units(lring)
         checks[f"{label}:unit_table_matches_scan"] = (
             [(f.num, f.den) for f in units.class_reps] == [(f.num, f.den) for f in reps]
-            and units.table == table
+            and units.to_cayley().table == unit_table(table, unit_indices)
             and units.identity_index == one
             and units.unit_indices == unit_indices
         )

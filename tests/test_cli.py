@@ -12,6 +12,7 @@ from importlib import resources
 
 import pytest
 
+from grothloc import cli
 from grothloc.cli import main
 
 CORPUS = resources.files("grothloc") / "corpus"
@@ -380,6 +381,30 @@ class TestCorpusRun:
         assert code == 2
         assert rep["error"] == "InvalidInputError"
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("localize_units", "sgens", 5),
+        ("iso_verify", "sgens", 5),
+        ("one_plus_ideal", "ideal_gens", 5),
+        ("iso_laurent", "samples", "x"),
+        ("kx", "modulus", True),
+        ("iso_laurent", "rank", 1.0),
+    ])
+    def test_entry_field_of_the_wrong_type_exits_two(self, tmp_path, capsys, kind, field, value):
+        entry = {
+            "name": "x", "kind": kind, "expected": {},
+            "monoid": {"kind": "free", "rank": 1},
+            "ring": {"kind": "Zmod", "n": 5},
+            "sgens": [], "ideal_gens": [], "rank": 1,
+        }
+        entry[field] = value
+        (tmp_path / "corpus.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        assert main(["corpus", "run", "--dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        assert rep["error"] == "InvalidInputError"
+        assert field in rep["detail"]
+        assert "Traceback" not in err
+
     def test_float_table_in_monoid_file_exits_two(self, tmp_path):
         bad = tmp_path / "float.json"
         bad.write_text('{"kind": "cayley", "table": [[0, 1.7], [1.2, 1]]}', encoding="utf-8")
@@ -448,10 +473,49 @@ class TestReportEnvelope:
         assert rep1["inputs_sha256"] != rep2["inputs_sha256"]
         assert rep2["seed"] == 1
 
+    @pytest.mark.parametrize("argv, name", [
+        (["monoid", "check"], "input.json"),
+        (["groth", "compute", "--monoid"], "input.json"),
+        (["corpus", "run", "--dir"], "corpus.json"),
+    ], ids=["monoid check", "groth compute", "corpus run"])
+    def test_digest_reads_file_content_not_path(self, tmp_path, argv, name):
+        """The same content at two paths gives one digest, different content
+        at one path two."""
+        def digest(fixture, where):
+            doc = json.loads((CORPUS / fixture).read_text(encoding="utf-8"))
+            if name == "corpus.json":
+                doc = {"entries": [{"name": "x", "kind": "monoid", "monoid": doc,
+                                    "expected": {}}]}
+            where.mkdir(exist_ok=True)
+            (where / name).write_text(json.dumps(doc), encoding="utf-8")
+            arg = where if name == "corpus.json" else where / name
+            code, rep = run(tmp_path, *argv, str(arg))
+            assert code == 0, rep
+            return rep["inputs_sha256"]
+
+        assert digest("t2.json", tmp_path / "a") == digest("t2.json", tmp_path / "b")
+        assert digest("t2.json", tmp_path / "a") != digest("z4.json", tmp_path / "a")
+
     def test_every_report_names_its_command(self, tmp_path):
         _, rep = run(tmp_path, "corpus", "run")
         assert rep["command"] == "corpus run"
         assert "checks" in rep
+
+
+def test_internal_fault_exits_seventy(monkeypatch, capsys):
+    """A fault in the program itself ends in a JSON report, not a traceback."""
+    def broken(args):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(cli, "_cmd_localize_units", broken)
+    assert main(["localize", "units", "--ring", ZMOD12, "--sgens", "[4]"]) == 70
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {
+        "command": "localize units",
+        "error": "internal",
+        "detail": "RuntimeError: broken on purpose",
+    }
+    assert "Traceback" not in err
 
 
 class TestUsageErrors:

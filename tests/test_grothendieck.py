@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from grothloc import (
     AxiomViolationError,
+    CayleyMonoid,
     FGAbelianStructure,
     FreeCommutativeMonoid,
     GrothendieckGroup,
@@ -35,6 +36,7 @@ from grothloc import (
 )
 
 import zoo
+from oracles import sweep_group_inverses
 
 
 # -- independent integer linear algebra, kept free of the package under test
@@ -329,6 +331,20 @@ class TestUniversalProperty:
         group = GrothendieckGroup(zoo.z4())
         with pytest.raises(PreconditionError):
             universal_extend(group, {x: x % 2 for x in range(4)}, zoo.t2())
+
+    @pytest.mark.parametrize("base,target,g", [
+        (zoo.z6_add, lambda: CayleyMonoid(zoo.cyclic_table(3)), lambda x: x % 3),
+        (zoo.z4, zoo.z2, lambda x: x % 2),
+        (zoo.z4_mult, lambda: CayleyMonoid([[0]]), lambda x: 0),
+    ], ids=["z6-z3", "z4-z2", "z4mult-trivial"])
+    def test_extension_matches_inverse_scan(self, base, target, g):
+        """h built on the kernel group's inverses is the h of the row scan."""
+        group, target = GrothendieckGroup(base()), target()
+        h = universal_extend(group, g, target)
+        inv = sweep_group_inverses(target)
+        elems = list(group.base.elements())
+        for a, b in itertools.product(elems, repeat=2):
+            assert h(group.element(a, b)) == target.op(g(a), inv[g(b)])
 
     def test_is_abelian_group(self):
         assert is_abelian_group(zoo.z4())

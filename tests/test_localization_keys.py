@@ -3,9 +3,9 @@
 For a finite multiplicative set S, key(r/s) = e*r*(e*s)^-1 in eR, where e
 is the idempotent power of the product of S.  key(f) == key(g) must hold
 exactly when t*(r*s' - r'*s) = 0 for some t in S.  The class
-representatives and their order, the unit table, the saturation, the
-non-zero-divisor flag, and the embedding and unit-correspondence reports
-must equal the pairwise scans and sweeps.
+representatives and their order, the unit classes and their table, the
+saturation, the non-zero-divisor flag, and the embedding and
+unit-correspondence reports must equal the pairwise scans and sweeps.
 """
 import pytest
 from hypothesis import given
@@ -42,6 +42,7 @@ from oracles import (
     scan_units_iso,
     scan_units_map,
     sweep_is_nzd,
+    unit_table,
 )
 
 
@@ -100,7 +101,7 @@ def check_units_and_reports(sset, loc):
     units = units_of_localization(loc)
     reps, table, one, unit_indices = scan_units(loc)
     assert [plain(f) for f in units.class_reps] == [plain(f) for f in reps]
-    assert units.table == table
+    assert units.to_cayley().table == unit_table(table, unit_indices)
     assert units.identity_index == one
     assert units.unit_indices == unit_indices
     assert [units.classify(f) for f in reps] == list(range(len(reps)))
@@ -300,6 +301,25 @@ def test_units_map_builds_no_table(monkeypatch):
     rep = groth_units_iso(sset, LocalizedRing(ring, sset))
     assert rep.iso and rep.groth_order == rep.unit_order == 8
     assert len(rep.saturation.elements) == 64
+
+
+def test_units_build_no_class_table(monkeypatch):
+    """Unit classes are the keys whose idempotent power is e: on Z/200 at [7]
+    (e = 1, 200 classes) no product of two classes is formed."""
+    calls = [0]
+    mul = LocalizedRing.mul
+
+    def counting(self, f, g):
+        calls[0] += 1
+        return mul(self, f, g)
+
+    monkeypatch.setattr(LocalizedRing, "mul", counting)
+    ring = ModRing(200)
+    loc = LocalizedRing(ring, MultiplicativeSet(ring, [7]))
+    units = units_of_localization(loc)
+    assert calls[0] == 0
+    assert units.class_count() == 200
+    assert sorted(loc.key(units.class_reps[i]) for i in units.unit_indices) == ring.units()
 
 
 def test_nzd_flag_sweeps_no_ring(monkeypatch):

@@ -168,6 +168,29 @@ class TestQuasiZeros:
         assert len(quasi_zero_submonoid(zoo.z6_mult())) == 6
         assert len(quasi_zero_submonoid(zoo.subsets2())) == 4
 
+    def test_read_off_e_in_linear_time(self, monkeypatch):
+        """On additive Z/200 neither question scans pairs: at most 3n op
+        calls, and no row of the table is read whole."""
+        calls = [0]
+        op = CayleyMonoid.op
+
+        def counting(self, a, b):
+            calls[0] += 1
+            return op(self, a, b)
+
+        class Row(tuple):
+            def __iter__(self):
+                raise AssertionError("a whole row was read")
+
+        monkeypatch.setattr(CayleyMonoid, "op", counting)
+        n = 200
+        m = CayleyMonoid(zoo.cyclic_table(n))
+        m.table = tuple(map(Row, m.table))
+        for question, want in ((quasi_zero_submonoid, {0}), (is_cancellative, True)):
+            calls[0] = 0
+            assert question(m) == want
+            assert calls[0] <= 3 * n, (question.__name__, calls[0])
+
     def test_is_a_submonoid(self):
         for m in (zoo.t2(), zoo.t3(), zoo.z4(), zoo.z6_mult(), zoo.subsets2()):
             qz = quasi_zero_submonoid(m)

@@ -1,4 +1,4 @@
-"""Monoid criteria against the sweeps over R[M] that they replaced.
+"""Monoid criteria against the sweeps that they replaced.
 
 eps_m is a non-zero-divisor of R[M] (R != 0) exactly when x -> m+x is
 injective on M, and R[M] -> R[G(M)] is injective exactly when M -> G(M)
@@ -6,21 +6,35 @@ is.  The library decides both on M alone; ``tests/oracles.py`` keeps the
 sweeps over every element of R[M], which must agree on the finite zoo and
 on generated tables, with coefficients in Z/2, Z/3, Z/4 (not a domain) and
 Z/6, wherever q^|M| stays within SWEEP_LIMIT.
+
+Quasi-zeros, cancellativity and being a group are read off e, the
+idempotent power of the sum of all of a finite M; the pair scans they
+replaced must agree on the zoo, on cyclic, multiplication-mod-n and
+join-chain tables up to n = 60, and on generated tables.
 """
 import pytest
 from hypothesis import given, settings
 
+import zoo
 from grothloc import (
     CayleyMonoid,
     GrothendieckGroup,
     ModRing,
     MonoidRing,
     group_ring_map_injective,
+    is_abelian_group,
     is_cancellative,
     monomial_is_nonzerodivisor,
+    quasi_zero_submonoid,
 )
 
-from oracles import sweep_group_ring_map_injective, sweep_monomial_is_nonzerodivisor
+from oracles import (
+    sweep_group_ring_map_injective,
+    sweep_is_abelian_group,
+    sweep_is_cancellative,
+    sweep_monomial_is_nonzerodivisor,
+    sweep_quasi_zero_submonoid,
+)
 from test_class_keys import FINITE_ZOO, TABLES
 
 COEFFS = (2, 3, 4, 6)
@@ -73,3 +87,32 @@ def test_carriers_far_beyond_any_sweep(n):
     ]
     assert all(monomial_is_nonzerodivisor(MonoidRing(ModRing(6), cyclic), x) for x in range(n))
 
+
+
+def check_against_pair_scans(m):
+    assert quasi_zero_submonoid(m) == sweep_quasi_zero_submonoid(m)
+    if isinstance(m, CayleyMonoid):
+        cancellative = sweep_is_cancellative(m)
+        assert is_cancellative(m) == cancellative
+        assert is_abelian_group(m) == sweep_is_abelian_group(m) == cancellative
+
+
+@pytest.mark.parametrize("build", FINITE_ZOO, ids=lambda b: b.__name__)
+def test_zoo_matches_pair_scans(build):
+    check_against_pair_scans(build())
+
+
+@pytest.mark.parametrize("table,identity", [
+    (zoo.cyclic_table, lambda n: 0),
+    (zoo.mult_mod_table, lambda n: 1 % n),
+    (zoo.join_chain_table, lambda n: 0),
+], ids=["cyclic", "mult_mod", "join_chain"])
+def test_table_families_match_pair_scans(table, identity):
+    for n in range(1, 61):
+        check_against_pair_scans(CayleyMonoid(table(n), identity=identity(n)))
+
+
+@given(TABLES)
+def test_generated_tables_match_pair_scans(spec):
+    table, identity = spec
+    check_against_pair_scans(CayleyMonoid(table, identity=identity))
