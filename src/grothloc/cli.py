@@ -362,6 +362,7 @@ def _run_corpus_entry(entry: dict, seed: int) -> dict:
             if type(entry.get(f, 0)) is not int]
     if bad:
         raise InvalidInputError(f"corpus entry {entry['name']!r}: " + "; ".join(bad))
+    actual = None
     if kind == "monoid":
         actual = _monoid_facts(monoid_from_dict(entry["monoid"]))
     elif kind == "groth":
@@ -380,25 +381,24 @@ def _run_corpus_entry(entry: dict, seed: int) -> dict:
     elif kind == "one_plus_ideal":
         ring = ring_from_dict(entry["ring"])
         rep = one_plus_ideal_check(ring, entry["ideal_gens"])
-        actual = {k: rep[k] for k in entry["expected"]}
     elif kind == "kx":
         rep = kx_counterexample_check(
             entry.get("modulus", 5), samples=entry.get("samples", 30), seed=seed
         )
-        actual = {k: rep[k] for k in entry["expected"]}
     elif kind == "iso_verify":
         ring = ring_from_dict(entry["ring"])
         m = monoid_from_dict(entry["monoid"])
         ctx = HMapContext(ring, m, entry.get("sgens", []))
         rep = verify_isomorphism(ctx, samples=entry.get("samples", 60), seed=seed)
-        actual = {k: rep[k] for k in entry["expected"]}
     else:  # iso_laurent
         ring = ring_from_dict(entry["ring"])
         rep = laurent_iso(
             ring, entry["rank"], samples=entry.get("samples", 60), seed=seed
         )
-        actual = {k: rep[k] for k in entry["expected"]}
     expected = entry["expected"]
+    if actual is None:
+        # a key the report lacks fails the subset test below
+        actual = {k: rep[k] for k in expected if k in rep}
     ok = all(actual.get(k) == v for k, v in expected.items()) and set(
         expected
     ) <= set(actual)

@@ -293,18 +293,25 @@ def kernel_group(op, elems) -> tuple:
     """(e, inverse map, order map) of K = elems*e for a finite commutative monoid.
 
     e is the idempotent power of the product of the whole carrier ``elems``
-    under ``op``; K is the minimal ideal, a group with identity e.  Walking
-    the powers of k in K until e gives its inverse (the power just before
-    e) and its order (the number of steps).
+    under ``op``; K is the minimal ideal, a group with identity e.  One walk
+    k, k^2, ..., k^n = e from a k in K not met yet settles its whole cycle:
+    k^i has inverse k^(n-i) and order n/gcd(i, n).
     """
     e = idempotent_power(op, functools.reduce(op, elems))
     inv, order = {}, {}
-    for k in {op(a, e) for a in elems}:
-        prev, acc, n = e, k, 1
-        while acc != e:
-            prev, acc, n = acc, op(acc, k), n + 1
-        inv[k] = prev
-        order[k] = n
+    for a in elems:
+        if a in inv:  # already met, so a lies in K and a*e = a
+            continue
+        k = op(a, e)
+        if k in inv:
+            continue
+        powers = [e, k]
+        while powers[-1] != e:
+            powers.append(op(powers[-1], k))
+        n = len(powers) - 1
+        for i in range(1, n + 1):
+            inv[powers[i]] = powers[n - i]
+            order[powers[i]] = n // gcd(i, n)
     return e, inv, order
 
 

@@ -90,7 +90,10 @@ def h_forward(ctx: HMapContext, f: Fraction):
     """T^-1(R[M]) -> (S^-1 R)[G]: split the numerator by degree.
 
     The denominator must be a monomial s * eps_n; the part of the numerator
-    in degree m contributes coefficient r_m / s at the class [m, n].
+    in degree m contributes coefficient r_m / s at the class [m, n].  The
+    witness of s is the S part of the fraction's own witness (the indices
+    below the monomial generators), so products of fractions need not lie
+    in the depth-bounded S closure.
     """
     den = f.den
     if den.is_zero() or len(den.coeffs) != 1:
@@ -98,11 +101,11 @@ def h_forward(ctx: HMapContext, f: Fraction):
             f"denominator support has {len(den.coeffs)} degrees; need exactly 1"
         )
     ((n, s),) = den.coeffs.items()
-    if not ctx.sset.contains(s):
+    s_wit = tuple(i for i in f.den_witness if i < ctx._mono_offset)
+    if not ctx.ring.eq(ctx.sset.product_of(s_wit), s):
         raise MalformedDenominatorError(
             f"denominator coefficient {s!r} is not a recognized S element"
         )
-    s_wit = ctx.sset.witness(s)
     terms = []
     for m, c in f.num.items():
         terms.append((GrothElement(m, n), Fraction(c, s, s_wit)))

@@ -535,66 +535,18 @@ def groth_units_iso(sset: MultiplicativeSet, loc: LocalizedRing) -> UnitsIsoRepo
 
 
 def ideal_closure(ring, gens) -> frozenset:
-    """Smallest ideal containing gens: close under + and ambient products."""
+    """Smallest ideal containing gens: the sum of the principal ideals R*g.
+
+    R*g is already an ideal of a commutative ring with 1, and a sum of
+    ideals is an ideal.
+    """
     elems = list(ring.elements())
-    ideal = {ring.zero} | {ring.validate(g) for g in gens}
-    changed = True
-    while changed:
-        changed = False
-        for x in list(ideal):
-            for y in list(ideal):
-                s = ring.add(x, y)
-                if s not in ideal:
-                    ideal.add(s)
-                    changed = True
-            for r in elems:
-                p = ring.mul(r, x)
-                if p not in ideal:
-                    ideal.add(p)
-                    changed = True
+    ideal = {ring.zero}
+    for g in gens:
+        g = ring.validate(g)
+        principal = {ring.mul(r, g) for r in elems}
+        ideal = {ring.add(x, y) for x in ideal for y in principal}
     return frozenset(ideal)
-
-
-def enumerate_ideals(ring) -> list:
-    """All ideals of a finite ring, grown one generator at a time."""
-    if not ring.is_finite:
-        raise UnsupportedFamilyError("ideal enumeration needs a finite ring")
-    elems = list(ring.elements())
-    seen = {ideal_closure(ring, [])}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for ideal in frontier:
-            for a in elems:
-                if a in ideal:
-                    continue
-                bigger = ideal_closure(ring, list(ideal) + [a])
-                if bigger not in seen:
-                    seen.add(bigger)
-                    new.append(bigger)
-        frontier = new
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
-
-
-def maximal_ideals(ring) -> list:
-    all_elems = frozenset(ring.elements())
-    proper = [i for i in enumerate_ideals(ring) if i != all_elems]
-    return [
-        i for i in proper
-        if not any(i < j for j in proper)
-    ]
-
-
-def prime_ideals(ring) -> list:
-    all_elems = frozenset(ring.elements())
-    out = []
-    for p in enumerate_ideals(ring):
-        if p == all_elems:
-            continue
-        comp = [a for a in ring.elements() if a not in p]
-        if all(ring.mul(a, b) not in p for a in comp for b in comp):
-            out.append(p)
-    return out
 
 
 def one_plus_ideal_check(ring, ideal_gens) -> dict:
@@ -602,7 +554,8 @@ def one_plus_ideal_check(ring, ideal_gens) -> dict:
 
     Also verifies G(S-bar) = (S^-1 R)* on the same instance.  T is the
     complement of the union of maximal ideals containing I (all of R when no
-    maximal ideal contains I).
+    maximal ideal contains I): a lies in no maximal ideal over I exactly when
+    I + R*a = R, that is, when r*a lies in 1 + I for some r.
     """
     if not ring.is_finite:
         raise UnsupportedFamilyError("this check sweeps a finite ring")
@@ -610,9 +563,9 @@ def one_plus_ideal_check(ring, ideal_gens) -> dict:
     s_elems = sorted({ring.add(ring.one, i) for i in ideal})
     sset = MultiplicativeSet(ring, s_elems)
     loc = LocalizedRing(ring, sset)
-    over = [m for m in maximal_ideals(ring) if ideal <= m]
-    excluded = set().union(*over) if over else set()
-    t_elems = sorted(a for a in ring.elements() if a not in excluded)
+    elems = list(ring.elements())
+    in_s = set(s_elems)
+    t_elems = sorted(a for a in elems if any(ring.mul(r, a) in in_s for r in elems))
     report = groth_units_iso(sset, loc)
     return {
         "ideal_size": len(ideal),

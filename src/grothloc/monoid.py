@@ -447,23 +447,6 @@ def quasi_zero_submonoid(m: CommutativeMonoid) -> set:
     return {x for x in m.elements() if m.op(x, e) == e}
 
 
-def lex_compare(m: DirectSumMonoid, a: tuple, b: tuple) -> int:
-    """Lexicographic comparison on a direct sum of ordered components."""
-    if not isinstance(m, DirectSumMonoid):
-        raise UnsupportedFamilyError("lex_compare expects a direct sum")
-    for comp, x, y in zip(m.components, a, b):
-        if isinstance(comp, OrderedMonoid):
-            cmp = comp.compare
-        elif isinstance(comp, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
-            cmp = tuple_lex_compare
-        else:
-            raise MissingOrderError(f"component {comp!r} carries no total order")
-        s = cmp(x, y)
-        if s != 0:
-            return s
-    return 0
-
-
 def sample_element(m: CommutativeMonoid, rng: Lcg64, bound: int = 6) -> MonoidValue:
     """Draw a pseudo-random element; ``bound`` caps tuple coordinates."""
     m0 = base_monoid(m)

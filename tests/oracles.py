@@ -17,8 +17,13 @@ monoid criteria that decide zero-divisors and group-ring injectivity, for
 the non-zero-divisor flag and the saturation read off e, for G(S) read off
 the kernel group of S, and for Light's associativity test.  So are the
 pair scans behind quasi-zeros, cancellativity, group tables and their
-inverses, now read off the idempotent power e of the sum of a finite monoid.
+inverses, now read off the idempotent power e of the sum of a finite monoid,
+and the cycle walk of every element of the kernel group, now one walk per
+cycle.  The ideal enumeration, its fixpoint closure and the maximal and prime
+ideal searches are the earlier way to find T for S = 1 + I, which the
+library now reads off I + R*a = R.
 """
+import functools
 import itertools
 from collections import Counter
 from math import gcd, lcm
@@ -41,7 +46,7 @@ from grothloc import (
 )
 from grothloc.errors import InvalidInputError, PreconditionError, UnsupportedFamilyError
 from grothloc.grothendieck import SNFResult, _eye
-from grothloc.monoid import CommutativeMonoid, base_monoid
+from grothloc.monoid import CommutativeMonoid, base_monoid, idempotent_power
 from grothloc.ring import _require_finite_modring
 
 
@@ -342,6 +347,97 @@ def sweep_group_inverses(target: CayleyMonoid) -> dict:
                 inv[a] = b
                 break
     return inv
+
+
+def walk_kernel_group(op, elems) -> tuple:
+    """(e, inverse map, order map) of K = elems*e, walking every k's cycle.
+
+    Each k in K is walked until e on its own, Sum ord(k) products, where
+    ``kernel_group`` settles a whole cycle with one walk.
+    """
+    e = idempotent_power(op, functools.reduce(op, elems))
+    inv, order = {}, {}
+    for k in {op(a, e) for a in elems}:
+        prev, acc, n = e, k, 1
+        while acc != e:
+            prev, acc, n = acc, op(acc, k), n + 1
+        inv[k] = prev
+        order[k] = n
+    return e, inv, order
+
+
+# ---------------------------------------------------------------------------
+# ideals of a finite ring, by enumeration; T of 1 + I is now read off I + Ra = R
+
+
+def ideal_closure(ring, gens) -> frozenset:
+    """Smallest ideal containing gens: close under + and ambient products."""
+    elems = list(ring.elements())
+    ideal = {ring.zero} | {ring.validate(g) for g in gens}
+    changed = True
+    while changed:
+        changed = False
+        for x in list(ideal):
+            for y in list(ideal):
+                s = ring.add(x, y)
+                if s not in ideal:
+                    ideal.add(s)
+                    changed = True
+            for r in elems:
+                p = ring.mul(r, x)
+                if p not in ideal:
+                    ideal.add(p)
+                    changed = True
+    return frozenset(ideal)
+
+
+def enumerate_ideals(ring) -> list:
+    """All ideals of a finite ring, grown one generator at a time."""
+    if not ring.is_finite:
+        raise UnsupportedFamilyError("ideal enumeration needs a finite ring")
+    elems = list(ring.elements())
+    seen = {ideal_closure(ring, [])}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for ideal in frontier:
+            for a in elems:
+                if a in ideal:
+                    continue
+                bigger = ideal_closure(ring, list(ideal) + [a])
+                if bigger not in seen:
+                    seen.add(bigger)
+                    new.append(bigger)
+        frontier = new
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+
+def maximal_ideals(ring) -> list:
+    all_elems = frozenset(ring.elements())
+    proper = [i for i in enumerate_ideals(ring) if i != all_elems]
+    return [
+        i for i in proper
+        if not any(i < j for j in proper)
+    ]
+
+
+def prime_ideals(ring) -> list:
+    all_elems = frozenset(ring.elements())
+    out = []
+    for p in enumerate_ideals(ring):
+        if p == all_elems:
+            continue
+        comp = [a for a in ring.elements() if a not in p]
+        if all(ring.mul(a, b) not in p for a in comp for b in comp):
+            out.append(p)
+    return out
+
+
+def complement_of_maximals_over(ring, ideal, maximals) -> list:
+    """T for S = 1 + I: R minus the union of the maximal ideals containing I."""
+    over = [m for m in maximals if ideal <= m]
+    excluded = set().union(*over) if over else set()
+    return sorted(a for a in ring.elements() if a not in excluded)
 
 
 # ---------------------------------------------------------------------------

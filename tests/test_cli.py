@@ -272,6 +272,18 @@ class TestIsoCommands:
         assert rep["results"]["roundtrip_ok"] is True
         assert rep["checks"]["all_ok"] is True
 
+    def test_verify_at_depth_two(self, tmp_path, free1):
+        code, rep = run(
+            tmp_path,
+            "iso", "verify",
+            "--ring", '{"kind": "Z"}',
+            "--monoid", free1,
+            "--sgens", "[2]",
+            "--depth", "2",
+        )
+        assert code == 0
+        assert rep["checks"]["all_ok"] is True
+
     def test_laurent_rank_one(self, tmp_path):
         code, rep = run(
             tmp_path,
@@ -329,6 +341,22 @@ class TestCorpusRun:
         assert row["ok"] is False
         assert row["actual"]["quasi_zero_size"] == 2
 
+    @pytest.mark.parametrize("kind, fields", [
+        ("one_plus_ideal", {"ring": {"kind": "Zmod", "n": 12}, "ideal_gens": [4]}),
+        ("kx", {"modulus": 3, "samples": 5}),
+        ("iso_verify", {"ring": {"kind": "Zmod", "n": 5},
+                        "monoid": {"kind": "free", "rank": 1}, "samples": 5}),
+        ("iso_laurent", {"ring": {"kind": "Zmod", "n": 5}, "rank": 1, "samples": 5}),
+    ])
+    def test_expected_key_missing_from_report_exits_one(self, tmp_path, kind, fields):
+        entry = {"name": "x", "kind": kind, "expected": {"nonsense": 1}, **fields}
+        (tmp_path / "corpus.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        code, rep = run(tmp_path, "corpus", "run", "--dir", str(tmp_path))
+        assert code == 1
+        assert "error" not in rep
+        row = rep["results"]["entries"][0]
+        assert row["ok"] is False
+        assert row["actual"] == {}
 
     def test_missing_dir_exits_two(self, tmp_path):
         code, rep = run(tmp_path, "corpus", "run", "--dir", str(tmp_path / "missing"))

@@ -34,9 +34,10 @@ from grothloc import (
     structure_from_snf,
     universal_extend,
 )
+from grothloc.grothendieck import kernel_group
 
 import zoo
-from oracles import sweep_group_inverses
+from oracles import sweep_group_inverses, walk_kernel_group
 
 
 # -- independent integer linear algebra, kept free of the package under test
@@ -351,6 +352,43 @@ class TestUniversalProperty:
         assert is_abelian_group(zoo.z2())
         assert not is_abelian_group(zoo.t2())
         assert not is_abelian_group(zoo.z6_mult())
+
+
+class TestKernelGroup:
+    @pytest.mark.parametrize("build", [
+        zoo.t2, zoo.t3, zoo.z2, zoo.z4, zoo.z6_add, zoo.z4_mult, zoo.z6_mult,
+        zoo.subsets2, zoo.t2_plus_z2, zoo.z2_plus_z2,
+    ])
+    def test_zoo_matches_walk_of_every_element(self, build):
+        m = build()
+        elems = list(m.elements())
+        assert kernel_group(m.op, elems) == walk_kernel_group(m.op, elems)
+
+    @pytest.mark.parametrize("table, identity", [
+        (zoo.cyclic_table, lambda n: 0),
+        (zoo.mult_mod_table, lambda n: 1 % n),
+        (zoo.join_chain_table, lambda n: 0),
+    ], ids=["cyclic", "mult-mod", "join-chain"])
+    def test_tables_match_walk_of_every_element(self, table, identity):
+        for n in range(1, 61):
+            m = CayleyMonoid(table(n), identity=identity(n))
+            elems = list(m.elements())
+            assert kernel_group(m.op, elems) == walk_kernel_group(m.op, elems), n
+
+    def test_one_walk_per_cycle(self):
+        """Additive Z/200 is one cycle: at most 3*200 products, where walking
+        every element on its own takes about 200^2/2."""
+        m = CayleyMonoid(zoo.cyclic_table(200))
+        calls = [0]
+
+        def op(a, b):
+            calls[0] += 1
+            return m.op(a, b)
+
+        e, inv, order = kernel_group(op, list(m.elements()))
+        assert calls[0] <= 3 * 200
+        assert e == 0 and inv[1] == 199 and order[1] == order[199] == 200
+        assert order[0] == 1 and order[100] == 2 and order[8] == 25
 
 
 class TestTotalOrders:

@@ -67,6 +67,25 @@ class TestForwardMap:
         with pytest.raises(MalformedDenominatorError):
             h_forward(ctx, bad)
 
+    def test_coefficient_outside_s_rejected(self):
+        """3*x over Z at S = <2>: no S part of any witness multiplies to 3."""
+        from grothloc import Fraction
+        ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2], nzd=True)
+        den = ctx.mring.element({(1,): 3})
+        for wit in [(1,), (0, 1)]:
+            with pytest.raises(MalformedDenominatorError):
+                h_forward(ctx, Fraction(ctx.mring.one, den, wit))
+
+    def test_products_beyond_the_closure_depth(self):
+        """At depth 2 the S closure stops at 4, but 16 = 4*4 keeps its witness."""
+        ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2], nzd=True, depth=2)
+        assert not ctx.sset.contains(16)
+        f = ctx.monomial_fraction(ctx.mring.element({(2,): 1}), 4, (1,))
+        u = h_forward(ctx, ctx.tloc.mul(f, f))
+        ((_, c),) = u.terms
+        assert (c.den, c.den_witness) == (16, (0, 0, 0, 0))
+        assert ctx.group_ring.eq(u, ctx.group_ring.mul(h_forward(ctx, f), h_forward(ctx, f)))
+
     def test_zero_maps_to_zero(self, line_ctx):
         ctx = line_ctx
         z = ctx.monomial_fraction(ctx.mring.zero, 1, (2,))
@@ -106,6 +125,15 @@ class TestBatteries:
         assert report["all_ok"]
         assert report["hom_ok"]
         assert report["roundtrip_back_ok"] and report["roundtrip_forth_ok"]
+
+    def test_shallow_closure_depth(self):
+        """Products of sampled fractions reach 4+ S generators; depth 2 only
+        materializes 1, 2 and 4, and the battery still passes."""
+        for depth in (2, 3):
+            ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2], nzd=True,
+                              depth=depth)
+            report = verify_isomorphism(ctx, samples=60)
+            assert report["all_ok"]
 
     def test_collapsing_base_keeps_kernel_trivial(self):
         """(Z/2)[T2]: the grading group is trivial and many fractions map to

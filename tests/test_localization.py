@@ -15,15 +15,13 @@ from grothloc import (
     MultiplicativeSet,
     UndecidableConfigurationError,
     decompose_fraction,
-    enumerate_ideals,
     fraction_degree,
     groth_units_embedding,
     groth_units_iso,
+    ideal_closure,
     kx_counterexample_check,
     localization_classes,
-    maximal_ideals,
     one_plus_ideal_check,
-    prime_ideals,
     sample_fraction,
     saturate,
     sum_components,
@@ -32,6 +30,13 @@ from grothloc import (
 )
 
 import zoo
+from oracles import (
+    complement_of_maximals_over,
+    enumerate_ideals,
+    ideal_closure as fixpoint_ideal_closure,
+    maximal_ideals,
+    prime_ideals,
+)
 
 
 @pytest.fixture
@@ -343,6 +348,45 @@ class TestIdeals:
         assert rep0["iso_ok"]
         repr_ = one_plus_ideal_check(ring, [1])
         assert repr_["iso_ok"]
+
+    def test_one_plus_ideal_matches_maximal_ideal_oracle(self):
+        """T read off I + Ra = R is the complement of the enumerated maximal
+        ideals over I, and the sum of principal ideals is the fixpoint closure."""
+        for n in range(2, 49):
+            ring = ModRing(n)
+            maximals = maximal_ideals(ring)
+            for gens in [[g] for g in range(n)] + [[], [2, 3]]:
+                ideal = fixpoint_ideal_closure(ring, gens)
+                assert ideal_closure(ring, gens) == ideal, (n, gens)
+                s_elems = sorted({ring.add(ring.one, i) for i in ideal})
+                sset = MultiplicativeSet(ring, s_elems)
+                iso = groth_units_iso(sset, LocalizedRing(ring, sset))
+                t_elems = complement_of_maximals_over(ring, ideal, maximals)
+                assert one_plus_ideal_check(ring, gens) == {
+                    "ideal_size": len(ideal),
+                    "s_size": len(s_elems),
+                    "t_size": len(t_elems),
+                    "saturation_equals_t": sorted(iso.saturation.elements) == t_elems,
+                    "iso_ok": iso.iso,
+                    "unit_count": iso.unit_order,
+                    "groth_order": iso.groth_order,
+                }, (n, gens)
+
+    def test_one_plus_ideal_ring_operations(self, monkeypatch):
+        """Z/120 at (4): at most 2*120^2 ring operations, where enumerating
+        every ideal took tens of millions."""
+        calls = [0]
+        for name in ("mul", "add", "sub"):
+            method = getattr(ModRing, name)
+
+            def counted(self, a, b, _method=method):
+                calls[0] += 1
+                return _method(self, a, b)
+
+            monkeypatch.setattr(ModRing, name, counted)
+        rep = one_plus_ideal_check(ModRing(120), [4])
+        assert rep["t_size"] == 60 and rep["saturation_equals_t"]
+        assert calls[0] <= 2 * 120 ** 2
 
 
 class TestPolynomialCounterexample:
