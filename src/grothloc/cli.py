@@ -360,6 +360,8 @@ def _run_corpus_entry(entry: dict, seed: int) -> dict:
            if not isinstance(entry.get(f, []), list)]
     bad += [f"{f} must be an integer" for f in ("samples", "modulus", "rank")
             if type(entry.get(f, 0)) is not int]
+    if not bad and entry.get("samples", 0) < 0:
+        bad.append("samples must be nonnegative")
     if bad:
         raise InvalidInputError(f"corpus entry {entry['name']!r}: " + "; ".join(bad))
     actual = None
@@ -549,6 +551,10 @@ def main(argv=None) -> int:
     started = time.monotonic()
     command = f"{args.group_cmd} {args.sub}" if args.sub else args.group_cmd
     try:
+        for name in ("samples", "depth"):
+            value = getattr(args, name)
+            if value < 0:
+                raise InvalidInputError(f"--{name} must be nonnegative, got {value}")
         body, ok = args.func(args)
         digest = _inputs_digest(args)
     except AxiomViolationError as exc:

@@ -80,10 +80,13 @@ class HMapContext:
         s = self.ring.validate(s)
         if not self.sset.contains(s):
             raise MalformedDenominatorError(f"{s!r} is not a recognized S element")
+        return self.witnessed_fraction(num, self.sset.witness(s), n)
+
+    def witnessed_fraction(self, num: MRElement, s_wit: tuple, n) -> Fraction:
+        """num over s * eps_n, where s is the product of the S generators s_wit."""
         n = self.monoid.validate(n)
-        den = self.mring.element({n: s})
-        wit = self.sset.witness(s) + self.monomial_witness(n)
-        return Fraction(self.mring.validate(num), den, wit)
+        den = self.mring.element({n: self.sset.product_of(s_wit)})
+        return Fraction(self.mring.validate(num), den, s_wit + self.monomial_witness(n))
 
 
 def h_forward(ctx: HMapContext, f: Fraction):
@@ -148,13 +151,11 @@ def h_inverse(ctx: HMapContext, u) -> Fraction:
 # sampling
 
 
-def _sample_s(ctx: HMapContext, rng: Lcg64, max_powers: int = 2):
-    """Random product of at most max_powers S generators (1 when S has none)."""
+def _sample_s(ctx: HMapContext, rng: Lcg64, max_powers: int = 2) -> tuple:
+    """Witness of a random product of at most max_powers S generators
+    (empty when S has none)."""
     k = rng.below(max_powers + 1) if ctx.sset.generators else 0
-    s = ctx.ring.one
-    for _ in range(k):
-        s = ctx.ring.mul(s, rng.choice(ctx.sset.generators))
-    return s
+    return tuple(rng.below(len(ctx.sset.generators)) for _ in range(k))
 
 
 def sample_t_fraction(ctx: HMapContext, rng: Lcg64, max_support: int = 3,
@@ -164,9 +165,9 @@ def sample_t_fraction(ctx: HMapContext, rng: Lcg64, max_support: int = 3,
     num = ctx.mring.sample(
         rng, max_support=max_support, exp_bound=exp_bound, coeff_bound=coeff_bound
     )
-    s = _sample_s(ctx, rng, max_s_powers)
+    s_wit = _sample_s(ctx, rng, max_s_powers)
     n = sample_element(ctx.monoid, rng, exp_bound)
-    return ctx.monomial_fraction(num, s, n)
+    return ctx.witnessed_fraction(num, s_wit, n)
 
 
 def sample_group_ring_element(ctx: HMapContext, rng: Lcg64, max_terms: int = 3,
@@ -177,8 +178,8 @@ def sample_group_ring_element(ctx: HMapContext, rng: Lcg64, max_terms: int = 3,
         a = sample_element(ctx.monoid, rng, exp_bound)
         b = sample_element(ctx.monoid, rng, exp_bound)
         r = ctx.ring.sample_nonzero(rng, coeff_bound)
-        s = _sample_s(ctx, rng, max_s_powers)
-        coeff = Fraction(r, s, ctx.sset.witness(s))
+        s_wit = _sample_s(ctx, rng, max_s_powers)
+        coeff = Fraction(r, ctx.sset.product_of(s_wit), s_wit)
         terms.append((GrothElement(a, b), coeff))
     return ctx.group_ring.from_terms(terms)
 
@@ -224,8 +225,8 @@ def verify_isomorphism(ctx: HMapContext, samples: int = 200, seed: int = 0,
         m = sample_element(ctx.monoid, rng)
         n = sample_element(ctx.monoid, rng)
         r = ctx.ring.sample(rng)
-        s = _sample_s(ctx, rng)
-        f = ctx.monomial_fraction(ctx.mring.element({m: r}), s, n)
+        s_wit = _sample_s(ctx, rng)
+        f = ctx.witnessed_fraction(ctx.mring.element({m: r}), s_wit, n)
         if gr.is_zero(h_forward(ctx, f)):
             zero_hits += 1
             if not ctx.tloc.is_zero(f):
@@ -253,7 +254,7 @@ def group_ring_specialization(ring, monoid, samples: int = 200, seed: int = 0,
         m = sample_element(ctx.monoid, rng)
         n = sample_element(ctx.monoid, rng)
         r = ctx.ring.sample_nonzero(rng)
-        f = ctx.monomial_fraction(ctx.mring.element({m: r}), ctx.ring.one, n)
+        f = ctx.witnessed_fraction(ctx.mring.element({m: r}), (), n)
         u = h_forward(ctx, f)
         if u.terms:
             if len(u.terms) != 1 or not ctx.group.eq(
@@ -291,7 +292,7 @@ def laurent_iso(ring, rank: int, samples: int = 200, seed: int = 0,
                 for d, c in u.coeffs.items()
             }
         )
-        return ctx.monomial_fraction(num, ctx.ring.one, shift)
+        return ctx.witnessed_fraction(num, (), shift)
 
     def expected(u: MRElement):
         terms = []

@@ -3,14 +3,16 @@
 Denominators carry witnesses: tuples of generator indices whose product is
 the denominator.  Arithmetic concatenates witnesses, so certificates never
 expire; only user-facing construction consults the materialized closure
-(complete for finite rings, generation-depth bounded otherwise).
+(built on first read; complete for finite rings, generation-depth bounded
+otherwise).
 
 Equality r/s = r'/s' is decided by exactly two strategies:
 cross-multiplication when every denominator is a non-zero-divisor, and
 exhaustive-witness over a finite ring.  There the closure is all of S and
 e, the idempotent power of t0 = the product of all of S, lies in S and is
 divisible by every t in S, so t*(r*s' - r'*s) = 0 for some t in S exactly
-when e*(r*s' - r'*s) = 0.  Any other configuration is rejected outright.
+when e*(r*s' - r'*s) = 0.  Both compare r*s' with r'*s and never subtract.
+Any other configuration is rejected outright.
 
 A finite S gives fractions a hashable normal form, ``LocalizedRing.key``:
 e*S is a group with identity e, S^-1 R is eR, and r/s goes to
@@ -54,28 +56,15 @@ class MultiplicativeSet:
 
     The closure maps each reachable element to one witness (a tuple of
     generator indices).  For a finite base ring the closure is the full set;
-    otherwise it holds products of at most ``depth`` generators.
+    otherwise it holds products of at most ``depth`` generators.  It is built
+    on first read, so a set whose fractions are compared by
+    cross-multiplication and carry their own witnesses never builds it.
     """
 
     def __init__(self, ring, generators, *, nzd: bool | None = None, depth: int = 8):
         self.ring = ring
         self.generators = [ring.validate(g) for g in generators]
         self.depth = depth
-        self.closure = {ring.one: ()}
-        frontier = [(ring.one, ())]
-        rounds = 0
-        while frontier and (ring.is_finite or rounds < depth):
-            new = []
-            for elem, wit in frontier:
-                for i, g in enumerate(self.generators):
-                    prod = ring.mul(elem, g)
-                    if prod not in self.closure:
-                        w = wit + (i,)
-                        self.closure[prod] = w
-                        new.append((prod, w))
-            frontier = new
-            rounds += 1
-        self.complete = not frontier
         if nzd is None:
             # with no generators the closure is exactly {1}, which never
             # kills anything, so the flag is decidable over any base ring;
@@ -90,6 +79,32 @@ class MultiplicativeSet:
         self.homogeneous_flag = isinstance(ring, MonoidRing) and all(
             not g.is_zero() and len(g.coeffs) == 1 for g in self.generators
         )
+
+    @functools.cached_property
+    def closure(self) -> dict:
+        ring = self.ring
+        closure = {ring.one: ()}
+        frontier = [(ring.one, ())]
+        rounds = 0
+        while frontier and (ring.is_finite or rounds < self.depth):
+            new = []
+            for elem, wit in frontier:
+                for i, g in enumerate(self.generators):
+                    prod = ring.mul(elem, g)
+                    if prod not in closure:
+                        w = wit + (i,)
+                        closure[prod] = w
+                        new.append((prod, w))
+            frontier = new
+            rounds += 1
+        self._complete = not frontier
+        return closure
+
+    @property
+    def complete(self) -> bool:
+        """Whether the closure holds all of S; reading it builds the closure."""
+        self.closure
+        return self._complete
 
     def contains(self, s) -> bool:
         return s in self.closure
@@ -174,16 +189,29 @@ class LocalizedRing:
     # -- equality
 
     def eq(self, f: Fraction, g: Fraction) -> bool:
+        """r/s = r'/s' from a = r*s' and b = r'*s, without forming a - b.
+
+        Ring elements are kept in normal form, so a - b = 0 exactly when
+        a == b, and e*(a - b) = 0 exactly when e*a == e*b.
+        """
         r = self.ring
-        cross = r.sub(r.mul(f.num, g.den), r.mul(g.num, f.den))
-        if self.strategy == "cross-multiplication":
-            return r.is_zero(cross)
-        if r.is_zero(cross):
+        a = r.mul(f.num, g.den)
+        b = r.mul(g.num, f.den)
+        if r.eq(a, b):
             return True
-        return r.is_zero(r.mul(self._kernel_inverses()[0], cross))
+        if self.strategy == "cross-multiplication":
+            return False
+        e = self._kernel_inverses()[0]
+        return r.eq(r.mul(e, a), r.mul(e, b))
 
     def is_zero(self, f: Fraction) -> bool:
-        return self.eq(f, self.zero)
+        """r/s = 0 from r alone: cross-multiplying with 0/1 gives r*1 - 0*s = r."""
+        r = self.ring
+        if r.is_zero(f.num):
+            return True
+        if self.strategy == "cross-multiplication":
+            return False
+        return r.is_zero(r.mul(self._kernel_inverses()[0], f.num))
 
     def _kernel_inverses(self) -> tuple:
         """``kernel_group`` of a complete closure, built on first use."""

@@ -166,12 +166,6 @@ def ring_from_dict(data: dict):
     raise InvalidInputError(f"unknown ring kind {kind!r}")
 
 
-def _deg_sort_key(d):
-    if isinstance(d, tuple):
-        return tuple(_deg_sort_key(x) for x in d)
-    return d
-
-
 def _deg_to_json(d):
     if isinstance(d, tuple):
         return [_deg_to_json(x) for x in d]
@@ -197,7 +191,7 @@ class MRElement:
         self.coeffs = coeffs
 
     def support(self) -> list:
-        return sorted(self.coeffs, key=_deg_sort_key)
+        return sorted(self.coeffs)
 
     def items(self) -> list:
         return [(d, self.coeffs[d]) for d in self.support()]
@@ -550,7 +544,19 @@ class GroupRing:
         return not u.terms
 
     def eq(self, u: GroupRingElement, v: GroupRingElement) -> bool:
-        return self.is_zero(self.sub(u, v))
+        """Class by class: terms have distinct classes and nonzero
+        coefficients, so u = v exactly when both hold the same classes with
+        equal coefficients."""
+        if len(u.terms) != len(v.terms):
+            return False
+        group_key = self.group.key
+        theirs = {group_key(k): c for k, c in v.terms}
+        coeff_eq = self.coeff.eq
+        for k, c in u.terms:
+            k = group_key(k)
+            if k not in theirs or not coeff_eq(c, theirs[k]):
+                return False
+        return True
 
     def one(self) -> GroupRingElement:
         return self.monomial(self.group.zero())

@@ -21,7 +21,10 @@ inverses, now read off the idempotent power e of the sum of a finite monoid,
 and the cycle walk of every element of the kernel group, now one walk per
 cycle.  The ideal enumeration, its fixpoint closure and the maximal and prime
 ideal searches are the earlier way to find T for S = 1 + I, which the
-library now reads off I + R*a = R.
+library now reads off I + R*a = R.  Fraction and group-ring equality by
+testing a difference for zero, and the closure of a multiplicative set built
+in its constructor, are the references for the direct comparisons and the
+closure built on first read.
 """
 import functools
 import itertools
@@ -670,3 +673,49 @@ def blocked_cayley_check(table, identity: int = 0):
         raise AxiomViolationError("identity", (identity, bad))
     arr.setflags(write=False)
     return arr
+
+
+# ---------------------------------------------------------------------------
+# equality by subtraction and the closure built in the constructor; the
+# library now compares r*s' with r'*s, merges no difference of group-ring
+# elements and builds the closure on first read
+
+
+def difference_loc_eq(loc, f, g) -> bool:
+    """The earlier ``LocalizedRing.eq``: test r*s' - r'*s for zero."""
+    r = loc.ring
+    cross = r.sub(r.mul(f.num, g.den), r.mul(g.num, f.den))
+    if loc.strategy == "cross-multiplication":
+        return r.is_zero(cross)
+    if r.is_zero(cross):
+        return True
+    return r.is_zero(r.mul(loc._kernel_inverses()[0], cross))
+
+
+def difference_loc_is_zero(loc, f) -> bool:
+    """The earlier ``LocalizedRing.is_zero``: f = 0/1."""
+    return difference_loc_eq(loc, f, loc.zero)
+
+
+def difference_group_ring_eq(gring, u, v) -> bool:
+    """The earlier ``GroupRing.eq``: u - v has no terms."""
+    return gring.is_zero(gring.sub(u, v))
+
+
+def eager_closure(ring, generators, depth: int = 8) -> tuple:
+    """(closure, complete) as ``MultiplicativeSet.__init__`` built them."""
+    closure = {ring.one: ()}
+    frontier = [(ring.one, ())]
+    rounds = 0
+    while frontier and (ring.is_finite or rounds < depth):
+        new = []
+        for elem, wit in frontier:
+            for i, g in enumerate(generators):
+                prod = ring.mul(elem, g)
+                if prod not in closure:
+                    w = wit + (i,)
+                    closure[prod] = w
+                    new.append((prod, w))
+        frontier = new
+        rounds += 1
+    return closure, not frontier

@@ -284,6 +284,21 @@ class TestIsoCommands:
         assert code == 0
         assert rep["checks"]["all_ok"] is True
 
+    @pytest.mark.parametrize("depth", ["0", "1", "2"])
+    def test_verify_below_the_sampled_powers(self, tmp_path, depth):
+        """The sampler draws products of up to two S generators and carries
+        their witnesses, so a closure of depth 0 or 1 does not reject them."""
+        code, rep = run(
+            tmp_path,
+            "iso", "verify",
+            "--ring", '{"kind": "Z"}',
+            "--monoid", str(CORPUS / "free2.json"),
+            "--sgens", "[2]",
+            "--depth", depth,
+        )
+        assert code == 0
+        assert rep["checks"]["all_ok"] is True
+
     def test_laurent_rank_one(self, tmp_path):
         code, rep = run(
             tmp_path,
@@ -461,6 +476,30 @@ def test_non_integer_modulus_exits_two(tmp_path, modulus):
     code, rep = run(tmp_path, "iso", "laurent", "--ring", ring, "--rank", "1", "--samples", "5")
     assert code == 2
     assert rep["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["iso", "laurent", "--ring", '{"kind": "Z"}', "--rank", "1", "--samples", "-3"],
+    ["groth", "order", "--monoid", str(CORPUS / "numsg_2_3.json"), "--samples", "-2"],
+    ["iso", "verify", "--ring", '{"kind": "Z"}', "--monoid", str(CORPUS / "free2.json"),
+     "--sgens", "[2]", "--depth", "-1"],
+    ["monoid", "check", str(CORPUS / "t2.json"), "--samples", "-1"],
+], ids=["laurent_samples", "order_samples", "verify_depth", "check_samples"])
+def test_negative_count_exits_two(tmp_path, argv):
+    code, rep = run(tmp_path, *argv)
+    assert code == 2
+    assert rep["error"] == "InvalidInputError"
+    assert "nonnegative" in rep["detail"]
+
+
+def test_negative_corpus_samples_exits_two(tmp_path, capsys):
+    entry = {"name": "x", "kind": "iso_laurent", "expected": {"all_ok": True},
+             "ring": {"kind": "Z"}, "rank": 1, "samples": -3}
+    (tmp_path / "corpus.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    assert main(["corpus", "run", "--dir", str(tmp_path)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error"] == "InvalidInputError"
+    assert "samples must be nonnegative" in rep["detail"]
 
 
 @pytest.mark.parametrize("kind", ["free", "lattice"])
