@@ -82,6 +82,13 @@ def _load_json_arg(text: str):
         raise InvalidInputError(f"bad JSON argument: {exc}") from exc
 
 
+def _load_sgens(text: str) -> list:
+    sgens = _load_json_arg(text)
+    if not isinstance(sgens, list):
+        raise InvalidInputError("sgens must be a JSON list of ring elements")
+    return sgens
+
+
 def _read_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -235,7 +242,7 @@ def _cmd_localize_decompose(args):
     ring = ring_from_dict(_load_json_arg(args.ring))
     m = _load_monoid_file(args.monoid)
     mring = MonoidRing(ring, m)
-    sgens = [mring.from_list(g) for g in _load_json_arg(args.sgens)]
+    sgens = [mring.from_list(g) for g in _load_sgens(args.sgens)]
     nzd = True if (_mring_domain(mring) and all(not g.is_zero() for g in sgens)) else None
     sset = MultiplicativeSet(mring, sgens, nzd=nzd, depth=args.depth)
     loc = LocalizedRing(mring, sset)
@@ -243,11 +250,13 @@ def _cmd_localize_decompose(args):
     if not isinstance(fr, dict) or "num" not in fr:
         raise InvalidInputError('fraction JSON needs "num" and "den_witness"')
     num = mring.from_list(fr["num"])
-    witness = tuple(fr.get("den_witness", []))
+    witness = fr.get("den_witness", [])
+    if not isinstance(witness, list):
+        raise InvalidInputError("den_witness must be a list of generator indices")
     for i in witness:
-        if not isinstance(i, int) or not 0 <= i < len(sgens):
+        if type(i) is not int or not 0 <= i < len(sgens):
             raise InvalidInputError(f"witness index {i!r} out of range")
-    f = loc.from_witness(num, witness)
+    f = loc.from_witness(num, tuple(witness))
     parts = decompose_fraction(loc, f)
     ordered = sorted(parts.items(), key=lambda kv: json.dumps(_groth_key_json(kv[0])))
     rank_one = isinstance(m, FreeCommutativeMonoid) and m.rank == 1
@@ -279,10 +288,7 @@ def _cmd_localize_units(args):
     ring = ring_from_dict(_load_json_arg(args.ring))
     if not isinstance(ring, ModRing):
         raise InvalidInputError("unit enumeration works over Z/n bases")
-    sgens = _load_json_arg(args.sgens)
-    if not isinstance(sgens, list):
-        raise InvalidInputError("sgens must be a JSON list of ring elements")
-    sset = MultiplicativeSet(ring, sgens)
+    sset = MultiplicativeSet(ring, _load_sgens(args.sgens))
     loc = LocalizedRing(ring, sset)
     emb = groth_units_embedding(sset, loc)
     iso = groth_units_iso(sset, loc)
@@ -301,18 +307,24 @@ def _cmd_localize_units(args):
     return {"results": results, "checks": checks}, all(checks.values())
 
 
-def _cmd_iso_verify(args):
-    ring = ring_from_dict(_load_json_arg(args.ring))
-    m = _load_monoid_file(args.monoid)
-    sgens = _load_json_arg(args.sgens)
-    if not isinstance(sgens, list):
-        raise InvalidInputError("sgens must be a JSON list of ring elements")
+def _iso_context(ring, m, sgens: list, depth: int = 8) -> HMapContext:
+    """The context ``iso verify`` and ``iso_verify`` corpus entries check.
+
+    Over Z the generators must be nonzero, and then S holds only
+    non-zero-divisors, so fractions compare by cross-multiplication.
+    """
     nzd = None
     if isinstance(ring, IntegerRing):
         if any(ring.is_zero(ring.validate(g)) for g in sgens):
             raise InvalidInputError("zero generator over Z is not supported")
         nzd = True
-    ctx = HMapContext(ring, m, sgens, nzd=nzd, depth=args.depth)
+    return HMapContext(ring, m, sgens, nzd=nzd, depth=depth)
+
+
+def _cmd_iso_verify(args):
+    ring = ring_from_dict(_load_json_arg(args.ring))
+    m = _load_monoid_file(args.monoid)
+    ctx = _iso_context(ring, m, _load_sgens(args.sgens), args.depth)
     report = verify_isomorphism(ctx, samples=args.samples, seed=args.seed)
     ok = report.pop("all_ok")
     report["roundtrip_ok"] = report["roundtrip_back_ok"] and report["roundtrip_forth_ok"]
@@ -390,7 +402,7 @@ def _run_corpus_entry(entry: dict, seed: int) -> dict:
     elif kind == "iso_verify":
         ring = ring_from_dict(entry["ring"])
         m = monoid_from_dict(entry["monoid"])
-        ctx = HMapContext(ring, m, entry.get("sgens", []))
+        ctx = _iso_context(ring, m, entry.get("sgens", []))
         rep = verify_isomorphism(ctx, samples=entry.get("samples", 60), seed=seed)
     else:  # iso_laurent
         ring = ring_from_dict(entry["ring"])

@@ -2,11 +2,14 @@
 
 T is the multiplicative set {s * eps_m : s in S, m in M} inside R[M].  The
 forward map sends a fraction with denominator s * eps_n to the group-ring
-element whose [m, n]-term has coefficient r_m / s; the inverse clears all
-coefficient denominators over one common monomial denominator.  No gcd
-reduction is attempted anywhere; equalities are semantic.
+element whose [m, n]-term has coefficient r_m / s; the inverse sends each
+term (r / s) at [m, n] to r eps_m / (s eps_n) and takes the sum of these in
+T^-1(R[M]).  No gcd reduction is attempted anywhere; equalities are
+semantic.
 """
 from __future__ import annotations
+
+import functools
 
 from .errors import MalformedDenominatorError, PreconditionError
 from .grothendieck import GrothElement, GrothendieckGroup
@@ -116,35 +119,24 @@ def h_forward(ctx: HMapContext, f: Fraction):
 
 
 def h_inverse(ctx: HMapContext, u) -> Fraction:
-    """(S^-1 R)[G] -> T^-1(R[M]): clear coefficients over a common denominator.
+    """(S^-1 R)[G] -> T^-1(R[M]): the sum of r_i eps_{m_i} / (s_i eps_{n_i}).
 
-    For terms (r_i / s_i) at [m_i, n_i] the common denominator is the
-    product of the s_i * eps_{n_i}; the numerator is the matching mixed sum.
-    No reduction is performed.
+    Each term (r_i / s_i) at [m_i, n_i] becomes a fraction of T^-1(R[M])
+    whose witness is s_i's followed by eps_{n_i}'s, and the fractions are
+    summed there.  No reduction is performed.
     """
     mring = ctx.mring
-    if not u.terms:
-        return Fraction(mring.zero, mring.one, ())
-    factors = []
-    nums = []
-    for key, c in u.terms:
-        nums.append(mring.element({key.first: c.num}))
-        den_i = mring.element({key.second: c.den})
-        wit_i = c.den_witness + ctx.monomial_witness(key.second)
-        factors.append((den_i, wit_i))
-    total_den = mring.one
-    total_wit = ()
-    for den_i, wit_i in factors:
-        total_den = total_den * den_i
-        total_wit = total_wit + wit_i
-    num = mring.zero
-    for i, base in enumerate(nums):
-        term = base
-        for j, (den_j, _) in enumerate(factors):
-            if j != i:
-                term = term * den_j
-        num = num + term
-    return Fraction(num, total_den, total_wit)
+    fracs = [
+        Fraction(
+            mring.element({key.first: c.num}),
+            mring.element({key.second: c.den}),
+            c.den_witness + ctx.monomial_witness(key.second),
+        )
+        for key, c in u.terms
+    ]
+    if not fracs:
+        return ctx.tloc.zero
+    return functools.reduce(ctx.tloc.add, fracs)
 
 
 # ---------------------------------------------------------------------------

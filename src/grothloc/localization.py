@@ -27,6 +27,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import (
+    InvalidInputError,
     OracleRequiredError,
     PreconditionError,
     UndecidableConfigurationError,
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .grothendieck import CayleyMonoid, GrothElement, GrothendieckGroup, kernel_group
 from .monoid import idempotent_power
-from .ring import MonoidRing, degree_of, degree_sums, homogeneous_components
+from .ring import MonoidRing, degree_of, homogeneous_components
 
 
 class Fraction:
@@ -302,63 +303,6 @@ def sum_components(loc: LocalizedRing, parts) -> Fraction:
     return acc
 
 
-@dataclass
-class SupportSubmonoid:
-    """Materialized chunk of {[m, deg s]}; membership is a set lookup."""
-
-    group: GrothendieckGroup
-    members: list
-
-    def __post_init__(self):
-        self._keys = {self.group.key(x) for x in self.members}
-
-    def contains(self, key: GrothElement) -> bool:
-        return self.group.key(key) in self._keys
-
-    def __len__(self):
-        return len(self.members)
-
-
-def support_submonoid(loc: LocalizedRing, m_degrees=None, depth: int = 8,
-                      rounds: int = 1) -> SupportSubmonoid:
-    """Degrees supporting the localization: classes [m, deg s].
-
-    ``m_degrees`` seeds the monoid side (defaults to the full carrier when
-    finite); the denominator side runs over products of at most ``depth``
-    generator degrees.  ``rounds`` extra rounds of pairwise sums follow,
-    with semantic deduplication throughout.
-    """
-    if not isinstance(loc.ring, MonoidRing):
-        raise UnsupportedFamilyError("support degrees need a monoid-ring base")
-    if not loc.sset.homogeneous_flag:
-        raise PreconditionError("support degrees need homogeneous denominators")
-    monoid = loc.ring.monoid
-    group = loc.groth_group
-    if m_degrees is None:
-        if not monoid.is_finite:
-            raise PreconditionError("sample degrees are required for infinite monoids")
-        m_degrees = list(monoid.elements())
-    s_degs = degree_sums(monoid, [degree_of(g) for g in loc.sset.generators], depth)
-    members = {}
-    for m in m_degrees:
-        for s in sorted(s_degs, key=lambda d: (d,) if isinstance(d, int) else d):
-            key = GrothElement(monoid.validate(m), s)
-            members.setdefault(group.key(key), key)
-    for _ in range(rounds):
-        fresh = {}
-        current = list(members.values())
-        for x in current:
-            for y in current:
-                z = group.add(x, y)
-                k = group.key(z)
-                if k not in members:
-                    fresh.setdefault(k, z)
-        if not fresh:
-            break
-        members.update(fresh)
-    return SupportSubmonoid(group, list(members.values()))
-
-
 # ---------------------------------------------------------------------------
 # saturation
 
@@ -617,13 +561,17 @@ def kx_counterexample_check(p: int = 5, samples: int = 50, seed: int = 0) -> dic
     S: every S element is a product of generators, so its degree is a sum of
     generator degrees, all of which are 0 or >= 2; degree 1 is unreachable.
     Units of the localization are still quotients of S elements, checked by
-    rewriting sampled units s/t after multiplying through by x^2.
+    rewriting sampled units s/t after multiplying through by x^2.  p must be
+    prime: S is declared to hold non-zero-divisors, and for p = a*b the
+    constants a and b multiply to 0 in S.
     """
     from .monoid import FreeCommutativeMonoid
     from .ring import ModRing
     from .rng import Lcg64
 
     K = ModRing(p)
+    if not K.is_field:
+        raise InvalidInputError(f"K[x] needs a prime modulus, got {p}")
     M = FreeCommutativeMonoid(1)
     R = MonoidRing(K, M)
     gens = [R.scalar(c) for c in range(2, p)] + [R.epsilon((2,)), R.epsilon((3,))]

@@ -17,11 +17,10 @@ from .errors import (
     InvalidInputError,
     MalformedElementError,
     NotHomogeneousError,
-    PreconditionError,
     UnsupportedFamilyError,
 )
 from .grothendieck import GrothElement, GrothendieckGroup, canonical_map_injective
-from .monoid import CommutativeMonoid, base_monoid, is_cancellative
+from .monoid import CommutativeMonoid, base_monoid
 
 
 def _is_prime(n: int) -> bool:
@@ -568,35 +567,3 @@ def canonical_to_group_ring(f: MRElement, gring: GroupRing) -> GroupRingElement:
     return gring.from_terms(
         [(group.canonical(d), c) for d, c in f.items()]
     )
-
-
-# ---------------------------------------------------------------------------
-# degree submonoids
-
-
-def degrees_submonoid(gens, depth: int = 8) -> set:
-    """Degrees of a homogeneous generating set, closed under <= depth+1 sums.
-
-    Generators must be homogeneous and nonzero; the ambient monoid must be
-    cancellative so degrees of products add.  The identity degree (of 1) is
-    always included.
-    """
-    gens = list(gens)
-    if not gens:
-        raise PreconditionError("need at least one generator")
-    monoid = gens[0].monoid
-    if not is_cancellative(monoid):
-        raise PreconditionError("degree bookkeeping needs a cancellative monoid")
-    return degree_sums(monoid, {degree_of(g) for g in gens}, depth + 1)
-
-
-def degree_sums(monoid, degrees, k: int) -> set:
-    """Sums of at most k of the given degrees; the identity is the empty sum."""
-    sums = {monoid.identity}
-    frontier = set(sums)
-    for _ in range(k):
-        frontier = {monoid.op(x, d) for x in frontier for d in degrees} - sums
-        if not frontier:
-            break
-        sums |= frontier
-    return sums

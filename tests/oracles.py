@@ -24,7 +24,9 @@ ideal searches are the earlier way to find T for S = 1 + I, which the
 library now reads off I + R*a = R.  Fraction and group-ring equality by
 testing a difference for zero, and the closure of a multiplicative set built
 in its constructor, are the references for the direct comparisons and the
-closure built on first read.
+closure built on first read.  The inverse graded map that clears every
+coefficient over one hand-built common denominator is the reference for the
+sum of the terms in T^-1(R[M]).
 """
 import functools
 import itertools
@@ -719,3 +721,40 @@ def eager_closure(ring, generators, depth: int = 8) -> tuple:
         frontier = new
         rounds += 1
     return closure, not frontier
+
+
+# ---------------------------------------------------------------------------
+# the inverse graded map by one common denominator; the library now sums the
+# terms r*eps_m / (s*eps_n) with ``LocalizedRing.add``
+
+
+def common_denominator_h_inverse(ctx, u) -> Fraction:
+    """The earlier ``h_inverse``: clear coefficients over a common denominator.
+
+    For terms (r_i / s_i) at [m_i, n_i] the common denominator is the
+    product of the s_i * eps_{n_i}; the numerator is the matching mixed sum.
+    No reduction is performed.
+    """
+    mring = ctx.mring
+    if not u.terms:
+        return Fraction(mring.zero, mring.one, ())
+    factors = []
+    nums = []
+    for key, c in u.terms:
+        nums.append(mring.element({key.first: c.num}))
+        den_i = mring.element({key.second: c.den})
+        wit_i = c.den_witness + ctx.monomial_witness(key.second)
+        factors.append((den_i, wit_i))
+    total_den = mring.one
+    total_wit = ()
+    for den_i, wit_i in factors:
+        total_den = total_den * den_i
+        total_wit = total_wit + wit_i
+    num = mring.zero
+    for i, base in enumerate(nums):
+        term = base
+        for j, (den_j, _) in enumerate(factors):
+            if j != i:
+                term = term * den_j
+        num = num + term
+    return Fraction(num, total_den, total_wit)

@@ -222,6 +222,25 @@ class TestLocalizeDecompose:
         assert code == 2
 
 
+    @pytest.mark.parametrize("sgens, fraction", [
+        ("5", '{"num": [[1, [0]]], "den_witness": [0]}'),
+        ("[[[1, [1]]]]", '{"num": [[1, [0]]], "den_witness": 5}'),
+        ("[[[1, [1]]], [[1, [1]]]]", '{"num": [[1, [0]]], "den_witness": [true]}'),
+        ("[[[1, [1]]]]", '{"num": [[1, [0]]], "den_witness": [0.0]}'),
+    ], ids=["sgens-not-a-list", "witness-not-a-list", "bool-index", "float-index"])
+    def test_malformed_input_exits_two(self, tmp_path, free1, sgens, fraction):
+        code, rep = run(
+            tmp_path,
+            "localize", "decompose",
+            "--ring", ZMOD5,
+            "--monoid", free1,
+            "--sgens", sgens,
+            "--fraction", fraction,
+        )
+        assert code == 2
+        assert rep["error"] == "InvalidInputError"
+
+
 class TestLocalizeUnits:
     def test_idempotent_generator_over_z12(self, tmp_path):
         code, rep = run(
@@ -372,6 +391,38 @@ class TestCorpusRun:
         row = rep["results"]["entries"][0]
         assert row["ok"] is False
         assert row["actual"] == {}
+
+    def test_iso_verify_entry_over_z_matches_the_command(self, tmp_path):
+        """Over Z at [2] the entry, like ``iso verify`` in
+        ``test_verify_below_the_sampled_powers``, compares fractions by
+        cross-multiplication."""
+        monoid = json.loads((CORPUS / "free2.json").read_text(encoding="utf-8"))
+        entry = {"name": "z_at_2", "kind": "iso_verify", "ring": {"kind": "Z"},
+                 "monoid": monoid, "sgens": [2], "samples": 20,
+                 "expected": {"all_ok": True}}
+        (tmp_path / "corpus.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        code, rep = run(tmp_path, "corpus", "run", "--dir", str(tmp_path))
+        assert code == 0
+        assert rep["results"]["entries"][0]["actual"] == {"all_ok": True}
+
+    def test_iso_verify_entry_with_zero_generator_over_z_exits_two(self, tmp_path):
+        entry = {"name": "z_at_0", "kind": "iso_verify", "ring": {"kind": "Z"},
+                 "monoid": {"kind": "free", "rank": 1}, "sgens": [0],
+                 "expected": {"all_ok": True}}
+        (tmp_path / "corpus.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        code, rep = run(tmp_path, "corpus", "run", "--dir", str(tmp_path))
+        assert code == 2
+        assert rep["error"] == "InvalidInputError"
+
+    @pytest.mark.parametrize("modulus", [4, 6])
+    def test_kx_entry_needs_a_prime_modulus(self, tmp_path, modulus):
+        entry = {"name": "kx", "kind": "kx", "modulus": modulus, "samples": 5,
+                 "expected": {"x_in_s": False}}
+        (tmp_path / "corpus.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        code, rep = run(tmp_path, "corpus", "run", "--dir", str(tmp_path))
+        assert code == 2
+        assert rep["error"] == "InvalidInputError"
+        assert "prime" in rep["detail"]
 
     def test_missing_dir_exits_two(self, tmp_path):
         code, rep = run(tmp_path, "corpus", "run", "--dir", str(tmp_path / "missing"))

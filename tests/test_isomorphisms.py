@@ -13,11 +13,13 @@ from grothloc import (
     h_forward,
     h_inverse,
     laurent_iso,
+    sample_group_ring_element,
     sample_t_fraction,
     verify_isomorphism,
 )
 
 import zoo
+from oracles import common_denominator_h_inverse
 
 
 @pytest.fixture
@@ -103,13 +105,50 @@ class TestRoundTrips:
 
     def test_back_then_forward(self, line_ctx):
         ctx = line_ctx
-        from grothloc.isomorphisms import sample_group_ring_element
         rng = Lcg64(32)
         gr = ctx.group_ring
         for _ in range(60):
             u = sample_group_ring_element(ctx, rng)
             again = h_forward(ctx, h_inverse(ctx, u))
             assert gr.eq(again, u)
+
+
+# contexts for the differential test of h_inverse: free monoids over Z with
+# S = <2, 3> and over Z/p, a cancellative and a non-cancellative Cayley monoid
+DIFFERENTIAL_CONTEXTS = {
+    "Z[N]_at_2_3": lambda: HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2, 3], nzd=True),
+    "Z[N^2]_at_2_3": lambda: HMapContext(IntegerRing(), FreeCommutativeMonoid(2), [2, 3], nzd=True),
+    "Z/7[N]": lambda: HMapContext(ModRing(7), FreeCommutativeMonoid(1), []),
+    "Z/7[N^3]": lambda: HMapContext(ModRing(7), FreeCommutativeMonoid(3), []),
+    "Z/11[N^2]_at_2": lambda: HMapContext(ModRing(11), FreeCommutativeMonoid(2), [2]),
+    "Z/5[Z/4]_at_2": lambda: HMapContext(ModRing(5), zoo.z4(), [2]),
+    "Z/6[T2+Z/2]_at_2": lambda: HMapContext(ModRing(6), zoo.t2_z2_table(), [2]),
+}
+
+
+class TestInverseAgainstCommonDenominator:
+    """h_inverse sums the terms in T^-1(R[M]); summed from the first term on,
+    it must give the numerator, denominator and witness that clearing every
+    coefficient over one common denominator gives."""
+
+    @staticmethod
+    def assert_same(ctx, u):
+        got = h_inverse(ctx, u)
+        want = common_denominator_h_inverse(ctx, u)
+        assert (got.num, got.den, got.den_witness) == (want.num, want.den, want.den_witness)
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONTEXTS))
+    def test_seeded_elements(self, name):
+        ctx = DIFFERENTIAL_CONTEXTS[name]()
+        rng = Lcg64(1100)
+        for _ in range(150):
+            u = sample_group_ring_element(ctx, rng, max_terms=4)
+            self.assert_same(ctx, u)
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONTEXTS))
+    def test_empty_element(self, name):
+        ctx = DIFFERENTIAL_CONTEXTS[name]()
+        self.assert_same(ctx, ctx.group_ring.from_terms([]))
 
 
 class TestBatteries:

@@ -8,11 +8,13 @@ from grothloc import (
     GrothElement,
     GrothendieckGroup,
     IntegerRing,
+    InvalidInputError,
     Lcg64,
     LocalizedRing,
     ModRing,
     MonoidRing,
     MultiplicativeSet,
+    PreconditionError,
     UndecidableConfigurationError,
     decompose_fraction,
     fraction_degree,
@@ -25,7 +27,6 @@ from grothloc import (
     sample_fraction,
     saturate,
     sum_components,
-    support_submonoid,
     units_of_localization,
 )
 
@@ -200,37 +201,12 @@ class TestDecomposition:
         z = loc.frac(mring.zero, mring.epsilon((1,)))
         assert decompose_fraction(loc, z) == {}
 
-
-class TestSupportSubmonoid:
-    def test_plane_localized_at_x(self):
-        """Supports of K[x,y] localized at x: x-degree free, y-degree not."""
-        mring = MonoidRing(ModRing(5), FreeCommutativeMonoid(2))
-        x = mring.epsilon((1, 0))
-        loc = LocalizedRing(mring, MultiplicativeSet(mring, [x], nzd=True))
-        degs = [(a, b) for a in range(3) for b in range(3)]
-        sup = support_submonoid(loc, m_degrees=degs, depth=6)
-        group = loc.groth_group
-        assert sup.contains(group.element((0, 0), (2, 0)))   # x^-2
-        assert sup.contains(group.element((0, 2), (1, 0)))   # y^2 / x
-        assert not sup.contains(group.element((0, 0), (0, 1)))  # y^-1
-
-    @pytest.mark.parametrize("depth", [0, 1, 3])
-    def test_denominators_are_products_of_at_most_depth_generators(self, depth):
-        mring = MonoidRing(ModRing(5), FreeCommutativeMonoid(1))
-        loc = LocalizedRing(mring, MultiplicativeSet(mring, [mring.epsilon((1,))], nzd=True))
-        sup = support_submonoid(loc, m_degrees=[(0,)], depth=depth, rounds=0)
-        group = loc.groth_group
-        assert len(sup) == depth + 1
-        assert sup.contains(group.element((0,), (depth,)))
-        assert not sup.contains(group.element((0,), (depth + 1,)))
-
     def test_requires_homogeneous_denominators(self):
         mring = MonoidRing(ModRing(5), FreeCommutativeMonoid(1))
         f = mring.one + mring.epsilon((1,))
         loc = LocalizedRing(mring, MultiplicativeSet(mring, [f], nzd=True))
-        from grothloc import PreconditionError
         with pytest.raises(PreconditionError):
-            support_submonoid(loc, m_degrees=[(0,)])
+            decompose_fraction(loc, loc.from_witness(mring.one, (0,)))
 
 
 class TestSaturation:
@@ -403,3 +379,10 @@ class TestPolynomialCounterexample:
         rep = kx_counterexample_check(3, samples=10, seed=1)
         assert rep["rewrite_example_ok"]
         assert rep["unit_rewrites_ok"] == 10
+
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_composite_modulus_rejected(self, p):
+        """Over Z/p with p = a*b the constants a and b put 0 = a*b in S, so
+        S does not hold only non-zero-divisors, as the check assumes."""
+        with pytest.raises(InvalidInputError):
+            kx_counterexample_check(p, samples=5)

@@ -18,7 +18,6 @@ from grothloc import (
     ZeroDegreeError,
     canonical_to_group_ring,
     degree_of,
-    degrees_submonoid,
     group_ring_map_injective,
     homogeneous_components,
     is_cancellative,
@@ -309,25 +308,6 @@ class TestGroupRing:
         f = mring.element({0: 1, 1: 1})
         assert not f.is_zero()
         assert canonical_to_group_ring(f, gring).is_zero()
-
-
-class TestDegreesSubmonoid:
-    def test_powers_of_x(self):
-        mring = MonoidRing(ModRing(5), FreeCommutativeMonoid(1))
-        degs = degrees_submonoid([mring.epsilon((1,))], depth=5)
-        assert degs == {(k,) for k in range(7)}
-
-    def test_two_generators(self):
-        mring = MonoidRing(ModRing(5), FreeCommutativeMonoid(2))
-        degs = degrees_submonoid(
-            [mring.epsilon((1, 0)), mring.epsilon((0, 1))], depth=3
-        )
-        assert (0, 0) in degs and (2, 1) in degs
-
-    def test_rejects_inhomogeneous_generator(self):
-        mring = MonoidRing(ModRing(5), FreeCommutativeMonoid(1))
-        with pytest.raises(NotHomogeneousError):
-            degrees_submonoid([mring.one + mring.epsilon((1,))])
 
 
 @given(st.integers(2, 9), st.integers(-20, 20), st.integers(-20, 20))

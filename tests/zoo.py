@@ -67,6 +67,14 @@ def t2_plus_z2():
     return DirectSumMonoid([t2(), z2()])
 
 
+def t2_z2_table():
+    """T2 + Z/2 as one Cayley table, (a, b) at 2a + b: join on a, addition
+    mod 2 on b.  Not cancellative, and G = Z/2."""
+    return CayleyMonoid(
+        [[2 * max(i >> 1, j >> 1) + ((i ^ j) & 1) for j in range(4)] for i in range(4)]
+    )
+
+
 def z2_plus_z2():
     return DirectSumMonoid([z2(), z2()])
 
