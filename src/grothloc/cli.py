@@ -42,6 +42,7 @@ from .localization import (
 from .isomorphisms import HMapContext, laurent_iso, verify_isomorphism
 from .monoid import (
     FreeCommutativeMonoid,
+    IntegerLatticeMonoid,
     MonoidPresentation,
     is_cancellative,
     monoid_from_dict,
@@ -137,11 +138,8 @@ def _cmd_monoid_check(args):
         results["carrier_size"] = m.size()
         all_quasi_zero = results["quasi_zero_size"] == m.size()
         checks["quasi_zero_all_iff_trivial"] = all_quasi_zero == results["groth_trivial"]
-    elif isinstance(m, FreeCommutativeMonoid):
-        results["groth_trivial"] = m.rank == 0
-    elif isinstance(m, MonoidPresentation):
-        s = monoid_groth_structure(m)
-        results["groth_trivial"] = s.free_rank == 0 and not s.torsion_invariants
+    else:
+        results["groth_trivial"] = monoid_groth_structure(m).order() == 1
     ok = all(checks.values())
     return {"results": results, "checks": checks}, ok
 
@@ -154,11 +152,12 @@ def _cmd_groth_compute(args):
 
 def _cmd_groth_order(args):
     m = _load_monoid_file(args.monoid)
-    if isinstance(m, FreeCommutativeMonoid):
+    if isinstance(m, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
+        # G(N^k) = G(Z^k) = Z^k: k generators, no relations
         m = MonoidPresentation(m.rank, ())
     if not isinstance(m, MonoidPresentation):
         raise InvalidInputError(
-            "total orders are built from presentation or free descriptions"
+            "total orders are built from presentation, free or lattice descriptions"
         )
     snf = smith_normal_form(presentation_matrix(m), ncols=m.generators)
     s = structure_from_snf(snf)

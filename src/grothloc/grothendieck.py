@@ -46,9 +46,9 @@ from .monoid import (
     MonoidPresentation,
     DirectSumMonoid,
     MonoidValue,
-    base_monoid,
     idempotent_power,
     is_cancellative,
+    numeric_compare,
 )
 
 
@@ -273,6 +273,30 @@ def presentation_matrix(p: MonoidPresentation) -> list:
     ]
 
 
+def snf_slots(snf: SNFResult) -> list:
+    """(j, column j of V, d_j) for every non-unit slot j of y = wV.
+
+    w lies in the row lattice of A exactly when d_j divides y_j for every j,
+    with d_j = 0 past the diagonal.  A slot with d_j = 1 is then always
+    zero and is dropped; d_j = 0 marks a free slot, d_j >= 2 a torsion one.
+    """
+    diag = snf.invariant_factors
+    return [
+        (j, [row[j] for row in snf.V], diag[j] if j < len(diag) else 0)
+        for j in range(snf.ncols)
+        if j >= len(diag) or diag[j] != 1
+    ]
+
+
+def lattice_key(slots: list, w) -> tuple:
+    """y = wV on the given slots, each torsion slot reduced mod its d_j."""
+    out = []
+    for _, col, d in slots:
+        y = sum(map(mul, w, col))
+        out.append(y % d if d else y)
+    return tuple(out)
+
+
 def structure_from_snf(snf: SNFResult) -> FGAbelianStructure:
     nonzero = [d for d in snf.invariant_factors if d != 0]
     torsion = tuple(d for d in nonzero if d > 1)
@@ -319,21 +343,15 @@ class GrothendieckGroup:
     """Pairs over a base monoid with a decidable identification."""
 
     def __init__(self, base: CommutativeMonoid):
-        base = base_monoid(base)
         self.base = base
         self._slots = None
         self._kernel = None
         self._parts = None
         if isinstance(base, MonoidPresentation):
             self.strategy = "presentation-lattice"
-            snf = smith_normal_form(presentation_matrix(base), ncols=base.generators)
-            diag = snf.invariant_factors
-            # (column j of V, modulus) for every non-unit slot; 0 marks a free one
-            self._slots = [
-                ([row[j] for row in snf.V], diag[j] if j < len(diag) else 0)
-                for j in range(base.generators)
-                if j >= len(diag) or diag[j] != 1
-            ]
+            self._slots = snf_slots(
+                smith_normal_form(presentation_matrix(base), ncols=base.generators)
+            )
         else:
             try:
                 cancellative = is_cancellative(base)
@@ -390,18 +408,11 @@ class GrothendieckGroup:
             self._kernel = kernel_group(self.base.op, list(self.base.elements()))
         return self._kernel
 
-    def _lattice_key(self, w) -> tuple:
-        out = []
-        for col, d in self._slots:
-            y = sum(a * v for a, v in zip(w, col))
-            out.append(y % d if d else y)
-        return tuple(out)
-
     def key(self, x: GrothElement):
         """Hashable normal form: key(x) == key(y) exactly when eq(x, y)."""
         base = self.base
         if self._slots is not None:
-            return self._lattice_key([p - q for p, q in zip(x.first, x.second)])
+            return lattice_key(self._slots, [p - q for p, q in zip(x.first, x.second)])
         if base.is_finite:
             e, inv, _ = self._kernel_inverses()
             # (a+e) - (b+e) in K; the inverse already lies in K, so +e is implied
@@ -426,7 +437,7 @@ class GrothendieckGroup:
         if self.strategy == "finite-witness-enumeration":
             e = self._kernel_inverses()[0]
             return m.op(lhs, e) == m.op(rhs, e)
-        return not any(self._lattice_key([p - q for p, q in zip(lhs, rhs)]))
+        return not any(lattice_key(self._slots, [p - q for p, q in zip(lhs, rhs)]))
 
     def is_zero(self, x: GrothElement) -> bool:
         return self.eq(x, self.zero())
@@ -537,7 +548,6 @@ def finite_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
     the invariant factors, #{x in K : ord(x) | p^k} = p^(sum_i min(k, e_i)),
     so the step from k-1 to k counts the invariant factors divisible by p^k.
     """
-    m = base_monoid(m)
     if not m.is_finite:
         raise UnsupportedFamilyError("the kernel group needs a finite base")
     orders = kernel_group(m.op, list(m.elements()))[2].values()
@@ -571,7 +581,6 @@ def finite_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
 
 def monoid_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
     """Structure of G(M) for any supported family, dispatching as needed."""
-    m = base_monoid(m)
     if isinstance(m, MonoidPresentation):
         return groth_of_presentation(m)
     if isinstance(m, FreeCommutativeMonoid):
@@ -624,24 +633,20 @@ def order_from_monoid_order(group: GrothendieckGroup, compare) -> Callable:
 class GrothOrder:
     """Total order on a torsion-free presented Grothendieck group.
 
-    Classes are mapped to Z^r coordinates through the SNF column transform
-    (the certificate); comparison is lexicographic on those coordinates.
+    Every non-unit slot of the SNF is then free, so the coordinates of a
+    class are its lattice key (``GrothendieckGroup.key``) on the slots in
+    ``free_positions``; comparison is lexicographic on them.
     """
 
     def __init__(self, snf: SNFResult, free_positions: list):
-        self.snf = snf
         self.free_positions = list(free_positions)
-        # only the free columns of V give coordinates
-        self._columns = [[row[j] for row in snf.V] for j in self.free_positions]
+        self._slots = [s for s in snf_slots(snf) if s[0] in self.free_positions]
 
     def coords(self, x: GrothElement) -> tuple:
-        w = [a - b for a, b in zip(x.first, x.second)]
-        return tuple([sum(map(mul, w, col)) for col in self._columns])
+        return lattice_key(self._slots, [a - b for a, b in zip(x.first, x.second)])
 
     def compare(self, x: GrothElement, y: GrothElement) -> int:
-        cx = self.coords(x)
-        cy = self.coords(y)
-        return (cx > cy) - (cx < cy)
+        return numeric_compare(self.coords(x), self.coords(y))
 
     def __call__(self, x: GrothElement, y: GrothElement) -> int:
         return self.compare(x, y)

@@ -17,7 +17,6 @@ from .localization import Fraction, LocalizedRing, MultiplicativeSet
 from .monoid import (
     FreeCommutativeMonoid,
     IntegerLatticeMonoid,
-    base_monoid,
     is_cancellative,
     sample_element,
 )
@@ -36,7 +35,7 @@ class HMapContext:
     def __init__(self, ring, monoid, sgens, *, nzd: bool | None = None,
                  depth: int = 8):
         self.ring = ring
-        self.monoid = base_monoid(monoid)
+        self.monoid = monoid
         self.sset = MultiplicativeSet(ring, sgens, nzd=nzd, depth=depth)
         self.loc = LocalizedRing(ring, self.sset)
         self.mring = MonoidRing(ring, self.monoid)

@@ -346,66 +346,15 @@ class DirectSumMonoid(CommutativeMonoid):
         return f"DirectSumMonoid({self.components!r})"
 
 
-class OrderedMonoid(CommutativeMonoid):
-    """A monoid together with a claimed compatible total order.
-
-    ``compare(a, b)`` returns -1, 0, or 1.  The order is NOT validated at
-    construction; use find_order_violation / check_order_compatible.
-    """
-
-    def __init__(self, monoid: CommutativeMonoid, compare):
-        self.monoid = monoid
-        self.compare = compare
-        self.is_finite = monoid.is_finite
-
-    @property
-    def identity(self):
-        return self.monoid.identity
-
-    def op(self, a, b):
-        return self.monoid.op(a, b)
-
-    def validate(self, a):
-        return self.monoid.validate(a)
-
-    def elements(self):
-        return self.monoid.elements()
-
-    def size(self):
-        return self.monoid.size()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrderedMonoid)
-            and self.monoid == other.monoid
-            and self.compare is other.compare
-        )
-
-    def __hash__(self):
-        return hash((self.monoid, id(self.compare)))
-
-    def __repr__(self):
-        return f"OrderedMonoid({self.monoid!r})"
-
-
-def base_monoid(m: CommutativeMonoid) -> CommutativeMonoid:
-    """Strip an OrderedMonoid wrapper, if any."""
-    return m.monoid if isinstance(m, OrderedMonoid) else m
-
-
-def numeric_compare(a: int, b: int) -> int:
+def numeric_compare(a, b) -> int:
+    """-1, 0 or 1; tuples compare lexicographically."""
     return (a > b) - (a < b)
 
 
-def tuple_lex_compare(a: tuple, b: tuple) -> int:
-    return (a > b) - (a < b)
-
-
-def natural_order(m: CommutativeMonoid) -> OrderedMonoid:
-    """Equip a free or lattice monoid with its lexicographic order."""
-    m = base_monoid(m)
+def natural_order(m: CommutativeMonoid):
+    """The lexicographic comparator of a free or lattice monoid."""
     if isinstance(m, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
-        return OrderedMonoid(m, tuple_lex_compare)
+        return numeric_compare
     raise MissingOrderError(f"no natural total order for {type(m).__name__}")
 
 
@@ -423,7 +372,6 @@ def is_cancellative(m: CommutativeMonoid) -> bool:
     Read off e for Cayley tables, structural for free/lattice families,
     componentwise for direct sums; presented monoids are rejected.
     """
-    m = base_monoid(m)
     if isinstance(m, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
         return True
     if isinstance(m, CayleyMonoid):
@@ -440,7 +388,6 @@ def is_cancellative(m: CommutativeMonoid) -> bool:
 def quasi_zero_submonoid(m: CommutativeMonoid) -> set:
     """{x : x + y = y for some y} = {x : x + e = e}: x + (y+e) = y+e in the
     group M + e forces x + e = e, and y = e is a witness."""
-    m = base_monoid(m)
     if not m.is_finite:
         raise UnsupportedFamilyError("quasi-zero search needs a finite carrier")
     e = idempotent_power(m.op, functools.reduce(m.op, m.elements()))
@@ -449,50 +396,49 @@ def quasi_zero_submonoid(m: CommutativeMonoid) -> set:
 
 def sample_element(m: CommutativeMonoid, rng: Lcg64, bound: int = 6) -> MonoidValue:
     """Draw a pseudo-random element; ``bound`` caps tuple coordinates."""
-    m0 = base_monoid(m)
-    if isinstance(m0, CayleyMonoid):
-        return rng.below(m0.size())
-    if isinstance(m0, (FreeCommutativeMonoid, MonoidPresentation)):
-        k = m0.generators if isinstance(m0, MonoidPresentation) else m0.rank
+    if isinstance(m, CayleyMonoid):
+        return rng.below(m.size())
+    if isinstance(m, (FreeCommutativeMonoid, MonoidPresentation)):
+        k = m.generators if isinstance(m, MonoidPresentation) else m.rank
         return tuple(rng.below(bound + 1) for _ in range(k))
-    if isinstance(m0, IntegerLatticeMonoid):
-        return tuple(rng.below(2 * bound + 1) - bound for _ in range(m0.rank))
-    if isinstance(m0, DirectSumMonoid):
-        return tuple(sample_element(c, rng, bound) for c in m0.components)
-    raise UnsupportedFamilyError(f"cannot sample from {type(m0).__name__}")
+    if isinstance(m, IntegerLatticeMonoid):
+        return tuple(rng.below(2 * bound + 1) - bound for _ in range(m.rank))
+    if isinstance(m, DirectSumMonoid):
+        return tuple(sample_element(c, rng, bound) for c in m.components)
+    raise UnsupportedFamilyError(f"cannot sample from {type(m).__name__}")
 
 
-def find_order_violation(om: OrderedMonoid, sample_budget: int = 1000,
+def find_order_violation(m: CommutativeMonoid, compare, sample_budget: int = 1000,
                          seed: int = 0, bound: int = 6):
-    """Search for a compatibility failure of the claimed order.
+    """Search for a compatibility failure of the claimed order ``compare``.
 
     Returns a violating triple (a, b, c) with a < b but not a+c < b+c
     (non-strict failure counts only on cancellative monoids), or None.
     Finite monoids are swept exhaustively; infinite families are sampled.
     """
     try:
-        strict = is_cancellative(om)
+        strict = is_cancellative(m)
     except UnsupportedFamilyError:
         strict = False
-    if om.is_finite:
-        triples = itertools.product(om.elements(), repeat=3)
+    if m.is_finite:
+        triples = itertools.product(m.elements(), repeat=3)
     else:
         rng = Lcg64(seed)
         triples = (
-            tuple(sample_element(om, rng, bound) for _ in range(3))
+            tuple(sample_element(m, rng, bound) for _ in range(3))
             for _ in range(sample_budget)
         )
     for a, b, c in triples:
-        if om.compare(a, b) < 0:
-            s = om.compare(om.op(a, c), om.op(b, c))
+        if compare(a, b) < 0:
+            s = compare(m.op(a, c), m.op(b, c))
             if s > 0 or (s == 0 and strict):
                 return (a, b, c)
     return None
 
 
-def check_order_compatible(om: OrderedMonoid, sample_budget: int = 1000,
+def check_order_compatible(m: CommutativeMonoid, compare, sample_budget: int = 1000,
                            seed: int = 0, bound: int = 6) -> bool:
-    return find_order_violation(om, sample_budget, seed, bound) is None
+    return find_order_violation(m, compare, sample_budget, seed, bound) is None
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +453,8 @@ def monoid_from_dict(data: dict) -> CommutativeMonoid:
         if kind == "cayley":
             table = data["table"]
             size = data.get("size", len(table))
+            if isinstance(size, bool) or not isinstance(size, int):
+                raise InvalidInputError(f"size must be an integer, got {size!r}")
             if size != len(table):
                 raise InvalidInputError("declared size disagrees with table")
             return CayleyMonoid(table, identity=data.get("identity", 0))
@@ -529,7 +477,6 @@ def monoid_from_dict(data: dict) -> CommutativeMonoid:
 
 
 def monoid_to_dict(m: CommutativeMonoid) -> dict:
-    m = base_monoid(m)
     if isinstance(m, CayleyMonoid):
         return {
             "kind": "cayley",

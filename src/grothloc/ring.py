@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .grothendieck import GrothElement, GrothendieckGroup, canonical_map_injective
-from .monoid import CommutativeMonoid, base_monoid
+from .monoid import CommutativeMonoid
 
 
 def _is_prime(n: int) -> bool:
@@ -264,7 +264,7 @@ class MonoidRing:
 
     def __init__(self, coeff_ring, monoid: CommutativeMonoid):
         self.coeff_ring = coeff_ring
-        self.monoid = base_monoid(monoid)
+        self.monoid = monoid
         self.is_finite = coeff_ring.is_finite and self.monoid.is_finite
         self.zero = MRElement(coeff_ring, self.monoid, {})
         self.one = self.epsilon(self.monoid.identity)

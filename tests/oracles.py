@@ -51,7 +51,7 @@ from grothloc import (
 )
 from grothloc.errors import InvalidInputError, PreconditionError, UnsupportedFamilyError
 from grothloc.grothendieck import SNFResult, _eye
-from grothloc.monoid import CommutativeMonoid, base_monoid, idempotent_power
+from grothloc.monoid import CommutativeMonoid, idempotent_power
 from grothloc.ring import _require_finite_modring
 
 
@@ -322,7 +322,6 @@ def sweep_group_ring_map_injective(mring: MonoidRing, group: GrothendieckGroup |
 
 def sweep_quasi_zero_submonoid(m: CommutativeMonoid) -> set:
     """{x : x + y = y for some y}; the witness y makes x act like a zero."""
-    m = base_monoid(m)
     if not m.is_finite:
         raise UnsupportedFamilyError("quasi-zero search needs a finite carrier")
     elems = list(m.elements())
@@ -606,7 +605,6 @@ def matched_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
     Classes are enumerated outright; the chain is recovered by matching the
     multiset of element orders against every candidate divisor chain.
     """
-    m = base_monoid(m)
     group = GrothendieckGroup(m)
     reps = groth_classes(group)
     n = len(reps)

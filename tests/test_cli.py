@@ -63,6 +63,21 @@ class TestMonoidCheck:
         assert rep["law"]
         assert isinstance(rep["witness"], list)
 
+    @pytest.mark.parametrize("doc, trivial", [
+        ({"kind": "lattice", "rank": 0}, True),
+        ({"kind": "lattice", "rank": 2}, False),
+        ({"kind": "direct_sum", "components": [
+            {"kind": "cayley", "table": [[0, 1], [1, 1]]},
+            {"kind": "free", "rank": 1},
+        ]}, False),
+    ], ids=["lattice0", "lattice2", "t2_plus_n"])
+    def test_groth_trivial_for_infinite_families(self, tmp_path, doc, trivial):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, rep = run(tmp_path, "monoid", "check", str(p))
+        assert code == 0
+        assert rep["results"]["groth_trivial"] is trivial
+
     def test_missing_file_exits_two(self, tmp_path):
         code, rep = run(tmp_path, "monoid", "check", str(tmp_path / "no.json"))
         assert code == 2
@@ -133,6 +148,23 @@ class TestGrothOrder:
         assert rep["results"]["orderable"] is False
         assert rep["results"]["torsion_order"] == 2
         assert rep["results"]["torsion_witness"]
+
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_lattice_orders_like_free(self, tmp_path, rank):
+        # G(Z^k) = G(N^k) = Z^k, so both read as k generators, no relations
+        reports = []
+        for kind in ("lattice", "free"):
+            p = tmp_path / f"{kind}.json"
+            p.write_text(json.dumps({"kind": kind, "rank": rank}), encoding="utf-8")
+            code, rep = run(tmp_path, "groth", "order", "--monoid", str(p),
+                            "--samples", "60", name=f"{kind}.out.json")
+            assert code == 0
+            reports.append(rep)
+        lattice, free = reports
+        assert lattice["results"] == free["results"]
+        assert lattice["checks"] == free["checks"]
+        assert lattice["results"]["structure"] == {"free_rank": rank, "torsion": []}
+        assert all(lattice["checks"].values())
 
     def test_cayley_input_rejected(self, tmp_path):
         code, rep = run(

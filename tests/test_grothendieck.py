@@ -11,6 +11,7 @@ from grothloc import (
     CayleyMonoid,
     FGAbelianStructure,
     FreeCommutativeMonoid,
+    GrothElement,
     GrothendieckGroup,
     IntegerLatticeMonoid,
     Lcg64,
@@ -424,6 +425,63 @@ class TestTotalOrders:
         with pytest.raises(TorsionWitnessError) as exc:
             build_total_order(structure_from_snf(snf), snf)
         assert exc.value.order == 2
+
+    @staticmethod
+    def _torsion_free_presentations(count, seed=3):
+        """Seeded presentations with 1-4 generators and 0-3 relations whose
+        group completion is torsion-free, after fixed examples: the last
+        two have a zero on the SNF diagonal (a trivial relation, and two
+        dependent ones)."""
+        found = [
+            zoo.numsg_2_3(),
+            MonoidPresentation(3, ()),
+            zoo.integers_presented(2),
+            MonoidPresentation(2, (((1, 1), (1, 1)),)),
+            MonoidPresentation(3, (((1, 0, 0), (0, 1, 0)), ((2, 0, 0), (0, 2, 0)))),
+        ]
+        rng = Lcg64(seed)
+        while len(found) < count:
+            k = 1 + rng.below(4)
+            rels = tuple(
+                (tuple(rng.below(4) for _ in range(k)),
+                 tuple(rng.below(4) for _ in range(k)))
+                for _ in range(rng.below(4))
+            )
+            p = MonoidPresentation(k, rels)
+            if is_torsion_free(groth_of_presentation(p)):
+                found.append(p)
+        return found
+
+    def test_coords_are_the_lattice_key(self):
+        """On a torsion-free presentation every non-unit slot is free, so
+        the order's coordinates are the group's own key."""
+        rng = Lcg64(17)
+        for p in self._torsion_free_presentations(12):
+            k = p.generators
+            snf = smith_normal_form(presentation_matrix(p), ncols=k)
+            order = build_total_order(structure_from_snf(snf), snf)
+            diag = snf.invariant_factors
+            assert order.free_positions == [
+                j for j in range(k) if j >= len(diag) or diag[j] == 0
+            ]
+            group = GrothendieckGroup(p)
+            for _ in range(150):
+                x = GrothElement(*(tuple(rng.below(7) for _ in range(k)) for _ in "ab"))
+                y = GrothElement(*(tuple(rng.below(7) for _ in range(k)) for _ in "ab"))
+                assert order.coords(x) == group.key(x)
+                assert order.compare(x, y) == numeric_compare(group.key(x), group.key(y))
+                assert (order.compare(x, y) == 0) == group.eq(x, y)
+
+    @pytest.mark.parametrize("p, witness, n", [
+        (zoo.n_cross_z2(), (0, 1), 2),
+        (MonoidPresentation(3, (((2, 1, 0), (0, 1, 0)), ((0, 0, 3), (1, 0, 0)))), (0, 1), 6),
+    ], ids=["n_cross_z2", "z_cross_z6"])
+    def test_torsion_witness_is_unchanged(self, p, witness, n):
+        snf = smith_normal_form(presentation_matrix(p), ncols=p.generators)
+        with pytest.raises(TorsionWitnessError) as exc:
+            build_total_order(structure_from_snf(snf), snf)
+        assert exc.value.element == witness
+        assert exc.value.order == n
 
     def test_transported_order_matches_numeric(self):
         """[a, b] in G(N) reads as the integer a - b; the transported order
