@@ -26,10 +26,6 @@ class UnsupportedFamilyError(GrothlocError):
     """The operation is not defined for this structural family."""
 
 
-class StrategyUnavailableError(GrothlocError):
-    """No sound decision strategy exists for the given configuration."""
-
-
 class UndecidableConfigurationError(GrothlocError):
     """Fraction equality cannot be decided exactly for this ring/set pair."""
 

@@ -2,13 +2,14 @@
 
 A class is an ordered pair [a, b] read as "a minus b"; two pairs are
 identified when (a+d) + m = (b+c) + m for some witness m.  Every class has
-a hashable normal form, ``GrothendieckGroup.key``, so class lists, term
-merging and membership tests are dict and set operations.  Three decision
-strategies cover the supported families:
+a hashable normal form, ``GrothendieckGroup.key``, and equality is key
+equality, so class lists, term merging and membership tests are dict and
+set operations.  ``GrothendieckGroup.strategy`` names how the key is
+computed:
 
 * cancellative-cross-sum: a+d = b+c directly (witness never needed); the
   key is a - b for free and lattice monoids, a + (-b) for finite groups,
-  and the tuple of component keys for direct sums.
+  and the tuple of component keys for infinite direct sums.
 * finite-witness-enumeration: one witness suffices.  With e the idempotent
   power of the sum of all elements, K = M + e is a group with identity e
   (the minimal ideal; Clifford & Preston, Grillet), so [a, b] = [c, d] iff
@@ -17,6 +18,8 @@ strategies cover the supported families:
   lattice of the relation matrix, read off the Smith normal form; the key
   is y = (a-b)V with free slots kept, torsion slots reduced mod d_j and
   unit slots dropped.
+* componentwise: an infinite direct sum with a non-cancellative or
+  presented component; the key is the tuple of component keys.
 
 All integer linear algebra uses arbitrary-precision Python ints.
 """
@@ -26,7 +29,7 @@ import functools
 import itertools
 import numbers
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -34,7 +37,6 @@ from .errors import (
     AxiomViolationError,
     InvalidInputError,
     PreconditionError,
-    StrategyUnavailableError,
     TorsionWitnessError,
     UnsupportedFamilyError,
 )
@@ -352,20 +354,14 @@ class GrothendieckGroup:
             self._slots = snf_slots(
                 smith_normal_form(presentation_matrix(base), ncols=base.generators)
             )
+        elif isinstance(base, DirectSumMonoid) and not base.is_finite:
+            self._parts = [GrothendieckGroup(c) for c in base.components]
+            cancellative = all(g.strategy == "cancellative-cross-sum" for g in self._parts)
+            self.strategy = "cancellative-cross-sum" if cancellative else "componentwise"
+        elif is_cancellative(base):
+            self.strategy = "cancellative-cross-sum"
         else:
-            try:
-                cancellative = is_cancellative(base)
-            except UnsupportedFamilyError:
-                cancellative = False
-            if cancellative:
-                self.strategy = "cancellative-cross-sum"
-            elif base.is_finite:
-                self.strategy = "finite-witness-enumeration"
-            else:
-                raise StrategyUnavailableError(
-                    "no exact equality strategy for an infinite "
-                    f"non-cancellative {type(base).__name__}"
-                )
+            self.strategy = "finite-witness-enumeration"
 
     # -- construction
 
@@ -409,47 +405,30 @@ class GrothendieckGroup:
         return self._kernel
 
     def key(self, x: GrothElement):
-        """Hashable normal form: key(x) == key(y) exactly when eq(x, y)."""
+        """Hashable normal form: key(x) == key(y) exactly when x and y are one class."""
         base = self.base
         if self._slots is not None:
             return lattice_key(self._slots, [p - q for p, q in zip(x.first, x.second)])
-        if base.is_finite:
-            e, inv, _ = self._kernel_inverses()
-            # (a+e) - (b+e) in K; the inverse already lies in K, so +e is implied
-            return base.op(x.first, inv[base.op(x.second, e)])
-        if isinstance(base, DirectSumMonoid):
-            if self._parts is None:
-                self._parts = [GrothendieckGroup(c) for c in base.components]
+        if self._parts is not None:
             return tuple(
                 g.key(GrothElement(a, b))
                 for g, a, b in zip(self._parts, x.first, x.second)
             )
+        if base.is_finite:
+            e, inv, _ = self._kernel_inverses()
+            # (a+e) - (b+e) in K; the inverse already lies in K, so +e is implied
+            return base.op(x.first, inv[base.op(x.second, e)])
         return tuple(p - q for p, q in zip(x.first, x.second))
 
     def eq(self, x: GrothElement, y: GrothElement) -> bool:
-        m = self.base
-        lhs = m.op(x.first, y.second)
-        rhs = m.op(x.second, y.first)
-        if lhs == rhs:
-            return True
-        if self.strategy == "cancellative-cross-sum":
-            return False
-        if self.strategy == "finite-witness-enumeration":
-            e = self._kernel_inverses()[0]
-            return m.op(lhs, e) == m.op(rhs, e)
-        return not any(lattice_key(self._slots, [p - q for p, q in zip(lhs, rhs)]))
+        return self.key(x) == self.key(y)
 
     def is_zero(self, x: GrothElement) -> bool:
         return self.eq(x, self.zero())
 
     def is_trivial(self) -> bool:
-        """Whether every class collapses to zero."""
-        if self.strategy == "presentation-lattice":
-            return not self._slots
-        if self.base.is_finite:
-            return len(self._kernel_inverses()[1]) == 1
-        # infinite cancellative: trivial only for the trivial monoid
-        return False
+        """Whether every class collapses to zero: G(M) has order 1."""
+        return monoid_groth_structure(self.base).order() == 1
 
 
 def canonical_map_injective(group: GrothendieckGroup) -> bool:
@@ -471,18 +450,21 @@ def canonical_map_injective(group: GrothendieckGroup) -> bool:
 
 
 def groth_classes(group: GrothendieckGroup) -> list:
-    """Representatives of all classes over a finite base, first-seen order."""
+    """Representatives of all classes over a finite base, first-seen order.
+
+    Only the row [a0, b] of the first carrier element a0 is keyed: b -> the
+    key a0 + inverse_K(b+e) maps the carrier onto K, so that row already
+    meets every class, in the order a scan of all pairs [a, b] meets them.
+    """
     base = group.base
     if not base.is_finite:
         raise UnsupportedFamilyError("class enumeration needs a finite base")
     elems = list(base.elements())
     reps = {}
-    for a in elems:
-        for b in elems:
-            x = GrothElement(a, b)
-            reps.setdefault(group.key(x), x)
+    for b in elems:
+        x = GrothElement(elems[0], b)
+        reps.setdefault(group.key(x), x)
     return list(reps.values())
-
 
 def class_index(group: GrothendieckGroup, reps: list, x: GrothElement) -> int:
     index = {group.key(r): i for i, r in enumerate(reps)}
@@ -597,22 +579,13 @@ def monoid_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
 
 
 def direct_sum_groth(parts) -> FGAbelianStructure:
-    """Combine component structures; torsion is re-chained via gcd/lcm swaps."""
+    """Combine component structures: free ranks add, and the torsion
+    invariants are re-chained by the Smith normal form of their diagonal."""
     parts = list(parts)
-    free = sum(s.free_rank for s in parts)
     pool = [d for s in parts for d in s.torsion_invariants]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                a, b = pool[i], pool[j]
-                if a % b and b % a:
-                    pool[i], pool[j] = gcd(a, b), lcm(a, b)
-                    changed = True
-    pool = sorted(d for d in pool if d > 1)
-    return FGAbelianStructure(free, tuple(pool))
-
+    diag = [[d if i == j else 0 for j in range(len(pool))] for i, d in enumerate(pool)]
+    torsion = structure_from_snf(smith_normal_form(diag, ncols=len(pool))).torsion_invariants
+    return FGAbelianStructure(sum(s.free_rank for s in parts), torsion)
 
 # ---------------------------------------------------------------------------
 # total orders

@@ -29,7 +29,8 @@ class HMapContext:
 
     T generators are laid out as the lifted S generators followed by the
     monomial generators (every eps_m for a finite monoid, the unit-vector
-    eps's for a free monoid), so denominator witnesses compose positionally.
+    eps's for a free monoid, the eps's of +e_i and then of -e_i for a
+    lattice), so denominator witnesses compose positionally.
     """
 
     def __init__(self, ring, monoid, sgens, *, nzd: bool | None = None,
@@ -49,12 +50,13 @@ class HMapContext:
             elems = list(self.monoid.elements())
             self._mono_index = {m: i for i, m in enumerate(elems)}
             mono_gens = [self.mring.epsilon(m) for m in elems]
-        elif isinstance(self.monoid, FreeCommutativeMonoid):
+        elif isinstance(self.monoid, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
+            rank = self.monoid.rank
+            signs = (1, -1) if isinstance(self.monoid, IntegerLatticeMonoid) else (1,)
             mono_gens = [
-                self.mring.epsilon(
-                    tuple(1 if j == i else 0 for j in range(self.monoid.rank))
-                )
-                for i in range(self.monoid.rank)
+                self.mring.epsilon(tuple(sign if j == i else 0 for j in range(rank)))
+                for sign in signs
+                for i in range(rank)
             ]
         else:
             raise PreconditionError(
@@ -71,10 +73,12 @@ class HMapContext:
     def monomial_witness(self, n) -> tuple:
         if self._mono_index is not None:
             return (self._mono_offset + self._mono_index[n],)
+        # |n_j| copies of eps(+e_j), or of eps(-e_j) when n_j < 0
+        rank = len(n)
         return tuple(
-            self._mono_offset + j
+            self._mono_offset + j + (rank if e < 0 else 0)
             for j, e in enumerate(n)
-            for _ in range(e)
+            for _ in range(abs(e))
         )
 
     def monomial_fraction(self, num: MRElement, s, n) -> Fraction:

@@ -26,7 +26,10 @@ testing a difference for zero, and the closure of a multiplicative set built
 in its constructor, are the references for the direct comparisons and the
 closure built on first read.  The inverse graded map that clears every
 coefficient over one hand-built common denominator is the reference for the
-sum of the terms in T^-1(R[M]).
+sum of the terms in T^-1(R[M]).  Class equality branched on the strategy
+label (cross sums, the +e witness, lattice membership of the difference)
+and the gcd/lcm swaps that re-chain direct-sum torsion are the references
+for key equality and for the Smith normal form of the torsion diagonal.
 """
 import functools
 import itertools
@@ -50,7 +53,7 @@ from grothloc import (
     smith_normal_form,
 )
 from grothloc.errors import InvalidInputError, PreconditionError, UnsupportedFamilyError
-from grothloc.grothendieck import SNFResult, _eye
+from grothloc.grothendieck import SNFResult, _eye, lattice_key
 from grothloc.monoid import CommutativeMonoid, idempotent_power
 from grothloc.ring import _require_finite_modring
 
@@ -98,6 +101,25 @@ def scan_classes(group) -> list:
             if not any(scan_eq(group, x, r) for r in reps):
                 reps.append(x)
     return reps
+
+
+def strategy_eq(group, x: GrothElement, y: GrothElement) -> bool:
+    """The earlier ``GrothendieckGroup.eq``: one branch per strategy label.
+
+    Covers the labels every family had before direct sums with a
+    non-cancellative or presented component were accepted.
+    """
+    m = group.base
+    lhs = m.op(x.first, y.second)
+    rhs = m.op(x.second, y.first)
+    if lhs == rhs:
+        return True
+    if group.strategy == "cancellative-cross-sum":
+        return False
+    if group.strategy == "finite-witness-enumeration":
+        e = group._kernel_inverses()[0]
+        return m.op(lhs, e) == m.op(rhs, e)
+    return not any(lattice_key(group._slots, [p - q for p, q in zip(lhs, rhs)]))
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +642,24 @@ def matched_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
         if order_multiset(chain) == orders:
             return FGAbelianStructure(0, chain)
     raise AxiomViolationError("abelian-classification", (n, tuple(sorted(orders.items()))))
+
+
+def swapped_direct_sum_groth(parts) -> FGAbelianStructure:
+    """The earlier ``direct_sum_groth``: torsion re-chained via gcd/lcm swaps."""
+    parts = list(parts)
+    free = sum(s.free_rank for s in parts)
+    pool = [d for s in parts for d in s.torsion_invariants]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(pool)):
+            for j in range(i + 1, len(pool)):
+                a, b = pool[i], pool[j]
+                if a % b and b % a:
+                    pool[i], pool[j] = gcd(a, b), lcm(a, b)
+                    changed = True
+    pool = sorted(d for d in pool if d > 1)
+    return FGAbelianStructure(free, tuple(pool))
 
 
 

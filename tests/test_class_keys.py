@@ -2,7 +2,8 @@
 
 On every quadruple (a, b, c, d) of a finite monoid, key([a, b]) ==
 key([c, d]) must hold exactly when the old witness scan finds some m with
-a+d+m = b+c+m, and eq must agree too.  Infinite bases are checked on
+a+d+m = b+c+m, and eq and the earlier strategy-branched decision must
+agree too.  Infinite bases are checked on
 seeded samples.  groth_classes must return the scan's representatives in
 the scan's order.  The structure of a finite G(M), read off the kernel
 group, must equal the old match of element orders against divisor chains.
@@ -29,7 +30,7 @@ from grothloc import (
 )
 
 import zoo
-from oracles import matched_groth_structure, scan_classes, scan_eq
+from oracles import matched_groth_structure, scan_classes, scan_eq, strategy_eq
 
 
 def check_every_quadruple(m):
@@ -42,6 +43,7 @@ def check_every_quadruple(m):
             want = scan_eq(g, x, y)
             assert (keys[x] == keys[y]) == want, (x, y)
             assert g.eq(x, y) == want, (x, y)
+            assert strategy_eq(g, x, y) == want, (x, y)
     reps = groth_classes(g)
     assert reps == scan_classes(g)
     assert [class_index(g, reps, x) for x in reps] == list(range(len(reps)))
@@ -180,6 +182,7 @@ def check_samples(m, draw, rng, count=300):
         want = scan_eq(g, x, y)
         assert (g.key(x) == g.key(y)) == want, (x, y)
         assert g.eq(x, y) == want, (x, y)
+        assert strategy_eq(g, x, y) == want, (x, y)
         # [a + m, b + m] is another representative of [a, b]
         w = draw(rng)
         assert g.key(g.add(x, GrothElement(w, w))) == g.key(x)
