@@ -53,6 +53,7 @@ from .ring import (
     IntegerRing,
     ModRing,
     MonoidRing,
+    _deg_from_json,
     _deg_to_json,
     monomial_is_nonzerodivisor,
     ring_from_dict,
@@ -208,8 +209,7 @@ def _cmd_mring_nzd(args):
     m = _load_monoid_file(args.monoid)
     mring = MonoidRing(ring, m)
     if args.degree is not None:
-        deg = _load_json_arg(args.degree)
-        deg = tuple(deg) if isinstance(deg, list) else deg
+        deg = _deg_from_json(_load_json_arg(args.degree))
         flag = monomial_is_nonzerodivisor(mring, deg)
         return {
             "results": {"degree": _deg_to_json(mring.monoid.validate(deg)),
@@ -229,21 +229,12 @@ def _cmd_mring_nzd(args):
     }, all(checks.values())
 
 
-def _mring_domain(mring: MonoidRing) -> bool:
-    coeff = mring.coeff_ring
-    coeff_domain = isinstance(coeff, IntegerRing) or (
-        isinstance(coeff, ModRing) and coeff.is_field
-    )
-    return coeff_domain and isinstance(mring.monoid, FreeCommutativeMonoid)
-
-
 def _cmd_localize_decompose(args):
     ring = ring_from_dict(_load_json_arg(args.ring))
     m = _load_monoid_file(args.monoid)
     mring = MonoidRing(ring, m)
     sgens = [mring.from_list(g) for g in _load_sgens(args.sgens)]
-    nzd = True if (_mring_domain(mring) and all(not g.is_zero() for g in sgens)) else None
-    sset = MultiplicativeSet(mring, sgens, nzd=nzd, depth=args.depth)
+    sset = MultiplicativeSet(mring, sgens, depth=args.depth)
     loc = LocalizedRing(mring, sset)
     fr = _load_json_arg(args.fraction)
     if not isinstance(fr, dict) or "num" not in fr:
@@ -309,15 +300,12 @@ def _cmd_localize_units(args):
 def _iso_context(ring, m, sgens: list, depth: int = 8) -> HMapContext:
     """The context ``iso verify`` and ``iso_verify`` corpus entries check.
 
-    Over Z the generators must be nonzero, and then S holds only
+    Over Z the generators must be nonzero; S then holds only
     non-zero-divisors, so fractions compare by cross-multiplication.
     """
-    nzd = None
-    if isinstance(ring, IntegerRing):
-        if any(ring.is_zero(ring.validate(g)) for g in sgens):
-            raise InvalidInputError("zero generator over Z is not supported")
-        nzd = True
-    return HMapContext(ring, m, sgens, nzd=nzd, depth=depth)
+    if isinstance(ring, IntegerRing) and any(ring.is_zero(ring.validate(g)) for g in sgens):
+        raise InvalidInputError("zero generator over Z is not supported")
+    return HMapContext(ring, m, sgens, depth=depth)
 
 
 def _cmd_iso_verify(args):

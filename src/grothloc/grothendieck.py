@@ -432,21 +432,9 @@ class GrothendieckGroup:
 
 
 def canonical_map_injective(group: GrothendieckGroup) -> bool:
-    """Whether m -> [m, 0] is injective; distinct keys on finite carriers."""
-    base = group.base
-    if base.is_finite:
-        elems = list(base.elements())
-        return len({group.key(group.canonical(a)) for a in elems}) == len(elems)
-    if isinstance(base, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
-        # [a,0] = [b,0] means a + m = b + m for some m, hence a = b
-        return True
-    if isinstance(base, DirectSumMonoid):
-        return all(
-            canonical_map_injective(GrothendieckGroup(c)) for c in base.components
-        )
-    raise UnsupportedFamilyError(
-        f"injectivity is not decided for {type(base).__name__}"
-    )
+    """Whether m -> [m, 0] is injective: [a, 0] = [b, 0] means a + m = b + m
+    for some m, so it is exactly when the base cancels."""
+    return is_cancellative(group.base)
 
 
 def groth_classes(group: GrothendieckGroup) -> list:
@@ -478,12 +466,6 @@ def class_index(group: GrothendieckGroup, reps: list, x: GrothElement) -> int:
 # universal property
 
 
-def is_abelian_group(m: CayleyMonoid) -> bool:
-    """Every element of the (validated commutative) table has an inverse,
-    which for a finite monoid means that it cancels."""
-    return is_cancellative(m)
-
-
 def universal_extend(group: GrothendieckGroup, g, target: CayleyMonoid,
                      samples: int = 200, seed: int = 0) -> Callable:
     """Extend a monoid morphism g: M -> H to h: G(M) -> H.
@@ -494,7 +476,7 @@ def universal_extend(group: GrothendieckGroup, g, target: CayleyMonoid,
     from .monoid import sample_element
     from .rng import Lcg64
 
-    if not is_abelian_group(target):
+    if not is_cancellative(target):  # a finite monoid that cancels is a group
         raise PreconditionError("target table is not a group")
     gf = g.__getitem__ if isinstance(g, dict) else g
     base = group.base

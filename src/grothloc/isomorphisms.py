@@ -14,12 +14,7 @@ import functools
 from .errors import MalformedDenominatorError, PreconditionError
 from .grothendieck import GrothElement, GrothendieckGroup
 from .localization import Fraction, LocalizedRing, MultiplicativeSet
-from .monoid import (
-    FreeCommutativeMonoid,
-    IntegerLatticeMonoid,
-    is_cancellative,
-    sample_element,
-)
+from .monoid import FreeCommutativeMonoid, IntegerLatticeMonoid, sample_element
 from .ring import GroupRing, MonoidRing, MRElement
 from .rng import Lcg64
 
@@ -30,7 +25,8 @@ class HMapContext:
     T generators are laid out as the lifted S generators followed by the
     monomial generators (every eps_m for a finite monoid, the unit-vector
     eps's for a free monoid, the eps's of +e_i and then of -e_i for a
-    lattice), so denominator witnesses compose positionally.
+    lattice), so denominator witnesses compose positionally.  ``MonoidRing``
+    decides whether each of them is a non-zero-divisor.
     """
 
     def __init__(self, ring, monoid, sgens, *, nzd: bool | None = None,
@@ -62,10 +58,7 @@ class HMapContext:
             raise PreconditionError(
                 f"no T generator layout for {type(self.monoid).__name__}"
             )
-        t_nzd = True if (self.sset.nzd_flag and is_cancellative(self.monoid)) else None
-        self.tset = MultiplicativeSet(
-            self.mring, lifted + mono_gens, nzd=t_nzd, depth=depth
-        )
+        self.tset = MultiplicativeSet(self.mring, lifted + mono_gens, depth=depth)
         self.tloc = LocalizedRing(self.mring, self.tset)
 
     # -- witness plumbing (lifted S generators keep their indices inside T)

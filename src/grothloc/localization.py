@@ -7,19 +7,18 @@ expire; only user-facing construction consults the materialized closure
 otherwise).
 
 Equality r/s = r'/s' is decided by exactly two strategies:
-cross-multiplication when every denominator is a non-zero-divisor, and
-exhaustive-witness over a finite ring.  There the closure is all of S and
-e, the idempotent power of t0 = the product of all of S, lies in S and is
-divisible by every t in S, so t*(r*s' - r'*s) = 0 for some t in S exactly
-when e*(r*s' - r'*s) = 0.  Both compare r*s' with r'*s and never subtract.
+cross-multiplication when the ring's ``is_nonzerodivisor`` passes every
+generator of S, and exhaustive-witness over a finite ring.  There the
+closure is all of S and e, the idempotent power of t0 = the product of all
+of S, lies in S and is divisible by every t in S, so t*(r*s' - r'*s) = 0
+for some t in S exactly when e*(r*s' - r'*s) = 0.  Both compare r*s' with r'*s and never subtract.
 Any other configuration is rejected outright.
 
 A finite S gives fractions a hashable normal form, ``LocalizedRing.key``:
 e*S is a group with identity e, S^-1 R is eR, and r/s goes to
 e*r*(e*s)^-1 (e and every (e*s)^-1 are built on first use).  The classes,
-the units, the saturation and the non-zero-divisor flag are read off e and
-eR too.  Class lookups are dicts on this key, degree classes on
-``GrothendieckGroup.key``.
+the units and the saturation are read off e and eR too.  Class lookups are
+dicts on this key, degree classes on ``GrothendieckGroup.key``.
 """
 from __future__ import annotations
 
@@ -52,12 +51,21 @@ class Fraction:
         return f"Fraction({self.num!r} / {self.den!r})"
 
 
+def _decided_nzd(ring, g) -> bool:
+    try:
+        return ring.is_nonzerodivisor(g)
+    except UnsupportedFamilyError:
+        return False
+
+
 class MultiplicativeSet:
     """Generators plus the materialized closure {products of generators}.
 
-    The closure maps each reachable element to one witness (a tuple of
-    generator indices).  For a finite base ring the closure is the full set;
-    otherwise it holds products of at most ``depth`` generators.  It is built
+    ``nzd_flag``: whether the ring's ``is_nonzerodivisor`` passes every
+    generator (``nzd`` overrides it).  The closure maps each reachable
+    element to one witness (a tuple of generator indices).  For a finite base
+    ring the closure is the full set; otherwise it holds products of at most
+    ``depth`` generators.  It is built
     on first read, so a set whose fractions are compared by
     cross-multiplication and carry their own witnesses never builds it.
     """
@@ -67,14 +75,9 @@ class MultiplicativeSet:
         self.generators = [ring.validate(g) for g in generators]
         self.depth = depth
         if nzd is None:
-            # with no generators the closure is exactly {1}, which never
-            # kills anything, so the flag is decidable over any base ring;
-            # over a finite one a non-zero-divisor is a unit, so the flag asks
-            # that the generators' product have idempotent power 1
-            product = functools.reduce(ring.mul, self.generators, ring.one)
-            self.nzd_flag = not self.generators or (
-                ring.is_finite and idempotent_power(ring.mul, product) == ring.one
-            )
+            # a generator the ring cannot decide counts as a zero-divisor, so
+            # an undecided set over an infinite ring is refused, not guessed
+            self.nzd_flag = all(_decided_nzd(ring, g) for g in self.generators)
         else:
             self.nzd_flag = bool(nzd)
         self.homogeneous_flag = isinstance(ring, MonoidRing) and all(
@@ -562,8 +565,8 @@ def kx_counterexample_check(p: int = 5, samples: int = 50, seed: int = 0) -> dic
     generator degrees, all of which are 0 or >= 2; degree 1 is unreachable.
     Units of the localization are still quotients of S elements, checked by
     rewriting sampled units s/t after multiplying through by x^2.  p must be
-    prime: S is declared to hold non-zero-divisors, and for p = a*b the
-    constants a and b multiply to 0 in S.
+    prime: for p = a*b the constants a and b multiply to 0 in S, so S^-1 R
+    is the zero ring.
     """
     from .monoid import FreeCommutativeMonoid
     from .ring import ModRing
@@ -575,7 +578,7 @@ def kx_counterexample_check(p: int = 5, samples: int = 50, seed: int = 0) -> dic
     M = FreeCommutativeMonoid(1)
     R = MonoidRing(K, M)
     gens = [R.scalar(c) for c in range(2, p)] + [R.epsilon((2,)), R.epsilon((3,))]
-    sset = MultiplicativeSet(R, gens, nzd=True, depth=8)
+    sset = MultiplicativeSet(R, gens, depth=8)
     loc = LocalizedRing(R, sset)
     x = R.epsilon((1,))
 

@@ -385,6 +385,17 @@ def is_cancellative(m: CommutativeMonoid) -> bool:
     )
 
 
+def translation_injective(m: CommutativeMonoid, a: MonoidValue) -> bool:
+    """Whether x -> a+x is injective on M: a Cayley row must be a bijection,
+    a direct sum translates componentwise, and any other family asks
+    ``is_cancellative`` (which rejects presented monoids)."""
+    if isinstance(m, CayleyMonoid):
+        return len(set(m.table[a])) == m.size()
+    if isinstance(m, DirectSumMonoid):
+        return all(translation_injective(c, x) for c, x in zip(m.components, a))
+    return is_cancellative(m)
+
+
 def quasi_zero_submonoid(m: CommutativeMonoid) -> set:
     """{x : x + y = y for some y} = {x : x + e = e}: x + (y+e) = y+e in the
     group M + e forces x + e = e, and y = e is a witness."""

@@ -4,7 +4,10 @@ A monoid-ring element is a finite-support coefficient map degree -> coeff
 with zero coefficients pruned eagerly, so structural dict equality is
 semantic equality.  Group-ring keys are Grothendieck classes; terms are
 merged in a dict on the class normal form ``GrothendieckGroup.key``, and
-each class keeps its first-seen pair as its displayed key.
+each class keeps its first-seen pair as its displayed key.  Every ring
+decides its non-zero-divisors from its structure (``is_nonzerodivisor``):
+a != 0 over Z, gcd(a, n) = 1 over Z/n, and over R[M] from R and the
+translations x -> m+x of M.
 """
 from __future__ import annotations
 
@@ -20,7 +23,13 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .grothendieck import GrothElement, GrothendieckGroup, canonical_map_injective
-from .monoid import CommutativeMonoid
+from .monoid import (
+    CommutativeMonoid,
+    FreeCommutativeMonoid,
+    IntegerLatticeMonoid,
+    idempotent_power,
+    translation_injective,
+)
 
 
 def _is_prime(n: int) -> bool:
@@ -59,6 +68,9 @@ class IntegerRing:
 
     def is_zero(self, a: int) -> bool:
         return a == 0
+
+    def is_nonzerodivisor(self, a: int) -> bool:
+        return a != 0
 
     def validate(self, a) -> int:
         if not isinstance(a, int) or isinstance(a, bool):
@@ -120,6 +132,9 @@ class ModRing:
 
     def is_zero(self, a: int) -> bool:
         return a == 0
+
+    def is_nonzerodivisor(self, a: int) -> bool:
+        return gcd(a, self.n) == 1
 
     def validate(self, a) -> int:
         if not isinstance(a, int) or isinstance(a, bool):
@@ -316,6 +331,22 @@ class MonoidRing:
     def is_zero(self, f: MRElement) -> bool:
         return f.is_zero()
 
+    def is_nonzerodivisor(self, f: MRElement) -> bool:
+        """Whether f*g = 0 forces g = 0.  s*eps_m is one exactly when s is one
+        in R and x -> m+x is injective (see ``monomial_is_nonzerodivisor``).
+        Otherwise f is one when it is a unit of a finite R[M], or nonzero over
+        a domain R with free or lattice M; anything else is undecided."""
+        coeff = self.coeff_ring
+        if len(f.coeffs) == 1:
+            ((m, s),) = f.coeffs.items()
+            return coeff.is_nonzerodivisor(s) and translation_injective(self.monoid, m)
+        if self.is_finite:
+            return idempotent_power(self.mul, f) == self.one
+        domain = isinstance(coeff, IntegerRing) or coeff.is_field
+        if domain and isinstance(self.monoid, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
+            return not f.is_zero()
+        raise UnsupportedFamilyError(f"zero-divisors are not decided over {self!r}")
+
     def validate(self, f) -> MRElement:
         if not isinstance(f, MRElement):
             raise MalformedElementError(f"expected monoid-ring element, got {f!r}")
@@ -424,14 +455,7 @@ def regrade(f: MRElement, group: GrothendieckGroup) -> list:
 
 
 # ---------------------------------------------------------------------------
-# zero-divisors and injectivity, decided on the monoid (finite carriers only)
-
-
-def _require_finite_modring(mring: MonoidRing):
-    if not isinstance(mring.coeff_ring, ModRing):
-        raise UnsupportedFamilyError("exhaustive sweeps need Z/n coefficients")
-    if not mring.monoid.is_finite:
-        raise UnsupportedFamilyError("exhaustive sweeps need a finite monoid")
+# zero-divisors and injectivity, decided on the monoid
 
 
 def monomial_is_nonzerodivisor(mring: MonoidRing, m) -> bool:
@@ -441,11 +465,7 @@ def monomial_is_nonzerodivisor(mring: MonoidRing, m) -> bool:
     R != 0 a fiber holding x != y carries f = eps_x - eps_y, and with
     singleton fibers eps_m * f only moves the coefficients of f.
     """
-    _require_finite_modring(mring)
-    monoid = mring.monoid
-    elems = list(monoid.elements())
-    m = monoid.validate(m)
-    return len({monoid.op(m, x) for x in elems}) == len(elems)
+    return translation_injective(mring.monoid, mring.monoid.validate(m))
 
 
 def group_ring_map_injective(mring: MonoidRing, group: GrothendieckGroup | None = None) -> bool:
@@ -454,7 +474,6 @@ def group_ring_map_injective(mring: MonoidRing, group: GrothendieckGroup | None 
     As for monomials, a class holding two elements x != y carries the kernel
     element eps_x - eps_y, so the map is injective exactly when M -> G(M) is.
     """
-    _require_finite_modring(mring)
     if group is None:
         group = GrothendieckGroup(mring.monoid)
     return canonical_map_injective(group)

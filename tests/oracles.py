@@ -14,8 +14,8 @@ and the numpy check of a Cayley table over all n^3 triples are the
 library's earlier implementations, kept verbatim as references for the
 sparse elimination, for the structure read off the kernel group, for the
 monoid criteria that decide zero-divisors and group-ring injectivity, for
-the non-zero-divisor flag and the saturation read off e, for G(S) read off
-the kernel group of S, and for Light's associativity test.  So are the
+the saturation read off e, for G(S) read off the kernel group of S, and for
+Light's associativity test.  So are the
 pair scans behind quasi-zeros, cancellativity, group tables and their
 inverses, now read off the idempotent power e of the sum of a finite monoid,
 and the cycle walk of every element of the kernel group, now one walk per
@@ -30,6 +30,10 @@ sum of the terms in T^-1(R[M]).  Class equality branched on the strategy
 label (cross sums, the +e witness, lattice membership of the difference)
 and the gcd/lcm swaps that re-chain direct-sum torsion are the references
 for key equality and for the Smith normal form of the torsion diagonal.
+The non-zero-divisor flag read off the product of the generators and the
+injectivity of m -> [m, 0] tested on class keys are the references for the
+flag that asks each generator's ring ``is_nonzerodivisor`` and for
+``is_cancellative``.
 """
 import functools
 import itertools
@@ -54,8 +58,14 @@ from grothloc import (
 )
 from grothloc.errors import InvalidInputError, PreconditionError, UnsupportedFamilyError
 from grothloc.grothendieck import SNFResult, _eye, lattice_key
-from grothloc.monoid import CommutativeMonoid, idempotent_power
-from grothloc.ring import _require_finite_modring
+from grothloc.monoid import (
+    CommutativeMonoid,
+    DirectSumMonoid,
+    FreeCommutativeMonoid,
+    IntegerLatticeMonoid,
+    idempotent_power,
+)
+from grothloc.ring import ModRing
 
 
 def in_relation_lattice(p: MonoidPresentation, w) -> bool:
@@ -291,6 +301,43 @@ def scan_units_iso(sset, loc) -> dict:
 
 # ---------------------------------------------------------------------------
 # zero-divisor and injectivity sweeps over every element of R[M]
+
+
+def _require_finite_modring(mring: MonoidRing):
+    if not isinstance(mring.coeff_ring, ModRing):
+        raise UnsupportedFamilyError("exhaustive sweeps need Z/n coefficients")
+    if not mring.monoid.is_finite:
+        raise UnsupportedFamilyError("exhaustive sweeps need a finite monoid")
+
+
+def product_nzd_flag(ring, generators) -> bool:
+    """The non-zero-divisor flag read off the generators' product."""
+    # with no generators the closure is exactly {1}, which never
+    # kills anything, so the flag is decidable over any base ring;
+    # over a finite one a non-zero-divisor is a unit, so the flag asks
+    # that the generators' product have idempotent power 1
+    product = functools.reduce(ring.mul, generators, ring.one)
+    return not generators or (
+        ring.is_finite and idempotent_power(ring.mul, product) == ring.one
+    )
+
+
+def key_canonical_map_injective(group: GrothendieckGroup) -> bool:
+    """Whether m -> [m, 0] is injective; distinct keys on finite carriers."""
+    base = group.base
+    if base.is_finite:
+        elems = list(base.elements())
+        return len({group.key(group.canonical(a)) for a in elems}) == len(elems)
+    if isinstance(base, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
+        # [a,0] = [b,0] means a + m = b + m for some m, hence a = b
+        return True
+    if isinstance(base, DirectSumMonoid):
+        return all(
+            key_canonical_map_injective(GrothendieckGroup(c)) for c in base.components
+        )
+    raise UnsupportedFamilyError(
+        f"injectivity is not decided for {type(base).__name__}"
+    )
 
 
 def sweep_monomial_is_nonzerodivisor(mring: MonoidRing, m) -> bool:

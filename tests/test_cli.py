@@ -33,6 +33,15 @@ def free1(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def t2_plus_n(tmp_path):
+    p = tmp_path / "t2_plus_n.json"
+    p.write_text(json.dumps({"kind": "direct_sum", "components": [
+        {"kind": "cayley", "table": [[0, 1], [1, 1]]}, {"kind": "free", "rank": 1},
+    ]}), encoding="utf-8")
+    return str(p)
+
+
 class TestMonoidCheck:
     def test_semilattice_report(self, tmp_path):
         code, rep = run(tmp_path, "monoid", "check", str(CORPUS / "t2.json"))
@@ -208,6 +217,31 @@ class TestMringNzd:
         assert code == 0
         assert rep["results"] == {"degree": 1, "nonzerodivisor": False}
 
+    def test_integer_coefficients(self, tmp_path):
+        code, rep = run(
+            tmp_path,
+            "mring", "nzd",
+            "--ring", '{"kind": "Z"}',
+            "--monoid", str(CORPUS / "t2.json"),
+        )
+        assert code == 0
+        assert rep["results"]["zerodivisor_degrees"] == [1]
+        assert rep["checks"]["matches_cancellativity"] is True
+
+    @pytest.mark.parametrize("degree, flag", [
+        ("[0, [1]]", True), ("[1, [0]]", False),
+    ], ids=["t2_identity", "t2_absorbing"])
+    def test_nested_degree_over_t2_plus_n(self, tmp_path, t2_plus_n, degree, flag):
+        code, rep = run(
+            tmp_path,
+            "mring", "nzd",
+            "--ring", ZMOD5,
+            "--monoid", t2_plus_n,
+            "--degree", degree,
+        )
+        assert code == 0
+        assert rep["results"] == {"degree": json.loads(degree), "nonzerodivisor": flag}
+
 
 class TestLocalizeDecompose:
     def test_rank_one_components_carry_integer_degrees(self, tmp_path, free1):
@@ -241,6 +275,48 @@ class TestLocalizeDecompose:
         (key,) = rep["results"]["components"]
         assert json.loads(key) == [[0], [1]]
         assert rep["results"]["components"][key]["degree"] == -1
+
+    def test_monomial_denominator_over_t2_plus_n(self, tmp_path, t2_plus_n):
+        """eps(0, [1]) is a non-zero-divisor: translation by it is injective."""
+        code, rep = run(
+            tmp_path,
+            "localize", "decompose",
+            "--ring", ZMOD5,
+            "--monoid", t2_plus_n,
+            "--sgens", "[[[1, [0, [1]]]]]",
+            "--fraction",
+            '{"num": [[1, [0, [2]]], [2, [1, [2]]], [3, [1, [0]]]], "den_witness": [0]}',
+        )
+        assert code == 0
+        assert rep["results"]["component_count"] == 2
+        assert all(rep["checks"].values())
+
+    def test_unit_scalar_monomial_over_z6(self, tmp_path):
+        """5 is a unit of Z/6, so 5*eps(1, 0) is a non-zero-divisor of (Z/6)[N^2]."""
+        code, rep = run(
+            tmp_path,
+            "localize", "decompose",
+            "--ring", '{"kind": "Zmod", "n": 6}',
+            "--monoid", str(CORPUS / "free2.json"),
+            "--sgens", "[[[5, [1, 0]]]]",
+            "--fraction",
+            '{"num": [[1, [2, 0]], [2, [0, 1]], [3, [0, 0]]], "den_witness": [0]}',
+        )
+        assert code == 0
+        assert rep["results"]["component_count"] == 3
+        assert all(rep["checks"].values())
+
+    def test_zero_divisor_scalar_over_z6_exits_two(self, tmp_path):
+        code, rep = run(
+            tmp_path,
+            "localize", "decompose",
+            "--ring", '{"kind": "Zmod", "n": 6}',
+            "--monoid", str(CORPUS / "free2.json"),
+            "--sgens", "[[[2, [1, 0]]]]",
+            "--fraction", '{"num": [[1, [2, 0]]], "den_witness": [0]}',
+        )
+        assert code == 2
+        assert rep["error"] == "UndecidableConfigurationError"
 
     def test_witness_out_of_range_rejected(self, tmp_path, free1):
         code, rep = run(

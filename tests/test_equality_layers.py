@@ -50,7 +50,7 @@ from test_class_keys import FINITE_ZOO
 
 def _z_at_2():
     ring = IntegerRing()
-    return LocalizedRing(ring, MultiplicativeSet(ring, [2], nzd=True))
+    return LocalizedRing(ring, MultiplicativeSet(ring, [2]))
 
 
 def _zmod_at(n, gens):
@@ -65,7 +65,7 @@ def _zp_nk():
     """Z/7[N^2] at 3 and x: infinite, cross-multiplication."""
     mring = MonoidRing(ModRing(7), FreeCommutativeMonoid(2))
     gens = [mring.scalar(3), mring.epsilon((1, 0))]
-    return LocalizedRing(mring, MultiplicativeSet(mring, gens, nzd=True))
+    return LocalizedRing(mring, MultiplicativeSet(mring, gens))
 
 
 def _finite_mring_at(coeff_n, build_monoid, degrees, scale=1):
@@ -169,7 +169,7 @@ def test_is_zero_does_not_call_eq(monkeypatch):
 def _contexts():
     return [
         HMapContext(ModRing(5), FreeCommutativeMonoid(1), []),
-        HMapContext(IntegerRing(), FreeCommutativeMonoid(2), [2, 3], nzd=True),
+        HMapContext(IntegerRing(), FreeCommutativeMonoid(2), [2, 3]),
         HMapContext(ModRing(12), zoo.z4(), [2]),
         HMapContext(ModRing(2), zoo.t2(), []),  # collapsing: G(T2) is trivial
         HMapContext(ModRing(3), zoo.z2(), []),
@@ -249,7 +249,7 @@ def test_closure_matches_eager_bfs_on_zoo(build):
 
 
 def test_complete_reads_the_closure():
-    sset = MultiplicativeSet(IntegerRing(), [2, 3], nzd=True, depth=3)
+    sset = MultiplicativeSet(IntegerRing(), [2, 3], depth=3)
     assert "closure" not in sset.__dict__
     assert not sset.complete
     assert "closure" in sset.__dict__
@@ -257,13 +257,13 @@ def test_complete_reads_the_closure():
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 5])
 def test_closure_matches_eager_bfs_off_the_zoo(depth):
-    _check_closure(IntegerRing(), [2, 3], nzd=True, depth=depth)
+    _check_closure(IntegerRing(), [2, 3], depth=depth)
     _check_closure(IntegerRing(), [], depth=depth)
     for gens in ([2], [3], [2, 3], [5, 7], []):
         _check_closure(ModRing(12 * 35), gens, depth=depth)
     mring = MonoidRing(ModRing(3), FreeCommutativeMonoid(2))
     gens = [mring.scalar(2), mring.epsilon((1, 0)), mring.epsilon((0, 1))]
-    _check_closure(mring, gens, nzd=True, depth=depth)
+    _check_closure(mring, gens, depth=depth)
 
 
 # ---------------------------------------------------------------------------

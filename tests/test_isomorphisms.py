@@ -3,7 +3,6 @@ import pytest
 
 from grothloc import (
     FreeCommutativeMonoid,
-    GrothElement,
     HMapContext,
     IntegerRing,
     Lcg64,
@@ -36,7 +35,7 @@ class TestContextLayout:
         assert line_ctx.tset.generators[0] == line_ctx.mring.epsilon((1,))
 
     def test_lifted_generators_come_first(self):
-        ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2], nzd=True)
+        ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2])
         assert ctx.tset.generators[0] == ctx.mring.scalar(2)
         assert ctx.tset.generators[1] == ctx.mring.epsilon((1,))
 
@@ -72,7 +71,7 @@ class TestForwardMap:
     def test_coefficient_outside_s_rejected(self):
         """3*x over Z at S = <2>: no S part of any witness multiplies to 3."""
         from grothloc import Fraction
-        ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2], nzd=True)
+        ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2])
         den = ctx.mring.element({(1,): 3})
         for wit in [(1,), (0, 1)]:
             with pytest.raises(MalformedDenominatorError):
@@ -80,7 +79,7 @@ class TestForwardMap:
 
     def test_products_beyond_the_closure_depth(self):
         """At depth 2 the S closure stops at 4, but 16 = 4*4 keeps its witness."""
-        ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2], nzd=True, depth=2)
+        ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2], depth=2)
         assert not ctx.sset.contains(16)
         f = ctx.monomial_fraction(ctx.mring.element({(2,): 1}), 4, (1,))
         u = h_forward(ctx, ctx.tloc.mul(f, f))
@@ -116,8 +115,8 @@ class TestRoundTrips:
 # contexts for the differential test of h_inverse: free monoids over Z with
 # S = <2, 3> and over Z/p, a cancellative and a non-cancellative Cayley monoid
 DIFFERENTIAL_CONTEXTS = {
-    "Z[N]_at_2_3": lambda: HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2, 3], nzd=True),
-    "Z[N^2]_at_2_3": lambda: HMapContext(IntegerRing(), FreeCommutativeMonoid(2), [2, 3], nzd=True),
+    "Z[N]_at_2_3": lambda: HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2, 3]),
+    "Z[N^2]_at_2_3": lambda: HMapContext(IntegerRing(), FreeCommutativeMonoid(2), [2, 3]),
     "Z/7[N]": lambda: HMapContext(ModRing(7), FreeCommutativeMonoid(1), []),
     "Z/7[N^3]": lambda: HMapContext(ModRing(7), FreeCommutativeMonoid(3), []),
     "Z/11[N^2]_at_2": lambda: HMapContext(ModRing(11), FreeCommutativeMonoid(2), [2]),
@@ -159,7 +158,7 @@ class TestBatteries:
         assert report["degree_law_ok"]
 
     def test_plane_over_integers_at_powers_of_two(self):
-        ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(2), [2], nzd=True)
+        ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(2), [2])
         report = verify_isomorphism(ctx, samples=60, kernel_samples=40)
         assert report["all_ok"]
         assert report["hom_ok"]
@@ -169,7 +168,7 @@ class TestBatteries:
         """Products of sampled fractions reach 4+ S generators; depth 2 only
         materializes 1, 2 and 4, and the battery still passes."""
         for depth in (2, 3):
-            ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2], nzd=True,
+            ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2],
                               depth=depth)
             report = verify_isomorphism(ctx, samples=60)
             assert report["all_ok"]

@@ -221,7 +221,7 @@ def test_monoid_ring_keys(label, ring, gens):
 
 def test_key_needs_a_complete_closure():
     zz = IntegerRing()
-    loc = LocalizedRing(zz, MultiplicativeSet(zz, [2], nzd=True))
+    loc = LocalizedRing(zz, MultiplicativeSet(zz, [2]))
     with pytest.raises(UnsupportedFamilyError):
         loc.key(loc.frac(1, 2))
 
@@ -229,7 +229,7 @@ def test_key_needs_a_complete_closure():
 def test_key_over_a_finite_set_of_an_infinite_ring():
     """S = {1, -1} in Z: the closure is complete, so G(S) still embeds."""
     zz = IntegerRing()
-    sset = MultiplicativeSet(zz, [-1], nzd=True)
+    sset = MultiplicativeSet(zz, [-1])
     loc = LocalizedRing(zz, sset)
     assert loc.key(loc.frac(3, -1)) == loc.key(loc.frac(-3)) == -3
     rep = groth_units_embedding(sset, loc)
@@ -324,7 +324,7 @@ def test_units_build_no_class_table(monkeypatch):
 
 def test_nzd_flag_sweeps_no_ring(monkeypatch):
     """Over Z/6[Z/7], eps_1 is a unit and 2*eps_1 a zero-divisor; the flag is
-    read off the idempotent power of the generators' product, never off the
+    read off each generator's coefficient and translation, never off the
     6^7 elements of the ring."""
     def refuse(self):
         raise AssertionError("the flag enumerated the ring")

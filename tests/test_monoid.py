@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from grothloc import (
     AxiomViolationError,
     CayleyMonoid,
-    DirectSumMonoid,
     FreeCommutativeMonoid,
     IntegerLatticeMonoid,
     InvalidInputError,

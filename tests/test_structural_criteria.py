@@ -22,7 +22,6 @@ from grothloc import (
     ModRing,
     MonoidRing,
     group_ring_map_injective,
-    is_abelian_group,
     is_cancellative,
     monomial_is_nonzerodivisor,
     quasi_zero_submonoid,
@@ -94,7 +93,7 @@ def check_against_pair_scans(m):
     if isinstance(m, CayleyMonoid):
         cancellative = sweep_is_cancellative(m)
         assert is_cancellative(m) == cancellative
-        assert is_abelian_group(m) == sweep_is_abelian_group(m) == cancellative
+        assert sweep_is_abelian_group(m) == cancellative
 
 
 @pytest.mark.parametrize("build", FINITE_ZOO, ids=lambda b: b.__name__)
