@@ -25,8 +25,7 @@ from .grothendieck import (
     GrothendieckGroup,
     build_total_order,
     monoid_groth_structure,
-    presentation_matrix,
-    smith_normal_form,
+    presentation_snf,
     structure_from_snf,
 )
 from .localization import (
@@ -160,7 +159,7 @@ def _cmd_groth_order(args):
         raise InvalidInputError(
             "total orders are built from presentation, free or lattice descriptions"
         )
-    snf = smith_normal_form(presentation_matrix(m), ncols=m.generators)
+    snf = presentation_snf(m)
     s = structure_from_snf(snf)
     results = {"structure": _structure_json(s)}
     try:

@@ -85,6 +85,10 @@ def _eye(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _sparse_eye(n: int) -> list:
+    return [{i: 1} for i in range(n)]
+
+
 def _matmul(a: list, b: list) -> list:
     """a * b over Z, skipping the zero entries of both factors."""
     if not a or not b:
@@ -113,17 +117,22 @@ def _as_int(x) -> int:
 def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
     """Diagonalize an integer matrix over Z, tracking both transforms.
 
-    Pivoting always promotes a minimum-|value| entry, which keeps
-    intermediate entries small; arithmetic is exact regardless.
-    ``ncols`` is required when ``rows`` is empty.  U is kept as sparse rows
-    ({col: value}) during elimination, and the certificate U*A*V == D is
-    checked exactly on every call.
+    Pivoting always promotes a minimum-|value| entry (the first in row-major
+    order), which keeps intermediate entries small; arithmetic is exact
+    regardless.  ``ncols`` is required when ``rows`` is empty.
+
+    A and U are kept as sparse rows ({col: value}) and V is dense, so the
+    pivot search, the row and column passes and the divisibility scan read
+    only nonzeros.  A's rows are keyed by original column; a column swap
+    permutes the map from elimination order to original column instead of
+    touching every row.  The certificate U*A*V == D is checked exactly on
+    every call: U*A from the sparse rows, then (U*A)*V through ``_matmul``.
     """
-    A = [list(map(_as_int, row)) for row in rows]
-    m = len(A)
+    dense = [list(map(_as_int, row)) for row in rows]
+    m = len(dense)
     if m:
-        n = len(A[0])
-        if any(len(row) != n for row in A):
+        n = len(dense[0])
+        if any(len(row) != n for row in dense):
             raise InvalidInputError("ragged matrix")
         if ncols is not None and ncols != n:
             raise InvalidInputError("ncols disagrees with row length")
@@ -131,39 +140,52 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
         if ncols is None:
             raise InvalidInputError("empty matrix needs an explicit ncols")
         n = ncols
-    orig = [row[:] for row in A]
-    U = [{i: 1} for i in range(m)]
+    orig = [{c: x for c, x in enumerate(row) if x} for row in dense]
+    del dense
+    A = [dict(row) for row in orig]
+    U = _sparse_eye(m)
     V = _eye(n)
+    col = list(range(n))  # column j of the elimination is original column col[j]
+    pos = list(range(n))  # and original column c is column pos[c]
+    # At step t every row i >= t is zero in columns < t and every row i < t
+    # is the single entry (i, i), so the passes below skip rows < t.
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
+        col[i], col[j] = col[j], col[i]
+        pos[col[i]], pos[col[j]] = i, j
         for row in V:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, q):
-        # row dst += q * row src
-        A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
-        udst = U[dst]
-        for k, y in U[src].items():
-            x = udst.get(k, 0) + q * y
-            if x:
-                udst[k] = x
-            else:
-                del udst[k]
+        # row dst += q * row src, in A and in U
+        for mat in (A, U):
+            out = mat[dst]
+            for k, y in mat[src].items():
+                x = out.get(k, 0) + q * y
+                if x:
+                    out[k] = x
+                else:
+                    del out[k]
 
-    def add_col(src, dst, q):
-        for row in A:
-            row[dst] += q * row[src]
+    def add_col(src, dst, q, meet):
+        # column dst += q * column src; ``meet`` lists the rows where src is nonzero
+        cs, cd = col[src], col[dst]
+        for r in meet:
+            row = A[r]
+            x = row.get(cd, 0) + q * row[cs]
+            if x:
+                row[cd] = x
+            else:
+                del row[cd]
         for row in V:
             row[dst] += q * row[src]
 
     def negate_row(i):
-        A[i] = [-x for x in A[i]]
+        A[i] = {k: -x for k, x in A[i].items()}
         U[i] = {k: -x for k, x in U[i].items()}
 
     t = 0
@@ -172,71 +194,86 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
         # the first minimum-|value| entry in row-major order
         pi, best = None, 0
         for i in range(t, m):
-            low = min((abs(v) for v in A[i][t:] if v), default=0)
+            low = min(map(abs, A[i].values()), default=0)
             if low and (not best or low < best):
                 pi, best = i, low
                 if best == 1:
                     break
         if pi is None:
             break
-        pj = next(j for j in range(t, n) if abs(A[pi][j]) == best)
+        pj = min(pos[c] for c, v in A[pi].items() if abs(v) == best)
         if pi != t:
             swap_rows(t, pi)
         if pj != t:
             swap_cols(t, pj)
-        if A[t][t] < 0:
+        if A[t][col[t]] < 0:
             negate_row(t)
         while True:
             dirty = False
-            for i in range(t + 1, m):
-                v = A[i][t]
-                if v:
-                    q = v // A[t][t]
-                    if q:
-                        add_row(t, i, -q)
-                    if A[i][t]:
-                        # remainder beats the pivot; promote it
-                        swap_rows(t, i)
-                        dirty = True
+            ct = col[t]
+            # the rows below t that meet column t; a pass changes only row t
+            # and the row it works on, so the list stays exact
+            for i in [i for i in range(t + 1, m) if ct in A[i]]:
+                q = A[i][ct] // A[t][ct]
+                if q:
+                    add_row(t, i, -q)
+                if ct in A[i]:
+                    # remainder beats the pivot; promote it
+                    swap_rows(t, i)
+                    dirty = True
             if dirty:
                 continue
+            # after a clean row pass only row t meets column t, until a swap
+            meet = [t]
             for j in range(t + 1, n):
-                v = A[t][j]
+                v = A[t].get(col[j])
                 if v:
-                    q = v // A[t][t]
+                    q = v // A[t][col[t]]
                     if q:
-                        add_col(t, j, -q)
-                    if A[t][j]:
+                        add_col(t, j, -q, meet)
+                    if col[j] in A[t]:
                         swap_cols(t, j)
+                        meet = [i for i in range(t, m) if col[t] in A[i]]
                         dirty = True
             if dirty:
                 continue
             # row and column t are clear; force the divisibility chain
-            d = A[t][t]
+            d = A[t][col[t]]
             if d == 1:
                 break
-            culprit = None
-            for i in range(t + 1, m):
-                if any(A[i][j] % d for j in range(t + 1, n)):
-                    culprit = i
-                    break
+            culprit = next(
+                (i for i in range(t + 1, m) if any(x % d for x in A[i].values())),
+                None,
+            )
             if culprit is None:
                 break
             add_row(culprit, t, 1)
         t += 1
 
-    dense = []
-    for row in U:
-        out = [0] * m
-        for k, x in row.items():
-            out[k] = x
-        dense.append(out)
-    U = dense
-    check = _matmul(_matmul(U, orig), V)
-    if check != A:
+    def dense_rows(rows, width, at):
+        out = []
+        for row in rows:
+            full = [0] * width
+            for k, x in row.items():
+                full[at[k]] = x
+            out.append(full)
+        return out
+
+    def times_orig(urow):
+        # a row of U*A, in original columns like the rows of V
+        acc = [0] * n
+        for k, x in urow.items():
+            for c, y in orig[k].items():
+                acc[c] += x * y
+        return acc
+
+    D = dense_rows(A, n, pos)
+    if _matmul([times_orig(row) for row in U], V) != D:
         raise AssertionError("transform bookkeeping broke: U*A*V != D")
-    diag = [A[i][i] for i in range(limit)]
-    return SNFResult(D=A, U=U, V=V, invariant_factors=diag, nrows=m, ncols=n)
+    diag = [D[i][i] for i in range(limit)]
+    return SNFResult(
+        D=D, U=dense_rows(U, m, range(m)), V=V, invariant_factors=diag, nrows=m, ncols=n
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +342,19 @@ def structure_from_snf(snf: SNFResult) -> FGAbelianStructure:
     return FGAbelianStructure(snf.ncols - len(nonzero), torsion)
 
 
+def presentation_snf(p: MonoidPresentation) -> SNFResult:
+    """The Smith normal form of p's relation matrix, computed once per
+    presentation object and kept on it; callers must not mutate it."""
+    snf = p.__dict__.get("_snf")
+    if snf is None:
+        snf = smith_normal_form(presentation_matrix(p), ncols=p.generators)
+        object.__setattr__(p, "_snf", snf)  # p is a frozen dataclass
+    return snf
+
+
 def groth_of_presentation(p: MonoidPresentation) -> FGAbelianStructure:
     """Grothendieck group of a presented monoid: Z^k modulo relation rows."""
-    snf = smith_normal_form(presentation_matrix(p), ncols=p.generators)
-    return structure_from_snf(snf)
+    return structure_from_snf(presentation_snf(p))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +397,7 @@ class GrothendieckGroup:
         self._parts = None
         if isinstance(base, MonoidPresentation):
             self.strategy = "presentation-lattice"
-            self._slots = snf_slots(
-                smith_normal_form(presentation_matrix(base), ncols=base.generators)
-            )
+            self._slots = snf_slots(presentation_snf(base))
         elif isinstance(base, DirectSumMonoid) and not base.is_finite:
             self._parts = [GrothendieckGroup(c) for c in base.components]
             cancellative = all(g.strategy == "cancellative-cross-sum" for g in self._parts)

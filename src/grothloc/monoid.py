@@ -126,6 +126,13 @@ class CayleyMonoid(CommutativeMonoid):
     def size(self) -> int:
         return self._size
 
+    @functools.cached_property
+    def is_group(self) -> bool:
+        """Whether the table cancels, decided once: a finite M cancels iff it
+        is a group iff its minimal ideal M + e is M, with e the idempotent
+        power of the sum of all of M."""
+        return idempotent_power(self.op, functools.reduce(self.op, self.elements())) == self._identity
+
     def __eq__(self, other):
         return self is other or (
             isinstance(other, CayleyMonoid)
@@ -375,9 +382,7 @@ def is_cancellative(m: CommutativeMonoid) -> bool:
     if isinstance(m, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
         return True
     if isinstance(m, CayleyMonoid):
-        # finite M cancels iff it is a group iff its minimal ideal M + e is M,
-        # with e the idempotent power of the sum of all of M
-        return idempotent_power(m.op, functools.reduce(m.op, m.elements())) == m.identity
+        return m.is_group
     if isinstance(m, DirectSumMonoid):
         return all(is_cancellative(c) for c in m.components)
     raise UnsupportedFamilyError(
@@ -386,11 +391,12 @@ def is_cancellative(m: CommutativeMonoid) -> bool:
 
 
 def translation_injective(m: CommutativeMonoid, a: MonoidValue) -> bool:
-    """Whether x -> a+x is injective on M: a Cayley row must be a bijection,
-    a direct sum translates componentwise, and any other family asks
-    ``is_cancellative`` (which rejects presented monoids)."""
+    """Whether x -> a+x is injective on M: every translation of a group
+    table is, otherwise a Cayley row must be a bijection; a direct sum
+    translates componentwise, and any other family asks ``is_cancellative``
+    (which rejects presented monoids)."""
     if isinstance(m, CayleyMonoid):
-        return len(set(m.table[a])) == m.size()
+        return m.is_group or len(set(m.table[a])) == m.size()
     if isinstance(m, DirectSumMonoid):
         return all(translation_injective(c, x) for c, x in zip(m.components, a))
     return is_cancellative(m)

@@ -7,7 +7,7 @@ merged in a dict on the class normal form ``GrothendieckGroup.key``, and
 each class keeps its first-seen pair as its displayed key.  Every ring
 decides its non-zero-divisors from its structure (``is_nonzerodivisor``):
 a != 0 over Z, gcd(a, n) = 1 over Z/n, and over R[M] from R and the
-translations x -> m+x of M.
+translations x -> m+x of M, or by McCoy's theorem for polynomials.
 """
 from __future__ import annotations
 
@@ -334,17 +334,27 @@ class MonoidRing:
     def is_nonzerodivisor(self, f: MRElement) -> bool:
         """Whether f*g = 0 forces g = 0.  s*eps_m is one exactly when s is one
         in R and x -> m+x is injective (see ``monomial_is_nonzerodivisor``).
-        Otherwise f is one when it is a unit of a finite R[M], or nonzero over
-        a domain R with free or lattice M; anything else is undecided."""
+        Otherwise f is one when it is a unit of a finite R[M]; with M free or
+        a lattice, when it is nonzero over Z, and over Z/n when
+        gcd(n, c_1, ..., c_k) = 1 for its coefficients c_i.  Anything else is
+        undecided.
+
+        The Z/n rule is McCoy's theorem: f in R[x_1, ..., x_k] is a
+        zero-divisor exactly when r*f = 0 for a constant r != 0.  A Laurent f
+        times a unit monomial is a polynomial with the same coefficients, and
+        r*c_i = 0 mod n for all i exactly when n / gcd(n, c_1, ..., c_k)
+        divides r."""
         coeff = self.coeff_ring
         if len(f.coeffs) == 1:
             ((m, s),) = f.coeffs.items()
             return coeff.is_nonzerodivisor(s) and translation_injective(self.monoid, m)
         if self.is_finite:
             return idempotent_power(self.mul, f) == self.one
-        domain = isinstance(coeff, IntegerRing) or coeff.is_field
-        if domain and isinstance(self.monoid, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
-            return not f.is_zero()
+        if isinstance(self.monoid, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
+            if isinstance(coeff, ModRing):
+                return gcd(coeff.n, *f.coeffs.values()) == 1
+            if isinstance(coeff, IntegerRing):
+                return not f.is_zero()
         raise UnsupportedFamilyError(f"zero-divisors are not decided over {self!r}")
 
     def validate(self, f) -> MRElement:

@@ -140,6 +140,26 @@ class TestGrothOrder:
             "sampled_transitive": True,
         }
 
+    def test_one_elimination_for_structure_and_group(self, tmp_path, monkeypatch):
+        from grothloc import grothendieck
+
+        calls = []
+        honest = grothendieck.smith_normal_form
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(grothendieck, "smith_normal_form", spy)
+        # also wherever the command might have imported it by name
+        monkeypatch.setattr(cli, "smith_normal_form", spy, raising=False)
+        code, rep = run(
+            tmp_path, "groth", "order", "--monoid", str(CORPUS / "numsg_2_3.json"),
+            "--samples", "20",
+        )
+        assert code == 0 and rep["results"]["orderable"] is True
+        assert len(calls) == 1
+
     def test_torsion_witness_reported(self, tmp_path):
         pres = tmp_path / "ncz2.json"
         pres.write_text(

@@ -4,9 +4,13 @@
 ring, ``translation_injective`` with a scan of a bounded box, the
 ``MultiplicativeSet`` flag (every generator a non-zero-divisor) with the
 earlier flag read off the generators' product, and ``is_cancellative`` with
-the earlier keyed test of m -> [m, 0] (all in tests/oracles.py).
+the earlier keyed test of m -> [m, 0] (all in tests/oracles.py).  Over Z/n
+with a free or lattice M, McCoy's rule is compared with a search for a
+killer in a bounded box of multipliers.
 """
+import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -176,3 +180,92 @@ def test_zero_divisor_in_s_makes_t_exhaustive():
     ctx = HMapContext(ModRing(12), zoo.z2(), [4])
     assert not ctx.sset.nzd_flag and not ctx.tset.nzd_flag
     assert ctx.tloc.strategy == "exhaustive-witness"
+
+
+def _counting_rows(table, counter):
+    """The rows of ``table``, counting lookups: one per index, |M| per scan."""
+
+    class Row(tuple):
+        def __getitem__(self, i):
+            counter[0] += 1
+            return tuple.__getitem__(self, i)
+
+        def __iter__(self):
+            counter[0] += len(self)
+            return tuple.__iter__(self)
+
+    return tuple(map(Row, table))
+
+
+def test_translations_of_a_group_table_scan_no_row():
+    """Cancellativity is decided once per table, so HMapContext's |M|
+    translations eps_m cost no Cayley row scan (|M|^2 lookups in all)."""
+    n = 600
+    m = CayleyMonoid([[(i + j) % n for j in range(n)] for i in range(n)])
+    lookups = [0]
+    m.table = _counting_rows(m.table, lookups)
+    ctx = HMapContext(ModRing(5), m, [2])
+    assert ctx.tset.nzd_flag and ctx.tloc.strategy == "cross-multiplication"
+    assert lookups[0] <= 3 * n
+    # a table that is not a group still scans the row it is asked about
+    mult = CayleyMonoid([[i * j % 12 for j in range(12)] for i in range(12)], identity=1)
+    assert [translation_injective(mult, a) for a in (1, 5, 2, 0)] == [True, True, False, False]
+
+
+def _box_killer(mring, f, exps):
+    """A g != 0 with f*g = 0 among those supported on ``exps``, or None."""
+    n = mring.coeff_ring.n
+    for coeffs in itertools.product(range(n), repeat=len(exps)):
+        g = mring.element(dict(zip(exps, coeffs)))
+        if not g.is_zero() and (f * g).is_zero():
+            return g
+    return None
+
+
+def _check_mccoy(mring, f, box):
+    n = mring.coeff_ring.n
+    verdict = mring.is_nonzerodivisor(f)
+    assert verdict == (_box_killer(mring, f, box) is None), f.coeffs
+    if not verdict:
+        r = n // gcd(n, *f.coeffs.values())
+        assert r % n and (mring.scalar(r) * f).is_zero(), (f.coeffs, r)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12])
+def test_mccoy_over_zmod_polynomials_matches_box_search(n):
+    """Over (Z/n)[x] f is a non-zero-divisor exactly when no g != 0 of degree
+    <= 1 kills it, and each zero-divisor is killed by n / gcd(n, c_i)."""
+    mring = MonoidRing(ModRing(n), FreeCommutativeMonoid(1))
+    rng = random.Random(n)
+    box = [(0,), (1,)]
+    for _ in range(25):
+        degs = rng.sample(range(4), rng.randint(2, 3))
+        f = mring.element({(d,): rng.randrange(1, n) for d in degs})
+        _check_mccoy(mring, f, box)
+
+
+@pytest.mark.parametrize("monoid, box", [
+    (FreeCommutativeMonoid(2), [(0, 0), (1, 0), (0, 1)]),
+    (IntegerLatticeMonoid(1), [(-1,), (0,), (1,)]),
+    (IntegerLatticeMonoid(2), [(0, 0), (-1, 0), (0, 1)]),
+], ids=["free2", "lattice1", "lattice2"])
+def test_mccoy_over_z6_in_several_variables_matches_box_search(monoid, box):
+    mring = MonoidRing(ModRing(6), monoid)
+    rng = random.Random(monoid.rank)
+    lo = -2 if isinstance(monoid, IntegerLatticeMonoid) else 0
+    for _ in range(25):
+        degs = set()
+        while len(degs) < 2:
+            degs.add(tuple(rng.randint(lo, 2) for _ in range(monoid.rank)))
+        f = mring.element({d: rng.randrange(1, 6) for d in degs})
+        _check_mccoy(mring, f, box)
+
+
+def test_one_plus_x_over_z6_localizes_by_cross_multiplication():
+    z6x = MonoidRing(ModRing(6), FreeCommutativeMonoid(1))
+    x = z6x.epsilon((1,))
+    for f in (z6x.one + x, z6x.scalar(2) + z6x.scalar(3) * x):
+        loc = LocalizedRing(z6x, MultiplicativeSet(z6x, [f]))
+        assert loc.strategy == "cross-multiplication"
+    # 2 + 4x is killed by the constant 3
+    assert not MultiplicativeSet(z6x, [z6x.scalar(2) + z6x.scalar(4) * x]).nzd_flag
