@@ -30,7 +30,7 @@ import itertools
 import numbers
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import mul, sub
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -70,15 +70,22 @@ class SNFResult:
     """D = U * A * V with U, V unimodular and D diagonal.
 
     ``invariant_factors`` lists the diagonal of D (length min(nrows, ncols)),
-    nonnegative, each entry dividing the next, zeros trailing.
+    nonnegative, each entry dividing the next, zeros trailing.  U is held as
+    the sparse rows ({col: value}) the elimination left, ``u_rows``; ``.U``
+    builds the dense nrows x nrows list of lists on its first read and keeps
+    it, so a caller that never reads U never pays for it.
     """
 
     D: list
-    U: list
     V: list
     invariant_factors: list
     nrows: int
     ncols: int
+    u_rows: list
+
+    @functools.cached_property
+    def U(self) -> list:
+        return _dense_rows(self.u_rows, self.nrows, range(self.nrows))
 
 
 def _eye(n: int) -> list:
@@ -87,6 +94,17 @@ def _eye(n: int) -> list:
 
 def _sparse_eye(n: int) -> list:
     return [{i: 1} for i in range(n)]
+
+
+def _dense_rows(rows: list, width: int, at) -> list:
+    """Sparse rows {k: value} as lists of ``width``, entry k at index at[k]."""
+    out = []
+    for row in rows:
+        full = [0] * width
+        for k, x in row.items():
+            full[at[k]] = x
+        out.append(full)
+    return out
 
 
 def _matmul(a: list, b: list) -> list:
@@ -114,6 +132,13 @@ def _as_int(x) -> int:
     return int(x)
 
 
+def _int_row(row) -> list:
+    """``row`` itself when it is a list of Python ints, else a vetted copy."""
+    if type(row) is list and set(map(type, row)) <= {int}:
+        return row
+    return list(map(_as_int, row))
+
+
 def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
     """Diagonalize an integer matrix over Z, tracking both transforms.
 
@@ -121,27 +146,37 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
     order), which keeps intermediate entries small; arithmetic is exact
     regardless.  ``ncols`` is required when ``rows`` is empty.
 
-    A and U are kept as sparse rows ({col: value}) and V is dense, so the
-    pivot search, the row and column passes and the divisibility scan read
-    only nonzeros.  A's rows are keyed by original column; a column swap
-    permutes the map from elimination order to original column instead of
-    touching every row.  The certificate U*A*V == D is checked exactly on
-    every call: U*A from the sparse rows, then (U*A)*V through ``_matmul``.
+    Each input row goes straight into a sparse row ({col: value}); a list of
+    Python ints is read in place, anything else (numpy ints, tuples,
+    iterators) is vetted entry by entry first.  A and U are kept as sparse
+    rows and V is dense, so the pivot search, the row and column passes and
+    the divisibility scan read only nonzeros.  A's rows are keyed by original
+    column; a column swap permutes the map from elimination order to
+    original column instead of touching every row.  U is returned as its
+    sparse rows (see ``SNFResult``).
+
+    The certificate U*A*V == D is checked exactly on every call, on U*A from
+    the sparse rows: each of the r rows of D that holds a pivot must equal
+    (U*A)_i * V, and each of the m - r rows past the last pivot must have
+    (U*A)_i == 0, which implies (U*A)_i * V == 0 and skips the product.
     """
-    dense = [list(map(_as_int, row)) for row in rows]
-    m = len(dense)
-    if m:
-        n = len(dense[0])
-        if any(len(row) != n for row in dense):
+    orig, width = [], None
+    for row in rows:
+        row = _int_row(row)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
             raise InvalidInputError("ragged matrix")
-        if ncols is not None and ncols != n:
+        orig.append(dict(itertools.compress(enumerate(row), row)))
+    m = len(orig)
+    if m:
+        if ncols is not None and ncols != width:
             raise InvalidInputError("ncols disagrees with row length")
+        n = width
     else:
         if ncols is None:
             raise InvalidInputError("empty matrix needs an explicit ncols")
         n = ncols
-    orig = [{c: x for c, x in enumerate(row) if x} for row in dense]
-    del dense
     A = [dict(row) for row in orig]
     U = _sparse_eye(m)
     V = _eye(n)
@@ -250,15 +285,6 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
             add_row(culprit, t, 1)
         t += 1
 
-    def dense_rows(rows, width, at):
-        out = []
-        for row in rows:
-            full = [0] * width
-            for k, x in row.items():
-                full[at[k]] = x
-            out.append(full)
-        return out
-
     def times_orig(urow):
         # a row of U*A, in original columns like the rows of V
         acc = [0] * n
@@ -267,13 +293,16 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
                 acc[c] += x * y
         return acc
 
-    D = dense_rows(A, n, pos)
-    if _matmul([times_orig(row) for row in U], V) != D:
+    D = _dense_rows(A, n, pos)
+    # rows t.. hold no pivot: they are empty in A, so zero in D
+    if (
+        any(A[t:])
+        or any(any(times_orig(row)) for row in U[t:])
+        or _matmul([times_orig(row) for row in U[:t]], V) != D[:t]
+    ):
         raise AssertionError("transform bookkeeping broke: U*A*V != D")
     diag = [D[i][i] for i in range(limit)]
-    return SNFResult(
-        D=D, U=dense_rows(U, m, range(m)), V=V, invariant_factors=diag, nrows=m, ncols=n
-    )
+    return SNFResult(D=D, V=V, invariant_factors=diag, nrows=m, ncols=n, u_rows=U)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +335,7 @@ def is_torsion_free(s: FGAbelianStructure) -> bool:
 
 def presentation_matrix(p: MonoidPresentation) -> list:
     """One row u - v per relation, over the generator coordinates."""
-    return [
-        [ui - vi for ui, vi in zip(u, v)]
-        for u, v in p.relations
-    ]
+    return [list(map(sub, u, v)) for u, v in p.relations]
 
 
 def snf_slots(snf: SNFResult) -> list:

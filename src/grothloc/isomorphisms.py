@@ -185,14 +185,9 @@ def verify_isomorphism(ctx: HMapContext, samples: int = 200, seed: int = 0,
     for _ in range(samples):
         f = sample_t_fraction(ctx, rng)
         g = sample_t_fraction(ctx, rng)
-        add_match = gr.eq(
-            h_forward(ctx, ctx.tloc.add(f, g)),
-            gr.add(h_forward(ctx, f), h_forward(ctx, g)),
-        )
-        mul_match = gr.eq(
-            h_forward(ctx, ctx.tloc.mul(f, g)),
-            gr.mul(h_forward(ctx, f), h_forward(ctx, g)),
-        )
+        hf, hg = h_forward(ctx, f), h_forward(ctx, g)
+        add_match = gr.eq(h_forward(ctx, ctx.tloc.add(f, g)), gr.add(hf, hg))
+        mul_match = gr.eq(h_forward(ctx, ctx.tloc.mul(f, g)), gr.mul(hf, hg))
         if not (add_match and mul_match):
             hom_ok = False
     back_ok = True
@@ -303,7 +298,7 @@ def laurent_iso(ring, rank: int, samples: int = 200, seed: int = 0,
             roundtrip_ok = False
         v = lring.sample(rng, max_support=3, exp_bound=exp_bound)
         lhs = h_forward(ctx, embed(u * v))
-        rhs = ctx.group_ring.mul(h_forward(ctx, embed(u)), h_forward(ctx, embed(v)))
+        rhs = ctx.group_ring.mul(image, h_forward(ctx, embed(v)))
         if not ctx.group_ring.eq(lhs, rhs):
             product_ok = False
     return {

@@ -420,6 +420,28 @@ class EmbeddingReport:
         return len(self.classes)
 
 
+def _group_generators(elems: list, mul) -> list:
+    """Indices of a generating set of the finite group ``elems`` (identity
+    first) under ``mul``, chosen greedily in list order.
+
+    Each element outside the subgroup H generated so far is chosen, and H
+    grows by its cosets H*g, H*g^2, ... up to the first that meets H again
+    (g^k in H), so the whole pass costs about |A|*|G| products.
+    """
+    inside, gens = {elems[0]}, []
+    for i, g in enumerate(elems):
+        if g in inside:
+            continue
+        gens.append(i)
+        coset = list(inside)
+        while True:
+            coset = [mul(h, g) for h in coset]
+            if coset[0] in inside:
+                break
+            inside.update(coset)
+    return gens
+
+
 def _units_map(carrier: list, loc: LocalizedRing, embed):
     """G(S) -> S^-1 R, [s, t] -> embed(s, t): (report, image keys).
 
@@ -428,24 +450,44 @@ def _units_map(carrier: list, loc: LocalizedRing, embed):
     every a in S-bar).  G(S) is the kernel group e*S, with [s, t] at
     s*(t*e)^-1.  As t runs over S, t*e runs over e*S, so the classes [1, t]
     are all of G(S), and [1, t] = [1, t'] exactly when t*e = t'*e.  Each
-    class is represented by [1, t] for its first t.  The morphism law
-    compares keys on every pair of classes; injectivity asks that the image
-    keys be distinct.
+    class is represented by [1, t] for its first t; injectivity asks that
+    the image keys be distinct.
+
+    The morphism law is checked on generators, as Light's test is in
+    ``monoid.py``: A is the identity class followed by a greedy generating
+    set of G(S) in carrier order.  For every class x and every a in A, the
+    key of phi(x)*phi(a) must equal both the key of embed on the product
+    pair and the image key of the class of x*a, found by its key t*e.  With
+    phi(x) the image key of x, the pair (x, 1) gives phi(x)*phi(1) =
+    phi(x), and induction on the length of y = a_1*...*a_k gives phi(x*y) =
+    phi(x)*phi(a_1)*...*phi(a_k) = phi(x)*phi(y) on every pair of classes.
+    That is the all-pairs law whenever the key of embed(s, t) depends only
+    on the class, as it does for s/t and (s*b)/(t*b): both have key
+    e*s*(e*t)^-1.
     """
     one, mul = loc.ring.one, loc.ring.mul
     e = loc._kernel_inverses()[0]
     reps = {}
     for t in carrier:
         reps.setdefault(mul(t, e), GrothElement(one, t))
+    at = list(reps)  # the key t*e of each class
+    index = {k: i for i, k in enumerate(at)}
     classes = list(reps.values())
     image = [embed(s, t) for s, t in classes]
     keys = [loc.key(f) for f in image]
-    morphism_ok = all(
-        loc.key(embed(mul(x.first, y.first), mul(x.second, y.second)))
-        == loc.key(loc.mul(image[i], image[j]))
-        for i, x in enumerate(classes)
-        for j, y in enumerate(classes)
-    )
+
+    def law(i, j):
+        x, a = classes[i], classes[j]
+        want = loc.key(loc.mul(image[i], image[j]))
+        k = index.get(mul(at[i], at[j]))
+        return (
+            k is not None
+            and keys[k] == want
+            and loc.key(embed(mul(x.first, a.first), mul(x.second, a.second))) == want
+        )
+
+    gens = [0] + _group_generators(at, mul)
+    morphism_ok = all(law(i, j) for i in range(len(classes)) for j in gens)
     injective = len(set(keys)) == len(keys)
     return EmbeddingReport(classes, image, morphism_ok, injective), keys
 
@@ -453,8 +495,8 @@ def _units_map(carrier: list, loc: LocalizedRing, embed):
 def groth_units_embedding(sset: MultiplicativeSet, loc: LocalizedRing) -> EmbeddingReport:
     """G(S) -> (S^-1 R)*: the class [s, t] goes to the fraction s/t.
 
-    Both the morphism law and injectivity are checked exhaustively over the
-    enumerated classes.
+    The morphism law is checked on a generating set of G(S) and
+    injectivity over all the enumerated classes (see ``_units_map``).
     """
     return _units_map(
         list(sset.closure), loc, lambda s, t: Fraction(s, t, sset.witness(t))
@@ -479,8 +521,9 @@ def groth_units_iso(sset: MultiplicativeSet, loc: LocalizedRing) -> UnitsIsoRepo
     """G(S-bar) = (S^-1 R)*: [s, t] goes to (s*b)/(t*b) with t*b in S.
 
     The saturation witness b turns a saturation denominator into a genuine
-    one.  Morphism law, injectivity, and surjectivity onto the unit classes
-    are all checked exhaustively; surjectivity asks that the image keys be
+    one.  The morphism law is checked on a generating set of G(S-bar) (see
+    ``_units_map``); injectivity and surjectivity onto the unit classes are
+    checked over all classes, surjectivity by asking that the image keys be
     exactly the keys of the unit classes.
     """
     ring = loc.ring

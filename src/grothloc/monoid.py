@@ -253,6 +253,14 @@ class IntegerLatticeMonoid(_TupleMonoid):
         return a
 
 
+def _is_exponent_word(word: tuple) -> bool:
+    """Every entry a nonnegative int, bools refused.  A word of plain ints
+    is read in one pass for the types and one for the sign, both in C."""
+    if set(map(type, word)) <= {int}:
+        return min(word, default=0) >= 0
+    return all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in word)
+
+
 @dataclass(frozen=True)
 class MonoidPresentation:
     """Finitely presented commutative monoid: generators and word relations.
@@ -277,10 +285,7 @@ class MonoidPresentation:
                 raise InvalidInputError(f"relation must be a word pair, got {rel!r}")
             u, v = (tuple(side) for side in rel)
             for side in (u, v):
-                if len(side) != g or any(
-                    not isinstance(x, int) or isinstance(x, bool) or x < 0
-                    for x in side
-                ):
+                if len(side) != g or not _is_exponent_word(side):
                     raise InvalidInputError(f"bad relation word {side!r}")
             rels.append((u, v))
         object.__setattr__(self, "relations", tuple(rels))
@@ -295,7 +300,7 @@ class MonoidPresentation:
     def validate(self, a) -> tuple:
         if not isinstance(a, tuple) or len(a) != self.generators:
             raise MalformedElementError(f"expected {self.generators}-word, got {a!r}")
-        if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in a):
+        if not _is_exponent_word(a):
             raise MalformedElementError(f"bad exponent word {a!r}")
         return a
 

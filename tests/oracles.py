@@ -33,12 +33,14 @@ for key equality and for the Smith normal form of the torsion diagonal.
 The non-zero-divisor flag read off the product of the generators and the
 injectivity of m -> [m, 0] tested on class keys are the references for the
 flag that asks each generator's ring ``is_nonzerodivisor`` and for
-``is_cancellative``.
+``is_cancellative``.  The morphism law of G(S) -> S^-1 R checked on every
+pair of classes is the reference for the law checked on generators.
 """
 import functools
 import itertools
 from collections import Counter
 from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +59,8 @@ from grothloc import (
     smith_normal_form,
 )
 from grothloc.errors import InvalidInputError, PreconditionError, UnsupportedFamilyError
-from grothloc.grothendieck import SNFResult, _eye, lattice_key
+from grothloc.grothendieck import _eye, lattice_key
+from grothloc.localization import EmbeddingReport
 from grothloc.monoid import (
     CommutativeMonoid,
     DirectSumMonoid,
@@ -249,6 +252,36 @@ def scan_units_map(sset, loc, killed, embed) -> tuple:
         for j in range(i + 1, len(image))
     )
     return image, morphism_ok, injective
+
+
+def all_pairs_units_map(carrier: list, loc, embed):
+    """G(S) -> S^-1 R, [s, t] -> embed(s, t): (report, image keys).
+
+    ``carrier`` lists, 1 first, the S of ``loc`` or its saturation, whose
+    idempotent power of the product is e as well (e*a is a unit of eR for
+    every a in S-bar).  G(S) is the kernel group e*S, with [s, t] at
+    s*(t*e)^-1.  As t runs over S, t*e runs over e*S, so the classes [1, t]
+    are all of G(S), and [1, t] = [1, t'] exactly when t*e = t'*e.  Each
+    class is represented by [1, t] for its first t.  The morphism law
+    compares keys on every pair of classes; injectivity asks that the image
+    keys be distinct.
+    """
+    one, mul = loc.ring.one, loc.ring.mul
+    e = loc._kernel_inverses()[0]
+    reps = {}
+    for t in carrier:
+        reps.setdefault(mul(t, e), GrothElement(one, t))
+    classes = list(reps.values())
+    image = [embed(s, t) for s, t in classes]
+    keys = [loc.key(f) for f in image]
+    morphism_ok = all(
+        loc.key(embed(mul(x.first, y.first), mul(x.second, y.second)))
+        == loc.key(loc.mul(image[i], image[j]))
+        for i, x in enumerate(classes)
+        for j, y in enumerate(classes)
+    )
+    injective = len(set(keys)) == len(keys)
+    return EmbeddingReport(classes, image, morphism_ok, injective), keys
 
 
 def scan_units_embedding(sset, loc) -> dict:
@@ -528,7 +561,18 @@ def dense_matmul(a: list, b: list) -> list:
     ]
 
 
-def dense_smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
+class DenseSNF(NamedTuple):
+    """The dense elimination's D = U * A * V, with U an m x m list of lists."""
+
+    D: list
+    U: list
+    V: list
+    invariant_factors: list
+    nrows: int
+    ncols: int
+
+
+def dense_smith_normal_form(rows, ncols: int | None = None) -> DenseSNF:
     """Diagonalize an integer matrix over Z, tracking both transforms.
 
     Pivoting always promotes a minimum-|value| entry, which keeps
@@ -640,7 +684,7 @@ def dense_smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
     if check != A:
         raise AssertionError("transform bookkeeping broke: U*A*V != D")
     diag = [A[i][i] for i in range(limit)]
-    return SNFResult(D=A, U=U, V=V, invariant_factors=diag, nrows=m, ncols=n)
+    return DenseSNF(D=A, U=U, V=V, invariant_factors=diag, nrows=m, ncols=n)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ representatives and their order, the unit classes and their table, the
 saturation, the non-zero-divisor flag, and the embedding and
 unit-correspondence reports must equal the pairwise scans and sweeps.
 """
+import math
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -33,6 +36,7 @@ from grothloc.localization import SaturationSet, _units_map
 
 import zoo
 from oracles import (
+    all_pairs_units_map,
     killed_by_s,
     raw_loc_eq,
     scan_localization_classes,
@@ -244,28 +248,105 @@ def test_classify_rejects_foreign_denominators():
         units.classify(Fraction(1, 3, ()))
 
 
-@pytest.mark.parametrize("n,gens", [(12, [4]), (12, [5]), (20, [3, 4]), (30, [7]), (36, [5, 4])])
-def test_units_map_checks_match_scan_on_wrong_maps(n, gens):
-    """The morphism and injectivity checks themselves, fed maps that break them."""
-    ring = ModRing(n)
-    sset = MultiplicativeSet(ring, gens)
-    loc = LocalizedRing(ring, sset)
-    killed = killed_by_s(loc)
-    embeds = {
+def wrong_maps(sset, loc):
+    """G(S) -> S^-1 R candidates: the embedding s/t and maps that break the
+    morphism law or injectivity.  "(s+1)/t off 1" sends the identity class
+    [1, 1] to 1/1, so it passes every check against the identity."""
+    ring = loc.ring
+    return {
         "s/t": lambda s, t: Fraction(s, t, sset.witness(t)),
         "one": lambda s, t: loc.one,
         "s/1": lambda s, t: loc.frac(s),
         "(s+1)/t": lambda s, t: Fraction(ring.add(s, 1), t, sset.witness(t)),
+        "(s+1)/t off 1": lambda s, t: Fraction(
+            s if t == ring.one else ring.add(s, 1), t, sset.witness(t)
+        ),
     }
+
+
+WRONG_MAP_CASES = [(12, [4]), (12, [5]), (20, [3, 4]), (30, [7]), (36, [5, 4]), (24, [5, 7])]
+
+
+def units_map_disagreements(n, gens):
+    """Names of the wrong maps on which _units_map and the all-pairs law differ."""
+    ring = ModRing(n)
+    sset = MultiplicativeSet(ring, gens)
+    loc = LocalizedRing(ring, sset)
+    out = []
+    for name, embed in wrong_maps(sset, loc).items():
+        got, _ = _units_map(list(sset.closure), loc, embed)
+        want, _ = all_pairs_units_map(list(sset.closure), loc, embed)
+        if (got.morphism_ok, got.injective) != (want.morphism_ok, want.injective):
+            out.append(name)
+    return out
+
+
+@pytest.mark.parametrize("n,gens", WRONG_MAP_CASES)
+def test_units_map_checks_match_scan_on_wrong_maps(n, gens):
+    """The morphism and injectivity checks themselves, fed maps that break
+    them, against the pairwise scan and the all-pairs law."""
+    ring = ModRing(n)
+    sset = MultiplicativeSet(ring, gens)
+    loc = LocalizedRing(ring, sset)
+    killed = killed_by_s(loc)
     seen = set()
-    for name, embed in embeds.items():
+    for name, embed in wrong_maps(sset, loc).items():
         rep, keys = _units_map(list(sset.closure), loc, embed)
         image, morphism_ok, injective = scan_units_map(sset, loc, killed, embed)
+        pairs, pair_keys = all_pairs_units_map(list(sset.closure), loc, embed)
         assert [plain(f) for f in rep.image] == [plain(f) for f in image], name
         assert (rep.morphism_ok, rep.injective) == (morphism_ok, injective), name
-        assert keys == [loc.key(f) for f in image]
+        assert (pairs.morphism_ok, pairs.injective) == (morphism_ok, injective), name
+        assert keys == pair_keys == [loc.key(f) for f in image]
         seen.add((morphism_ok, injective))
     assert len(seen) > 1
+
+
+def test_units_map_law_needs_a_generating_set(monkeypatch):
+    """A mutant that checks the law against the identity class alone, whose
+    A generates only the trivial subgroup, passes "(s+1)/t off 1", which the
+    all-pairs law rejects; the honest generating set agrees everywhere."""
+    assert not any(units_map_disagreements(n, gens) for n, gens in WRONG_MAP_CASES)
+    monkeypatch.setattr(localization, "_group_generators", lambda elems, mul: [])
+    assert units_map_disagreements(30, [7]) == ["(s+1)/t off 1"]
+
+
+def test_group_generators_generate():
+    """The greedy set generates the group, in carrier order, and each choice
+    at least doubles the subgroup, so |A| <= log2 |G|."""
+    for n, g in ((1000, 3), (24, 5), (720, 7), (8000, 7)):
+        ring = ModRing(n)
+        units = [1] + [a for a in range(2, n) if gcd(a, n) == 1]
+        gens = localization._group_generators(units, ring.mul)
+        assert gens == sorted(gens) and len(gens) <= math.log2(len(units))
+        span = {1}
+        for i in gens:
+            while not {ring.mul(x, units[i]) for x in span} <= span:
+                span |= {ring.mul(x, units[i]) for x in span}
+        assert span == set(units), (n, gens)
+    assert localization._group_generators([5], ModRing(10).mul) == []
+
+
+@pytest.mark.parametrize("n,gens", [(1000, [3]), (1000, [3, 7]), (720, [7, 11, 13])])
+def test_units_map_key_calls_grow_with_the_generators(n, gens, monkeypatch):
+    """At most 3*|G|*(|A| + 1) LocalizedRing.key calls, |A| <= log2 |G|: one
+    per class for its image, two per (class, generator) pair.  The all-pairs
+    law makes |G| + 2|G|^2."""
+    ring = ModRing(n)
+    sset = MultiplicativeSet(ring, gens)
+    loc = LocalizedRing(ring, sset)
+    calls = []
+    honest = LocalizedRing.key
+
+    def counted(self, f):
+        calls.append(f)
+        return honest(self, f)
+
+    monkeypatch.setattr(LocalizedRing, "key", counted)
+    rep = groth_units_embedding(sset, loc)
+    size = rep.group_order
+    assert size >= 64 and rep.morphism_ok and rep.injective
+    assert len(calls) <= 3 * size * (math.log2(size) + 1)
 
 
 @pytest.mark.parametrize("n,gens", [(12, [4]), (12, [5]), (24, [2, 5]), (30, [3]), (40, [7])])

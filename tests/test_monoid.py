@@ -1,4 +1,7 @@
 """Monoid families: table validation, cancellativity, quasi-zeros, orders."""
+import enum
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -238,6 +241,38 @@ class TestTupleFamilies:
             MonoidPresentation(2, ((word, (0, 1)),))
         with pytest.raises(InvalidInputError):
             MonoidPresentation(2, (((0, 1), word),))
+
+    def test_presentation_words_accept_exactly_the_nonnegative_ints(self):
+        """The accept set and messages of the per-entry check the word test
+        replaced: every entry an int (subclasses too) but not a bool, >= 0."""
+        class Small(enum.IntEnum):
+            TWO = 2
+
+        def old_ok(word):
+            return not any(
+                not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in word
+            )
+
+        entries = [0, 1, 2**70, -1, -(2**70), True, False, Small.TWO, 1.0, "1",
+                   None, np.int64(1), np.uint8(0), (1,)]
+        m = MonoidPresentation(2, ())
+        for x in entries:
+            for word in ((x, 0), (0, x), (x, x)):
+                ok = old_ok(word)
+                try:
+                    MonoidPresentation(2, ((word, (0, 0)), ((1, 1), word)))
+                except InvalidInputError as err:
+                    assert not ok and str(err) == f"bad relation word {word!r}", word
+                else:
+                    assert ok, word
+                try:
+                    assert m.validate(word) is word
+                except MalformedElementError as err:
+                    assert not ok and str(err) == f"bad exponent word {word!r}", word
+                else:
+                    assert ok, word
+        with pytest.raises(InvalidInputError, match=r"bad relation word \(0,\)"):
+            MonoidPresentation(2, (([0], [0, 0]),))
 
     @pytest.mark.parametrize("generators", [True, 2.0, "2", -1])
     def test_presentation_generator_count_is_a_nonnegative_int(self, generators):

@@ -1,15 +1,19 @@
 """The sparse Smith normal form against the dense one it replaced.
 
-``smith_normal_form`` keeps A and U in sparse rows, swaps columns by
-relabelling them, and checks its certificate U*A*V == D on every call: U*A
-from the sparse rows, then (U*A)*V through ``_matmul``.
+``smith_normal_form`` reads each input row straight into a sparse row,
+keeps A and U in sparse rows, swaps columns by relabelling them, and checks
+its certificate U*A*V == D on every call on U*A from the sparse rows: the
+rows of D that hold a pivot against (U*A)*V through ``_matmul``, the rows
+past the last pivot by (U*A)_i == 0.  The result keeps U as its sparse rows
+and builds the dense U on the first read of ``.U``.
 ``oracles.dense_smith_normal_form`` is the earlier dense elimination, kept
 verbatim.  D, U, V and the invariant factors must agree bit for bit, and a
-broken product, row transform or column transform must still trip the
-certificate.  ``presentation_snf`` runs the elimination once per
-presentation object.
+broken product, row transform (in a pivot row or past the last pivot) or
+column transform must still trip the certificate.  ``presentation_snf``
+runs the elimination once per presentation object.
 """
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +194,85 @@ def test_broken_row_transform_trips_the_certificate(monkeypatch):
     monkeypatch.setattr(grothendieck, "_sparse_eye", skewed)
     with pytest.raises(AssertionError, match="U\\*A\\*V != D"):
         smith_normal_form([[2, 0], [0, 3], [1, 1]])
+
+
+def test_u_row_past_the_last_pivot_trips_the_certificate(monkeypatch):
+    """Rows of D past the last pivot are certified by (U*A)_i == 0 alone.
+    The appended zero row of A is never a pivot, culprit or swap partner,
+    so its row of U stays the start row e_55; one extra entry there makes
+    (U*A)_55 row 0 of A, nonzero, while every pivot row stays honest."""
+    rows = cayley_relation_rows(10, random.Random(4)) + [[0] * 10]
+    honest = grothendieck._sparse_eye
+
+    def skewed(n):
+        out = honest(n)
+        out[-1][0] = 1
+        return out
+
+    assert smith_normal_form(rows).u_rows[-1] == {55: 1}
+    monkeypatch.setattr(grothendieck, "_sparse_eye", skewed)
+    with pytest.raises(AssertionError, match="U\\*A\\*V != D"):
+        smith_normal_form(rows)
+
+
+def test_dense_u_is_built_on_first_read_only():
+    rows = cayley_relation_rows(12, random.Random(5))
+    got = smith_normal_form(rows)
+    assert "U" not in vars(got)
+    first = got.U
+    assert got.U is first
+    assert first == dense_smith_normal_form(rows).U
+    assert all(len(row) == got.nrows for row in first)
+
+
+def test_multiplication_mod_60_presentation_leaves_u_sparse():
+    """The 1 830 x 60 relation matrix of multiplication mod 60: a dense
+    1 830 x 1 830 U alone is about 27 MB of pointers, the sparse rows hold
+    a few thousand entries, so the whole elimination stays under 8 MB."""
+    n = 60
+    rels = tuple(
+        (
+            tuple(int(i == a) + int(i == b) for i in range(n)),
+            tuple(int(i == a * b % n) for i in range(n)),
+        )
+        for a in range(n)
+        for b in range(a, n)
+    )
+    rows = presentation_matrix(MonoidPresentation(n, rels))
+    tracemalloc.start()
+    try:
+        got = smith_normal_form(rows, ncols=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert (got.nrows, got.ncols) == (1830, 60)
+    assert got.invariant_factors == [1] * 60  # 0 absorbs: G(M) is trivial
+    assert "U" not in vars(got)
+
+
+def test_rows_of_any_iterable_kind_match_lists():
+    """Lists of ints are read in place and left unchanged; tuples, numpy
+    rows and one-shot iterators are vetted entry by entry."""
+    rows = cayley_relation_rows(7, random.Random(6))
+    copy = [row[:] for row in rows]
+    want = smith_normal_form(rows)
+    assert rows == copy
+    for kind in (
+        [tuple(row) for row in rows],
+        [iter(row) for row in rows],
+        (map(int, row) for row in rows),
+        np.array(rows, dtype=np.int64),
+        [[np.int16(x) for x in row] for row in rows],
+    ):
+        got = smith_normal_form(kind)
+        assert (got.D, got.U, got.V) == (want.D, want.U, want.V)
+    with pytest.raises(InvalidInputError, match="ragged"):
+        smith_normal_form([[1, 2], (3,)])
+    with pytest.raises(InvalidInputError, match="ncols"):
+        smith_normal_form([[1, 2]], ncols=3)
+    with pytest.raises(InvalidInputError):
+        smith_normal_form([[1, 2], [3, True]])
 
 
 def test_structure_and_group_share_one_elimination(monkeypatch):
