@@ -100,8 +100,16 @@ def _read_json_file(path: str):
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_monoid_file(path: str):
-    return monoid_from_dict(_read_json_file(path))
+def _read_file_arg(args, name: str):
+    """The parsed JSON of file argument ``name``; kept on ``args.parsed`` so
+    the inputs digest reuses it instead of reading the file again."""
+    data = _read_json_file(_FILE_ARGS[name].format(getattr(args, name)))
+    args.parsed[name] = data
+    return data
+
+
+def _load_monoid_file(args, name: str):
+    return monoid_from_dict(_read_file_arg(args, name))
 
 
 def _structure_json(s) -> dict:
@@ -131,7 +139,7 @@ def _monoid_facts(m) -> dict:
 
 
 def _cmd_monoid_check(args):
-    m = _load_monoid_file(args.file)
+    m = _load_monoid_file(args, "file")
     results = {"axioms_ok": True, **_monoid_facts(m)}
     checks = {}
     if m.is_finite:
@@ -145,13 +153,13 @@ def _cmd_monoid_check(args):
 
 
 def _cmd_groth_compute(args):
-    m = _load_monoid_file(args.monoid)
+    m = _load_monoid_file(args, "monoid")
     s = monoid_groth_structure(m)
     return {"results": _structure_json(s)}, True
 
 
 def _cmd_groth_order(args):
-    m = _load_monoid_file(args.monoid)
+    m = _load_monoid_file(args, "monoid")
     if isinstance(m, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
         # G(N^k) = G(Z^k) = Z^k: k generators, no relations
         m = MonoidPresentation(m.rank, ())
@@ -205,7 +213,7 @@ def _cmd_groth_order(args):
 
 def _cmd_mring_nzd(args):
     ring = ring_from_dict(_load_json_arg(args.ring))
-    m = _load_monoid_file(args.monoid)
+    m = _load_monoid_file(args, "monoid")
     mring = MonoidRing(ring, m)
     if args.degree is not None:
         deg = _deg_from_json(_load_json_arg(args.degree))
@@ -230,7 +238,7 @@ def _cmd_mring_nzd(args):
 
 def _cmd_localize_decompose(args):
     ring = ring_from_dict(_load_json_arg(args.ring))
-    m = _load_monoid_file(args.monoid)
+    m = _load_monoid_file(args, "monoid")
     mring = MonoidRing(ring, m)
     sgens = [mring.from_list(g) for g in _load_sgens(args.sgens)]
     sset = MultiplicativeSet(mring, sgens, depth=args.depth)
@@ -309,7 +317,7 @@ def _iso_context(ring, m, sgens: list, depth: int = 8) -> HMapContext:
 
 def _cmd_iso_verify(args):
     ring = ring_from_dict(_load_json_arg(args.ring))
-    m = _load_monoid_file(args.monoid)
+    m = _load_monoid_file(args, "monoid")
     ctx = _iso_context(ring, m, _load_sgens(args.sgens), args.depth)
     report = verify_isomorphism(ctx, samples=args.samples, seed=args.seed)
     ok = report.pop("all_ok")
@@ -413,7 +421,7 @@ def _run_corpus_entry(entry: dict, seed: int) -> dict:
 
 def _cmd_corpus_run(args):
     if args.dir is not None:
-        specs = _read_json_file(f"{args.dir}/corpus.json")
+        specs = _read_file_arg(args, "dir")
     else:
         specs = json.loads(
             (_corpus_dir() / "corpus.json").read_text(encoding="utf-8")
@@ -516,9 +524,9 @@ _FILE_ARGS = {"file": "{}", "monoid": "{}", "dir": "{}/corpus.json"}
 
 
 def _inputs_digest(args) -> str:
-    skip = {"func", "out", "group_cmd", "sub"}
+    skip = {"func", "out", "group_cmd", "sub", "parsed"}
     inputs = {
-        k: _read_json_file(_FILE_ARGS[k].format(v)) if k in _FILE_ARGS else v
+        k: args.parsed[k] if k in _FILE_ARGS else v
         for k, v in vars(args).items()
         if k not in skip and v is not None and isinstance(v, (str, int, bool))
     }
@@ -546,6 +554,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
+    args.parsed = {}
     started = time.monotonic()
     command = f"{args.group_cmd} {args.sub}" if args.sub else args.group_cmd
     try:

@@ -71,9 +71,10 @@ class SNFResult:
 
     ``invariant_factors`` lists the diagonal of D (length min(nrows, ncols)),
     nonnegative, each entry dividing the next, zeros trailing.  U is held as
-    the sparse rows ({col: value}) the elimination left, ``u_rows``; ``.U``
-    builds the dense nrows x nrows list of lists on its first read and keeps
-    it, so a caller that never reads U never pays for it.
+    the log of row operations the elimination made, ``row_ops`` (flat
+    triples, see ``_replay``); ``.U`` replays the log on the identity on its
+    first read and keeps the dense nrows x nrows list of lists, so a caller
+    that never reads U never pays for it.
     """
 
     D: list
@@ -81,11 +82,12 @@ class SNFResult:
     invariant_factors: list
     nrows: int
     ncols: int
-    u_rows: list
+    row_ops: list
 
     @functools.cached_property
     def U(self) -> list:
-        return _dense_rows(self.u_rows, self.nrows, range(self.nrows))
+        m = self.nrows
+        return _dense_rows(_replay(self.row_ops, _sparse_eye(m)), m, range(m))
 
 
 def _eye(n: int) -> list:
@@ -94,6 +96,34 @@ def _eye(n: int) -> list:
 
 def _sparse_eye(n: int) -> list:
     return [{i: 1} for i in range(n)]
+
+
+def _add_row(rows: list, src: int, dst: int, q: int) -> None:
+    """Sparse row dst += q * sparse row src, dropping entries that cancel."""
+    out = rows[dst]
+    for k, y in rows[src].items():
+        x = out.get(k, 0) + q * y
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+
+
+def _replay(ops: list, rows: list) -> list:
+    """Apply logged row operations to sparse ``rows`` in place and return them.
+
+    ``ops`` is flat, three entries per operation (i, j, q): q == 0 swaps rows
+    i and j, i == j negates row i, and otherwise row j += q * row i.
+    """
+    it = iter(ops)
+    for i, j, q in zip(it, it, it):
+        if not q:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i == j:
+            rows[i] = {k: -x for k, x in rows[i].items()}
+        else:
+            _add_row(rows, i, j, q)
+    return rows
 
 
 def _dense_rows(rows: list, width: int, at) -> list:
@@ -148,17 +178,19 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
 
     Each input row goes straight into a sparse row ({col: value}); a list of
     Python ints is read in place, anything else (numpy ints, tuples,
-    iterators) is vetted entry by entry first.  A and U are kept as sparse
-    rows and V is dense, so the pivot search, the row and column passes and
-    the divisibility scan read only nonzeros.  A's rows are keyed by original
+    iterators) is vetted entry by entry first.  A is kept as sparse rows and
+    V is dense, so the pivot search, the row and column passes and the
+    divisibility scan read only nonzeros.  A's rows are keyed by original
     column; a column swap permutes the map from elimination order to
-    original column instead of touching every row.  U is returned as its
-    sparse rows (see ``SNFResult``).
+    original column instead of touching every row.  No U is carried: each
+    row swap, negation and row addition is applied to A and logged, and the
+    log is returned (see ``SNFResult``).
 
-    The certificate U*A*V == D is checked exactly on every call, on U*A from
-    the sparse rows: each of the r rows of D that holds a pivot must equal
-    (U*A)_i * V, and each of the m - r rows past the last pivot must have
-    (U*A)_i == 0, which implies (U*A)_i * V == 0 and skips the product.
+    The certificate U*A*V == D is checked exactly on every call.  Replaying
+    the log on the vetted input rows gives U*A directly, in sparse rows: each
+    of the r rows of D that holds a pivot must equal (U*A)_i * V, and each of
+    the m - r rows past the last pivot must have (U*A)_i == 0, which implies
+    (U*A)_i * V == 0 and skips the product.
     """
     orig, width = [], None
     for row in rows:
@@ -178,7 +210,7 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
             raise InvalidInputError("empty matrix needs an explicit ncols")
         n = ncols
     A = [dict(row) for row in orig]
-    U = _sparse_eye(m)
+    ops = []  # the row operations, three entries each (see _replay)
     V = _eye(n)
     col = list(range(n))  # column j of the elimination is original column col[j]
     pos = list(range(n))  # and original column c is column pos[c]
@@ -187,7 +219,7 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+        ops.extend((i, j, 0))
 
     def swap_cols(i, j):
         col[i], col[j] = col[j], col[i]
@@ -196,15 +228,8 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, q):
-        # row dst += q * row src, in A and in U
-        for mat in (A, U):
-            out = mat[dst]
-            for k, y in mat[src].items():
-                x = out.get(k, 0) + q * y
-                if x:
-                    out[k] = x
-                else:
-                    del out[k]
+        _add_row(A, src, dst, q)
+        ops.extend((src, dst, q))
 
     def add_col(src, dst, q, meet):
         # column dst += q * column src; ``meet`` lists the rows where src is nonzero
@@ -221,7 +246,7 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
 
     def negate_row(i):
         A[i] = {k: -x for k, x in A[i].items()}
-        U[i] = {k: -x for k, x in U[i].items()}
+        ops.extend((i, i, -1))
 
     t = 0
     limit = min(m, n)
@@ -285,24 +310,13 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
             add_row(culprit, t, 1)
         t += 1
 
-    def times_orig(urow):
-        # a row of U*A, in original columns like the rows of V
-        acc = [0] * n
-        for k, x in urow.items():
-            for c, y in orig[k].items():
-                acc[c] += x * y
-        return acc
-
     D = _dense_rows(A, n, pos)
+    ua = _replay(ops, orig)  # U*A in sparse rows, keyed by original column
     # rows t.. hold no pivot: they are empty in A, so zero in D
-    if (
-        any(A[t:])
-        or any(any(times_orig(row)) for row in U[t:])
-        or _matmul([times_orig(row) for row in U[:t]], V) != D[:t]
-    ):
+    if any(A[t:]) or any(ua[t:]) or _matmul(_dense_rows(ua[:t], n, range(n)), V) != D[:t]:
         raise AssertionError("transform bookkeeping broke: U*A*V != D")
     diag = [D[i][i] for i in range(limit)]
-    return SNFResult(D=D, V=V, invariant_factors=diag, nrows=m, ncols=n, u_rows=U)
+    return SNFResult(D=D, V=V, invariant_factors=diag, nrows=m, ncols=n, row_ops=ops)
 
 
 # ---------------------------------------------------------------------------

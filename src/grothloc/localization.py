@@ -320,12 +320,33 @@ class SaturationSet:
     witnesses: dict
 
 
+def _power_inverses(mul, x, e) -> dict:
+    """Every power of x in eR, mapped to its inverse in eR, or to None when
+    no power of x is e.
+
+    One walk x, x^2, ... up to the first repeat settles all of them: the
+    powers of x share one idempotent power, so they are all units or all
+    not.  When x^p = e first, x^(p+1) = x closes the walk and x^i, x^(p-i)
+    are inverse.
+    """
+    powers, seen = [x], {x}
+    y = mul(x, x)
+    while y not in seen:
+        powers.append(y)
+        seen.add(y)
+        y = mul(y, x)
+    if e not in seen:
+        return dict.fromkeys(powers)
+    return dict(zip(powers, powers[-2::-1] + [e]))
+
+
 def saturate(ring, sset: MultiplicativeSet) -> SaturationSet:
     """S-bar read off eR: a lies in S-bar exactly when x = e*a is a unit of eR.
 
-    If a*b lies in S, e*a*b lies in the group e*S.  Conversely, when
-    ``kernel_group`` of x alone has identity e, it gives x*c = e with c in
-    eR, so a*c = e lies in S and c is a's witness.
+    If a*b lies in S, e*a*b lies in the group e*S.  Conversely, when a power
+    of x is e, x*c = e for a power c of x in eR, so a*c = e lies in S and c
+    is a's witness.  One walk of the powers of x settles each of them too
+    (``_power_inverses``).
     """
     if not ring.is_finite:
         raise OracleRequiredError(
@@ -337,8 +358,7 @@ def saturate(ring, sset: MultiplicativeSet) -> SaturationSet:
     for a in ring.elements():
         x = ring.mul(e, a)
         if x not in inverses:
-            f, inv, _ = kernel_group(ring.mul, [x])
-            inverses[x] = inv[x] if f == e else None
+            inverses.update(_power_inverses(ring.mul, x, e))
         if inverses[x] is not None:
             witnesses[a] = inverses[x]
     return SaturationSet(ring, sset, tuple(witnesses), witnesses)
@@ -396,11 +416,16 @@ def localization_classes(loc: LocalizedRing) -> list:
 def units_of_localization(loc: LocalizedRing) -> UnitGroup:
     """A class is a unit exactly when its key x in eR has idempotent power e:
     x^k = e inverts x, and the powers of a unit of eR meet no other idempotent.
+    One walk of the powers of x settles each of them (``_power_inverses``).
     """
     reps = localization_classes(loc)
     index = {loc.key(f): i for i, f in enumerate(reps)}
     e = loc._kernel_inverses()[0]
-    unit_indices = [i for x, i in index.items() if idempotent_power(loc.ring.mul, x) == e]
+    inverses = {}
+    for x in index:
+        if x not in inverses:
+            inverses.update(_power_inverses(loc.ring.mul, x, e))
+    unit_indices = [i for x, i in index.items() if inverses[x] is not None]
     return UnitGroup(loc, reps, index[loc.key(loc.one)], unit_indices, index)
 
 

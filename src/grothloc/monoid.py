@@ -261,6 +261,27 @@ def _is_exponent_word(word: tuple) -> bool:
     return all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in word)
 
 
+def _check_relation_words(rels: list, g: int) -> None:
+    """Raise on the first relation word that is not g nonnegative ints.
+
+    All words are checked at once, by C-level passes over their lengths and
+    over the types and the minimum of all their entries; the per-word scan
+    runs only when that fails, to name the first bad word (or to accept int
+    subclasses such as IntEnum members).
+    """
+    flat = itertools.chain.from_iterable
+    words = list(flat(rels))
+    if (
+        set(map(len, words)) <= {g}
+        and set(map(type, flat(words))) <= {int}
+        and min(flat(words), default=0) >= 0
+    ):
+        return
+    for side in words:
+        if len(side) != g or not _is_exponent_word(side):
+            raise InvalidInputError(f"bad relation word {side!r}")
+
+
 @dataclass(frozen=True)
 class MonoidPresentation:
     """Finitely presented commutative monoid: generators and word relations.
@@ -280,14 +301,16 @@ class MonoidPresentation:
         if isinstance(g, bool) or not isinstance(g, int) or g < 0:
             raise InvalidInputError(f"generator count must be a nonnegative int, got {g!r}")
         rels = []
-        for rel in self.relations:
-            if len(rel) != 2:
-                raise InvalidInputError(f"relation must be a word pair, got {rel!r}")
-            u, v = (tuple(side) for side in rel)
-            for side in (u, v):
-                if len(side) != g or not _is_exponent_word(side):
-                    raise InvalidInputError(f"bad relation word {side!r}")
-            rels.append((u, v))
+        try:
+            for rel in self.relations:
+                if len(rel) != 2:
+                    raise InvalidInputError(f"relation must be a word pair, got {rel!r}")
+                u, v = (tuple(side) for side in rel)
+                rels.append((u, v))
+        except Exception:
+            _check_relation_words(rels, g)  # a bad word before the fault is named first
+            raise
+        _check_relation_words(rels, g)
         object.__setattr__(self, "relations", tuple(rels))
 
     @property

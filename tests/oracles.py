@@ -34,7 +34,10 @@ The non-zero-divisor flag read off the product of the generators and the
 injectivity of m -> [m, 0] tested on class keys are the references for the
 flag that asks each generator's ring ``is_nonzerodivisor`` and for
 ``is_cancellative``.  The morphism law of G(S) -> S^-1 R checked on every
-pair of classes is the reference for the law checked on generators.
+pair of classes is the reference for the law checked on generators.  The
+saturation and the unit classes that walk the powers of each element on
+its own are the references for the one walk per cycle that settles every
+power at once.
 """
 import functools
 import itertools
@@ -55,11 +58,12 @@ from grothloc import (
     MonoidRing,
     MultiplicativeSet,
     groth_classes,
+    localization_classes,
     presentation_matrix,
     smith_normal_form,
 )
 from grothloc.errors import InvalidInputError, PreconditionError, UnsupportedFamilyError
-from grothloc.grothendieck import _eye, lattice_key
+from grothloc.grothendieck import _eye, kernel_group, lattice_key
 from grothloc.localization import EmbeddingReport
 from grothloc.monoid import (
     CommutativeMonoid,
@@ -205,6 +209,29 @@ def scan_saturation(ring, sset) -> tuple:
                 witnesses[a] = b
                 break
     return tuple(elems), witnesses
+
+
+def per_element_saturation(ring, sset) -> tuple:
+    """(elements, witnesses) of S-bar with one ``kernel_group`` walk per
+    distinct x = e*a of R."""
+    e = idempotent_power(ring.mul, functools.reduce(ring.mul, sset.closure))
+    inverses = {}  # x -> its inverse in eR, or None when x is no unit
+    witnesses = {}
+    for a in ring.elements():
+        x = ring.mul(e, a)
+        if x not in inverses:
+            f, inv, _ = kernel_group(ring.mul, [x])
+            inverses[x] = inv[x] if f == e else None
+        if inverses[x] is not None:
+            witnesses[a] = inverses[x]
+    return tuple(witnesses), witnesses
+
+
+def per_element_unit_indices(loc) -> list:
+    """Indices of the unit classes, one idempotent power per class key."""
+    index = {loc.key(f): i for i, f in enumerate(localization_classes(loc))}
+    e = loc._kernel_inverses()[0]
+    return [i for x, i in index.items() if idempotent_power(loc.ring.mul, x) == e]
 
 
 def sweep_is_nzd(ring, g) -> bool:

@@ -742,6 +742,25 @@ class TestReportEnvelope:
         assert digest("t2.json", tmp_path / "a") == digest("t2.json", tmp_path / "b")
         assert digest("t2.json", tmp_path / "a") != digest("z4.json", tmp_path / "a")
 
+    @pytest.mark.parametrize("argv", [
+        ["monoid", "check", str(CORPUS / "t2.json")],
+        ["groth", "compute", "--monoid", str(CORPUS / "free2.json")],
+        ["corpus", "run", "--dir", str(CORPUS)],
+    ], ids=["monoid check", "groth compute", "corpus run"])
+    def test_each_file_argument_is_parsed_once(self, tmp_path, monkeypatch, argv):
+        """The digest reuses the command's own parse of its file argument."""
+        loads = []
+        honest = json.load
+
+        def spy(fh, *args, **kwargs):
+            loads.append(fh.name)
+            return honest(fh, *args, **kwargs)
+
+        monkeypatch.setattr(cli.json, "load", spy)
+        code, rep = run(tmp_path, *argv)
+        assert code == 0, rep
+        assert len(loads) == 1, loads
+
     def test_every_report_names_its_command(self, tmp_path):
         _, rep = run(tmp_path, "corpus", "run")
         assert rep["command"] == "corpus run"

@@ -274,6 +274,24 @@ class TestTupleFamilies:
         with pytest.raises(InvalidInputError, match=r"bad relation word \(0,\)"):
             MonoidPresentation(2, (([0], [0, 0]),))
 
+    def test_presentation_names_the_first_fault_in_relation_order(self):
+        """Words are checked after every relation is read, but a bad word
+        before a malformed relation is still the one named, as when each
+        relation was checked as it was read; one-shot iterables are read once."""
+        bad = (0, -1)
+        with pytest.raises(InvalidInputError, match=r"bad relation word \(0, -1\)"):
+            MonoidPresentation(2, ((bad, (0, 0)), ((1, 1),)))
+        with pytest.raises(InvalidInputError, match=r"bad relation word \(0, -1\)"):
+            MonoidPresentation(2, ((bad, (0, 0)), (1, 2)))
+        with pytest.raises(InvalidInputError, match="word pair"):
+            MonoidPresentation(2, (((1, 1),), (bad, (0, 0))))
+        with pytest.raises(TypeError):
+            MonoidPresentation(2, (((0, 0), (0, 0)), (1, 2)))
+        p = MonoidPresentation(2, ((iter([1, 0]), iter([0, 1])) for _ in range(2)))
+        assert p.relations == (((1, 0), (0, 1)),) * 2
+        with pytest.raises(InvalidInputError, match=r"bad relation word \(0, -1\)"):
+            MonoidPresentation(2, ((iter([1, 0]), iter(bad)),))
+
     @pytest.mark.parametrize("generators", [True, 2.0, "2", -1])
     def test_presentation_generator_count_is_a_nonnegative_int(self, generators):
         with pytest.raises(InvalidInputError):

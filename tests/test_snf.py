@@ -1,16 +1,19 @@
 """The sparse Smith normal form against the dense one it replaced.
 
 ``smith_normal_form`` reads each input row straight into a sparse row,
-keeps A and U in sparse rows, swaps columns by relabelling them, and checks
-its certificate U*A*V == D on every call on U*A from the sparse rows: the
-rows of D that hold a pivot against (U*A)*V through ``_matmul``, the rows
-past the last pivot by (U*A)_i == 0.  The result keeps U as its sparse rows
-and builds the dense U on the first read of ``.U``.
-``oracles.dense_smith_normal_form`` is the earlier dense elimination, kept
-verbatim.  D, U, V and the invariant factors must agree bit for bit, and a
-broken product, row transform (in a pivot row or past the last pivot) or
-column transform must still trip the certificate.  ``presentation_snf``
-runs the elimination once per presentation object.
+keeps A in sparse rows, swaps columns by relabelling them, and carries no
+U: it logs each row swap, negation and row addition it applies to A.  The
+certificate U*A*V == D is checked on every call on U*A got by replaying the
+log on the input rows: the rows of D that hold a pivot against (U*A)*V
+through ``_matmul``, the rows past the last pivot by (U*A)_i == 0.  The
+result keeps the log and replays it on the identity on the first read of
+``.U``.  ``oracles.dense_smith_normal_form`` is the earlier dense
+elimination, kept verbatim.  D, U, V and the invariant factors must agree
+bit for bit, and a broken product, a log that differs from the operations
+applied to A (an extra operation, in a pivot row or past the last pivot,
+or a wrong multiplier) or a broken column transform must still trip the
+certificate.  ``presentation_snf`` runs the elimination once per
+presentation object.
 """
 import random
 import tracemalloc
@@ -180,18 +183,16 @@ def test_broken_column_transform_trips_the_certificate(monkeypatch):
         smith_normal_form([[2, 0], [0, 3], [1, 1]])
 
 
+def prepend_ops(monkeypatch, extra):
+    """Make every replay run the logged row operations ``extra`` first."""
+    honest = grothendieck._replay
+    monkeypatch.setattr(grothendieck, "_replay", lambda ops, rows: honest(extra + ops, rows))
+
+
 def test_broken_row_transform_trips_the_certificate(monkeypatch):
-    """U starts as E = I + e_01, so the returned U is the honest U times E and
-    U*A*V = U*(E*A)*V != D: E*A adds row 1 of A, which is nonzero, to row 0."""
-    honest = grothendieck._sparse_eye
-
-    def skewed(n):
-        out = honest(n)
-        if n > 1:
-            out[0][1] = 1
-        return out
-
-    monkeypatch.setattr(grothendieck, "_sparse_eye", skewed)
+    """A log that starts with "row 0 += row 1" replays to U*E with E = I + e_01,
+    so U*A*V = U*(E*A)*V != D: E*A adds row 1 of A, which is nonzero, to row 0."""
+    prepend_ops(monkeypatch, [1, 0, 1])
     with pytest.raises(AssertionError, match="U\\*A\\*V != D"):
         smith_normal_form([[2, 0], [0, 3], [1, 1]])
 
@@ -199,36 +200,60 @@ def test_broken_row_transform_trips_the_certificate(monkeypatch):
 def test_u_row_past_the_last_pivot_trips_the_certificate(monkeypatch):
     """Rows of D past the last pivot are certified by (U*A)_i == 0 alone.
     The appended zero row of A is never a pivot, culprit or swap partner,
-    so its row of U stays the start row e_55; one extra entry there makes
-    (U*A)_55 row 0 of A, nonzero, while every pivot row stays honest."""
+    so no logged operation touches row 55 and its row of U is e_55; a log
+    that starts with "row 55 += row 0" makes (U*A)_55 row 0 of A, nonzero,
+    while every pivot row stays honest."""
     rows = cayley_relation_rows(10, random.Random(4)) + [[0] * 10]
-    honest = grothendieck._sparse_eye
-
-    def skewed(n):
-        out = honest(n)
-        out[-1][0] = 1
-        return out
-
-    assert smith_normal_form(rows).u_rows[-1] == {55: 1}
-    monkeypatch.setattr(grothendieck, "_sparse_eye", skewed)
+    assert smith_normal_form(rows).U[-1] == [int(k == 55) for k in range(56)]
+    prepend_ops(monkeypatch, [0, 55, 1])
     with pytest.raises(AssertionError, match="U\\*A\\*V != D"):
         smith_normal_form(rows)
 
 
-def test_dense_u_is_built_on_first_read_only():
+def test_logged_multiplier_that_differs_from_a_trips_the_certificate(monkeypatch):
+    """The replay reads a multiplier one off from the one the elimination
+    applied to A, in its first row addition."""
+    honest = grothendieck._replay
+
+    def off_by_one(ops, rows):
+        ops = list(ops)
+        k = next(k for k in range(0, len(ops), 3) if ops[k + 2] and ops[k] != ops[k + 1])
+        ops[k + 2] += 1
+        return honest(ops, rows)
+
+    monkeypatch.setattr(grothendieck, "_replay", off_by_one)
+    for rows in ([[2, 4], [6, 9]], cayley_relation_rows(10, random.Random(4))):
+        with pytest.raises(AssertionError, match="U\\*A\\*V != D"):
+            smith_normal_form(rows)
+
+
+def test_dense_u_is_built_on_first_read_only(monkeypatch):
+    """The certificate replays the log on the input rows once; U is replayed
+    on the identity only when ``.U`` is first read, and then kept."""
+    calls = []
+    honest = grothendieck._replay
+
+    def spy(ops, rows):
+        calls.append(len(rows))
+        return honest(ops, rows)
+
+    monkeypatch.setattr(grothendieck, "_replay", spy)
     rows = cayley_relation_rows(12, random.Random(5))
     got = smith_normal_form(rows)
+    assert calls == [78]
     assert "U" not in vars(got)
     first = got.U
     assert got.U is first
+    assert calls == [78, 78]
     assert first == dense_smith_normal_form(rows).U
     assert all(len(row) == got.nrows for row in first)
 
 
 def test_multiplication_mod_60_presentation_leaves_u_sparse():
     """The 1 830 x 60 relation matrix of multiplication mod 60: a dense
-    1 830 x 1 830 U alone is about 27 MB of pointers, the sparse rows hold
-    a few thousand entries, so the whole elimination stays under 8 MB."""
+    1 830 x 1 830 U alone is about 27 MB of pointers, the log of row
+    operations a few thousand entries, so the whole elimination stays under
+    8 MB."""
     n = 60
     rels = tuple(
         (
