@@ -12,7 +12,6 @@ import hashlib
 import json
 import sys
 import time
-from importlib import resources
 
 from .errors import (
     AxiomViolationError,
@@ -338,6 +337,10 @@ def _cmd_iso_laurent(args):
 
 
 def _corpus_dir():
+    # only `corpus run` without --dir reads the packaged corpus, so every
+    # other command starts without importing importlib.resources
+    from importlib import resources
+
     return resources.files("grothloc") / "corpus"
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
-from dataclasses import dataclass
 from math import gcd
 from operator import mul, sub
 from typing import Callable, NamedTuple
@@ -65,7 +64,6 @@ class GrothElement(NamedTuple):
 # Smith normal form
 
 
-@dataclass
 class SNFResult:
     """D = U * A * V with U, V unimodular and D diagonal.
 
@@ -77,12 +75,21 @@ class SNFResult:
     that never reads U never pays for it.
     """
 
-    D: list
-    V: list
-    invariant_factors: list
-    nrows: int
-    ncols: int
-    row_ops: list
+    def __init__(
+        self, D: list, V: list, invariant_factors: list, nrows: int, ncols: int, row_ops: list
+    ):
+        self.D = D
+        self.V = V
+        self.invariant_factors = invariant_factors
+        self.nrows = nrows
+        self.ncols = ncols
+        self.row_ops = row_ops
+
+    def __repr__(self):
+        return (
+            f"SNFResult(D={self.D!r}, V={self.V!r}, invariant_factors={self.invariant_factors!r}, "
+            f"nrows={self.nrows!r}, ncols={self.ncols!r}, row_ops={self.row_ops!r})"
+        )
 
     @functools.cached_property
     def U(self) -> list:
@@ -323,8 +330,7 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
 # group structure records
 
 
-@dataclass(frozen=True)
-class FGAbelianStructure:
+class FGAbelianStructure(NamedTuple):
     """Finitely generated abelian group Z^free_rank + sum of Z/d_i.
 
     torsion_invariants is an ascending divisibility chain with every d >= 2.
@@ -388,7 +394,7 @@ def presentation_snf(p: MonoidPresentation) -> SNFResult:
     snf = p.__dict__.get("_snf")
     if snf is None:
         snf = smith_normal_form(presentation_matrix(p), ncols=p.generators)
-        object.__setattr__(p, "_snf", snf)  # p is a frozen dataclass
+        object.__setattr__(p, "_snf", snf)  # p refuses plain assignment
     return snf
 
 

@@ -23,7 +23,7 @@ dicts on this key, degree classes on ``GrothendieckGroup.key``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InvalidInputError,
@@ -310,8 +310,7 @@ def sum_components(loc: LocalizedRing, parts) -> Fraction:
 # saturation
 
 
-@dataclass
-class SaturationSet:
+class SaturationSet(NamedTuple):
     """S-bar = {a : a*b in S for some b}, with one witness b per element."""
 
     ring: object
@@ -320,21 +319,28 @@ class SaturationSet:
     witnesses: dict
 
 
-def _power_inverses(mul, x, e) -> dict:
-    """Every power of x in eR, mapped to its inverse in eR, or to None when
-    no power of x is e.
+def _power_inverses(mul, x, e, settled: dict) -> dict:
+    """The powers of x in eR that ``settled`` lacks, each mapped to its
+    inverse in eR, or to None when no power of x is e.
 
-    One walk x, x^2, ... up to the first repeat settles all of them: the
-    powers of x share one idempotent power, so they are all units or all
-    not.  When x^p = e first, x^(p+1) = x closes the walk and x^i, x^(p-i)
-    are inverse.
+    The powers of x share one idempotent power, so they are all units or all
+    not.  The walk x, x^2, ... stops at the first repeat or at the first
+    power y = x^k already in ``settled``.  On a repeat, when x^p = e first,
+    x^(p+1) = x closes the walk and x^i, x^(p-i) are inverse.  At a settled
+    y with inverse y', x^i has inverse x^(k-i)*y', one product each; at a
+    settled non-unit every walked power is one too.
     """
     powers, seen = [x], {x}
     y = mul(x, x)
-    while y not in seen:
+    while y not in seen and y not in settled:
         powers.append(y)
         seen.add(y)
         y = mul(y, x)
+    if y in settled:
+        inv = settled[y]
+        if inv is None:
+            return dict.fromkeys(powers)
+        return {p: mul(q, inv) for p, q in zip(powers, reversed(powers))}
     if e not in seen:
         return dict.fromkeys(powers)
     return dict(zip(powers, powers[-2::-1] + [e]))
@@ -358,7 +364,7 @@ def saturate(ring, sset: MultiplicativeSet) -> SaturationSet:
     for a in ring.elements():
         x = ring.mul(e, a)
         if x not in inverses:
-            inverses.update(_power_inverses(ring.mul, x, e))
+            inverses.update(_power_inverses(ring.mul, x, e, inverses))
         if inverses[x] is not None:
             witnesses[a] = inverses[x]
     return SaturationSet(ring, sset, tuple(witnesses), witnesses)
@@ -368,15 +374,22 @@ def saturate(ring, sset: MultiplicativeSet) -> SaturationSet:
 # unit groups of finite localizations
 
 
-@dataclass
 class UnitGroup:
-    """Classes of a finite localization, with the unit classes among them."""
+    """Classes of a finite localization, with the unit classes among them.
 
-    loc: LocalizedRing
-    class_reps: list
-    identity_index: int
-    unit_indices: list
-    index: dict  # LocalizedRing.key -> position in class_reps
+    ``index`` maps each class's ``LocalizedRing.key`` to its position in
+    ``class_reps``.
+    """
+
+    def __init__(
+        self, loc: LocalizedRing, class_reps: list, identity_index: int,
+        unit_indices: list, index: dict,
+    ):
+        self.loc = loc
+        self.class_reps = class_reps
+        self.identity_index = identity_index
+        self.unit_indices = unit_indices
+        self.index = index
 
     def order(self) -> int:
         return len(self.unit_indices)
@@ -424,7 +437,7 @@ def units_of_localization(loc: LocalizedRing) -> UnitGroup:
     inverses = {}
     for x in index:
         if x not in inverses:
-            inverses.update(_power_inverses(loc.ring.mul, x, e))
+            inverses.update(_power_inverses(loc.ring.mul, x, e, inverses))
     unit_indices = [i for x, i in index.items() if inverses[x] is not None]
     return UnitGroup(loc, reps, index[loc.key(loc.one)], unit_indices, index)
 
@@ -433,8 +446,7 @@ def units_of_localization(loc: LocalizedRing) -> UnitGroup:
 # Grothendieck group of S versus units of the localization
 
 
-@dataclass
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     classes: list
     image: list
     morphism_ok: bool
@@ -528,8 +540,7 @@ def groth_units_embedding(sset: MultiplicativeSet, loc: LocalizedRing) -> Embedd
     )[0]
 
 
-@dataclass
-class UnitsIsoReport:
+class UnitsIsoReport(NamedTuple):
     groth_order: int
     unit_order: int
     morphism_ok: bool

@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import (
@@ -282,27 +281,25 @@ def _check_relation_words(rels: list, g: int) -> None:
             raise InvalidInputError(f"bad relation word {side!r}")
 
 
-@dataclass(frozen=True)
 class MonoidPresentation:
     """Finitely presented commutative monoid: generators and word relations.
 
     Elements are exponent words in N^generators; ``op`` is word addition.
     Word equality in the presented monoid is deliberately NOT decided here;
     only the Grothendieck group of the presentation is computed downstream.
+    A presentation is immutable, compares and hashes by its two fields, and
+    its repr names them.
     """
-
-    generators: int
-    relations: tuple = field(default_factory=tuple)
 
     is_finite = False
 
-    def __post_init__(self):
-        g = self.generators
+    def __init__(self, generators: int, relations=()):
+        g = generators
         if isinstance(g, bool) or not isinstance(g, int) or g < 0:
             raise InvalidInputError(f"generator count must be a nonnegative int, got {g!r}")
         rels = []
         try:
-            for rel in self.relations:
+            for rel in relations:
                 if len(rel) != 2:
                     raise InvalidInputError(f"relation must be a word pair, got {rel!r}")
                 u, v = (tuple(side) for side in rel)
@@ -311,7 +308,25 @@ class MonoidPresentation:
             _check_relation_words(rels, g)  # a bad word before the fault is named first
             raise
         _check_relation_words(rels, g)
+        object.__setattr__(self, "generators", g)
         object.__setattr__(self, "relations", tuple(rels))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generators, self.relations) == (other.generators, other.relations)
+
+    def __hash__(self):
+        return hash((self.generators, self.relations))
+
+    def __repr__(self):
+        return f"MonoidPresentation(generators={self.generators!r}, relations={self.relations!r})"
 
     @property
     def identity(self) -> tuple:

@@ -12,8 +12,8 @@ translations x -> m+x of M, or by McCoy's theorem for polynomials.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     BaseMismatchError,
@@ -426,8 +426,7 @@ class MonoidRing:
 # grading
 
 
-@dataclass
-class HomogeneousPart:
+class HomogeneousPart(NamedTuple):
     degree: object
     value: MRElement
 

@@ -229,16 +229,24 @@ def test_monoid_ring_keys(label, ring, gens):
 
 def test_power_inverses_settle_every_power():
     """Each power of an x in eR maps to its inverse in eR when a power of x
-    is e, and to None otherwise, as ``kernel_group`` of that power alone says."""
+    is e, and to None otherwise, as ``kernel_group`` of that power alone says:
+    from a fresh walk, and from walks that stop at a power settled before."""
     for n in (2, 12, 30, 64, 105):
         ring = ModRing(n)
         for e in (a for a in range(n) if a * a % n == a):
-            for x in {e * a % n for a in range(n)}:
-                got = localization._power_inverses(ring.mul, x, e)
-                assert x in got
-                for y, inv in got.items():
-                    f, want, _ = localization.kernel_group(ring.mul, [y])
-                    assert inv == (want[y] if f == e else None), (n, e, x, y)
+            eR = sorted({e * a % n for a in range(n)})
+            settled = {}
+            for x in eR:
+                for before in ({}, settled):
+                    if x in before:
+                        continue
+                    got = localization._power_inverses(ring.mul, x, e, before)
+                    assert x in got and not got.keys() & before.keys()
+                    for y, inv in got.items():
+                        f, want, _ = localization.kernel_group(ring.mul, [y])
+                        assert inv == (want[y] if f == e else None), (n, e, x, y)
+                settled.update(got)
+            assert settled.keys() == set(eR)
 
 
 @pytest.mark.parametrize("n, gens, bound", [
@@ -267,6 +275,37 @@ def test_one_walk_per_cycle_matches_per_element_walks(n, gens, bound):
     calls.clear()
     assert units_of_localization(loc).unit_indices == want_units
     assert bound is None or len(calls) < bound, len(calls)
+
+
+@pytest.mark.parametrize("n, saturate_bound, units_bound", [
+    (2000, 8_000, 25_000), (8000, 30_000, 120_000),
+])
+def test_walks_stop_at_the_first_settled_power(n, saturate_bound, units_bound):
+    """Z/n at [7]: a walk that stops at the first power already settled and
+    reads the inverses off it keeps ``saturate`` under 8 000 products on
+    Z/2000 (a walk of each whole cycle took 39 701) and under 30 000 on
+    Z/8000 (189 372); the unit classes take under 25 000 (52 942) and
+    120 000 (256 849)."""
+    ring = ModRing(n)
+    sset = MultiplicativeSet(ring, [7])
+    loc = LocalizedRing(ring, sset)
+    sset.closure
+    loc._kernel_inverses()
+    calls = []
+    honest = ring.mul
+
+    def counting(a, b):
+        calls.append(None)
+        return honest(a, b)
+
+    ring.mul = counting
+    sat = saturate(ring, sset)
+    assert len(calls) < saturate_bound, len(calls)
+    assert len(sat.elements) == n * 2 // 5  # phi(n) for n = 2^a * 5^b
+    calls.clear()
+    units = units_of_localization(loc)
+    assert len(calls) < units_bound, len(calls)
+    assert units.order() == n * 2 // 5
 
 
 def test_key_needs_a_complete_closure():
