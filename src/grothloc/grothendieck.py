@@ -28,9 +28,9 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
+from collections import namedtuple
 from math import gcd
 from operator import mul, sub
-from typing import Callable, NamedTuple
 
 from .errors import (
     AxiomViolationError,
@@ -53,11 +53,11 @@ from .monoid import (
 )
 
 
-class GrothElement(NamedTuple):
-    """Formal difference first - second; its normal form is GrothendieckGroup.key."""
+class GrothElement(namedtuple("GrothElement", "first second")):
+    """Formal difference first - second of two monoid values; its normal
+    form is GrothendieckGroup.key."""
 
-    first: MonoidValue
-    second: MonoidValue
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -68,17 +68,16 @@ class SNFResult:
     """D = U * A * V with U, V unimodular and D diagonal.
 
     ``invariant_factors`` lists the diagonal of D (length min(nrows, ncols)),
-    nonnegative, each entry dividing the next, zeros trailing.  U is held as
-    the log of row operations the elimination made, ``row_ops`` (flat
-    triples, see ``_replay``); ``.U`` replays the log on the identity on its
-    first read and keeps the dense nrows x nrows list of lists, so a caller
-    that never reads U never pays for it.
+    nonnegative, each entry dividing the next, zeros trailing; it is all of
+    D the result holds.  ``.D`` builds the dense nrows x ncols list of lists
+    from it on its first read and keeps it.  U is held as the log of row
+    operations the elimination made, ``row_ops`` (flat triples, see
+    ``_replay``); ``.U`` replays the log on the identity on its first read
+    and keeps the dense nrows x nrows list of lists.  A caller that reads
+    neither never pays for them.
     """
 
-    def __init__(
-        self, D: list, V: list, invariant_factors: list, nrows: int, ncols: int, row_ops: list
-    ):
-        self.D = D
+    def __init__(self, V: list, invariant_factors: list, nrows: int, ncols: int, row_ops: list):
         self.V = V
         self.invariant_factors = invariant_factors
         self.nrows = nrows
@@ -90,6 +89,13 @@ class SNFResult:
             f"SNFResult(D={self.D!r}, V={self.V!r}, invariant_factors={self.invariant_factors!r}, "
             f"nrows={self.nrows!r}, ncols={self.ncols!r}, row_ops={self.row_ops!r})"
         )
+
+    @functools.cached_property
+    def D(self) -> list:
+        out = [[0] * self.ncols for _ in range(self.nrows)]
+        for i, d in enumerate(self.invariant_factors):
+            out[i][i] = d
+        return out
 
     @functools.cached_property
     def U(self) -> list:
@@ -176,46 +182,46 @@ def _int_row(row) -> list:
     return list(map(_as_int, row))
 
 
-def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
-    """Diagonalize an integer matrix over Z, tracking both transforms.
+def _pivot_diagonal(A: list, col: list, t: int) -> list:
+    """d_0, ..., d_(t-1) when each row i < t of A is the single entry d_i
+    in column col[i], every d_i >= 1 and each d_i divides the next."""
+    diag, prev = [], 1
+    for i in range(t):
+        row = A[i]
+        d = row.get(col[i], 0)
+        if len(row) != 1 or d < 1:
+            raise AssertionError(f"Smith form broke: pivot row {i} is not d_i >= 1 on the diagonal")
+        if d % prev:
+            raise AssertionError(f"Smith form broke: d_{i - 1} = {prev} does not divide d_{i} = {d}")
+        diag.append(d)
+        prev = d
+    return diag
 
-    Pivoting always promotes a minimum-|value| entry (the first in row-major
-    order), which keeps intermediate entries small; arithmetic is exact
-    regardless.  ``ncols`` is required when ``rows`` is empty.
 
-    Each input row goes straight into a sparse row ({col: value}); a list of
-    Python ints is read in place, anything else (numpy ints, tuples,
-    iterators) is vetted entry by entry first.  A is kept as sparse rows and
-    V is dense, so the pivot search, the row and column passes and the
-    divisibility scan read only nonzeros.  A's rows are keyed by original
-    column; a column swap permutes the map from elimination order to
-    original column instead of touching every row.  No U is carried: each
-    row swap, negation and row addition is applied to A and logged, and the
-    log is returned (see ``SNFResult``).
+def _eliminate(orig: list, n: int) -> SNFResult:
+    """The Smith normal form of the matrix with sparse rows ``orig``.
 
-    The certificate U*A*V == D is checked exactly on every call.  Replaying
-    the log on the vetted input rows gives U*A directly, in sparse rows: each
-    of the r rows of D that holds a pivot must equal (U*A)_i * V, and each of
-    the m - r rows past the last pivot must have (U*A)_i == 0, which implies
-    (U*A)_i * V == 0 and skips the product.
+    Each row is {col: value} with nonzero plain-int values and columns in
+    range(n); the rows are taken over, and end as U*A.  Pivoting always
+    promotes a minimum-|value| entry (the first in row-major order), which
+    keeps intermediate entries small; arithmetic is exact regardless.
+
+    A is kept as sparse rows and V is dense, so the pivot search, the row
+    and column passes and the divisibility scan read only nonzeros.  A's
+    rows are keyed by original column; a column swap permutes the map from
+    elimination order to original column instead of touching every row.  No
+    U is carried: each row swap, negation and row addition is applied to A
+    and logged, and the log is returned (see ``SNFResult``).
+
+    The certificate U*A*V == D is checked exactly on every call.  Each of
+    the r rows of A that holds a pivot must be the single entry d_i at its
+    diagonal position, with d_i >= 1 dividing d_(i+1) (``_pivot_diagonal``),
+    and the rows past r must be empty.  Replaying the log on the input rows
+    gives U*A directly, in sparse rows: each pivot row must equal
+    (U*A)_i * V, and each of the m - r rows past the last pivot must have
+    (U*A)_i == 0, which implies (U*A)_i * V == 0 and skips the product.
     """
-    orig, width = [], None
-    for row in rows:
-        row = _int_row(row)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InvalidInputError("ragged matrix")
-        orig.append(dict(itertools.compress(enumerate(row), row)))
     m = len(orig)
-    if m:
-        if ncols is not None and ncols != width:
-            raise InvalidInputError("ncols disagrees with row length")
-        n = width
-    else:
-        if ncols is None:
-            raise InvalidInputError("empty matrix needs an explicit ncols")
-        n = ncols
     A = [dict(row) for row in orig]
     ops = []  # the row operations, three entries each (see _replay)
     V = _eye(n)
@@ -233,10 +239,6 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
         pos[col[i]], pos[col[j]] = i, j
         for row in V:
             row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        _add_row(A, src, dst, q)
-        ops.extend((src, dst, q))
 
     def add_col(src, dst, q, meet):
         # column dst += q * column src; ``meet`` lists the rows where src is nonzero
@@ -283,7 +285,8 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
             for i in [i for i in range(t + 1, m) if ct in A[i]]:
                 q = A[i][ct] // A[t][ct]
                 if q:
-                    add_row(t, i, -q)
+                    _add_row(A, t, i, -q)
+                    ops.extend((t, i, -q))
                 if ct in A[i]:
                     # remainder beats the pivot; promote it
                     swap_rows(t, i)
@@ -314,30 +317,64 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
             )
             if culprit is None:
                 break
-            add_row(culprit, t, 1)
+            _add_row(A, culprit, t, 1)
+            ops.extend((culprit, t, 1))
         t += 1
 
-    D = _dense_rows(A, n, pos)
+    diag = _pivot_diagonal(A, col, t)
     ua = _replay(ops, orig)  # U*A in sparse rows, keyed by original column
     # rows t.. hold no pivot: they are empty in A, so zero in D
-    if any(A[t:]) or any(ua[t:]) or _matmul(_dense_rows(ua[:t], n, range(n)), V) != D[:t]:
+    if (
+        any(A[t:])
+        or any(ua[t:])
+        or _matmul(_dense_rows(ua[:t], n, range(n)), V) != _dense_rows(A[:t], n, pos)
+    ):
         raise AssertionError("transform bookkeeping broke: U*A*V != D")
-    diag = [D[i][i] for i in range(limit)]
-    return SNFResult(D=D, V=V, invariant_factors=diag, nrows=m, ncols=n, row_ops=ops)
+    diag += [0] * (limit - t)
+    return SNFResult(V=V, invariant_factors=diag, nrows=m, ncols=n, row_ops=ops)
+
+
+def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
+    """Diagonalize an integer matrix over Z, tracking both transforms.
+
+    ``ncols`` is required when ``rows`` is empty.  Each input row goes
+    straight into a sparse row ({col: value}); a list of Python ints is read
+    in place, anything else (numpy ints, tuples, iterators) is vetted entry
+    by entry first.  The sparse rows go to ``_eliminate``, the one
+    elimination core, which ``presentation_snf`` feeds directly; see there
+    for the pivot rule, the row-operation log and the certificate checked
+    on every call.  The result holds V, the invariant factors and the log;
+    D and U are built when first read (see ``SNFResult``).
+    """
+    orig, width = [], None
+    for row in rows:
+        row = _int_row(row)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise InvalidInputError("ragged matrix")
+        orig.append(dict(itertools.compress(enumerate(row), row)))
+    if orig:
+        if ncols is not None and ncols != width:
+            raise InvalidInputError("ncols disagrees with row length")
+        return _eliminate(orig, width)
+    if ncols is None:
+        raise InvalidInputError("empty matrix needs an explicit ncols")
+    return _eliminate(orig, ncols)
 
 
 # ---------------------------------------------------------------------------
 # group structure records
 
 
-class FGAbelianStructure(NamedTuple):
+class FGAbelianStructure(namedtuple("FGAbelianStructure", "free_rank torsion_invariants")):
     """Finitely generated abelian group Z^free_rank + sum of Z/d_i.
 
-    torsion_invariants is an ascending divisibility chain with every d >= 2.
+    torsion_invariants is a tuple, an ascending divisibility chain with
+    every d >= 2.
     """
 
-    free_rank: int
-    torsion_invariants: tuple
+    __slots__ = ()
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""
@@ -388,12 +425,35 @@ def structure_from_snf(snf: SNFResult) -> FGAbelianStructure:
     return FGAbelianStructure(snf.ncols - len(nonzero), torsion)
 
 
+def _relation_rows(relations) -> list:
+    """The sparse rows {j: u_j - v_j} of ``presentation_matrix``, read off
+    the nonzero entries of each side, with plain int values."""
+    rows = []
+    for u, v in relations:
+        row = dict(itertools.compress(enumerate(u), u))
+        for j, y in itertools.compress(enumerate(v), v):
+            x = row.get(j, 0) - y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+        rows.append(row)
+    if not set(map(type, itertools.chain.from_iterable(map(dict.values, rows)))) <= {int}:
+        # int subclasses such as IntEnum members, which presentations accept
+        rows = [{j: int(x) for j, x in row.items()} for row in rows]
+    return rows
+
+
 def presentation_snf(p: MonoidPresentation) -> SNFResult:
     """The Smith normal form of p's relation matrix, computed once per
-    presentation object and kept on it; callers must not mutate it."""
+    presentation object and kept on it; callers must not mutate it.
+
+    The rows go to ``_eliminate`` as sparse rows, without a dense matrix;
+    the result is the one ``smith_normal_form(presentation_matrix(p),
+    ncols=p.generators)`` gives, bit for bit."""
     snf = p.__dict__.get("_snf")
     if snf is None:
-        snf = smith_normal_form(presentation_matrix(p), ncols=p.generators)
+        snf = _eliminate(_relation_rows(p.relations), p.generators)
         object.__setattr__(p, "_snf", snf)  # p refuses plain assignment
     return snf
 
@@ -557,7 +617,7 @@ def class_index(group: GrothendieckGroup, reps: list, x: GrothElement) -> int:
 
 
 def universal_extend(group: GrothendieckGroup, g, target: CayleyMonoid,
-                     samples: int = 200, seed: int = 0) -> Callable:
+                     samples: int = 200, seed: int = 0):
     """Extend a monoid morphism g: M -> H to h: G(M) -> H.
 
     h([a, b]) = g(a) - g(b).  The morphism law for g is verified first,
@@ -663,7 +723,7 @@ def direct_sum_groth(parts) -> FGAbelianStructure:
 # total orders
 
 
-def order_from_monoid_order(group: GrothendieckGroup, compare) -> Callable:
+def order_from_monoid_order(group: GrothendieckGroup, compare):
     """Transport a compatible total order on M to G(M): [a,b] < [c,d] iff a+d < b+c."""
     if not is_cancellative(group.base):
         raise PreconditionError("order transport needs a cancellative base")

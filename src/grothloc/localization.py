@@ -23,7 +23,7 @@ dicts on this key, degree classes on ``GrothendieckGroup.key``.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import (
     InvalidInputError,
@@ -310,13 +310,14 @@ def sum_components(loc: LocalizedRing, parts) -> Fraction:
 # saturation
 
 
-class SaturationSet(NamedTuple):
-    """S-bar = {a : a*b in S for some b}, with one witness b per element."""
+class SaturationSet(namedtuple("SaturationSet", "ring source elements witnesses")):
+    """S-bar = {a : a*b in S for some b}, with one witness b per element.
 
-    ring: object
-    source: MultiplicativeSet
-    elements: tuple
-    witnesses: dict
+    ``source`` is the MultiplicativeSet S, ``elements`` a tuple and
+    ``witnesses`` a dict from each element to its b.
+    """
+
+    __slots__ = ()
 
 
 def _power_inverses(mul, x, e, settled: dict) -> dict:
@@ -446,11 +447,8 @@ def units_of_localization(loc: LocalizedRing) -> UnitGroup:
 # Grothendieck group of S versus units of the localization
 
 
-class EmbeddingReport(NamedTuple):
-    classes: list
-    image: list
-    morphism_ok: bool
-    injective: bool
+class EmbeddingReport(namedtuple("EmbeddingReport", "classes image morphism_ok injective")):
+    __slots__ = ()
 
     @property
     def group_order(self) -> int:
@@ -540,13 +538,10 @@ def groth_units_embedding(sset: MultiplicativeSet, loc: LocalizedRing) -> Embedd
     )[0]
 
 
-class UnitsIsoReport(NamedTuple):
-    groth_order: int
-    unit_order: int
-    morphism_ok: bool
-    injective: bool
-    surjective: bool
-    saturation: SaturationSet
+class UnitsIsoReport(namedtuple(
+    "UnitsIsoReport", "groth_order unit_order morphism_ok injective surjective saturation"
+)):
+    __slots__ = ()
 
     @property
     def iso(self) -> bool:

@@ -12,8 +12,8 @@ translations x -> m+x of M, or by McCoy's theorem for polynomials.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .errors import (
     BaseMismatchError,
@@ -426,9 +426,10 @@ class MonoidRing:
 # grading
 
 
-class HomogeneousPart(NamedTuple):
-    degree: object
-    value: MRElement
+class HomogeneousPart(namedtuple("HomogeneousPart", "degree value")):
+    """The part of degree ``degree`` of an element, as an MRElement ``value``."""
+
+    __slots__ = ()
 
 
 def homogeneous_components(f: MRElement) -> list:

@@ -144,15 +144,14 @@ class TestGrothOrder:
         from grothloc import grothendieck
 
         calls = []
-        honest = grothendieck.smith_normal_form
+        honest = grothendieck._eliminate
 
         def spy(*args, **kwargs):
             calls.append(args)
             return honest(*args, **kwargs)
 
-        monkeypatch.setattr(grothendieck, "smith_normal_form", spy)
-        # also wherever the command might have imported it by name
-        monkeypatch.setattr(cli, "smith_normal_form", spy, raising=False)
+        # the elimination core, behind smith_normal_form and presentation_snf
+        monkeypatch.setattr(grothendieck, "_eliminate", spy)
         code, rep = run(
             tmp_path, "groth", "order", "--monoid", str(CORPUS / "numsg_2_3.json"),
             "--samples", "20",

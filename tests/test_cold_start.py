@@ -1,9 +1,11 @@
 """What `python -m grothloc` imports before it does any work.
 
 Every command runs in a fresh interpreter, so each module imported at start
-is paid once per command: the records are plain classes and named tuples,
-not dataclasses (which import inspect, ast, dis and tokenize), and
-importlib.resources is imported only where the packaged corpus is read.
+is paid once per command: the records are plain classes and
+``collections.namedtuple`` subclasses, not dataclasses (which import
+inspect, ast, dis and tokenize) or ``typing.NamedTuple`` (which imports
+typing), and importlib.resources is imported only where the packaged
+corpus is read.
 ``python -S`` skips site-packages hooks that may import these themselves.
 """
 import json
@@ -16,7 +18,7 @@ import grothloc
 from grothloc.cli import main
 
 SRC = str(Path(grothloc.__file__).resolve().parents[1])
-HEAVY = ("dataclasses", "inspect", "importlib.resources")
+HEAVY = ("dataclasses", "inspect", "importlib.resources", "typing")
 PROBE = (
     "import json, sys; sys.path.insert(0, {src!r}); import grothloc.cli; "
     "print(json.dumps(sorted(m for m in {heavy!r} if m in sys.modules)))"
@@ -24,6 +26,7 @@ PROBE = (
 
 
 def test_cli_import_skips_dataclasses_inspect_and_resources():
+    """... and typing: the named-tuple records need only collections."""
     proc = subprocess.run(
         [sys.executable, "-S", "-c", PROBE.format(src=SRC, heavy=HEAVY)],
         capture_output=True, text=True, timeout=60,

@@ -3,11 +3,14 @@
 A presentation compares and hashes by its fields, refuses assignment, and
 its repr (which ``MonoidRing``'s repr and so error details embed) is the
 exact string pinned below; the structure and SNF records keep theirs too.
+The named-tuple records are ``collections.namedtuple`` subclasses: they
+keep their reprs, tuple equality and methods, and hold no ``__dict__``.
 """
 import pytest
 
 from grothloc import (
     FGAbelianStructure,
+    GrothElement,
     ModRing,
     MonoidPresentation,
     MonoidRing,
@@ -68,6 +71,30 @@ def test_structure_repr_and_equality():
     assert s == FGAbelianStructure(free_rank=1, torsion_invariants=(2, 4))
     assert s != FGAbelianStructure(1, (8,)) and s != FGAbelianStructure(2, (2, 4))
     assert hash(s) == hash(FGAbelianStructure(1, (2, 4)))
+    assert s == (1, (2, 4)) and s.order() is None
+    assert FGAbelianStructure(0, (2, 4)).order() == 8
+    assert FGAbelianStructure(0, ()).order() == 1
+    assert type(s._replace(free_rank=0)) is FGAbelianStructure
+
+
+def test_named_tuple_records_keep_reprs_and_hold_no_dict():
+    from grothloc.localization import EmbeddingReport, SaturationSet, UnitsIsoReport
+    from grothloc.ring import HomogeneousPart
+
+    x = GrothElement((1, 0), (0, 2))
+    assert repr(x) == "GrothElement(first=(1, 0), second=(0, 2))"
+    assert x == ((1, 0), (0, 2)) and x.first == (1, 0)
+    assert repr(HomogeneousPart((1,), 3)) == "HomogeneousPart(degree=(1,), value=3)"
+    rep = EmbeddingReport([0, 1], [0, 1], True, True)
+    assert rep.group_order == 2
+    assert repr(rep) == "EmbeddingReport(classes=[0, 1], image=[0, 1], morphism_ok=True, injective=True)"
+    sat = SaturationSet(None, None, (1,), {1: 1})
+    iso = UnitsIsoReport(2, 2, True, True, False, sat)
+    assert iso.iso is False and iso._replace(surjective=True).iso is True
+    for rec in (x, FGAbelianStructure(1, ()), HomogeneousPart((1,), 3), rep, sat, iso):
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):
+            rec.extra = 1
 
 
 def test_snf_result_repr():

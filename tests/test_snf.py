@@ -12,9 +12,15 @@ elimination, kept verbatim.  D, U, V and the invariant factors must agree
 bit for bit, and a broken product, a log that differs from the operations
 applied to A (an extra operation, in a pivot row or past the last pivot,
 or a wrong multiplier) or a broken column transform must still trip the
-certificate.  ``presentation_snf`` runs the elimination once per
-presentation object.
+certificate, and the certificate's check of D's shape (``_pivot_diagonal``)
+must refuse an off-diagonal entry and a broken divisibility chain.  The
+result holds only the invariant factors of D and builds ``.D`` on its first
+read.  ``presentation_snf`` reads the relation rows straight off the words
+into the same elimination core (``_eliminate``), must match
+``smith_normal_form`` on the dense relation matrix field for field, and
+runs the elimination once per presentation object.
 """
+import enum
 import random
 import tracemalloc
 
@@ -34,6 +40,7 @@ from grothloc import (
 )
 from grothloc import grothendieck
 
+import zoo
 from oracles import dense_smith_normal_form
 
 
@@ -301,14 +308,16 @@ def test_rows_of_any_iterable_kind_match_lists():
 
 
 def test_structure_and_group_share_one_elimination(monkeypatch):
+    """The spy sits on the elimination core, which both the public
+    ``smith_normal_form`` and ``presentation_snf`` call."""
     calls = []
-    honest = grothendieck.smith_normal_form
+    honest = grothendieck._eliminate
 
     def spy(*args, **kwargs):
         calls.append(args)
         return honest(*args, **kwargs)
 
-    monkeypatch.setattr(grothendieck, "smith_normal_form", spy)
+    monkeypatch.setattr(grothendieck, "_eliminate", spy)
     p = MonoidPresentation(3, (((2, 0, 0), (0, 1, 0)), ((0, 4, 0), (0, 0, 0))))
     s = monoid_groth_structure(p)
     group = GrothendieckGroup(p)
@@ -320,6 +329,20 @@ def test_structure_and_group_share_one_elimination(monkeypatch):
     assert len(calls) == 2
 
 
+def assert_presentation_snf_is_the_matrix_snf(p):
+    """``presentation_snf`` builds sparse rows straight from the words; it
+    must give what the dense relation matrix gives, field for field, with
+    every entry a plain int, and keep the result on the presentation."""
+    got = presentation_snf(p)
+    want = smith_normal_form(presentation_matrix(p), ncols=p.generators)
+    for name in ("D", "U", "V", "invariant_factors", "row_ops", "nrows", "ncols"):
+        assert getattr(got, name) == getattr(want, name), name
+    for rows in (got.D, got.U, got.V, [got.invariant_factors, got.row_ops]):
+        assert all(type(x) is int for row in rows for x in row)
+    assert presentation_snf(p) is got
+    return got
+
+
 def test_presentation_snf_matches_a_fresh_elimination():
     rng = random.Random(3)
     for k in range(2, 7):
@@ -327,13 +350,128 @@ def test_presentation_snf_matches_a_fresh_elimination():
         rels = tuple(
             (tuple(max(x, 0) for x in row), tuple(max(-x, 0) for x in row)) for row in rows
         )
-        p = MonoidPresentation(k, rels)
-        got = presentation_snf(p)
-        want = smith_normal_form(presentation_matrix(p), ncols=k)
-        assert (got.D, got.U, got.V, got.invariant_factors) == (
-            want.D, want.U, want.V, want.invariant_factors
-        )
-        assert presentation_snf(p) is got
+        assert_presentation_snf_is_the_matrix_snf(MonoidPresentation(k, rels))
+
+
+def test_zoo_presentations_match_the_matrix():
+    for p in (zoo.numsg_2_3(), zoo.n_cross_z2(), zoo.z4_presented(),
+              zoo.integers_presented(1), zoo.integers_presented(3)):
+        assert_presentation_snf_is_the_matrix_snf(p)
+
+
+def test_presentations_without_generators_match_the_matrix():
+    for rels in ((), (((), ()),), (((), ()),) * 3):
+        got = assert_presentation_snf_is_the_matrix_snf(MonoidPresentation(0, rels))
+        assert (got.nrows, got.ncols, got.invariant_factors) == (len(rels), 0, [])
+        assert got.D == [[] for _ in rels] and got.V == []
+
+
+def test_identical_sides_and_shared_generators_match_the_matrix():
+    """Equal sides give an empty row; a generator on both sides cancels
+    (the row loses that column) or leaves the difference."""
+    p = MonoidPresentation(4, (
+        ((1, 2, 0, 0), (1, 2, 0, 0)),
+        ((2, 1, 0, 0), (1, 0, 3, 0)),
+        ((0, 0, 0, 0), (0, 0, 0, 0)),
+        ((0, 5, 1, 0), (0, 2, 1, 0)),
+        ((3, 0, 0, 2), (3, 0, 0, 0)),
+        ((0, 0, 0, 1), (0, 0, 0, 1)),
+    ))
+    assert grothendieck._relation_rows(p.relations) == [
+        {}, {0: 1, 1: 1, 2: -3}, {}, {1: 3}, {3: 2}, {}
+    ]
+    assert_presentation_snf_is_the_matrix_snf(p)
+
+
+def test_intenum_words_give_plain_int_entries():
+    """Presentations accept int subclasses; the sparse rows hold plain ints
+    both where one side alone is nonzero and where the sides meet."""
+    class E(enum.IntEnum):
+        ZERO = 0
+        ONE = 1
+        TWO = 2
+        FOUR = 4
+
+    p = MonoidPresentation(3, (
+        ((E.FOUR, E.ZERO, 0), (E.ZERO, E.ZERO, E.ZERO)),
+        ((E.TWO, E.ONE, 0), (1, E.ZERO, E.TWO)),
+        ((0, E.TWO, E.ONE), (0, E.TWO, 0)),
+    ))
+    rows = grothendieck._relation_rows(p.relations)
+    assert rows == [{0: 4}, {0: 1, 1: 1, 2: -2}, {2: 1}]
+    assert all(type(x) is int for row in rows for x in row.values())
+    got = assert_presentation_snf_is_the_matrix_snf(p)
+    assert got.invariant_factors == [1, 1, 4]
+
+
+def test_shuffled_multiplication_tables_match_the_matrix():
+    """e_a + e_b = e_(ab mod n) for n <= 30, relations shuffled and about
+    half of them with their sides swapped (the row negated)."""
+    rng = random.Random(19)
+    for n in range(1, 31):
+        rels = []
+        for a in range(n):
+            for b in range(a, n):
+                u = tuple(int(i == a) + int(i == b) for i in range(n))
+                v = tuple(int(i == a * b % n) for i in range(n))
+                rels.append((u, v) if rng.random() < 0.5 else (v, u))
+        rng.shuffle(rels)
+        got = assert_presentation_snf_is_the_matrix_snf(MonoidPresentation(n, rels))
+        assert got.invariant_factors == [1] * n  # 0 absorbs: G(M) is trivial
+
+
+@given(st.integers(0, 5).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.tuples(*[st.tuples(*[st.integers(0, 4)] * k)] * 2), max_size=7),
+)))
+def test_hypothesis_presentations_match_the_matrix(case):
+    k, rels = case
+    assert_presentation_snf_is_the_matrix_snf(MonoidPresentation(k, rels))
+
+
+def test_d_is_built_on_first_read_only():
+    """The result keeps the invariant factors; D is the dense diagonal
+    matrix built from them when first read, then kept."""
+    rng = random.Random(8)
+    for rows, n in ((cayley_relation_rows(12, rng), 12), ([[2, 4], [6, 9], [0, 0]], 2),
+                    ([[0, 0, 0]], 3), ([], 2)):
+        got = smith_normal_form(rows, ncols=n)
+        assert "D" not in vars(got)
+        first = got.D
+        assert got.D is first
+        assert first == dense_smith_normal_form(rows, ncols=n).D
+        assert all(type(x) is int for row in first for x in row)
+    p = MonoidPresentation(3, (((2, 0, 0), (0, 1, 0)), ((0, 4, 0), (0, 0, 0))))
+    monoid_groth_structure(p)
+    GrothendieckGroup(p)
+    snf = presentation_snf(p)
+    assert "D" not in vars(snf) and "U" not in vars(snf)
+    assert snf.D == dense_smith_normal_form(presentation_matrix(p), ncols=3).D
+
+
+def test_pivot_diagonal_checks_the_shape_of_d():
+    """Each pivot row must be the single entry d_i >= 1 in its diagonal
+    column, and each d_i must divide the next; rows past the pivots are
+    not read here."""
+    pivots = grothendieck._pivot_diagonal
+    assert pivots([{0: 1}, {1: 2}, {2: 6}], [0, 1, 2], 3) == [1, 2, 6]
+    assert pivots([{2: 3}, {0: 9}], [2, 0, 1], 2) == [3, 9]
+    assert pivots([{0: 2}, {0: 5, 1: 7}], [0, 1], 1) == [2]
+    assert pivots([], [0, 1], 0) == []
+    with pytest.raises(AssertionError, match="d_0 = 2 does not divide d_1 = 3"):
+        pivots([{0: 2}, {1: 3}], [0, 1], 2)
+    with pytest.raises(AssertionError, match="d_1 = 4 does not divide d_2 = 6"):
+        pivots([{0: 1}, {1: 4}, {2: 6}], [0, 1, 2], 3)
+    # an off-diagonal entry beside the pivot, and a pivot off its column
+    with pytest.raises(AssertionError, match="pivot row 0 is not"):
+        pivots([{0: 1, 1: 5}, {1: 2}], [0, 1], 2)
+    with pytest.raises(AssertionError, match="pivot row 1 is not"):
+        pivots([{0: 1}, {0: 2}], [0, 1], 2)
+    # a negative or missing pivot
+    with pytest.raises(AssertionError, match="pivot row 0 is not"):
+        pivots([{0: -2}], [0], 1)
+    with pytest.raises(AssertionError, match="pivot row 0 is not"):
+        pivots([{}], [0], 1)
 
 
 @pytest.mark.parametrize("bad", [1.7, 2.0, "4", True, False, None, np.float64(3.0), np.bool_(True)])
