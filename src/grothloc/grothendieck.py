@@ -558,7 +558,7 @@ class GrothendieckGroup:
         """Hashable normal form: key(x) == key(y) exactly when x and y are one class."""
         base = self.base
         if self._slots is not None:
-            return lattice_key(self._slots, [p - q for p, q in zip(x.first, x.second)])
+            return lattice_key(self._slots, list(map(sub, x.first, x.second)))
         if self._parts is not None:
             return tuple(
                 g.key(GrothElement(a, b))
@@ -568,7 +568,7 @@ class GrothendieckGroup:
             e, inv, _ = self._kernel_inverses()
             # (a+e) - (b+e) in K; the inverse already lies in K, so +e is implied
             return base.op(x.first, inv[base.op(x.second, e)])
-        return tuple(p - q for p, q in zip(x.first, x.second))
+        return tuple(map(sub, x.first, x.second))
 
     def eq(self, x: GrothElement, y: GrothElement) -> bool:
         return self.key(x) == self.key(y)
@@ -748,7 +748,7 @@ class GrothOrder:
         self._slots = [s for s in snf_slots(snf) if s[0] in self.free_positions]
 
     def coords(self, x: GrothElement) -> tuple:
-        return lattice_key(self._slots, [a - b for a, b in zip(x.first, x.second)])
+        return lattice_key(self._slots, list(map(sub, x.first, x.second)))
 
     def compare(self, x: GrothElement, y: GrothElement) -> int:
         return numeric_compare(self.coords(x), self.coords(y))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import (
     AxiomViolationError,
@@ -215,7 +215,7 @@ class _TupleMonoid(CommutativeMonoid):
         return self._identity
 
     def op(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def _check_shape(self, a):
         if not isinstance(a, tuple) or len(a) != self.rank:
@@ -333,7 +333,7 @@ class MonoidPresentation:
         return (0,) * self.generators
 
     def op(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def validate(self, a) -> tuple:
         if not isinstance(a, tuple) or len(a) != self.generators:

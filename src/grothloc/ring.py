@@ -48,6 +48,7 @@ class IntegerRing:
 
     is_finite = False
     is_field = False
+    characteristic = 0
     zero = 0
     one = 1
 
@@ -111,6 +112,7 @@ class ModRing:
         if n < 2:
             raise InvalidInputError("modulus must be at least 2")
         self.n = n
+        self.characteristic = n
         self.is_field = _is_prime(n)
         self.zero = 0
         self.one = 1 % n
@@ -216,39 +218,48 @@ class MRElement:
 
     def __add__(self, other):
         self._check_base(other)
-        ring = self.ring
+        n = self.ring.characteristic
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
-            s = ring.add(out.get(d, ring.zero), c)
-            if ring.is_zero(s):
-                out.pop(d, None)
-            else:
+            s = out.get(d, 0) + c
+            if n:
+                s %= n
+            if s:
                 out[d] = s
-        return MRElement(ring, self.monoid, out)
+            else:
+                out.pop(d, None)
+        return MRElement(self.ring, self.monoid, out)
 
     def __neg__(self):
-        ring = self.ring
+        n = self.ring.characteristic
         return MRElement(
-            ring, self.monoid, {d: ring.neg(c) for d, c in self.coeffs.items()}
+            self.ring, self.monoid, {d: -c % n if n else -c for d, c in self.coeffs.items()}
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        """Convolution on int coefficients, reduced mod n over Z/n as each
+        product is added; a sum that reaches 0 is popped, so the result and
+        its insertion order are those of adding the products one by one."""
         self._check_base(other)
-        ring = self.ring
-        monoid = self.monoid
+        op = self.monoid.op
+        n = self.ring.characteristic
         out = {}
+        get = out.get
+        theirs = other.coeffs.items()
         for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = monoid.op(d1, d2)
-                s = ring.add(out.get(d, ring.zero), ring.mul(c1, c2))
-                if ring.is_zero(s):
-                    out.pop(d, None)
-                else:
+            for d2, c2 in theirs:
+                d = op(d1, d2)
+                s = get(d, 0) + c1 * c2
+                if n:
+                    s %= n
+                if s:
                     out[d] = s
-        return MRElement(ring, monoid, out)
+                else:
+                    out.pop(d, None)
+        return MRElement(self.ring, self.monoid, out)
 
     def __eq__(self, other):
         if not isinstance(other, MRElement):
@@ -273,11 +284,20 @@ class MRElement:
 
 
 class MonoidRing:
-    """R[M]: the ring of finite-support maps M -> R under convolution."""
+    """R[M]: the ring of finite-support maps M -> R under convolution.
+
+    R is Z or Z/n (an ``IntegerRing`` or a ``ModRing``): coefficients are
+    plain ints, reduced mod n over Z/n, and any other coefficient ring is
+    refused with UnsupportedFamilyError.
+    """
 
     is_field = False
 
     def __init__(self, coeff_ring, monoid: CommutativeMonoid):
+        if not isinstance(coeff_ring, (IntegerRing, ModRing)):
+            raise UnsupportedFamilyError(
+                f"monoid-ring coefficients must be Z or Z/n, got {coeff_ring!r}"
+            )
         self.coeff_ring = coeff_ring
         self.monoid = monoid
         self.is_finite = coeff_ring.is_finite and self.monoid.is_finite
@@ -285,17 +305,21 @@ class MonoidRing:
         self.one = self.epsilon(self.monoid.identity)
 
     def element(self, coeffs: dict) -> MRElement:
+        """The element with these coefficients, degrees checked, coefficients
+        reduced mod n over Z/n and zeros dropped.  ``validate`` returns a
+        degree equal to its input, so distinct keys stay distinct."""
         ring = self.coeff_ring
+        n = ring.characteristic
+        validate = self.monoid.validate
         out = {}
         for d, c in coeffs.items():
-            d = self.monoid.validate(d)
-            c = ring.validate(c)
-            if not ring.is_zero(c):
-                s = ring.add(out.get(d, ring.zero), c) if d in out else c
-                if ring.is_zero(s):
-                    out.pop(d, None)
-                else:
-                    out[d] = s
+            d = validate(d)
+            if type(c) is not int:
+                c = ring.validate(c)
+            elif n:
+                c %= n
+            if c:
+                out[d] = c
         return MRElement(ring, self.monoid, out)
 
     def epsilon(self, m) -> MRElement:
@@ -373,7 +397,7 @@ class MonoidRing:
             yield MRElement(
                 self.coeff_ring,
                 self.monoid,
-                {d: c for d, c in zip(degs, combo) if not self.coeff_ring.is_zero(c)},
+                {d: c for d, c in zip(degs, combo) if c},
             )
 
     def size(self) -> int:
@@ -383,13 +407,16 @@ class MonoidRing:
 
     def sample(self, rng, max_support: int = 4, exp_bound: int = 6,
                coeff_bound: int = 9) -> MRElement:
+        """Up to ``max_support`` terms; the sampled degrees and nonzero
+        coefficients are valid as drawn, so they are not checked again."""
         from .monoid import sample_element
 
+        ring = self.coeff_ring
         out = {}
         for _ in range(rng.below(max_support + 1)):
             d = sample_element(self.monoid, rng, exp_bound)
-            out[d] = self.coeff_ring.sample_nonzero(rng, coeff_bound)
-        return self.element(out)
+            out[d] = ring.sample_nonzero(rng, coeff_bound)
+        return MRElement(ring, self.monoid, out)
 
     def to_list(self, f: MRElement) -> list:
         return [[c, _deg_to_json(d)] for d, c in f.items()]
@@ -397,15 +424,14 @@ class MonoidRing:
     def from_list(self, data) -> MRElement:
         if not isinstance(data, list):
             raise InvalidInputError("element serialization must be a list")
+        validate = self.coeff_ring.validate
         out = {}
         for entry in data:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise InvalidInputError(f"bad term {entry!r}")
             c, d = entry
             d = _deg_from_json(d)
-            out[d] = self.coeff_ring.add(
-                out.get(d, self.coeff_ring.zero), self.coeff_ring.validate(c)
-            )
+            out[d] = out.get(d, 0) + validate(c)
         return self.element(out)
 
     def __eq__(self, other):

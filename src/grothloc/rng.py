@@ -8,6 +8,7 @@ from __future__ import annotations
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
+_SPAN = 1 << 31
 
 
 class Lcg64:
@@ -23,10 +24,19 @@ class Lcg64:
         return self.state
 
     def below(self, n: int) -> int:
-        """Uniform-ish draw in [0, n). n must be positive and small (< 2**31)."""
+        """Uniform-ish draw in [0, n) for a positive n.  Up to 2**31 it is one
+        step's high 31 bits mod n; past that, enough steps' 31 bits are
+        concatenated to cover n's bit length, so the whole range is reached."""
+        if 0 < n <= _SPAN:
+            self.state = state = (self.state * _MULT + _INC) & _MASK
+            return (state >> 33) % n
         if n <= 0:
             raise ValueError("below() needs a positive bound")
-        return (self.next_u64() >> 33) % n
+        x, bits = 0, 0
+        while bits < n.bit_length():
+            x = (x << 31) | (self.next_u64() >> 33)
+            bits += 31
+        return x % n
 
     def randint(self, lo: int, hi: int) -> int:
         """Draw in the inclusive range [lo, hi]."""

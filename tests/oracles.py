@@ -37,7 +37,10 @@ flag that asks each generator's ring ``is_nonzerodivisor`` and for
 pair of classes is the reference for the law checked on generators.  The
 saturation and the unit classes that walk the powers of each element on
 its own are the references for the one walk per cycle that settles every
-power at once.
+power at once.  The monoid-ring sum, negation, product, ``element`` and
+``from_list`` that called the coefficient ring's add/mul/neg/is_zero/validate
+per term, and ``sample`` that passed its draws through ``element``, are the
+references for the loops on plain int coefficients.
 """
 import functools
 import itertools
@@ -71,8 +74,9 @@ from grothloc.monoid import (
     FreeCommutativeMonoid,
     IntegerLatticeMonoid,
     idempotent_power,
+    sample_element,
 )
-from grothloc.ring import ModRing
+from grothloc.ring import ModRing, MRElement, _deg_from_json
 
 
 def in_relation_lattice(p: MonoidPresentation, w) -> bool:
@@ -914,3 +918,87 @@ def common_denominator_h_inverse(ctx, u) -> Fraction:
                 term = term * den_j
         num = num + term
     return Fraction(num, total_den, total_wit)
+
+
+# ---------------------------------------------------------------------------
+# monoid-ring arithmetic through the coefficient-ring protocol; the library
+# now works on int coefficients, reduced mod n over Z/n
+
+
+def protocol_mr_add(f, g):
+    """The earlier ``MRElement.__add__``."""
+    ring = f.ring
+    out = dict(f.coeffs)
+    for d, c in g.coeffs.items():
+        s = ring.add(out.get(d, ring.zero), c)
+        if ring.is_zero(s):
+            out.pop(d, None)
+        else:
+            out[d] = s
+    return MRElement(ring, f.monoid, out)
+
+
+def protocol_mr_neg(f):
+    """The earlier ``MRElement.__neg__``."""
+    ring = f.ring
+    return MRElement(
+        ring, f.monoid, {d: ring.neg(c) for d, c in f.coeffs.items()}
+    )
+
+
+def protocol_mr_mul(f, g):
+    """The earlier ``MRElement.__mul__``."""
+    ring = f.ring
+    monoid = f.monoid
+    out = {}
+    for d1, c1 in f.coeffs.items():
+        for d2, c2 in g.coeffs.items():
+            d = monoid.op(d1, d2)
+            s = ring.add(out.get(d, ring.zero), ring.mul(c1, c2))
+            if ring.is_zero(s):
+                out.pop(d, None)
+            else:
+                out[d] = s
+    return MRElement(ring, monoid, out)
+
+
+def protocol_element(mring, coeffs: dict):
+    """The earlier ``MonoidRing.element``."""
+    ring = mring.coeff_ring
+    out = {}
+    for d, c in coeffs.items():
+        d = mring.monoid.validate(d)
+        c = ring.validate(c)
+        if not ring.is_zero(c):
+            s = ring.add(out.get(d, ring.zero), c) if d in out else c
+            if ring.is_zero(s):
+                out.pop(d, None)
+            else:
+                out[d] = s
+    return MRElement(ring, mring.monoid, out)
+
+
+def protocol_from_list(mring, data):
+    """The earlier ``MonoidRing.from_list``."""
+    if not isinstance(data, list):
+        raise InvalidInputError("element serialization must be a list")
+    out = {}
+    for entry in data:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise InvalidInputError(f"bad term {entry!r}")
+        c, d = entry
+        d = _deg_from_json(d)
+        out[d] = mring.coeff_ring.add(
+            out.get(d, mring.coeff_ring.zero), mring.coeff_ring.validate(c)
+        )
+    return protocol_element(mring, out)
+
+
+def element_sample(mring, rng, max_support: int = 4, exp_bound: int = 6,
+                   coeff_bound: int = 9):
+    """The earlier ``MonoidRing.sample``: the draws checked by ``element``."""
+    out = {}
+    for _ in range(rng.below(max_support + 1)):
+        d = sample_element(mring.monoid, rng, exp_bound)
+        out[d] = mring.coeff_ring.sample_nonzero(rng, coeff_bound)
+    return mring.element(out)
