@@ -34,10 +34,6 @@ class OracleRequiredError(GrothlocError):
     """The exact answer needs an external witness the code cannot search for."""
 
 
-class MissingOrderError(GrothlocError):
-    """A component lacks the total order the operation needs."""
-
-
 class PreconditionError(GrothlocError):
     """A documented precondition of the operation does not hold."""
 

@@ -386,10 +386,6 @@ class FGAbelianStructure(namedtuple("FGAbelianStructure", "free_rank torsion_inv
         return n
 
 
-def is_torsion_free(s: FGAbelianStructure) -> bool:
-    return not s.torsion_invariants
-
-
 def presentation_matrix(p: MonoidPresentation) -> list:
     """One row u - v per relation, over the generator coordinates."""
     return [list(map(sub, u, v)) for u, v in p.relations]
@@ -603,13 +599,6 @@ def groth_classes(group: GrothendieckGroup) -> list:
         x = GrothElement(elems[0], b)
         reps.setdefault(group.key(x), x)
     return list(reps.values())
-
-def class_index(group: GrothendieckGroup, reps: list, x: GrothElement) -> int:
-    index = {group.key(r): i for i, r in enumerate(reps)}
-    try:
-        return index[group.key(x)]
-    except KeyError:
-        raise AxiomViolationError("class-cover", (x,)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,6 @@ class MultiplicativeSet:
 class LocalizedRing:
     """S^-1 R with witness-carrying fractions and exact equality."""
 
-    is_field = False
-
     def __init__(self, ring, sset: MultiplicativeSet):
         if sset.ring != ring:
             raise PreconditionError("multiplicative set lives over a different ring")
@@ -262,13 +260,6 @@ def sample_fraction(loc: LocalizedRing, rng, max_powers: int = 3, **sample_kw) -
 # grading of a localized monoid ring
 
 
-def fraction_degree(loc: LocalizedRing, f: Fraction) -> GrothElement:
-    """[deg numerator, deg denominator] for a homogeneous nonzero fraction."""
-    if not isinstance(loc.ring, MonoidRing):
-        raise UnsupportedFamilyError("degrees need a monoid-ring base")
-    return GrothElement(degree_of(f.num), degree_of(f.den))
-
-
 def decompose_fraction(loc: LocalizedRing, f: Fraction) -> dict:
     """Split a fraction into homogeneous components, keyed by degree class.
 
@@ -394,9 +385,6 @@ class UnitGroup:
 
     def order(self) -> int:
         return len(self.unit_indices)
-
-    def class_count(self) -> int:
-        return len(self.class_reps)
 
     def classify(self, f: Fraction) -> int:
         try:
@@ -643,11 +631,11 @@ def kx_counterexample_check(p: int = 5, samples: int = 50, seed: int = 0) -> dic
     is the zero ring.
     """
     from .monoid import FreeCommutativeMonoid
-    from .ring import ModRing
+    from .ring import ModRing, _is_prime
     from .rng import Lcg64
 
     K = ModRing(p)
-    if not K.is_field:
+    if not _is_prime(p):
         raise InvalidInputError(f"K[x] needs a prime modulus, got {p}")
     M = FreeCommutativeMonoid(1)
     R = MonoidRing(K, M)

@@ -15,7 +15,6 @@ from .errors import (
     AxiomViolationError,
     InvalidInputError,
     MalformedElementError,
-    MissingOrderError,
     UnsupportedFamilyError,
 )
 from .rng import Lcg64
@@ -42,13 +41,6 @@ class CommutativeMonoid:
 
     def size(self) -> int:
         raise UnsupportedFamilyError(f"{type(self).__name__} is not finite")
-
-    def power(self, a: MonoidValue, n: int) -> MonoidValue:
-        """n-fold sum of a with itself (n >= 0)."""
-        acc = self.identity
-        for _ in range(n):
-            acc = self.op(acc, a)
-        return acc
 
 
 class CayleyMonoid(CommutativeMonoid):
@@ -342,9 +334,6 @@ class MonoidPresentation:
             raise MalformedElementError(f"bad exponent word {a!r}")
         return a
 
-    def power(self, a: tuple, n: int) -> tuple:
-        return tuple(x * n for x in a)
-
     def elements(self):
         raise UnsupportedFamilyError("presented monoids are not enumerable")
 
@@ -399,13 +388,6 @@ class DirectSumMonoid(CommutativeMonoid):
 def numeric_compare(a, b) -> int:
     """-1, 0 or 1; tuples compare lexicographically."""
     return (a > b) - (a < b)
-
-
-def natural_order(m: CommutativeMonoid):
-    """The lexicographic comparator of a free or lattice monoid."""
-    if isinstance(m, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
-        return numeric_compare
-    raise MissingOrderError(f"no natural total order for {type(m).__name__}")
 
 
 def idempotent_power(op, s):
@@ -466,39 +448,6 @@ def sample_element(m: CommutativeMonoid, rng: Lcg64, bound: int = 6) -> MonoidVa
     if isinstance(m, DirectSumMonoid):
         return tuple(sample_element(c, rng, bound) for c in m.components)
     raise UnsupportedFamilyError(f"cannot sample from {type(m).__name__}")
-
-
-def find_order_violation(m: CommutativeMonoid, compare, sample_budget: int = 1000,
-                         seed: int = 0, bound: int = 6):
-    """Search for a compatibility failure of the claimed order ``compare``.
-
-    Returns a violating triple (a, b, c) with a < b but not a+c < b+c
-    (non-strict failure counts only on cancellative monoids), or None.
-    Finite monoids are swept exhaustively; infinite families are sampled.
-    """
-    try:
-        strict = is_cancellative(m)
-    except UnsupportedFamilyError:
-        strict = False
-    if m.is_finite:
-        triples = itertools.product(m.elements(), repeat=3)
-    else:
-        rng = Lcg64(seed)
-        triples = (
-            tuple(sample_element(m, rng, bound) for _ in range(3))
-            for _ in range(sample_budget)
-        )
-    for a, b, c in triples:
-        if compare(a, b) < 0:
-            s = compare(m.op(a, c), m.op(b, c))
-            if s > 0 or (s == 0 and strict):
-                return (a, b, c)
-    return None
-
-
-def check_order_compatible(m: CommutativeMonoid, compare, sample_budget: int = 1000,
-                           seed: int = 0, bound: int = 6) -> bool:
-    return find_order_violation(m, compare, sample_budget, seed, bound) is None
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ class IntegerRing:
     """Z with machine-independent exact arithmetic."""
 
     is_finite = False
-    is_field = False
     characteristic = 0
     zero = 0
     one = 1
@@ -88,9 +87,6 @@ class IntegerRing:
         v = rng.randint(1, bound)
         return v if rng.below(2) == 0 else -v
 
-    def to_dict(self) -> dict:
-        return {"kind": "Z"}
-
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
 
@@ -113,7 +109,6 @@ class ModRing:
             raise InvalidInputError("modulus must be at least 2")
         self.n = n
         self.characteristic = n
-        self.is_field = _is_prime(n)
         self.zero = 0
         self.one = 1 % n
 
@@ -146,17 +141,11 @@ class ModRing:
     def elements(self):
         return range(self.n)
 
-    def units(self) -> list:
-        return [a for a in range(1, self.n) if gcd(a, self.n) == 1]
-
     def sample(self, rng, bound: int = 9) -> int:
         return rng.below(self.n)
 
     def sample_nonzero(self, rng, bound: int = 9) -> int:
         return 1 + rng.below(self.n - 1)
-
-    def to_dict(self) -> dict:
-        return {"kind": "Zmod", "n": self.n}
 
     def __eq__(self, other):
         return isinstance(other, ModRing) and self.n == other.n
@@ -291,8 +280,6 @@ class MonoidRing:
     refused with UnsupportedFamilyError.
     """
 
-    is_field = False
-
     def __init__(self, coeff_ring, monoid: CommutativeMonoid):
         if not isinstance(coeff_ring, (IntegerRing, ModRing)):
             raise UnsupportedFamilyError(
@@ -321,6 +308,18 @@ class MonoidRing:
             if c:
                 out[d] = c
         return MRElement(ring, self.monoid, out)
+
+    def _reduced(self, coeffs: dict) -> MRElement:
+        """``element`` for valid degrees and int coefficients the library
+        built itself: reduced mod n over Z/n and zeros dropped, unchecked."""
+        n = self.coeff_ring.characteristic
+        out = {}
+        for d, c in coeffs.items():
+            if n:
+                c %= n
+            if c:
+                out[d] = c
+        return MRElement(self.coeff_ring, self.monoid, out)
 
     def epsilon(self, m) -> MRElement:
         """The monomial basis element at degree m."""
@@ -477,19 +476,6 @@ def degree_of(f: MRElement):
     return next(iter(f.coeffs))
 
 
-def regrade(f: MRElement, group: GrothendieckGroup) -> list:
-    """Regroup the M-grading along classes [m, 0] of the Grothendieck group.
-
-    Returns (class key, part) pairs with keys pairwise distinct in the group;
-    for non-cancellative M several M-degrees can land in one part.
-    """
-    acc = {}
-    for d in f.support():
-        key = group.canonical(d)
-        acc.setdefault(group.key(key), (key, {}))[1][d] = f.coeffs[d]
-    return [(key, MRElement(f.ring, f.monoid, part)) for key, part in acc.values()]
-
-
 # ---------------------------------------------------------------------------
 # zero-divisors and injectivity, decided on the monoid
 
@@ -615,10 +601,3 @@ class GroupRing:
     def one(self) -> GroupRingElement:
         return self.monomial(self.group.zero())
 
-
-def canonical_to_group_ring(f: MRElement, gring: GroupRing) -> GroupRingElement:
-    """R[M] -> R[G(M)]: send eps_m to the basis element at class [m, 0]."""
-    group = gring.group
-    return gring.from_terms(
-        [(group.canonical(d), c) for d, c in f.items()]
-    )

@@ -40,7 +40,10 @@ its own are the references for the one walk per cycle that settles every
 power at once.  The monoid-ring sum, negation, product, ``element`` and
 ``from_list`` that called the coefficient ring's add/mul/neg/is_zero/validate
 per term, and ``sample`` that passed its draws through ``element``, are the
-references for the loops on plain int coefficients.
+references for the loops on plain int coefficients.  The units of Z/n as a
+gcd list, the map R[M] -> R[G(M)] on classes [m, 0] and the search for a
+triple that breaks a claimed order (exhaustive on finite monoids, sampled
+otherwise) were library functions that only tests called.
 """
 import functools
 import itertools
@@ -60,6 +63,7 @@ from grothloc import (
     MonoidPresentation,
     MonoidRing,
     MultiplicativeSet,
+    Lcg64,
     groth_classes,
     localization_classes,
     presentation_matrix,
@@ -74,6 +78,7 @@ from grothloc.monoid import (
     FreeCommutativeMonoid,
     IntegerLatticeMonoid,
     idempotent_power,
+    is_cancellative,
     sample_element,
 )
 from grothloc.ring import ModRing, MRElement, _deg_from_json
@@ -1002,3 +1007,44 @@ def element_sample(mring, rng, max_support: int = 4, exp_bound: int = 6,
         d = sample_element(mring.monoid, rng, exp_bound)
         out[d] = mring.coeff_ring.sample_nonzero(rng, coeff_bound)
     return mring.element(out)
+
+
+def mod_units(n: int) -> list:
+    """The units of Z/n, by gcd."""
+    return [a for a in range(1, n) if gcd(a, n) == 1]
+
+
+def canonical_to_group_ring(f: MRElement, gring):
+    """R[M] -> R[G(M)]: send eps_m to the basis element at class [m, 0]."""
+    group = gring.group
+    return gring.from_terms(
+        [(group.canonical(d), c) for d, c in f.items()]
+    )
+
+
+def find_order_violation(m: CommutativeMonoid, compare, sample_budget: int = 1000,
+                         seed: int = 0, bound: int = 6):
+    """Search for a compatibility failure of the claimed order ``compare``.
+
+    Returns a violating triple (a, b, c) with a < b but not a+c < b+c
+    (non-strict failure counts only on cancellative monoids), or None.
+    Finite monoids are swept exhaustively; infinite families are sampled.
+    """
+    try:
+        strict = is_cancellative(m)
+    except UnsupportedFamilyError:
+        strict = False
+    if m.is_finite:
+        triples = itertools.product(m.elements(), repeat=3)
+    else:
+        rng = Lcg64(seed)
+        triples = (
+            tuple(sample_element(m, rng, bound) for _ in range(3))
+            for _ in range(sample_budget)
+        )
+    for a, b, c in triples:
+        if compare(a, b) < 0:
+            s = compare(m.op(a, c), m.op(b, c))
+            if s > 0 or (s == 0 and strict):
+                return (a, b, c)
+    return None

@@ -430,6 +430,17 @@ class TestIsoCommands:
         assert code == 0
         assert rep["checks"]["all_ok"] is True
 
+    def test_large_prime_modulus(self, tmp_path):
+        """Z/(2^61 - 1): building the ring runs no primality test."""
+        ring = json.dumps({"kind": "Zmod", "n": 2**61 - 1})
+        code, rep = run(tmp_path, "iso", "verify", "--ring", ring,
+                        "--monoid", str(CORPUS / "free2.json"), "--sgens", "[3]",
+                        "--samples", "20")
+        assert code == 0 and rep["ok"] is True
+        code, rep = run(tmp_path, "iso", "laurent", "--ring", ring, "--rank", "3",
+                        "--samples", "20")
+        assert code == 0 and rep["ok"] is True
+
     @pytest.mark.parametrize("depth", ["0", "1", "2"])
     def test_verify_below_the_sampled_powers(self, tmp_path, depth):
         """The sampler draws products of up to two S generators and carries
@@ -549,7 +560,7 @@ class TestCorpusRun:
         code, rep = run(tmp_path, "corpus", "run", "--dir", str(tmp_path))
         assert code == 2
         assert rep["error"] == "InvalidInputError"
-        assert "prime" in rep["detail"]
+        assert rep["detail"] == f"K[x] needs a prime modulus, got {modulus}"
 
     def test_missing_dir_exits_two(self, tmp_path):
         code, rep = run(tmp_path, "corpus", "run", "--dir", str(tmp_path / "missing"))

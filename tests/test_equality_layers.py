@@ -32,10 +32,11 @@ from grothloc.grothendieck import GrothElement
 from grothloc.isomorphisms import sample_group_ring_element
 from grothloc.localization import sample_fraction
 from grothloc.monoid import sample_element
-from grothloc.ring import GroupRingElement, MRElement, canonical_to_group_ring
+from grothloc.ring import GroupRingElement, MRElement
 
 import zoo
 from oracles import (
+    canonical_to_group_ring,
     difference_group_ring_eq,
     difference_loc_eq,
     difference_loc_is_zero,

@@ -2,16 +2,20 @@
 import pytest
 
 from grothloc import (
+    BaseMismatchError,
     FreeCommutativeMonoid,
+    GrothElement,
     HMapContext,
     IntegerRing,
     Lcg64,
     MalformedDenominatorError,
+    MalformedElementError,
     ModRing,
-    group_ring_specialization,
+    MonoidRing,
     h_forward,
     h_inverse,
     laurent_iso,
+    sample_element,
     sample_group_ring_element,
     sample_t_fraction,
     verify_isomorphism,
@@ -42,6 +46,28 @@ class TestContextLayout:
     def test_monomial_fraction_checks_s_membership(self, line_ctx):
         with pytest.raises(MalformedDenominatorError):
             line_ctx.monomial_fraction(line_ctx.mring.one, 3, (0,))
+
+    @pytest.mark.parametrize("num, s, n, error, message", [
+        ("one", 1, (1, -1), MalformedElementError, "negative exponent in (1, -1)"),
+        ("one", 1, (1,), MalformedElementError, "expected 2-tuple, got (1,)"),
+        ("one", 1, [0, 0], MalformedElementError, "expected 2-tuple, got [0, 0]"),
+        ("other", 1, (0, 0), BaseMismatchError, "element belongs to a different monoid ring"),
+        (5, 1, (0, 0), MalformedElementError, "expected monoid-ring element, got 5"),
+        ("one", 0, (0, 0), MalformedDenominatorError, "0 is not a recognized S element"),
+        ("one", "x", (0, 0), MalformedElementError, "expected integer, got 'x'"),
+        ("one", True, (0, 0), MalformedElementError, "expected integer, got True"),
+        ("other", 1, (1, -1), MalformedElementError, "negative exponent in (1, -1)"),
+        ("other", 0, (1, -1), MalformedDenominatorError, "0 is not a recognized S element"),
+    ])
+    def test_monomial_fraction_checks_its_inputs_once(self, num, s, n, error, message):
+        """The public entry checks s, then n, then num, with the messages the
+        checks inside the fraction builder gave."""
+        ctx = HMapContext(ModRing(7), FreeCommutativeMonoid(2), [3])
+        num = {"one": ctx.mring.one,
+               "other": MonoidRing(ModRing(5), FreeCommutativeMonoid(2)).one}.get(num, num)
+        with pytest.raises(error) as exc:
+            ctx.monomial_fraction(num, s, n)
+        assert str(exc.value) == message
 
 
 class TestForwardMap:
@@ -151,11 +177,34 @@ class TestInverseAgainstCommonDenominator:
 
 
 class TestBatteries:
-    def test_specialization_with_trivial_s(self):
-        report = group_ring_specialization(ModRing(5), FreeCommutativeMonoid(1),
-                                           samples=60)
-        assert report["all_ok"]
-        assert report["degree_law_ok"]
+    def test_degree_law_with_trivial_s(self):
+        """S = {1}: T^-1(R[M]) against R[G(M)], and h_forward of r eps_m / eps_n
+        is the single term at [m, n]."""
+        ctx = HMapContext(ModRing(5), FreeCommutativeMonoid(1), [])
+        assert verify_isomorphism(ctx, samples=60)["all_ok"]
+        rng = Lcg64(1)
+        for _ in range(60):
+            m = sample_element(ctx.monoid, rng)
+            n = sample_element(ctx.monoid, rng)
+            r = ctx.ring.sample_nonzero(rng)
+            u = h_forward(ctx, ctx.monomial_fraction(ctx.mring.element({m: r}), 1, n))
+            assert len(u.terms) == 1
+            assert ctx.group.eq(u.terms[0][0], GrothElement(m, n))
+
+    def test_battery_validates_no_degree_after_the_context(self, monkeypatch):
+        """Every degree the battery samples or builds is the library's own,
+        so once the context exists no monoid ``validate`` call is made."""
+        ctx = HMapContext(ModRing(7), FreeCommutativeMonoid(2), [3])
+        calls = []
+        validate = FreeCommutativeMonoid.validate
+
+        def spy(self, a):
+            calls.append(a)
+            return validate(self, a)
+
+        monkeypatch.setattr(FreeCommutativeMonoid, "validate", spy)
+        assert verify_isomorphism(ctx, samples=40)["all_ok"]
+        assert calls == []
 
     def test_plane_over_integers_at_powers_of_two(self):
         ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(2), [2])
