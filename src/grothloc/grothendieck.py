@@ -202,9 +202,11 @@ def _eliminate(orig: list, n: int) -> SNFResult:
     """The Smith normal form of the matrix with sparse rows ``orig``.
 
     Each row is {col: value} with nonzero plain-int values and columns in
-    range(n); the rows are taken over, and end as U*A.  Pivoting always
-    promotes a minimum-|value| entry (the first in row-major order), which
-    keeps intermediate entries small; arithmetic is exact regardless.
+    range(n); the rows are taken over, and end as U*A.  Each step pivots on
+    a minimum-|value| entry (the first in row-major order), then clears its
+    column and its row one entry at a time by Euclid: divide, subtract, and
+    swap a remainder in as the pivot, until the entry is 0.  Finishing each
+    gcd in place keeps entries small; arithmetic is exact regardless.
 
     A is kept as sparse rows and V is dense, so the pivot search, the row
     and column passes and the divisibility scan read only nonzeros.  A's
@@ -278,27 +280,23 @@ def _eliminate(orig: list, n: int) -> SNFResult:
         if A[t][col[t]] < 0:
             negate_row(t)
         while True:
-            dirty = False
             ct = col[t]
             # the rows below t that meet column t; a pass changes only row t
             # and the row it works on, so the list stays exact
             for i in [i for i in range(t + 1, m) if ct in A[i]]:
-                q = A[i][ct] // A[t][ct]
-                if q:
-                    _add_row(A, t, i, -q)
-                    ops.extend((t, i, -q))
-                if ct in A[i]:
-                    # remainder beats the pivot; promote it
-                    swap_rows(t, i)
-                    dirty = True
-            if dirty:
-                continue
-            # after a clean row pass only row t meets column t, until a swap
+                while ct in A[i]:  # Euclid: a remainder becomes the pivot
+                    q = A[i][ct] // A[t][ct]
+                    if q:
+                        _add_row(A, t, i, -q)
+                        ops.extend((t, i, -q))
+                    if ct in A[i]:
+                        swap_rows(t, i)
+            # only row t meets column t now, until a column swap refills it
+            dirty = False
             meet = [t]
             for j in range(t + 1, n):
-                v = A[t].get(col[j])
-                if v:
-                    q = v // A[t][col[t]]
+                while col[j] in A[t]:
+                    q = A[t][col[j]] // A[t][col[t]]
                     if q:
                         add_col(t, j, -q, meet)
                     if col[j] in A[t]:

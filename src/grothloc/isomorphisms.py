@@ -230,7 +230,7 @@ def verify_isomorphism(ctx: HMapContext, samples: int = 200, seed: int = 0,
 
 
 def laurent_iso(ring, rank: int, samples: int = 200, seed: int = 0,
-                exp_bound: int = 4, depth: int = 12) -> dict:
+                exp_bound: int = 4) -> dict:
     """R[Z^k] as the monomial localization of R[N^k], round-tripped exactly.
 
     A Laurent element embeds by clearing negative exponents with one common
@@ -239,7 +239,7 @@ def laurent_iso(ring, rank: int, samples: int = 200, seed: int = 0,
     """
     lat = IntegerLatticeMonoid(rank)
     lring = MonoidRing(ring, lat)
-    ctx = HMapContext(ring, FreeCommutativeMonoid(rank), [], depth=depth)
+    ctx = HMapContext(ring, FreeCommutativeMonoid(rank), [])
     rng = Lcg64(seed)
 
     def embed(u: MRElement) -> Fraction:

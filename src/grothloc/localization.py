@@ -626,9 +626,11 @@ def kx_counterexample_check(p: int = 5, samples: int = 50, seed: int = 0) -> dic
     S: every S element is a product of generators, so its degree is a sum of
     generator degrees, all of which are 0 or >= 2; degree 1 is unreachable.
     Units of the localization are still quotients of S elements, checked by
-    rewriting sampled units s/t after multiplying through by x^2.  p must be
-    prime: for p = a*b the constants a and b multiply to 0 in S, so S^-1 R
-    is the zero ring.
+    rewriting sampled units s/t after multiplying through by x^2.  Each S
+    element is given with a witness built from its degree, checked by
+    replaying it, so no closure of S is built.  p must be prime: for
+    p = a*b the constants a and b multiply to 0 in S, so S^-1 R is the zero
+    ring.
     """
     from .monoid import FreeCommutativeMonoid
     from .ring import ModRing, _is_prime
@@ -640,24 +642,24 @@ def kx_counterexample_check(p: int = 5, samples: int = 50, seed: int = 0) -> dic
     M = FreeCommutativeMonoid(1)
     R = MonoidRing(K, M)
     gens = [R.scalar(c) for c in range(2, p)] + [R.epsilon((2,)), R.epsilon((3,))]
-    sset = MultiplicativeSet(R, gens, depth=8)
+    sset = MultiplicativeSet(R, gens)
     loc = LocalizedRing(R, sset)
-    x = R.epsilon((1,))
+    x, x2, x3 = R.epsilon((1,)), R.epsilon((2,)), R.epsilon((3,))
+    i2, i3 = p - 2, p - 1  # x^2 and x^3 in gens
 
-    x_in_saturation = sset.contains(x * x)
-    gen_degs = [degree_of(g)[0] for g in gens]
-    min_pos = min(d for d in gen_degs if d > 0)
+    def in_s(s) -> bool:
+        # s = c*x^d, d = 2i + 3j: c's generator, x^2 i times and x^3 j times
+        [((d,), c)] = s.coeffs.items()
+        wit = (() if c == 1 else (c - 2,)) + (i2,) * (d // 2 - d % 2) + (i3,) * (d % 2)
+        return sset.product_of(wit) == s
+
+    x_in_saturation = in_s(x * x)
+    min_pos = min(d for d in (degree_of(g)[0] for g in gens) if d > 0)
     # a product of generators has degree 0 (all constants) or >= min_pos,
     # so degree 1 is reachable only if some positive generator degree is 1
-    degree_one_reachable = min_pos <= 1
-    x_in_s = sset.contains(x)
-
-    x2 = R.epsilon((2,))
-    x3 = R.epsilon((3,))
+    degree_one_reachable = x_in_s = min_pos <= 1
     rewrite_example_ok = (
-        loc.eq(loc.frac(x), Fraction(x3, x2, sset.witness(x2)))
-        and sset.contains(x3)
-        and sset.contains(x2)
+        loc.eq(loc.frac(x), Fraction(x3, x2, (i2,))) and in_s(x3) and in_s(x2)
     )
 
     rng = Lcg64(seed)
@@ -671,16 +673,11 @@ def kx_counterexample_check(p: int = 5, samples: int = 50, seed: int = 0) -> dic
         den = sset.product_of(wit)
         f = Fraction(num, den, wit)
         if m == 1:
-            s = num * x2
-            t = den * x2
+            # t * x^2's witness is t's plus the x^2 generator
+            s, t, wit = num * x2, den * x2, wit + (i2,)
         else:
-            s = num
-            t = den
-        ok = (
-            sset.contains(s)
-            and sset.contains(t)
-            and loc.eq(f, Fraction(s, t, sset.witness(t)))
-        )
+            s, t = num, den
+        ok = in_s(s) and sset.product_of(wit) == t and loc.eq(f, Fraction(s, t, wit))
         rewrites_ok += ok
     return {
         "modulus": p,

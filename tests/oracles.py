@@ -7,15 +7,16 @@ deciders are kept only to cross-check ``GrothendieckGroup.key``,
 ``LocalizedRing.key`` and the dict-based class enumerations, and share no
 code path with either key.
 
-The dense Smith normal form, the divisor-chain matching of element
-orders, the sweeps over every element of R[M] and of a finite R, the
-saturation search over R x R, the Cayley table of a multiplicative set
-and the numpy check of a Cayley table over all n^3 triples are the
-library's earlier implementations, kept verbatim as references for the
-sparse elimination, for the structure read off the kernel group, for the
-monoid criteria that decide zero-divisors and group-ring injectivity, for
-the saturation read off e, for G(S) read off the kernel group of S, and for
-Light's associativity test.  So are the
+The dense Smith normal form takes the sparse elimination's steps in the
+same order on dense lists, with U carried as a matrix, as its reference.
+The divisor-chain matching of element orders, the sweeps over every
+element of R[M] and of a finite R, the saturation search over R x R, the
+Cayley table of a multiplicative set and the numpy check of a Cayley
+table over all n^3 triples are the library's earlier implementations,
+kept verbatim as references for the structure read off the kernel group,
+for the monoid criteria that decide zero-divisors and group-ring
+injectivity, for the saturation read off e, for G(S) read off the kernel
+group of S, and for Light's associativity test.  So are the
 pair scans behind quasi-zeros, cancellativity, group tables and their
 inverses, now read off the idempotent power e of the sum of a finite monoid,
 and the cycle walk of every element of the kernel group, now one walk per
@@ -30,6 +31,8 @@ sum of the terms in T^-1(R[M]).  Class equality branched on the strategy
 label (cross sums, the +e witness, lattice membership of the difference)
 and the gcd/lcm swaps that re-chain direct-sum torsion are the references
 for key equality and for the Smith normal form of the torsion diagonal.
+The determinantal divisors (gcds of all k x k minors, by Laplace expansion)
+give the invariant factors of any integer matrix with no elimination at all.
 The non-zero-divisor flag read off the product of the generators and the
 injectivity of m -> [m, 0] tested on class keys are the references for the
 flag that asks each generator's ring ``is_nonzerodivisor`` and for
@@ -43,7 +46,9 @@ per term, and ``sample`` that passed its draws through ``element``, are the
 references for the loops on plain int coefficients.  The units of Z/n as a
 gcd list, the map R[M] -> R[G(M)] on classes [m, 0] and the search for a
 triple that breaks a claimed order (exhaustive on finite monoids, sampled
-otherwise) were library functions that only tests called.
+otherwise) were library functions that only tests called.  The K[x] check
+that looked every S element up in a depth-8 closure is the reference for
+the one that builds each witness from its degree.
 """
 import functools
 import itertools
@@ -611,9 +616,12 @@ class DenseSNF(NamedTuple):
 def dense_smith_normal_form(rows, ncols: int | None = None) -> DenseSNF:
     """Diagonalize an integer matrix over Z, tracking both transforms.
 
-    Pivoting always promotes a minimum-|value| entry, which keeps
-    intermediate entries small; arithmetic is exact regardless.
-    ``ncols`` is required when ``rows`` is empty.
+    Each step pivots on the first minimum-|value| entry in row-major order,
+    then clears column t and row t one entry at a time by Euclid between
+    the pivot and that entry (a remainder is swapped in as the pivot), in
+    the order ``grothendieck._eliminate`` uses, so both give the same U, V
+    and D.  Arithmetic is exact regardless.  ``ncols`` is required when
+    ``rows`` is empty.
     """
     A = [[int(x) for x in row] for row in rows]
     m = len(A)
@@ -680,26 +688,22 @@ def dense_smith_normal_form(rows, ncols: int | None = None) -> DenseSNF:
         if A[t][t] < 0:
             negate_row(t)
         while True:
-            dirty = False
             for i in range(t + 1, m):
-                v = A[i][t]
-                if v:
-                    q = v // A[t][t]
+                # Euclid until A[i][t] is 0; a remainder becomes the pivot
+                while A[i][t]:
+                    q = A[i][t] // A[t][t]
                     if q:
                         add_row(t, i, -q)
                     if A[i][t]:
-                        # remainder beats the pivot; promote it
                         swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
+            dirty = False
             for j in range(t + 1, n):
-                v = A[t][j]
-                if v:
-                    q = v // A[t][t]
+                while A[t][j]:
+                    q = A[t][j] // A[t][t]
                     if q:
                         add_col(t, j, -q)
                     if A[t][j]:
+                        # column t changes, so the rows are cleared again
                         swap_cols(t, j)
                         dirty = True
             if dirty:
@@ -721,6 +725,45 @@ def dense_smith_normal_form(rows, ncols: int | None = None) -> DenseSNF:
         raise AssertionError("transform bookkeeping broke: U*A*V != D")
     diag = [A[i][i] for i in range(limit)]
     return DenseSNF(D=A, U=U, V=V, invariant_factors=diag, nrows=m, ncols=n)
+
+
+def determinantal_divisors(rows, ncols: int) -> list:
+    """D_1, ..., D_min(m, n): D_k is the gcd of all k x k minors (0 when all vanish).
+
+    No elimination: each k x k minor is a Laplace expansion along its first
+    row over the (k-1) x (k-1) minors already computed, keyed by row and
+    column bitmasks, so every minor costs k products.  Once every k x k
+    minor vanishes, so do all larger ones.
+    """
+    m = len(rows)
+    size = min(m, ncols)
+    prev, out = {(0, 0): 1}, []
+    for k in range(1, size + 1):
+        cur, g = {}, 0
+        colsets = [(sum(1 << j for j in cs), cs) for cs in itertools.combinations(range(ncols), k)]
+        for rs in itertools.combinations(range(m), k):
+            rmask = sum(1 << i for i in rs)
+            rest, row = rmask ^ (1 << rs[0]), rows[rs[0]]
+            for cmask, cs in colsets:
+                det, sign = 0, 1
+                for j in cs:
+                    if row[j]:
+                        det += sign * row[j] * prev.get((rest, cmask ^ (1 << j)), 0)
+                    sign = -sign
+                if det:
+                    cur[rmask, cmask] = det
+                    g = gcd(g, det)
+        if not g:
+            return out + [0] * (size - k + 1)
+        out.append(g)
+        prev = cur
+    return out
+
+
+def determinantal_invariant_factors(rows, ncols: int) -> list:
+    """The Smith invariant factors d_k = D_k / D_(k-1), zeros trailing."""
+    divisors = determinantal_divisors(rows, ncols)
+    return [d // p if d else 0 for d, p in zip(divisors, [1] + divisors)]
 
 
 # ---------------------------------------------------------------------------
@@ -1048,3 +1091,67 @@ def find_order_violation(m: CommutativeMonoid, compare, sample_budget: int = 100
             if s > 0 or (s == 0 and strict):
                 return (a, b, c)
     return None
+
+
+def closure_kx_counterexample_check(p: int = 5, samples: int = 50, seed: int = 0) -> dict:
+    """The earlier ``kx_counterexample_check``: membership in S and each
+    witness are looked up in the depth-8 closure of the p generators, so
+    it is a reference for small p only (p = 211 took 11.5 s under cProfile)."""
+    from grothloc.localization import LocalizedRing, degree_of
+    from grothloc.ring import _is_prime
+
+    K = ModRing(p)
+    if not _is_prime(p):
+        raise InvalidInputError(f"K[x] needs a prime modulus, got {p}")
+    M = FreeCommutativeMonoid(1)
+    R = MonoidRing(K, M)
+    gens = [R.scalar(c) for c in range(2, p)] + [R.epsilon((2,)), R.epsilon((3,))]
+    sset = MultiplicativeSet(R, gens, depth=8)
+    loc = LocalizedRing(R, sset)
+    x = R.epsilon((1,))
+
+    x_in_saturation = sset.contains(x * x)
+    gen_degs = [degree_of(g)[0] for g in gens]
+    min_pos = min(d for d in gen_degs if d > 0)
+    degree_one_reachable = min_pos <= 1
+    x_in_s = sset.contains(x)
+
+    x2 = R.epsilon((2,))
+    x3 = R.epsilon((3,))
+    rewrite_example_ok = (
+        loc.eq(loc.frac(x), Fraction(x3, x2, sset.witness(x2)))
+        and sset.contains(x3)
+        and sset.contains(x2)
+    )
+
+    rng = Lcg64(seed)
+    rewrites_ok = 0
+    for _ in range(samples):
+        a = K.sample_nonzero(rng)
+        m = rng.below(8)
+        num = R.element({(m,): a})
+        k = rng.below(4)
+        wit = tuple(rng.below(len(gens)) for _ in range(k))
+        den = sset.product_of(wit)
+        f = Fraction(num, den, wit)
+        if m == 1:
+            s = num * x2
+            t = den * x2
+        else:
+            s = num
+            t = den
+        ok = (
+            sset.contains(s)
+            and sset.contains(t)
+            and loc.eq(f, Fraction(s, t, sset.witness(t)))
+        )
+        rewrites_ok += ok
+    return {
+        "modulus": p,
+        "x_in_s": x_in_s,
+        "x_in_saturation": bool(x_in_saturation),
+        "degree_one_reachable": bool(degree_one_reachable),
+        "rewrite_example_ok": bool(rewrite_example_ok),
+        "unit_samples": samples,
+        "unit_rewrites_ok": rewrites_ok,
+    }

@@ -1,4 +1,6 @@
 """The localization-to-group-ring dictionary, checked in both directions."""
+import inspect
+
 import pytest
 
 from grothloc import (
@@ -254,3 +256,8 @@ class TestLaurent:
     def test_over_the_integers(self):
         report = laurent_iso(IntegerRing(), 1, samples=40)
         assert report["all_ok"]
+
+    def test_takes_no_closure_depth(self):
+        """T's fractions compare by cross-multiplication, which reads no
+        closure, so a closure depth would have nothing to bound."""
+        assert "depth" not in inspect.signature(laurent_iso).parameters

@@ -1,5 +1,6 @@
 """Localization: closure, fraction congruence, grading, saturation, units."""
 import itertools
+import time
 
 import pytest
 
@@ -28,8 +29,10 @@ from grothloc import (
     sum_components,
     units_of_localization,
 )
+from grothloc import localization
 
 from oracles import (
+    closure_kx_counterexample_check,
     complement_of_maximals_over,
     enumerate_ideals,
     ideal_closure as fixpoint_ideal_closure,
@@ -385,6 +388,29 @@ class TestPolynomialCounterexample:
         rep = kx_counterexample_check(3, samples=10, seed=1)
         assert rep["rewrite_example_ok"]
         assert rep["unit_rewrites_ok"] == 10
+
+    @pytest.mark.parametrize("p, seed", [
+        (p, seed) for p in (3, 5, 7, 11) for seed in range(3)
+    ] + [(101, 0)])
+    def test_reports_match_the_closure_lookup(self, p, seed):
+        """Witnesses built from degrees give the reports that looking every
+        element up in the depth-8 closure gave, from the same draws."""
+        got = kx_counterexample_check(p, samples=40, seed=seed)
+        assert got == closure_kx_counterexample_check(p, samples=40, seed=seed)
+
+    def test_large_prime_builds_no_closure(self, monkeypatch):
+        """p - 2 constant generators: their depth-8 closure did not finish
+        in 20 s at p = 1009."""
+        class NoClosure(MultiplicativeSet):
+            @property
+            def closure(self):
+                raise AssertionError("closure built")
+
+        monkeypatch.setattr(localization, "MultiplicativeSet", NoClosure)
+        start = time.perf_counter()
+        rep = kx_counterexample_check(1009, samples=50, seed=0)
+        assert time.perf_counter() - start < 2.0
+        assert rep["unit_rewrites_ok"] == 50 and rep["x_in_saturation"] and not rep["x_in_s"]
 
     @pytest.mark.parametrize("p", [4, 6])
     def test_composite_modulus_rejected(self, p):

@@ -1,4 +1,4 @@
-"""The sparse Smith normal form against the dense one it replaced.
+"""The sparse Smith normal form against a dense one and the minors of A.
 
 ``smith_normal_form`` reads each input row straight into a sparse row,
 keeps A in sparse rows, swaps columns by relabelling them, and carries no
@@ -7,21 +7,30 @@ certificate U*A*V == D is checked on every call on U*A got by replaying the
 log on the input rows: the rows of D that hold a pivot against (U*A)*V
 through ``_matmul``, the rows past the last pivot by (U*A)_i == 0.  The
 result keeps the log and replays it on the identity on the first read of
-``.U``.  ``oracles.dense_smith_normal_form`` is the earlier dense
-elimination, kept verbatim.  D, U, V and the invariant factors must agree
-bit for bit, and a broken product, a log that differs from the operations
-applied to A (an extra operation, in a pivot row or past the last pivot,
-or a wrong multiplier) or a broken column transform must still trip the
+``.U``.  ``oracles.dense_smith_normal_form`` takes the same steps in the
+same order on dense lists, with U carried as a matrix: each pivot finishes
+its gcd with every entry of its column and row by Euclid before moving
+on.  D, U, V and the invariant factors must agree bit for bit, and a
+broken product, a log that differs from the operations applied to A (an
+extra operation, in a pivot row or past the last pivot, or a wrong
+multiplier) or a broken column transform must still trip the
 certificate, and the certificate's check of D's shape (``_pivot_diagonal``)
 must refuse an off-diagonal entry and a broken divisibility chain.  The
 result holds only the invariant factors of D and builds ``.D`` on its first
 read.  ``presentation_snf`` reads the relation rows straight off the words
 into the same elimination core (``_eliminate``), must match
 ``smith_normal_form`` on the dense relation matrix field for field, and
-runs the elimination once per presentation object.
+runs the elimination once per presentation object.  The invariant
+factors are also checked against ``oracles.determinantal_invariant_factors``,
+read off the gcds of all k x k minors with no elimination, and the 9- and
+8-generator matrices that the earlier promote-and-restart pass stalled on
+must finish under a time bound with small transforms.
 """
+import contextlib
 import enum
 import random
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -41,7 +50,7 @@ from grothloc import (
 from grothloc import grothendieck
 
 import zoo
-from oracles import dense_smith_normal_form
+from oracles import dense_smith_normal_form, determinantal_invariant_factors
 
 
 def assert_same_as_dense(rows, ncols=None):
@@ -65,7 +74,10 @@ def test_seeded_matrices_match_dense(density):
     for m in range(10):
         for n in range(8):
             for amp in (1, 9, 100):
-                assert_same_as_dense(random_rows(rng, m, n, density, amp), ncols=n)
+                rows = random_rows(rng, m, n, density, amp)
+                assert_same_as_dense(rows, ncols=n)
+                assert smith_normal_form(rows, ncols=n).invariant_factors == \
+                    determinantal_invariant_factors(rows, n)
 
 
 def test_empty_and_zero_matrices_match_dense():
@@ -123,16 +135,85 @@ def ldr_rows(rng, k):
     return rows, diag
 
 
+def ldr_batch(seed, count):
+    """The first ``count`` ``ldr_rows`` cases of ``random.Random(seed)``,
+    k = 7 and 8 alternating, as (k, rows, diag)."""
+    rng = random.Random(seed)
+    return [(7 + case % 2, *ldr_rows(rng, 7 + case % 2)) for case in range(count)]
+
+
+def max_bits(matrix):
+    return max((abs(x).bit_length() for row in matrix for x in row), default=0)
+
+
 def test_seven_and_eight_generator_presentations_match_dense():
-    """A seeded batch that finishes today.  About 1 in 70 such inputs still
-    stalls while entries grow (three of the first 200 at seed 1); a bounded
-    elimination for those is a separate change."""
-    rng = random.Random(15)
-    for case in range(40):
-        k = 7 + case % 2
-        rows, diag = ldr_rows(rng, k)
+    """Seed 1's first 200 cases, each a 9x7 or 10x8 matrix with a long
+    torsion chain: together they finish well inside 2 s, and no entry of U
+    or V passes 1 024 bits (a pass that promoted remainders instead took
+    seconds on cases 33, 137 and 157, with entries of 200 000 bits)."""
+    elapsed, bits = 0.0, 0
+    for k, rows, diag in ldr_batch(1, 200):
+        start = time.perf_counter()
+        got = smith_normal_form(rows, ncols=k)
+        elapsed += time.perf_counter() - start
+        assert got.invariant_factors == diag + [0] * (k - len(diag))
+        bits = max(bits, max_bits(got.U), max_bits(got.V))
         assert_same_as_dense(rows, ncols=k)
-        assert smith_normal_form(rows, ncols=k).invariant_factors == diag + [0] * (k - len(diag))
+    assert elapsed < 2.0, elapsed
+    assert bits <= 1024, bits
+
+
+def test_ldr_batch_matches_determinantal_divisors():
+    for k, rows, _ in ldr_batch(1, 200):
+        assert smith_normal_form(rows, ncols=k).invariant_factors == \
+            determinantal_invariant_factors(rows, k)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail, instead of hanging, when the block runs past ``seconds``."""
+    def expire(signum, frame):
+        raise AssertionError(f"ran past {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("case", [33, 137, 157])
+def test_former_stall_cases_finish_fast(case):
+    k, rows, diag = ldr_batch(1, case + 1)[case]
+    with time_limit(0.5):
+        got = smith_normal_form(rows, ncols=k)
+    assert got.invariant_factors == diag + [0] * (k - len(diag))
+
+
+# 9 generators, 11 relations: the promote-and-restart pass never finished on it
+ELEVEN_BY_NINE = [
+    [-96, 136, 0, 96, -136, 168, -312, -120, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 48],
+    [176, -168, 4, -184, 192, -368, 640, 272, -16],
+    [-160, 224, -8, 176, -224, 304, -560, -208, 32],
+    [10, -14, -4, -6, 14, -12, 22, 12, 16],
+    [0, 40, 0, 0, -40, -24, 24, 24, 0],
+    [96, -96, 0, -96, 108, -192, 336, 144, 0],
+    [-250, 282, 16, 222, -306, 444, -790, -348, -64],
+    [0, -56, 0, 0, 56, 24, 24, -24, -48],
+    [-60, 190, 16, 26, -190, 6, -110, -10, -16],
+    [0, -192, 0, 0, 192, 96, 0, -96, -96],
+]
+
+
+def test_eleven_by_nine_matrix_finishes():
+    with time_limit(1.0):
+        got = smith_normal_form(ELEVEN_BY_NINE)
+    assert got.invariant_factors == [2, 2, 4, 4, 12, 24, 48, 48, 48]
+    assert got.invariant_factors == determinantal_invariant_factors(ELEVEN_BY_NINE, 9)
+    assert_same_as_dense(ELEVEN_BY_NINE)
 
 
 @given(st.integers(0, 6).flatmap(lambda n: st.lists(
@@ -141,6 +222,8 @@ def test_seven_and_eight_generator_presentations_match_dense():
 def test_hypothesis_matrices_match_dense(case):
     rows, n = case
     assert_same_as_dense(rows, ncols=n)
+    assert smith_normal_form(rows, ncols=n).invariant_factors == \
+        determinantal_invariant_factors(rows, n)
 
 
 def naive_product(a, b, cols):
