@@ -203,10 +203,15 @@ def _eliminate(orig: list, n: int) -> SNFResult:
 
     Each row is {col: value} with nonzero plain-int values and columns in
     range(n); the rows are taken over, and end as U*A.  Each step pivots on
-    a minimum-|value| entry (the first in row-major order), then clears its
-    column and its row one entry at a time by Euclid: divide, subtract, and
-    swap a remainder in as the pivot, until the entry is 0.  Finishing each
-    gcd in place keeps entries small; arithmetic is exact regardless.
+    a minimum-|value| entry.  A tie goes to the row with the fewest
+    nonzeros, then to the first such row, and within the row to the first
+    column in elimination order.  The short row spreads the least fill-in
+    (Markowitz's rule), and row order breaks only ties of equal size: a
+    shuffled multiplication table costs the row additions of a sorted one.
+    The step then clears the pivot's column and its row one entry at a
+    time by Euclid: divide, subtract, and swap a remainder in as the pivot,
+    until the entry is 0.  Finishing each gcd in place keeps entries
+    small; arithmetic is exact regardless.
 
     A is kept as sparse rows and V is dense, so the pivot search, the row
     and column passes and the divisibility scan read only nonzeros.  A's
@@ -262,14 +267,17 @@ def _eliminate(orig: list, n: int) -> SNFResult:
     t = 0
     limit = min(m, n)
     while t < limit:
-        # the first minimum-|value| entry in row-major order
-        pi, best = None, 0
+        # a minimum-|value| entry, in the shortest such row (the first on a
+        # tie); only a lone +-1 cannot be beaten
+        pi, best, size = None, 0, 0
         for i in range(t, m):
-            low = min(map(abs, A[i].values()), default=0)
-            if low and (not best or low < best):
-                pi, best = i, low
-                if best == 1:
-                    break
+            row = A[i]
+            if row:
+                low = min(map(abs, row.values()))
+                if not best or low < best or (low == best and len(row) < size):
+                    pi, best, size = i, low, len(row)
+                    if best == 1 and size == 1:
+                        break
         if pi is None:
             break
         pj = min(pos[c] for c, v in A[pi].items() if abs(v) == best)

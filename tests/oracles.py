@@ -616,8 +616,10 @@ class DenseSNF(NamedTuple):
 def dense_smith_normal_form(rows, ncols: int | None = None) -> DenseSNF:
     """Diagonalize an integer matrix over Z, tracking both transforms.
 
-    Each step pivots on the first minimum-|value| entry in row-major order,
-    then clears column t and row t one entry at a time by Euclid between
+    Each step pivots on a minimum-|value| entry of the rows t.. and columns
+    t..; a tie goes to the row with the fewest nonzeros in columns t.., then
+    to the first such row, and within it to the first such column.  It then
+    clears column t and row t one entry at a time by Euclid between
     the pivot and that entry (a remainder is swapped in as the pivot), in
     the order ``grothendieck._eliminate`` uses, so both give the same U, V
     and D.  Arithmetic is exact regardless.  ``ncols`` is required when
@@ -674,11 +676,13 @@ def dense_smith_normal_form(rows, ncols: int | None = None) -> DenseSNF:
         piv = None
         best = None
         for i in range(t, m):
-            for j in range(t, n):
-                v = A[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
+            row = [abs(x) for x in A[i][t:]]
+            size = n - t - row.count(0)
+            if size:
+                low = min(x for x in row if x)
+                if best is None or (low, size) < best:
+                    best = (low, size)
+                    piv = (i, t + row.index(low))
         if piv is None:
             break
         if piv[0] != t:
