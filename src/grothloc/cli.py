@@ -71,6 +71,7 @@ class _Parser(argparse.ArgumentParser):
 def _common(sub):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--samples", type=int, default=200)
+    # --depth reads into inputs_sha256 only, so reports keep their bytes
     sub.add_argument("--depth", type=int, default=8)
     sub.add_argument("--out", default=None, help="report path (default stdout)")
 
@@ -240,7 +241,7 @@ def _cmd_localize_decompose(args):
     m = _load_monoid_file(args, "monoid")
     mring = MonoidRing(ring, m)
     sgens = [mring.from_list(g) for g in _load_sgens(args.sgens)]
-    sset = MultiplicativeSet(mring, sgens, depth=args.depth)
+    sset = MultiplicativeSet(mring, sgens)
     loc = LocalizedRing(mring, sset)
     fr = _load_json_arg(args.fraction)
     if not isinstance(fr, dict) or "num" not in fr:
@@ -303,7 +304,7 @@ def _cmd_localize_units(args):
     return {"results": results, "checks": checks}, all(checks.values())
 
 
-def _iso_context(ring, m, sgens: list, depth: int = 8) -> HMapContext:
+def _iso_context(ring, m, sgens: list) -> HMapContext:
     """The context ``iso verify`` and ``iso_verify`` corpus entries check.
 
     Over Z the generators must be nonzero; S then holds only
@@ -311,13 +312,13 @@ def _iso_context(ring, m, sgens: list, depth: int = 8) -> HMapContext:
     """
     if isinstance(ring, IntegerRing) and any(ring.is_zero(ring.validate(g)) for g in sgens):
         raise InvalidInputError("zero generator over Z is not supported")
-    return HMapContext(ring, m, sgens, depth=depth)
+    return HMapContext(ring, m, sgens)
 
 
 def _cmd_iso_verify(args):
     ring = ring_from_dict(_load_json_arg(args.ring))
     m = _load_monoid_file(args, "monoid")
-    ctx = _iso_context(ring, m, _load_sgens(args.sgens), args.depth)
+    ctx = _iso_context(ring, m, _load_sgens(args.sgens))
     report = verify_isomorphism(ctx, samples=args.samples, seed=args.seed)
     ok = report.pop("all_ok")
     report["roundtrip_ok"] = report["roundtrip_back_ok"] and report["roundtrip_forth_ok"]

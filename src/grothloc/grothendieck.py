@@ -9,17 +9,20 @@ computed:
 
 * cancellative-cross-sum: a+d = b+c directly (witness never needed); the
   key is a - b for free and lattice monoids, a + (-b) for finite groups,
-  and the tuple of component keys for infinite direct sums.
-* finite-witness-enumeration: one witness suffices.  With e the idempotent
-  power of the sum of all elements, K = M + e is a group with identity e
-  (the minimal ideal; Clifford & Preston, Grillet), so [a, b] = [c, d] iff
-  a+d+e = b+c+e, and the key is (a+e) + inverse_K(b+e).  G(M) is K.
+  and the tuple of component keys for direct sums.
+* finite-witness-enumeration: a Cayley table; one witness suffices.  With
+  e the idempotent power of the sum of all elements, K = M + e is a group
+  with identity e (the minimal ideal; Clifford & Preston, Grillet), so
+  [a, b] = [c, d] iff a+d+e = b+c+e, and the key is (a+e) + inverse_K(b+e).
+  G(M) is K.
 * presentation-lattice: membership of (a+d) - (b+c) in the integer row
   lattice of the relation matrix, read off the Smith normal form; the key
   is y = (a-b)V with free slots kept, torsion slots reduced mod d_j and
   unit slots dropped.
-* componentwise: an infinite direct sum with a non-cancellative or
-  presented component; the key is the tuple of component keys.
+* componentwise: a direct sum, finite or not, with a non-cancellative or
+  presented component; the key is the tuple of component keys.  G of a
+  direct sum is the direct sum of the components' G, so no direct sum is
+  walked as one carrier of tuples.
 
 All integer linear algebra uses arbitrary-precision Python ints.
 """
@@ -506,7 +509,7 @@ class GrothendieckGroup:
         if isinstance(base, MonoidPresentation):
             self.strategy = "presentation-lattice"
             self._slots = snf_slots(presentation_snf(base))
-        elif isinstance(base, DirectSumMonoid) and not base.is_finite:
+        elif isinstance(base, DirectSumMonoid):
             self._parts = [GrothendieckGroup(c) for c in base.components]
             cancellative = all(g.strategy == "cancellative-cross-sum" for g in self._parts)
             self.strategy = "cancellative-cross-sum" if cancellative else "componentwise"
@@ -551,7 +554,7 @@ class GrothendieckGroup:
     # -- normal form and equality
 
     def _kernel_inverses(self) -> tuple:
-        """``kernel_group`` of a finite base, built on first use."""
+        """``kernel_group`` of a Cayley table base, built on first use."""
         if self._kernel is None:
             self._kernel = kernel_group(self.base.op, list(self.base.elements()))
         return self._kernel
@@ -696,10 +699,10 @@ def monoid_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
         return FGAbelianStructure(m.rank, ())
     if isinstance(m, IntegerLatticeMonoid):
         return FGAbelianStructure(m.rank, ())
-    if m.is_finite:
-        return finite_groth_structure(m)
     if isinstance(m, DirectSumMonoid):
         return direct_sum_groth(monoid_groth_structure(c) for c in m.components)
+    if m.is_finite:
+        return finite_groth_structure(m)
     raise UnsupportedFamilyError(
         f"no structure computation for {type(m).__name__}"
     )

@@ -29,11 +29,10 @@ class HMapContext:
     decides whether each of them is a non-zero-divisor.
     """
 
-    def __init__(self, ring, monoid, sgens, *, nzd: bool | None = None,
-                 depth: int = 8):
+    def __init__(self, ring, monoid, sgens, *, nzd: bool | None = None):
         self.ring = ring
         self.monoid = monoid
-        self.sset = MultiplicativeSet(ring, sgens, nzd=nzd, depth=depth)
+        self.sset = MultiplicativeSet(ring, sgens, nzd=nzd)
         self.loc = LocalizedRing(ring, self.sset)
         self.mring = MonoidRing(ring, self.monoid)
         self.group = GrothendieckGroup(self.monoid)
@@ -58,7 +57,7 @@ class HMapContext:
             raise PreconditionError(
                 f"no T generator layout for {type(self.monoid).__name__}"
             )
-        self.tset = MultiplicativeSet(self.mring, lifted + mono_gens, depth=depth)
+        self.tset = MultiplicativeSet(self.mring, lifted + mono_gens)
         self.tloc = LocalizedRing(self.mring, self.tset)
 
     # -- witness plumbing (lifted S generators keep their indices inside T)

@@ -3,8 +3,8 @@
 Denominators carry witnesses: tuples of generator indices whose product is
 the denominator.  Arithmetic concatenates witnesses, so certificates never
 expire; only user-facing construction consults the materialized closure
-(built on first read; complete for finite rings, generation-depth bounded
-otherwise).
+(built on first read; complete for finite rings, products of at most
+``CLOSURE_DEPTH`` generators otherwise).
 
 Equality r/s = r'/s' is decided by exactly two strategies:
 cross-multiplication when the ring's ``is_nonzerodivisor`` passes every
@@ -36,6 +36,9 @@ from .grothendieck import CayleyMonoid, GrothElement, GrothendieckGroup, kernel_
 from .monoid import idempotent_power
 from .ring import MonoidRing, degree_of, homogeneous_components
 
+# over an infinite ring the closure keeps products of at most this many generators
+CLOSURE_DEPTH = 8
+
 
 class Fraction:
     """r/s with a product-of-generators witness for s."""
@@ -65,15 +68,14 @@ class MultiplicativeSet:
     generator (``nzd`` overrides it).  The closure maps each reachable
     element to one witness (a tuple of generator indices).  For a finite base
     ring the closure is the full set; otherwise it holds products of at most
-    ``depth`` generators.  It is built
-    on first read, so a set whose fractions are compared by
-    cross-multiplication and carry their own witnesses never builds it.
+    ``CLOSURE_DEPTH`` generators.  It is built on first read, so a set whose
+    fractions are compared by cross-multiplication and carry their own
+    witnesses never builds it.
     """
 
-    def __init__(self, ring, generators, *, nzd: bool | None = None, depth: int = 8):
+    def __init__(self, ring, generators, *, nzd: bool | None = None):
         self.ring = ring
         self.generators = [ring.validate(g) for g in generators]
-        self.depth = depth
         if nzd is None:
             # a generator the ring cannot decide counts as a zero-divisor, so
             # an undecided set over an infinite ring is refused, not guessed
@@ -90,7 +92,7 @@ class MultiplicativeSet:
         closure = {ring.one: ()}
         frontier = [(ring.one, ())]
         rounds = 0
-        while frontier and (ring.is_finite or rounds < self.depth):
+        while frontier and (ring.is_finite or rounds < CLOSURE_DEPTH):
             new = []
             for elem, wit in frontier:
                 for i, g in enumerate(self.generators):

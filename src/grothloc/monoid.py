@@ -429,9 +429,13 @@ def translation_injective(m: CommutativeMonoid, a: MonoidValue) -> bool:
 
 def quasi_zero_submonoid(m: CommutativeMonoid) -> set:
     """{x : x + y = y for some y} = {x : x + e = e}: x + (y+e) = y+e in the
-    group M + e forces x + e = e, and y = e is a witness."""
+    group M + e forces x + e = e, and y = e is a witness.  In a direct sum
+    x + y = y holds slot by slot, so the set is the product of the
+    components' sets."""
     if not m.is_finite:
         raise UnsupportedFamilyError("quasi-zero search needs a finite carrier")
+    if isinstance(m, DirectSumMonoid):
+        return set(itertools.product(*map(quasi_zero_submonoid, m.components)))
     e = idempotent_power(m.op, functools.reduce(m.op, m.elements()))
     return {x for x in m.elements() if m.op(x, e) == e}
 

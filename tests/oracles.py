@@ -135,10 +135,13 @@ def scan_classes(group) -> list:
 
 
 def strategy_eq(group, x: GrothElement, y: GrothElement) -> bool:
-    """The earlier ``GrothendieckGroup.eq``: one branch per strategy label.
+    """The earlier ``GrothendieckGroup.eq``: cross sums, the +e witness and
+    lattice membership of the difference.
 
-    Covers the labels every family had before direct sums with a
-    non-cancellative or presented component were accepted.
+    Covers the families every base had before direct sums with a
+    non-cancellative or presented component were accepted.  A finite base
+    is decided with the e of its own whole carrier, whatever its label, so
+    a finite direct sum is walked as one carrier of tuples.
     """
     m = group.base
     lhs = m.op(x.first, y.second)
@@ -147,8 +150,8 @@ def strategy_eq(group, x: GrothElement, y: GrothElement) -> bool:
         return True
     if group.strategy == "cancellative-cross-sum":
         return False
-    if group.strategy == "finite-witness-enumeration":
-        e = group._kernel_inverses()[0]
+    if m.is_finite:
+        e = kernel_group(m.op, list(m.elements()))[0]
         return m.op(lhs, e) == m.op(rhs, e)
     return not any(lattice_key(group._slots, [p - q for p, q in zip(lhs, rhs)]))
 
@@ -1110,7 +1113,7 @@ def closure_kx_counterexample_check(p: int = 5, samples: int = 50, seed: int = 0
     M = FreeCommutativeMonoid(1)
     R = MonoidRing(K, M)
     gens = [R.scalar(c) for c in range(2, p)] + [R.epsilon((2,)), R.epsilon((3,))]
-    sset = MultiplicativeSet(R, gens, depth=8)
+    sset = MultiplicativeSet(R, gens)
     loc = LocalizedRing(R, sset)
     x = R.epsilon((1,))
 

@@ -444,7 +444,8 @@ class TestIsoCommands:
     @pytest.mark.parametrize("depth", ["0", "1", "2"])
     def test_verify_below_the_sampled_powers(self, tmp_path, depth):
         """The sampler draws products of up to two S generators and carries
-        their witnesses, so a closure of depth 0 or 1 does not reject them."""
+        their witnesses; ``--depth`` is still accepted and read by nothing
+        but ``inputs_sha256``."""
         code, rep = run(
             tmp_path,
             "iso", "verify",
@@ -455,6 +456,20 @@ class TestIsoCommands:
         )
         assert code == 0
         assert rep["checks"]["all_ok"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ("iso", "verify", "--ring", '{"kind": "Z"}', "--monoid", str(CORPUS / "free2.json"),
+         "--sgens", "[2]", "--samples", "40"),
+        ("localize", "decompose", "--ring", ZMOD5, "--monoid", str(CORPUS / "free2.json"),
+         "--sgens", "[[[1, [1, 0]]]]",
+         "--fraction", '{"num": [[1, [2, 0]], [3, [0, 1]]], "den_witness": [0, 0]}'),
+    ], ids=["iso_verify", "localize_decompose"])
+    def test_depth_changes_only_the_inputs_digest(self, tmp_path, argv):
+        reports = [run(tmp_path, *argv, "--depth", d, name=f"d{d}.json") for d in ("0", "8")]
+        (c0, r0), (c8, r8) = reports
+        assert c0 == c8 == 0
+        assert r0.pop("inputs_sha256") != r8.pop("inputs_sha256")
+        assert r0 == r8
 
     def test_laurent_rank_one(self, tmp_path):
         code, rep = run(

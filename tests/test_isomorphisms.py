@@ -14,6 +14,7 @@ from grothloc import (
     MalformedElementError,
     ModRing,
     MonoidRing,
+    MultiplicativeSet,
     h_forward,
     h_inverse,
     laurent_iso,
@@ -106,13 +107,13 @@ class TestForwardMap:
                 h_forward(ctx, Fraction(ctx.mring.one, den, wit))
 
     def test_products_beyond_the_closure_depth(self):
-        """At depth 2 the S closure stops at 4, but 16 = 4*4 keeps its witness."""
-        ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2], depth=2)
-        assert not ctx.sset.contains(16)
-        f = ctx.monomial_fraction(ctx.mring.element({(2,): 1}), 4, (1,))
+        """The S closure over Z stops at 2^8, but 2^10 = 2^5 * 2^5 keeps its witness."""
+        ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2])
+        assert ctx.sset.contains(2 ** 5) and not ctx.sset.contains(2 ** 10)
+        f = ctx.monomial_fraction(ctx.mring.element({(2,): 1}), 2 ** 5, (1,))
         u = h_forward(ctx, ctx.tloc.mul(f, f))
         ((_, c),) = u.terms
-        assert (c.den, c.den_witness) == (16, (0, 0, 0, 0))
+        assert (c.den, c.den_witness) == (2 ** 10, (0,) * 10)
         assert ctx.group_ring.eq(u, ctx.group_ring.mul(h_forward(ctx, f), h_forward(ctx, f)))
 
     def test_zero_maps_to_zero(self, line_ctx):
@@ -215,15 +216,6 @@ class TestBatteries:
         assert report["hom_ok"]
         assert report["roundtrip_back_ok"] and report["roundtrip_forth_ok"]
 
-    def test_shallow_closure_depth(self):
-        """Products of sampled fractions reach 4+ S generators; depth 2 only
-        materializes 1, 2 and 4, and the battery still passes."""
-        for depth in (2, 3):
-            ctx = HMapContext(IntegerRing(), FreeCommutativeMonoid(1), [2],
-                              depth=depth)
-            report = verify_isomorphism(ctx, samples=60)
-            assert report["all_ok"]
-
     def test_collapsing_base_keeps_kernel_trivial(self):
         """(Z/2)[T2]: the grading group is trivial and many fractions map to
         zero, but each one is itself zero in the localization."""
@@ -261,3 +253,10 @@ class TestLaurent:
         """T's fractions compare by cross-multiplication, which reads no
         closure, so a closure depth would have nothing to bound."""
         assert "depth" not in inspect.signature(laurent_iso).parameters
+
+
+def test_no_constructor_takes_a_closure_depth():
+    """The closure over an infinite ring has one bound, a module constant:
+    neither S nor the graded context takes a depth."""
+    for cls in (MultiplicativeSet, HMapContext):
+        assert "depth" not in inspect.signature(cls).parameters

@@ -71,7 +71,7 @@ COMPONENTWISE = {
 @pytest.mark.parametrize("build, label", [
     (zoo.t2, "finite-witness-enumeration"),
     (zoo.z6_mult, "finite-witness-enumeration"),
-    (zoo.t2_plus_z2, "finite-witness-enumeration"),
+    (zoo.t2_plus_z2, "componentwise"),
     (zoo.z4, "cancellative-cross-sum"),
     (zoo.z2_plus_z2, "cancellative-cross-sum"),
     (lambda: FreeCommutativeMonoid(2), "cancellative-cross-sum"),

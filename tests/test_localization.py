@@ -66,8 +66,9 @@ class TestMultiplicativeSet:
 
     def test_infinite_closure_is_depth_limited(self):
         ring = IntegerRing()
-        sset = MultiplicativeSet(ring, [2], depth=5)
-        assert sorted(sset.closure) == [2 ** k for k in range(6)]
+        sset = MultiplicativeSet(ring, [2])
+        assert localization.CLOSURE_DEPTH == 8
+        assert sorted(sset.closure) == [2 ** k for k in range(localization.CLOSURE_DEPTH + 1)]
         assert not sset.complete
 
     def test_homogeneous_flag(self):
