@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+from math import prod
 
 from .errors import (
     AxiomViolationError,
@@ -39,6 +40,7 @@ from .localization import (
 )
 from .isomorphisms import HMapContext, laurent_iso, verify_isomorphism
 from .monoid import (
+    DirectSumMonoid,
     FreeCommutativeMonoid,
     IntegerLatticeMonoid,
     MonoidPresentation,
@@ -124,6 +126,14 @@ def _groth_key_json(key: GrothElement) -> list:
 # commands
 
 
+def _quasi_zero_size(m) -> int:
+    """How many quasi-zeros a finite M has; a direct sum's are counted as the
+    product of its components' counts, never built."""
+    if isinstance(m, DirectSumMonoid):
+        return prod(map(_quasi_zero_size, m.components))
+    return len(quasi_zero_submonoid(m))
+
+
 def _monoid_facts(m) -> dict:
     """Cancellativity (None when undecided) and, on a finite carrier, the
     quasi-zero submonoid's size and whether G(M) is trivial."""
@@ -133,7 +143,7 @@ def _monoid_facts(m) -> dict:
     except GrothlocError:
         facts["cancellative"] = None
     if m.is_finite:
-        facts["quasi_zero_size"] = len(quasi_zero_submonoid(m))
+        facts["quasi_zero_size"] = _quasi_zero_size(m)
         facts["groth_trivial"] = GrothendieckGroup(m).is_trivial()
     return facts
 

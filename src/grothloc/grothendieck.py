@@ -32,7 +32,6 @@ import functools
 import itertools
 import numbers
 from collections import namedtuple
-from math import gcd
 from operator import mul, sub
 
 from .errors import (
@@ -50,8 +49,8 @@ from .monoid import (
     MonoidPresentation,
     DirectSumMonoid,
     MonoidValue,
-    idempotent_power,
     is_cancellative,
+    kernel_group,
     numeric_compare,
 )
 
@@ -472,39 +471,12 @@ def groth_of_presentation(p: MonoidPresentation) -> FGAbelianStructure:
 # the group itself
 
 
-def kernel_group(op, elems) -> tuple:
-    """(e, inverse map, order map) of K = elems*e for a finite commutative monoid.
-
-    e is the idempotent power of the product of the whole carrier ``elems``
-    under ``op``; K is the minimal ideal, a group with identity e.  One walk
-    k, k^2, ..., k^n = e from a k in K not met yet settles its whole cycle:
-    k^i has inverse k^(n-i) and order n/gcd(i, n).
-    """
-    e = idempotent_power(op, functools.reduce(op, elems))
-    inv, order = {}, {}
-    for a in elems:
-        if a in inv:  # already met, so a lies in K and a*e = a
-            continue
-        k = op(a, e)
-        if k in inv:
-            continue
-        powers = [e, k]
-        while powers[-1] != e:
-            powers.append(op(powers[-1], k))
-        n = len(powers) - 1
-        for i in range(1, n + 1):
-            inv[powers[i]] = powers[n - i]
-            order[powers[i]] = n // gcd(i, n)
-    return e, inv, order
-
-
 class GrothendieckGroup:
     """Pairs over a base monoid with a decidable identification."""
 
     def __init__(self, base: CommutativeMonoid):
         self.base = base
         self._slots = None
-        self._kernel = None
         self._parts = None
         if isinstance(base, MonoidPresentation):
             self.strategy = "presentation-lattice"
@@ -553,12 +525,6 @@ class GrothendieckGroup:
 
     # -- normal form and equality
 
-    def _kernel_inverses(self) -> tuple:
-        """``kernel_group`` of a Cayley table base, built on first use."""
-        if self._kernel is None:
-            self._kernel = kernel_group(self.base.op, list(self.base.elements()))
-        return self._kernel
-
     def key(self, x: GrothElement):
         """Hashable normal form: key(x) == key(y) exactly when x and y are one class."""
         base = self.base
@@ -570,7 +536,7 @@ class GrothendieckGroup:
                 for g, a, b in zip(self._parts, x.first, x.second)
             )
         if base.is_finite:
-            e, inv, _ = self._kernel_inverses()
+            e, inv, _ = base.kernel
             # (a+e) - (b+e) in K; the inverse already lies in K, so +e is implied
             return base.op(x.first, inv[base.op(x.second, e)])
         return tuple(map(sub, x.first, x.second))
@@ -641,7 +607,7 @@ def universal_extend(group: GrothendieckGroup, g, target: CayleyMonoid,
     for a, b in pairs:
         if gf(base.op(a, b)) != target.op(gf(a), gf(b)):
             raise AxiomViolationError("morphism", (a, b))
-    inv = kernel_group(target.op, list(target.elements()))[1]
+    inv = target.kernel[1]
 
     def h(x: GrothElement):
         return target.op(gf(x.first), inv[gf(x.second)])
@@ -662,7 +628,7 @@ def finite_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
     """
     if not m.is_finite:
         raise UnsupportedFamilyError("the kernel group needs a finite base")
-    orders = kernel_group(m.op, list(m.elements()))[2].values()
+    orders = m.kernel[2].values()
     n = len(orders)
     invariants = []  # largest first
     rest, p = n, 2
@@ -736,23 +702,20 @@ def order_from_monoid_order(group: GrothendieckGroup, compare):
 class GrothOrder:
     """Total order on a torsion-free presented Grothendieck group.
 
-    Every non-unit slot of the SNF is then free, so the coordinates of a
-    class are its lattice key (``GrothendieckGroup.key``) on the slots in
-    ``free_positions``; comparison is lexicographic on them.
+    Every non-unit slot of the SNF is then free (``free_positions``), so the
+    coordinates of a class are its lattice key (``GrothendieckGroup.key``);
+    comparison is lexicographic on them.
     """
 
-    def __init__(self, snf: SNFResult, free_positions: list):
-        self.free_positions = list(free_positions)
-        self._slots = [s for s in snf_slots(snf) if s[0] in self.free_positions]
+    def __init__(self, snf: SNFResult):
+        self._slots = snf_slots(snf)
+        self.free_positions = [j for j, _, _ in self._slots]
 
     def coords(self, x: GrothElement) -> tuple:
         return lattice_key(self._slots, list(map(sub, x.first, x.second)))
 
     def compare(self, x: GrothElement, y: GrothElement) -> int:
         return numeric_compare(self.coords(x), self.coords(y))
-
-    def __call__(self, x: GrothElement, y: GrothElement) -> int:
-        return self.compare(x, y)
 
 
 def build_total_order(structure: FGAbelianStructure, snf: SNFResult) -> GrothOrder:
@@ -767,9 +730,4 @@ def build_total_order(structure: FGAbelianStructure, snf: SNFResult) -> GrothOrd
             len(structure.torsion_invariants) - 1
         )
         raise TorsionWitnessError(witness, n)
-    diag = snf.invariant_factors
-    free_positions = [
-        j for j in range(snf.ncols)
-        if j >= len(diag) or diag[j] == 0
-    ]
-    return GrothOrder(snf, free_positions)
+    return GrothOrder(snf)

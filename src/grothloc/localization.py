@@ -16,9 +16,10 @@ Any other configuration is rejected outright.
 
 A finite S gives fractions a hashable normal form, ``LocalizedRing.key``:
 e*S is a group with identity e, S^-1 R is eR, and r/s goes to
-e*r*(e*s)^-1 (e and every (e*s)^-1 are built on first use).  The classes,
-the units and the saturation are read off e and eR too.  Class lookups are
-dicts on this key, degree classes on ``GrothendieckGroup.key``.
+e*r*(e*s)^-1; e and the inverses of e*S live on the multiplicative set
+(``MultiplicativeSet.kernel``).  The classes, the units and the saturation
+are read off e and eR too.  Class lookups are dicts on this key, degree
+classes on ``GrothendieckGroup.key``.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ from .errors import (
     UndecidableConfigurationError,
     UnsupportedFamilyError,
 )
-from .grothendieck import CayleyMonoid, GrothElement, GrothendieckGroup, kernel_group
-from .monoid import idempotent_power
+from .grothendieck import CayleyMonoid, GrothElement, GrothendieckGroup
+from .monoid import kernel_group
 from .ring import MonoidRing, degree_of, homogeneous_components
 
 # over an infinite ring the closure keeps products of at most this many generators
@@ -112,6 +113,16 @@ class MultiplicativeSet:
         self.closure
         return self._complete
 
+    @functools.cached_property
+    def kernel(self) -> tuple:
+        """``kernel_group`` of a complete closure, built on first use: e, and
+        the inverses and orders of the group e*S."""
+        if not self.complete:
+            raise UnsupportedFamilyError(
+                "a fraction key needs a completely materialized closure"
+            )
+        return kernel_group(self.ring.mul, list(self.closure))
+
     def contains(self, s) -> bool:
         return s in self.closure
 
@@ -145,8 +156,6 @@ class LocalizedRing:
         self.zero = Fraction(ring.zero, ring.one, ())
         self.one = Fraction(ring.one, ring.one, ())
         self.is_finite = ring.is_finite
-        self._groth = None
-        self._kernel = None
 
     # -- construction
 
@@ -205,7 +214,7 @@ class LocalizedRing:
             return True
         if self.strategy == "cross-multiplication":
             return False
-        e = self._kernel_inverses()[0]
+        e = self.sset.kernel[0]
         return r.eq(r.mul(e, a), r.mul(e, b))
 
     def is_zero(self, f: Fraction) -> bool:
@@ -215,37 +224,25 @@ class LocalizedRing:
             return True
         if self.strategy == "cross-multiplication":
             return False
-        return r.is_zero(r.mul(self._kernel_inverses()[0], f.num))
-
-    def _kernel_inverses(self) -> tuple:
-        """``kernel_group`` of a complete closure, built on first use."""
-        if self._kernel is None:
-            if not self.sset.complete:
-                raise UnsupportedFamilyError(
-                    "a fraction key needs a completely materialized closure"
-                )
-            self._kernel = kernel_group(self.ring.mul, list(self.sset.closure))
-        return self._kernel
+        return r.is_zero(r.mul(self.sset.kernel[0], f.num))
 
     def key(self, f: Fraction):
         """e*r*(e*s)^-1 in eR: key(f) == key(g) exactly when eq(f, g).
 
         (e*s)^-1 lies in K, inside eR, so the factor e on r is implied.
         """
-        e, inv, _ = self._kernel_inverses()
+        e, inv, _ = self.sset.kernel
         r = self.ring
         try:
             return r.mul(f.num, inv[r.mul(e, f.den)])
         except KeyError:
             raise PreconditionError(f"denominator {f.den!r} is not in S") from None
 
-    @property
+    @functools.cached_property
     def groth_group(self) -> GrothendieckGroup:
-        if self._groth is None:
-            if not isinstance(self.ring, MonoidRing):
-                raise UnsupportedFamilyError("grading needs a monoid-ring base")
-            self._groth = GrothendieckGroup(self.ring.monoid)
-        return self._groth
+        if not isinstance(self.ring, MonoidRing):
+            raise UnsupportedFamilyError("grading needs a monoid-ring base")
+        return GrothendieckGroup(self.ring.monoid)
 
 
 def sample_fraction(loc: LocalizedRing, rng, max_powers: int = 3, **sample_kw) -> Fraction:
@@ -352,7 +349,7 @@ def saturate(ring, sset: MultiplicativeSet) -> SaturationSet:
         raise OracleRequiredError(
             "saturation over an infinite ring needs externally supplied witnesses"
         )
-    e = idempotent_power(ring.mul, functools.reduce(ring.mul, sset.closure))
+    e = sset.kernel[0]
     inverses = {}  # x -> its inverse in eR, or None when x is no unit
     witnesses = {}
     for a in ring.elements():
@@ -424,7 +421,7 @@ def units_of_localization(loc: LocalizedRing) -> UnitGroup:
     """
     reps = localization_classes(loc)
     index = {loc.key(f): i for i, f in enumerate(reps)}
-    e = loc._kernel_inverses()[0]
+    e = loc.sset.kernel[0]
     inverses = {}
     for x in index:
         if x not in inverses:
@@ -491,7 +488,7 @@ def _units_map(carrier: list, loc: LocalizedRing, embed):
     e*s*(e*t)^-1.
     """
     one, mul = loc.ring.one, loc.ring.mul
-    e = loc._kernel_inverses()[0]
+    e = loc.sset.kernel[0]
     reps = {}
     for t in carrier:
         reps.setdefault(mul(t, e), GrothElement(one, t))

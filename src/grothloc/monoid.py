@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
+from math import gcd
 from operator import add, itemgetter
 
 from .errors import (
@@ -41,6 +42,12 @@ class CommutativeMonoid:
 
     def size(self) -> int:
         raise UnsupportedFamilyError(f"{type(self).__name__} is not finite")
+
+    @functools.cached_property
+    def kernel(self) -> tuple:
+        """``kernel_group`` of the whole carrier, computed once per monoid:
+        cancellativity, quasi-zeros, class keys and structure all read it."""
+        return kernel_group(self.op, list(self.elements()))
 
 
 class CayleyMonoid(CommutativeMonoid):
@@ -117,12 +124,11 @@ class CayleyMonoid(CommutativeMonoid):
     def size(self) -> int:
         return self._size
 
-    @functools.cached_property
+    @property
     def is_group(self) -> bool:
-        """Whether the table cancels, decided once: a finite M cancels iff it
-        is a group iff its minimal ideal M + e is M, with e the idempotent
-        power of the sum of all of M."""
-        return idempotent_power(self.op, functools.reduce(self.op, self.elements())) == self._identity
+        """Whether the table cancels: a finite M cancels iff it is a group
+        iff its minimal ideal M + e is M, that is iff e is the identity."""
+        return self.kernel[0] == self._identity
 
     def __eq__(self, other):
         return self is other or (
@@ -398,6 +404,32 @@ def idempotent_power(op, s):
     return e
 
 
+def kernel_group(op, elems) -> tuple:
+    """(e, inverse map, order map) of K = elems*e for a finite commutative monoid.
+
+    e is the idempotent power of the product of the whole carrier ``elems``
+    under ``op``; K is the minimal ideal, a group with identity e.  One walk
+    k, k^2, ..., k^n = e from a k in K not met yet settles its whole cycle:
+    k^i has inverse k^(n-i) and order n/gcd(i, n).
+    """
+    e = idempotent_power(op, functools.reduce(op, elems))
+    inv, order = {}, {}
+    for a in elems:
+        if a in inv:  # already met, so a lies in K and a*e = a
+            continue
+        k = op(a, e)
+        if k in inv:
+            continue
+        powers = [e, k]
+        while powers[-1] != e:
+            powers.append(op(powers[-1], k))
+        n = len(powers) - 1
+        for i in range(1, n + 1):
+            inv[powers[i]] = powers[n - i]
+            order[powers[i]] = n // gcd(i, n)
+    return e, inv, order
+
+
 def is_cancellative(m: CommutativeMonoid) -> bool:
     """Decide a+c = b+c => a = b.
 
@@ -429,15 +461,16 @@ def translation_injective(m: CommutativeMonoid, a: MonoidValue) -> bool:
 
 def quasi_zero_submonoid(m: CommutativeMonoid) -> set:
     """{x : x + y = y for some y} = {x : x + e = e}: x + (y+e) = y+e in the
-    group M + e forces x + e = e, and y = e is a witness.  In a direct sum
+    group M + e forces x + e = e, and y = e is a witness.  An x in K = M + e
+    has x + e = x, so of K only e itself qualifies.  In a direct sum
     x + y = y holds slot by slot, so the set is the product of the
     components' sets."""
     if not m.is_finite:
         raise UnsupportedFamilyError("quasi-zero search needs a finite carrier")
     if isinstance(m, DirectSumMonoid):
         return set(itertools.product(*map(quasi_zero_submonoid, m.components)))
-    e = idempotent_power(m.op, functools.reduce(m.op, m.elements()))
-    return {x for x in m.elements() if m.op(x, e) == e}
+    e, inv, _ = m.kernel
+    return {x for x in m.elements() if x == e or (x not in inv and m.op(x, e) == e)}
 
 
 def sample_element(m: CommutativeMonoid, rng: Lcg64, bound: int = 6) -> MonoidValue:

@@ -9,10 +9,12 @@ stays as the reference: ``finite_groth_structure`` of the sum, the witness
 test a+d+e = b+c+e with e read off the whole carrier, and the quasi-zero
 scan x + e = e over every tuple.
 """
+import json
 import random
 
 import pytest
 
+from grothloc import cli
 from grothloc import (
     CayleyMonoid,
     DirectSumMonoid,
@@ -22,6 +24,7 @@ from grothloc import (
     Lcg64,
     finite_groth_structure,
     monoid_groth_structure,
+    monoid_to_dict,
     quasi_zero_submonoid,
 )
 from grothloc.grothendieck import kernel_group
@@ -91,3 +94,30 @@ def test_random_sums_match_the_product_carrier():
             a, b, c, d = (rng.choice(elems) for _ in range(4))
             want = m.op(m.op(a, d), e) == m.op(m.op(b, c), e)
             assert g.eq(GrothElement(a, b), GrothElement(c, d)) == want, (m, a, b, c, d)
+
+
+def test_monoid_check_counts_the_quasi_zeros_of_a_sum(monkeypatch, tmp_path):
+    """``monoid check`` and the corpus ``monoid`` kind multiply the
+    components' quasi-zero counts and never build the 27 000-tuple set."""
+    honest = cli.quasi_zero_submonoid
+
+    def components_only(m):
+        assert not isinstance(m, DirectSumMonoid), "built a direct sum's quasi-zero set"
+        return honest(m)
+
+    monkeypatch.setattr(cli, "quasi_zero_submonoid", components_only)
+    doc = monoid_to_dict(three_z30("mult"))
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "corpus.json").write_text(json.dumps({"entries": [{
+        "name": "z30-cubed", "kind": "monoid", "monoid": doc,
+        "expected": {"quasi_zero_size": 30 ** 3},
+    }]}), encoding="utf-8")
+    for argv, results in (
+        (["monoid", "check", str(path)], lambda rep: rep["results"]),
+        (["corpus", "run", "--dir", str(tmp_path)],
+         lambda rep: rep["results"]["entries"][0]["actual"]),
+    ):
+        out = tmp_path / "report.json"
+        assert cli.main([*argv, "--out", str(out)]) == 0, argv
+        assert results(json.loads(out.read_text(encoding="utf-8")))["quasi_zero_size"] == 30 ** 3

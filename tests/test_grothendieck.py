@@ -1,11 +1,14 @@
 """Smith normal form against independent oracles; group completion laws."""
+import importlib
 import itertools
+import pkgutil
 from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import grothloc
 from grothloc import (
     AxiomViolationError,
     CayleyMonoid,
@@ -15,7 +18,10 @@ from grothloc import (
     GrothendieckGroup,
     IntegerLatticeMonoid,
     Lcg64,
+    LocalizedRing,
+    ModRing,
     MonoidPresentation,
+    MultiplicativeSet,
     PreconditionError,
     TorsionWitnessError,
     build_total_order,
@@ -24,11 +30,13 @@ from grothloc import (
     finite_groth_structure,
     groth_classes,
     groth_of_presentation,
+    groth_units_iso,
     is_cancellative,
     monoid_groth_structure,
     numeric_compare,
     order_from_monoid_order,
     presentation_matrix,
+    quasi_zero_submonoid,
     smith_normal_form,
     structure_from_snf,
     universal_extend,
@@ -388,6 +396,50 @@ class TestKernelGroup:
         assert calls[0] <= 3 * 200
         assert e == 0 and inv[1] == 199 and order[1] == order[199] == 200
         assert order[0] == 1 and order[100] == 2 and order[8] == 25
+
+    @staticmethod
+    def count_idempotent_powers(monkeypatch) -> list:
+        """Wrap ``idempotent_power`` in every grothloc module that binds it;
+        the returned list grows by one entry per call."""
+        honest = grothloc.monoid.idempotent_power
+        calls = []
+
+        def counting(op, s):
+            calls.append(s)
+            return honest(op, s)
+
+        for info in pkgutil.iter_modules(grothloc.__path__):
+            if info.name == "__main__":
+                continue
+            mod = importlib.import_module(f"grothloc.{info.name}")
+            if getattr(mod, "idempotent_power", None) is honest:
+                monkeypatch.setattr(mod, "idempotent_power", counting)
+        return calls
+
+    def test_e_is_found_once_per_table(self, monkeypatch):
+        """Cancellativity, quasi-zeros, class equality and the structure of
+        G(M) on multiplication mod 60, then the universal extension over
+        additive Z/5, find e once per table (7 times when each found it)."""
+        calls = self.count_idempotent_powers(monkeypatch)
+        m = CayleyMonoid(zoo.mult_mod_table(60), identity=1)
+        assert not is_cancellative(m)
+        assert len(quasi_zero_submonoid(m)) == 60  # e = 0 absorbs everything
+        g = GrothendieckGroup(m)
+        assert g.eq(g.element(7, 1), g.element(2, 3))
+        assert finite_groth_structure(m) == monoid_groth_structure(m) == FGAbelianStructure(0, ())
+        z5 = CayleyMonoid(zoo.cyclic_table(5))
+        h = universal_extend(GrothendieckGroup(z5), lambda x: x, z5)
+        assert h(GrothElement(1, 3)) == 3
+        assert len(calls) == 2, len(calls)
+
+    def test_units_iso_finds_e_once(self, monkeypatch):
+        """The saturation, the fraction keys and the unit classes of Z/120 at
+        [2] share one e (found twice when ``saturate`` found its own)."""
+        calls = self.count_idempotent_powers(monkeypatch)
+        ring = ModRing(120)
+        sset = MultiplicativeSet(ring, [2])
+        assert groth_units_iso(sset, LocalizedRing(ring, sset)).iso
+        assert len(calls) == 1, len(calls)
 
 
 class TestTotalOrders:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from grothloc import (
     AxiomViolationError,
     CayleyMonoid,
+    FGAbelianStructure,
     FreeCommutativeMonoid,
+    GrothendieckGroup,
     IntegerLatticeMonoid,
     InvalidInputError,
     Lcg64,
@@ -18,6 +20,7 @@ from grothloc import (
     UnsupportedFamilyError,
     is_cancellative,
     monoid_from_dict,
+    monoid_groth_structure,
     monoid_to_dict,
     numeric_compare,
     quasi_zero_submonoid,
@@ -165,9 +168,10 @@ class TestQuasiZeros:
         assert len(quasi_zero_submonoid(zoo.z6_mult())) == 6
         assert len(quasi_zero_submonoid(zoo.subsets2())) == 4
 
-    def test_read_off_e_in_linear_time(self, monkeypatch):
-        """On additive Z/200 neither question scans pairs: at most 3n op
-        calls, and no row of the table is read whole."""
+    @staticmethod
+    def counted_cyclic(monkeypatch, n):
+        """Additive Z/n with its op calls counted and rows that refuse to be
+        read whole: (monoid, one-element list holding the count)."""
         calls = [0]
         op = CayleyMonoid.op
 
@@ -180,13 +184,32 @@ class TestQuasiZeros:
                 raise AssertionError("a whole row was read")
 
         monkeypatch.setattr(CayleyMonoid, "op", counting)
-        n = 200
         m = CayleyMonoid(zoo.cyclic_table(n))
         m.table = tuple(map(Row, m.table))
+        return m, calls
+
+    def test_read_off_e_in_linear_time(self, monkeypatch):
+        """On additive Z/200 neither question scans pairs: at most 3n op
+        calls, and no row of the table is read whole."""
+        n = 200
+        m, calls = self.counted_cyclic(monkeypatch, n)
         for question, want in ((quasi_zero_submonoid, {0}), (is_cancellative, True)):
             calls[0] = 0
             assert question(m) == want
             assert calls[0] <= 3 * n, (question.__name__, calls[0])
+
+    def test_four_questions_share_one_kernel_walk(self, monkeypatch):
+        """Quasi-zeros, cancellativity, the structure of G(M) and one class
+        equality on additive Z/200 read e and K off one walk: at most 3n op
+        calls between them (1 414 when each question walked on its own)."""
+        n = 200
+        m, calls = self.counted_cyclic(monkeypatch, n)
+        assert quasi_zero_submonoid(m) == {0}
+        assert is_cancellative(m)
+        assert monoid_groth_structure(m) == FGAbelianStructure(0, (n,))
+        g = GrothendieckGroup(m)
+        assert g.eq(g.element(3, 5), g.element(0, 2))
+        assert calls[0] <= 3 * n, calls[0]
 
     def test_is_a_submonoid(self):
         for m in (zoo.t2(), zoo.t3(), zoo.z4(), zoo.z6_mult(), zoo.subsets2()):
