@@ -67,11 +67,11 @@ class HMapContext:
             return (self._mono_offset + self._mono_index[n],)
         # |n_j| copies of eps(+e_j), or of eps(-e_j) when n_j < 0
         rank = len(n)
-        return tuple(
-            self._mono_offset + j + (rank if e < 0 else 0)
-            for j, e in enumerate(n)
-            for _ in range(abs(e))
-        )
+        wit = ()
+        for j, e in enumerate(n):
+            if e:
+                wit += (self._mono_offset + j + (rank if e < 0 else 0),) * abs(e)
+        return wit
 
     def monomial_fraction(self, num: MRElement, s, n) -> Fraction:
         """num over the denominator s * eps_n; s must be in the S closure.

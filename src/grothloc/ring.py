@@ -3,11 +3,12 @@
 A monoid-ring element is a finite-support coefficient map degree -> coeff
 with zero coefficients pruned eagerly, so structural dict equality is
 semantic equality.  Group-ring keys are Grothendieck classes; terms are
-merged in a dict on the class normal form ``GrothendieckGroup.key``, and
-each class keeps its first-seen pair as its displayed key.  Every ring
-decides its non-zero-divisors from its structure (``is_nonzerodivisor``):
-a != 0 over Z, gcd(a, n) = 1 over Z/n, and over R[M] from R and the
-translations x -> m+x of M, or by McCoy's theorem for polynomials.
+merged in a dict on the class normal form ``GrothendieckGroup.key``, each
+class keeps its first-seen pair as its displayed key, and an element keeps
+the class keys it was merged by.  Every ring decides its non-zero-divisors
+from its structure (``is_nonzerodivisor``): a != 0 over Z, gcd(a, n) = 1
+over Z/n, and over R[M] from R and the translations x -> m+x of M, or by
+McCoy's theorem for polynomials.
 """
 from __future__ import annotations
 
@@ -202,6 +203,8 @@ class MRElement:
         return [(d, self.coeffs[d]) for d in self.support()]
 
     def _check_base(self, other: "MRElement"):
+        if self.ring is other.ring and self.monoid is other.monoid:
+            return
         if self.ring != other.ring or self.monoid != other.monoid:
             raise BaseMismatchError("operands live over different monoid rings")
 
@@ -506,19 +509,27 @@ def group_ring_map_injective(mring: MonoidRing, group: GrothendieckGroup | None 
 
 
 class GroupRingElement:
-    """Terms (class representative, coeff); no two in the same class."""
+    """Terms (class representative, coeff) in canonical form: no two in one
+    class, no zero coefficient, each class shown by its first-seen
+    representative.  ``class_keys`` holds each term's ``GrothendieckGroup.key``,
+    in the order of ``terms``.
 
-    __slots__ = ("context", "terms")
+    Given terms alone, the constructor keys them and merges them class by
+    class; the group ring's arithmetic passes the keys it merged by, so no
+    term is keyed twice.
+    """
 
-    def __init__(self, context: "GroupRing", terms: list):
+    __slots__ = ("context", "terms", "class_keys")
+
+    def __init__(self, context: "GroupRing", terms: list, class_keys: list | None = None):
+        if class_keys is None:
+            terms, class_keys = context._keyed(terms)
         self.context = context
         self.terms = terms
+        self.class_keys = class_keys
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def keys(self) -> list:
-        return [k for k, _ in self.terms]
 
     def __repr__(self):
         if not self.terms:
@@ -539,34 +550,51 @@ class GroupRing:
         self.coeff = coeff
 
     def zero(self) -> GroupRingElement:
-        return GroupRingElement(self, [])
+        return GroupRingElement(self, [], [])
 
     def monomial(self, key: GrothElement, c=None) -> GroupRingElement:
         if c is None:
             c = self.coeff.one
         return self.from_terms([(key, c)])
 
-    def from_terms(self, pairs) -> GroupRingElement:
+    def _keyed(self, terms) -> tuple:
+        """Canonical terms and their class keys from (representative, coeff)
+        pairs, each pair keyed once."""
         group_key = self.group.key
-        coeff = self.coeff
+        add = self.coeff.add
         acc = {}
-        for key, c in pairs:
-            k = group_key(key)
+        for term in terms:
+            k = group_key(term[0])
             slot = acc.get(k)
-            if slot is None:
-                acc[k] = [key, c]
-            else:
-                slot[1] = coeff.add(slot[1], c)
-        return GroupRingElement(
-            self, [(k, c) for k, c in acc.values() if not coeff.is_zero(c)]
-        )
+            acc[k] = term if slot is None else (slot[0], add(slot[1], term[1]))
+        return self._pruned(acc)
+
+    def _pruned(self, acc: dict) -> tuple:
+        """Terms and keys of ``acc`` (class key -> term, summed per class in
+        first-seen order), with zero coefficients dropped."""
+        is_zero = self.coeff.is_zero
+        terms, keys = [], []
+        for k, term in acc.items():
+            if not is_zero(term[1]):
+                keys.append(k)
+                terms.append(term)
+        return terms, keys
+
+    def from_terms(self, pairs) -> GroupRingElement:
+        return GroupRingElement(self, pairs)
 
     def add(self, u: GroupRingElement, v: GroupRingElement) -> GroupRingElement:
-        return self.from_terms(list(u.terms) + list(v.terms))
+        """Merged by the keys both operands carry; nothing is keyed again."""
+        add = self.coeff.add
+        acc = dict(zip(u.class_keys, u.terms))
+        for k, term in zip(v.class_keys, v.terms):
+            slot = acc.get(k)
+            acc[k] = term if slot is None else (slot[0], add(slot[1], term[1]))
+        return GroupRingElement(self, *self._pruned(acc))
 
     def neg(self, u: GroupRingElement) -> GroupRingElement:
         return GroupRingElement(
-            self, [(k, self.coeff.neg(c)) for k, c in u.terms]
+            self, [(k, self.coeff.neg(c)) for k, c in u.terms], u.class_keys
         )
 
     def sub(self, u, v):
@@ -589,15 +617,13 @@ class GroupRing:
         equal coefficients."""
         if len(u.terms) != len(v.terms):
             return False
-        group_key = self.group.key
-        theirs = {group_key(k): c for k, c in v.terms}
+        theirs = dict(zip(v.class_keys, v.terms))
         coeff_eq = self.coeff.eq
-        for k, c in u.terms:
-            k = group_key(k)
-            if k not in theirs or not coeff_eq(c, theirs[k]):
+        for k, (_, c) in zip(u.class_keys, u.terms):
+            term = theirs.get(k)
+            if term is None or not coeff_eq(c, term[1]):
                 return False
         return True
 
     def one(self) -> GroupRingElement:
         return self.monomial(self.group.zero())
-

@@ -48,7 +48,9 @@ gcd list, the map R[M] -> R[G(M)] on classes [m, 0] and the search for a
 triple that breaks a claimed order (exhaustive on finite monoids, sampled
 otherwise) were library functions that only tests called.  The K[x] check
 that looked every S element up in a depth-8 closure is the reference for
-the one that builds each witness from its degree.
+the one that builds each witness from its degree.  Group-ring arithmetic
+on plain term lists that keys every term again at each step is the
+reference for elements that carry the class keys they were merged by.
 """
 import functools
 import itertools
@@ -936,6 +938,63 @@ def eager_closure(ring, generators, depth: int = 8) -> tuple:
         frontier = new
         rounds += 1
     return closure, not frontier
+
+
+# ---------------------------------------------------------------------------
+# group-ring arithmetic that keys every term at each step; the library's
+# elements keep the class keys they were merged by
+
+
+class RekeyedGroupRing:
+    """The earlier ``GroupRing`` on lists of (representative, coeff) terms.
+
+    ``canonical`` is the earlier ``from_terms``; every operation first puts
+    its operands in that form and keys each term afresh with
+    ``GrothendieckGroup.key``.
+    """
+
+    def __init__(self, gring):
+        self.group = gring.group
+        self.coeff = gring.coeff
+
+    def canonical(self, pairs) -> list:
+        """Summed per class in first-seen order, each class keeping its first
+        representative, zero sums dropped."""
+        acc = {}
+        for rep, c in pairs:
+            k = self.group.key(rep)
+            if k in acc:
+                acc[k][1] = self.coeff.add(acc[k][1], c)
+            else:
+                acc[k] = [rep, c]
+        return [(rep, c) for rep, c in acc.values() if not self.coeff.is_zero(c)]
+
+    def add(self, u, v) -> list:
+        return self.canonical(self.canonical(u) + self.canonical(v))
+
+    def neg(self, u) -> list:
+        return [(rep, self.coeff.neg(c)) for rep, c in self.canonical(u)]
+
+    def sub(self, u, v) -> list:
+        return self.add(u, self.neg(v))
+
+    def mul(self, u, v) -> list:
+        return self.canonical([
+            (self.group.add(r1, r2), self.coeff.mul(c1, c2))
+            for r1, c1 in self.canonical(u)
+            for r2, c2 in self.canonical(v)
+        ])
+
+    def is_zero(self, u) -> bool:
+        return not self.canonical(u)
+
+    def eq(self, u, v) -> bool:
+        key = self.group.key
+        ours = self.canonical(u)
+        theirs = {key(rep): c for rep, c in self.canonical(v)}
+        return len(ours) == len(theirs) and all(
+            key(rep) in theirs and self.coeff.eq(c, theirs[key(rep)]) for rep, c in ours
+        )
 
 
 # ---------------------------------------------------------------------------

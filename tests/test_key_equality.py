@@ -8,6 +8,7 @@ Triviality is read off the structure, class lists key one row, direct-sum
 torsion is re-chained by the Smith normal form, and lattices get a T
 layout for the graded isomorphism.
 """
+import itertools
 import json
 import random
 
@@ -244,6 +245,23 @@ def test_lattice_t_layout_and_witnesses():
 def test_free_witnesses_keep_their_layout():
     ctx = HMapContext(ModRing(5), FreeCommutativeMonoid(3), [2, 3])
     assert ctx.monomial_witness((2, 0, 1)) == (2, 2, 4)
+
+
+@pytest.mark.parametrize("monoid, lo", [
+    (FreeCommutativeMonoid(3), 0),
+    (IntegerLatticeMonoid(3), -4),
+], ids=["free3", "lattice3"])
+def test_monomial_witness_is_the_unary_one(monoid, lo):
+    """|n_j| copies of eps(+e_j), or of eps(-e_j) when n_j < 0, one index at
+    a time, for every n in [lo, 4]^3; the witness multiplies to eps_n."""
+    ctx = HMapContext(ModRing(5), monoid, [2, 3])
+    for n in itertools.product(range(lo, 5), repeat=3):
+        unary = tuple(
+            2 + j + (3 if e < 0 else 0) for j, e in enumerate(n) for _ in range(abs(e))
+        )
+        wit = ctx.monomial_witness(n)
+        assert wit == unary, n
+        assert ctx.tset.product_of(wit) == ctx.mring.epsilon(n)
 
 
 @pytest.mark.parametrize("ring, rank, sgens", [

@@ -1,0 +1,182 @@
+"""Group-ring elements keep the class keys they were merged by.
+
+``GroupRing.add``, ``sub``, ``neg`` and ``eq`` work on the keys each element
+carries, and ``mul`` and ``from_terms`` key each term once.  Every result is
+checked term for term against tests/oracles.py's ``RekeyedGroupRing``, which
+keys every term again at each step: same representatives in the same order,
+same coefficients, and ``class_keys`` equal to the keys of the terms.  The
+families cover keys of every kind, and elements built through the
+constructor from terms that are not in canonical form.
+"""
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from grothloc import (
+    DirectSumMonoid,
+    FreeCommutativeMonoid,
+    Fraction,
+    GrothElement,
+    GrothendieckGroup,
+    GroupRing,
+    GroupRingElement,
+    IntegerLatticeMonoid,
+    Lcg64,
+    LocalizedRing,
+    ModRing,
+    MultiplicativeSet,
+    sample_element,
+)
+
+import zoo
+from oracles import RekeyedGroupRing
+
+
+def _mod(n):
+    def build():
+        return ModRing(n), lambda rng: rng.below(n)
+    return build
+
+
+def _loc(n, gens):
+    """Z/n at gens, fractions over random products of the generators."""
+    def build():
+        ring = ModRing(n)
+        sset = MultiplicativeSet(ring, gens)
+
+        def draw(rng):
+            wit = tuple(rng.below(len(gens)) for _ in range(rng.below(3)))
+            return Fraction(rng.below(n), sset.product_of(wit), wit)
+        return LocalizedRing(ring, sset), draw
+    return build
+
+
+# (monoid, coefficient ring with a coefficient draw); the coefficient draws
+# include 0, and over Z/12 at 2 the fraction 3/1 is zero though 3 != 0
+FAMILIES = {
+    "free": (lambda: FreeCommutativeMonoid(2), _loc(12, [2])),
+    "lattice": (lambda: IntegerLatticeMonoid(2), _mod(6)),
+    "cayley_t2": (zoo.t2, _mod(5)),
+    "mult_mod_6": (zoo.z6_mult, _loc(12, [5])),
+    "presentation": (zoo.n_cross_z2, _mod(4)),
+    "t2_plus_n": (lambda: DirectSumMonoid([zoo.t2(), FreeCommutativeMonoid(1)]), _mod(5)),
+}
+
+
+def _group_ring(name):
+    build_monoid, build_coeff = FAMILIES[name]
+    m = build_monoid()
+    coeff, draw = build_coeff()
+    return GroupRing(GrothendieckGroup(m), coeff), draw
+
+
+def _shifted(m, rep, w):
+    """[a+w, b+w]: the class of [a, b] under another representative."""
+    return GrothElement(m.op(rep.first, w), m.op(rep.second, w))
+
+
+def _draw_terms(gr, draw, rng, max_terms=4):
+    """Raw terms: some classes repeated under other representatives, some
+    coefficients zero."""
+    m = gr.group.base
+    terms = []
+    for _ in range(rng.below(max_terms + 1)):
+        if terms and rng.below(3) == 0:
+            rep = _shifted(m, terms[rng.below(len(terms))][0], sample_element(m, rng, 2))
+        else:
+            rep = GrothElement(sample_element(m, rng, 2), sample_element(m, rng, 2))
+        terms.append((rep, draw(rng)))
+    return terms
+
+
+def _rewritten(gr, terms, draw, rng, shuffle):
+    """The same element under other terms: each representative shifted, each
+    coefficient split in two, and a zero term added, in shuffled order."""
+    m = gr.group.base
+    coeff = gr.coeff
+    out = []
+    for rep, c in terms:
+        part = draw(rng)
+        out.append((_shifted(m, rep, sample_element(m, rng, 2)), part))
+        out.append((_shifted(m, rep, sample_element(m, rng, 2)), coeff.sub(c, part)))
+    extra = GrothElement(sample_element(m, rng, 2), sample_element(m, rng, 2))
+    out.append((extra, coeff.zero))
+    shuffle(out)
+    return out
+
+
+def _plain(terms):
+    return [
+        (rep, (c.num, c.den, c.den_witness) if isinstance(c, Fraction) else c)
+        for rep, c in terms
+    ]
+
+
+def _same(gr, u, want):
+    assert _plain(u.terms) == _plain(want)
+    assert u.class_keys == [gr.group.key(rep) for rep, _ in u.terms]
+
+
+def _check_against_rekeying(name, rng, shuffle, rounds):
+    """Returns the set of eq outcomes seen."""
+    gr, draw = _group_ring(name)
+    ref = RekeyedGroupRing(gr)
+    outcomes = set()
+    for _ in range(rounds):
+        raws = [_draw_terms(gr, draw, rng) for _ in range(2)]
+        raws.append(_rewritten(gr, raws[0], draw, rng, shuffle))
+        raws.append([(rep, gr.coeff.zero) for rep, _ in raws[1]])
+        elems = []
+        for raw in raws:
+            u = gr.from_terms(raw)
+            built = GroupRingElement(gr, raw)
+            _same(gr, u, ref.canonical(raw))
+            _same(gr, built, ref.canonical(raw))
+            assert gr.is_zero(u) == built.is_zero() == ref.is_zero(raw)
+            _same(gr, gr.neg(u), ref.neg(raw))
+            elems.append((built, raw))
+            elems.append((u, raw))
+        for u, a in elems:
+            for v, b in elems:
+                _same(gr, gr.add(u, v), ref.add(a, b))
+                _same(gr, gr.sub(u, v), ref.sub(a, b))
+                _same(gr, gr.mul(u, v), ref.mul(a, b))
+                same = gr.eq(u, v)
+                outcomes.add(same)
+                assert same == ref.eq(a, b), (u, v)
+        assert gr.eq(elems[0][0], elems[4][0]) and gr.eq(elems[4][0], elems[0][0])
+    return outcomes
+
+
+def test_families_cover_every_key_strategy():
+    strategies = {_group_ring(name)[0].group.strategy for name in FAMILIES}
+    assert strategies == {
+        "cancellative-cross-sum", "finite-witness-enumeration",
+        "presentation-lattice", "componentwise",
+    }
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_keyed_group_ring_matches_rekeying(name):
+    assert _check_against_rekeying(name, Lcg64(61), random.Random(61).shuffle, 12) == {True, False}
+
+
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 2 ** 63))
+def test_keyed_group_ring_matches_rekeying_hypothesis(name, seed):
+    _check_against_rekeying(name, Lcg64(seed), random.Random(seed).shuffle, 1)
+
+
+def test_a_merged_class_keeps_its_first_representative():
+    """Over T2 every class is one: terms, sums and products show the first
+    representative they saw."""
+    gr, _ = _group_ring("cayley_t2")
+    x, y = GrothElement(1, 0), GrothElement(0, 0)
+    u = gr.from_terms([(x, 2), (y, 1)])
+    v = GroupRingElement(gr, [(y, 4), (x, 0)])
+    assert u.terms == [(x, 3)] and v.terms == [(y, 4)]
+    assert gr.add(u, v).terms == [(x, 2)]
+    assert gr.add(v, u).terms == [(y, 2)]
+    assert gr.mul(v, u).terms == [(GrothElement(1, 0), 2)]
+    assert gr.sub(u, gr.from_terms([(y, 3)])).terms == []

@@ -9,6 +9,7 @@ from grothloc import (
     BaseMismatchError,
     FreeCommutativeMonoid,
     GroupRing,
+    GroupRingElement,
     GrothendieckGroup,
     IntegerRing,
     Lcg64,
@@ -136,6 +137,23 @@ class TestMonoidRingAxioms:
         with pytest.raises(BaseMismatchError):
             a * c
 
+    def test_equal_bases_built_twice_combine(self):
+        """Operands over equal but distinct ring and monoid objects combine
+        as over one base; different bases of the same kind still raise."""
+        a = MonoidRing(ModRing(5), FreeCommutativeMonoid(2)).element({(1, 0): 2, (0, 1): 3})
+        b = MonoidRing(ModRing(5), FreeCommutativeMonoid(2)).element({(1, 0): 3, (2, 0): 1})
+        assert a.ring is not b.ring and a.monoid is not b.monoid
+        assert (a + b).coeffs == {(0, 1): 3, (2, 0): 1}
+        assert (a - b).coeffs == {(1, 0): 4, (0, 1): 3, (2, 0): 4}
+        assert (a * b).coeffs == {(2, 0): 1, (3, 0): 2, (1, 1): 4, (2, 1): 3}
+        other_ring = MonoidRing(ModRing(7), FreeCommutativeMonoid(2)).one
+        other_rank = MonoidRing(ModRing(5), FreeCommutativeMonoid(3)).one
+        for c in (other_ring, other_rank):
+            with pytest.raises(BaseMismatchError):
+                a + c
+            with pytest.raises(BaseMismatchError):
+                a * c
+
 
 class TestConvolution:
     def test_epsilon_multiplication(self):
@@ -239,6 +257,22 @@ class TestGroupRing:
         # both classes coincide, so a single merged term remains
         assert len(u.terms) == 1
         assert u.terms[0][1] == 3
+
+    def test_constructor_builds_canonical_elements(self):
+        """Over Z/5 and N, [1, 0] = [2, 1]: terms given to the constructor
+        are merged by class, and a zero coefficient leaves no term."""
+        group = GrothendieckGroup(FreeCommutativeMonoid(1))
+        gring = GroupRing(group, ModRing(5))
+        a, b = group.element((1,), (0,)), group.element((2,), (1,))
+        built = GroupRingElement(gring, [(a, 1), (b, 1)])
+        merged = gring.from_terms([(a, 2)])
+        assert gring.eq(built, merged) and gring.eq(merged, built)
+        assert built.terms == [(a, 2)]
+        zero = GroupRingElement(gring, [(a, 0)])
+        assert zero.is_zero() and gring.is_zero(zero)
+        assert gring.eq(zero, gring.zero()) and gring.eq(gring.zero(), zero)
+        cancelled = GroupRingElement(gring, [(a, 3), (b, 2)])
+        assert cancelled.terms == [] and gring.eq(cancelled, zero)
 
     def test_ring_laws_on_samples(self):
         group = GrothendieckGroup(zoo.z4())
