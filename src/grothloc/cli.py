@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from math import prod
@@ -347,12 +348,9 @@ def _cmd_iso_laurent(args):
 # corpus
 
 
-def _corpus_dir():
-    # only `corpus run` without --dir reads the packaged corpus, so every
-    # other command starts without importing importlib.resources
-    from importlib import resources
-
-    return resources.files("grothloc") / "corpus"
+# the corpus shipped inside the package, found next to this module; os is
+# loaded by every interpreter at start, importlib.resources is not
+_CORPUS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus")
 
 
 # the fields each corpus entry kind reads unconditionally
@@ -437,9 +435,8 @@ def _cmd_corpus_run(args):
     if args.dir is not None:
         specs = _read_file_arg(args, "dir")
     else:
-        specs = json.loads(
-            (_corpus_dir() / "corpus.json").read_text(encoding="utf-8")
-        )
+        with open(os.path.join(_CORPUS_DIR, "corpus.json"), encoding="utf-8") as fh:
+            specs = json.load(fh)
     entries = specs.get("entries") if isinstance(specs, dict) else None
     if not isinstance(entries, list) or not all(
         isinstance(e, dict) and {"kind", "name", "expected"} <= e.keys()

@@ -52,7 +52,9 @@ from .monoid import (
     is_cancellative,
     kernel_group,
     numeric_compare,
+    sample_element,
 )
+from .rng import Lcg64
 
 
 class GrothElement(namedtuple("GrothElement", "first second")):
@@ -587,9 +589,6 @@ def universal_extend(group: GrothendieckGroup, g, target: CayleyMonoid,
     h([a, b]) = g(a) - g(b).  The morphism law for g is verified first,
     exhaustively when the base is finite and by sampling otherwise.
     """
-    from .monoid import sample_element
-    from .rng import Lcg64
-
     if not is_cancellative(target):  # a finite monoid that cancels is a group
         raise PreconditionError("target table is not a group")
     gf = g.__getitem__ if isinstance(g, dict) else g

@@ -15,7 +15,7 @@ from .errors import MalformedDenominatorError, PreconditionError
 from .grothendieck import GrothElement, GrothendieckGroup
 from .localization import Fraction, LocalizedRing, MultiplicativeSet
 from .monoid import FreeCommutativeMonoid, IntegerLatticeMonoid, sample_element
-from .ring import GroupRing, MonoidRing, MRElement
+from .ring import GroupRing, GroupRingElement, MonoidRing, MRElement
 from .rng import Lcg64
 
 
@@ -98,22 +98,37 @@ def h_forward(ctx: HMapContext, f: Fraction):
     witness of s is the S part of the fraction's own witness (the indices
     below the monomial generators), so products of fractions need not lie
     in the depth-bounded S closure.
+
+    The image is merged as it is built: degrees are walked in sorted order,
+    each term is keyed once and added into its class, so terms, first-seen
+    representatives and class keys are those ``from_terms`` gives the same
+    pairs.  A zero denominator whose S part multiplies to 0 means 0 is in S
+    and in T: both rings are zero, and the image is 0.
     """
     den = f.den
-    if den.is_zero() or len(den.coeffs) != 1:
+    s_wit = tuple(i for i in f.den_witness if i < ctx._mono_offset)
+    if den.is_zero() and ctx.ring.is_zero(ctx.sset.product_of(s_wit)):
+        return ctx.group_ring.zero()
+    if len(den.coeffs) != 1:
         raise MalformedDenominatorError(
             f"denominator support has {len(den.coeffs)} degrees; need exactly 1"
         )
     ((n, s),) = den.coeffs.items()
-    s_wit = tuple(i for i in f.den_witness if i < ctx._mono_offset)
     if not ctx.ring.eq(ctx.sset.product_of(s_wit), s):
         raise MalformedDenominatorError(
             f"denominator coefficient {s!r} is not a recognized S element"
         )
-    terms = []
-    for m, c in f.num.items():
-        terms.append((GrothElement(m, n), Fraction(c, s, s_wit)))
-    return ctx.group_ring.from_terms(terms)
+    gr = ctx.group_ring
+    group_key, add = ctx.group.key, ctx.loc.add
+    num = f.num.coeffs
+    acc = {}
+    for m in sorted(num):
+        x = GrothElement(m, n)
+        k = group_key(x)
+        slot = acc.get(k)
+        c = Fraction(num[m], s, s_wit)
+        acc[k] = (x, c) if slot is None else (slot[0], add(slot[1], c))
+    return GroupRingElement(gr, *gr._pruned(acc))
 
 
 def h_inverse(ctx: HMapContext, u) -> Fraction:

@@ -34,8 +34,9 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .grothendieck import CayleyMonoid, GrothElement, GrothendieckGroup
-from .monoid import kernel_group
-from .ring import MonoidRing, degree_of, homogeneous_components
+from .monoid import FreeCommutativeMonoid, kernel_group
+from .ring import ModRing, MonoidRing, _is_prime, degree_of, homogeneous_components
+from .rng import Lcg64
 
 # over an infinite ring the closure keeps products of at most this many generators
 CLOSURE_DEPTH = 8
@@ -264,12 +265,16 @@ def decompose_fraction(loc: LocalizedRing, f: Fraction) -> dict:
 
     The numerator splits degree by degree over the fixed denominator; keys
     [deg part, deg den] that collide in the Grothendieck group are merged,
-    and components that vanish in the localization are dropped.
+    and components that vanish in the localization are dropped.  A zero
+    denominator (a product of S generators, so 0 is in S) leaves the zero
+    ring, where every component vanishes.
     """
     if not isinstance(loc.ring, MonoidRing):
         raise UnsupportedFamilyError("decomposition needs a monoid-ring base")
     if not loc.sset.homogeneous_flag:
         raise PreconditionError("decomposition needs homogeneous denominators")
+    if f.den.is_zero():
+        return {}
     group = loc.groth_group
     den_deg = degree_of(f.den)
     acc = {}
@@ -631,10 +636,6 @@ def kx_counterexample_check(p: int = 5, samples: int = 50, seed: int = 0) -> dic
     p = a*b the constants a and b multiply to 0 in S, so S^-1 R is the zero
     ring.
     """
-    from .monoid import FreeCommutativeMonoid
-    from .ring import ModRing, _is_prime
-    from .rng import Lcg64
-
     K = ModRing(p)
     if not _is_prime(p):
         raise InvalidInputError(f"K[x] needs a prime modulus, got {p}")

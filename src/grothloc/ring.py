@@ -22,6 +22,7 @@ from .errors import (
     MalformedElementError,
     NotHomogeneousError,
     UnsupportedFamilyError,
+    ZeroDegreeError,
 )
 from .grothendieck import GrothElement, GrothendieckGroup, canonical_map_injective
 from .monoid import (
@@ -29,6 +30,7 @@ from .monoid import (
     FreeCommutativeMonoid,
     IntegerLatticeMonoid,
     idempotent_power,
+    sample_element,
     translation_injective,
 )
 
@@ -411,14 +413,13 @@ class MonoidRing:
                coeff_bound: int = 9) -> MRElement:
         """Up to ``max_support`` terms; the sampled degrees and nonzero
         coefficients are valid as drawn, so they are not checked again."""
-        from .monoid import sample_element
-
-        ring = self.coeff_ring
+        ring, monoid = self.coeff_ring, self.monoid
+        draw = ring.sample_nonzero
         out = {}
         for _ in range(rng.below(max_support + 1)):
-            d = sample_element(self.monoid, rng, exp_bound)
-            out[d] = ring.sample_nonzero(rng, coeff_bound)
-        return MRElement(ring, self.monoid, out)
+            d = sample_element(monoid, rng, exp_bound)
+            out[d] = draw(rng, coeff_bound)
+        return MRElement(ring, monoid, out)
 
     def to_list(self, f: MRElement) -> list:
         return [[c, _deg_to_json(d)] for d, c in f.items()]
@@ -471,8 +472,6 @@ def homogeneous_components(f: MRElement) -> list:
 def degree_of(f: MRElement):
     """Degree of a homogeneous nonzero element."""
     if f.is_zero():
-        from .errors import ZeroDegreeError
-
         raise ZeroDegreeError("the zero element has no degree")
     if len(f.coeffs) != 1:
         raise NotHomogeneousError(f"support has {len(f.coeffs)} degrees")
@@ -601,12 +600,20 @@ class GroupRing:
         return self.add(u, self.neg(v))
 
     def mul(self, u: GroupRingElement, v: GroupRingElement) -> GroupRingElement:
-        pairs = [
-            (self.group.add(k1, k2), self.coeff.mul(c1, c2))
-            for k1, c1 in u.terms
-            for k2, c2 in v.terms
-        ]
-        return self.from_terms(pairs)
+        """Each product term is keyed once and merged as it is made, in the
+        order ``from_terms`` would see the products listed row by row."""
+        group_add, group_key = self.group.add, self.group.key
+        cmul, add = self.coeff.mul, self.coeff.add
+        acc = {}
+        theirs = v.terms
+        for k1, c1 in u.terms:
+            for k2, c2 in theirs:
+                x = group_add(k1, k2)
+                k = group_key(x)
+                slot = acc.get(k)
+                c = cmul(c1, c2)
+                acc[k] = (x, c) if slot is None else (slot[0], add(slot[1], c))
+        return GroupRingElement(self, *self._pruned(acc))
 
     def is_zero(self, u: GroupRingElement) -> bool:
         return not u.terms

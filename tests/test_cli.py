@@ -295,6 +295,20 @@ class TestLocalizeDecompose:
         assert json.loads(key) == [[0], [1]]
         assert rep["results"]["components"][key]["degree"] == -1
 
+    def test_zero_denominator_has_no_components(self, tmp_path):
+        """(2 eps_0)^2 = 0 over Z/4: a zero ring, so nothing survives."""
+        code, rep = run(
+            tmp_path,
+            "localize", "decompose",
+            "--ring", '{"kind": "Zmod", "n": 4}',
+            "--monoid", str(CORPUS / "t2.json"),
+            "--sgens", "[[[2, 0]]]",
+            "--fraction", '{"num": [[1, 1], [3, 0]], "den_witness": [0, 0]}',
+        )
+        assert code == 0
+        assert rep["results"] == {"component_count": 0, "components": {}}
+        assert all(rep["checks"].values())
+
     def test_monomial_denominator_over_t2_plus_n(self, tmp_path, t2_plus_n):
         """eps(0, [1]) is a non-zero-divisor: translation by it is injective."""
         code, rep = run(
@@ -402,6 +416,18 @@ class TestLocalizeUnits:
 
 
 class TestIsoCommands:
+    @pytest.mark.parametrize("fixture", ["t2.json", "z4.json", "z6_mult.json"])
+    @pytest.mark.parametrize("n,sgens", [(4, "[2]"), (8, "[2,3]")])
+    def test_verify_with_a_nilpotent_generator(self, tmp_path, fixture, n, sgens):
+        """2 is nilpotent mod 4 and mod 8, so 0 is in S and in T and both
+        sides are the zero ring: every image is 0, every kernel draw a hit."""
+        code, rep = run(tmp_path, "iso", "verify",
+                        "--ring", json.dumps({"kind": "Zmod", "n": n}),
+                        "--monoid", str(CORPUS / fixture), "--sgens", sgens,
+                        "--samples", "30")
+        assert code == 0 and rep["ok"] is True
+        assert rep["results"]["kernel_zero_hits"] == 30
+
     def test_verify_line_over_mod5(self, tmp_path, free1):
         code, rep = run(
             tmp_path,

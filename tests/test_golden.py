@@ -6,7 +6,10 @@ enumeration that ``LocalizedRing.key`` replaced.  The ``iso verify``,
 ``iso laurent`` and ``localize decompose`` fixtures were written while
 monoid-ring coefficients went through the coefficient ring's methods term by
 term and ``Lcg64.below`` took two calls per draw; they pin the sampling
-stream of the batteries.  Every byte must match.
+stream of the batteries.  The two ``iso verify`` fixtures over finite
+monoids (T2 over Z/3, multiplication mod 6 over Z/5) were written while
+``h_forward`` handed a pair list to ``GroupRing.from_terms``; they pin the
+finite battery's draws and its ``kernel_zero_hits``.  Every byte must match.
 """
 from pathlib import Path
 
@@ -15,7 +18,8 @@ import pytest
 from grothloc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-FREE2 = str(Path(__file__).parents[1] / "src" / "grothloc" / "corpus" / "free2.json")
+CORPUS = Path(__file__).parents[1] / "src" / "grothloc" / "corpus"
+FREE2 = str(CORPUS / "free2.json")
 
 CASES = [
     ("corpus_run_seed7.json", ["corpus", "run", "--seed", "7"]),
@@ -28,6 +32,12 @@ CASES = [
     ("iso_verify_free2_z7_3.json",
      ["iso", "verify", "--ring", '{"kind":"Zmod","n":7}', "--monoid", FREE2,
       "--sgens", "[3]", "--samples", "80", "--seed", "5"]),
+    ("iso_verify_t2_z3_2.json",
+     ["iso", "verify", "--ring", '{"kind":"Zmod","n":3}', "--monoid", str(CORPUS / "t2.json"),
+      "--sgens", "[2]", "--samples", "80", "--seed", "5"]),
+    ("iso_verify_z6_mult_z5_2.json",
+     ["iso", "verify", "--ring", '{"kind":"Zmod","n":5}', "--monoid", str(CORPUS / "z6_mult.json"),
+      "--sgens", "[2]", "--samples", "80", "--seed", "5"]),
     ("iso_laurent_z_rank2.json",
      ["iso", "laurent", "--ring", '{"kind":"Z"}', "--rank", "2", "--samples", "80"]),
     ("iso_laurent_z5_rank3.json",

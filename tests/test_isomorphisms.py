@@ -116,6 +116,23 @@ class TestForwardMap:
         assert (c.den, c.den_witness) == (2 ** 10, (0,) * 10)
         assert ctx.group_ring.eq(u, ctx.group_ring.mul(h_forward(ctx, f), h_forward(ctx, f)))
 
+    def test_zero_in_s_maps_everything_to_zero(self):
+        """Over Z/4 at S = <2>, 2*2 = 0: a denominator whose S part multiplies
+        to 0 leaves the zero ring, where every image is 0."""
+        from grothloc import Fraction
+        ctx = HMapContext(ModRing(4), zoo.t2(), [2])
+        num = ctx.mring.element({0: 1, 1: 3})
+        assert h_forward(ctx, Fraction(num, ctx.mring.zero, (0, 0))).is_zero()
+        assert h_forward(ctx, Fraction(num, ctx.mring.zero, (0, 0, 1))).is_zero()
+        assert verify_isomorphism(ctx, samples=20, seed=3)["all_ok"]
+
+    def test_zero_denominator_outside_s_rejected(self):
+        """A zero denominator whose S part multiplies to 2, not 0."""
+        from grothloc import Fraction
+        ctx = HMapContext(ModRing(4), zoo.t2(), [2])
+        with pytest.raises(MalformedDenominatorError, match="0 degrees"):
+            h_forward(ctx, Fraction(ctx.mring.one, ctx.mring.zero, (0, 1)))
+
     def test_zero_maps_to_zero(self, line_ctx):
         ctx = line_ctx
         z = ctx.monomial_fraction(ctx.mring.zero, 1, (2,))

@@ -7,6 +7,9 @@ keys every term again at each step: same representatives in the same order,
 same coefficients, and ``class_keys`` equal to the keys of the terms.  The
 families cover keys of every kind, and elements built through the
 constructor from terms that are not in canonical form.
+
+``h_forward`` merges its image as it builds it; over the same families its
+result is checked against ``from_terms`` on the pair list it once built.
 """
 import random
 
@@ -22,11 +25,15 @@ from grothloc import (
     GrothendieckGroup,
     GroupRing,
     GroupRingElement,
+    HMapContext,
     IntegerLatticeMonoid,
     Lcg64,
     LocalizedRing,
     ModRing,
+    MonoidRing,
     MultiplicativeSet,
+    PreconditionError,
+    h_forward,
     sample_element,
 )
 
@@ -180,3 +187,116 @@ def test_a_merged_class_keeps_its_first_representative():
     assert gr.add(v, u).terms == [(y, 2)]
     assert gr.mul(v, u).terms == [(GrothElement(1, 0), 2)]
     assert gr.sub(u, gr.from_terms([(y, 3)])).terms == []
+
+
+# ---------------------------------------------------------------------------
+# h_forward against from_terms over the pairs it once listed
+
+# (modulus, S generators) of S^-1 R for each family; 3 over Z/12 is not a
+# unit, so coefficients may vanish in the localization.  Over an infinite
+# monoid HMapContext needs S to hold units only.
+H_RINGS = {
+    "free": (12, [5]),
+    "lattice": (6, []),
+    "cayley_t2": (5, [2]),
+    "mult_mod_6": (12, [5, 3]),
+    "presentation": (4, [3]),
+    "t2_plus_n": (5, [2, 3]),
+}
+
+
+def _h_context(name):
+    """An HMapContext over the family's monoid.  A presentation and T2 (+) N
+    have no T generator layout; there the context holds only its S side and
+    group ring, which is all ``h_forward`` reads."""
+    n, sgens = H_RINGS[name]
+    ring, monoid = ModRing(n), FAMILIES[name][0]()
+    try:
+        return HMapContext(ring, monoid, sgens)
+    except PreconditionError:
+        ctx = object.__new__(HMapContext)
+    ctx.ring, ctx.monoid = ring, monoid
+    ctx.sset = MultiplicativeSet(ring, sgens)
+    ctx.loc = LocalizedRing(ring, ctx.sset)
+    ctx.mring = MonoidRing(ring, monoid)
+    ctx.group = GrothendieckGroup(monoid)
+    ctx.group_ring = GroupRing(ctx.group, ctx.loc)
+    ctx._mono_offset = len(sgens)
+    return ctx
+
+
+def _h_fraction(ctx, rng):
+    """num over s * eps_n, with a numerator of up to six degrees; the
+    witness is s's alone, since h_forward reads only the S part."""
+    mring, m = ctx.mring, ctx.monoid
+    num = mring.element({
+        sample_element(m, rng, 3): rng.below(ctx.ring.n)
+        for _ in range(rng.below(7))
+    })
+    gens = ctx.sset.generators
+    s_wit = tuple(rng.below(len(gens)) for _ in range(rng.below(3) if gens else 0))
+    den = mring.element({sample_element(m, rng, 3): ctx.sset.product_of(s_wit)})
+    return Fraction(num, den, s_wit)
+
+
+def _h_forward_by_pairs(ctx, f):
+    """h_forward as it was: a pair list over the sorted numerator, handed to
+    ``from_terms``."""
+    ((n, s),) = f.den.coeffs.items()
+    s_wit = tuple(i for i in f.den_witness if i < ctx._mono_offset)
+    return ctx.group_ring.from_terms(
+        [(GrothElement(m, n), Fraction(c, s, s_wit)) for m, c in f.num.items()]
+    )
+
+
+def _check_h_forward(name, rng, rounds):
+    """Returns how many images merged two numerator degrees into one class."""
+    ctx = _h_context(name)
+    merges = 0
+    for _ in range(rounds):
+        f = _h_fraction(ctx, rng)
+        u, want = h_forward(ctx, f), _h_forward_by_pairs(ctx, f)
+        assert _plain(u.terms) == _plain(want.terms)
+        assert u.class_keys == want.class_keys
+        ((n, _),) = f.den.coeffs.items()
+        classes = {ctx.group.key(GrothElement(m, n)) for m in f.num.coeffs}
+        merges += len(classes) < len(f.num.coeffs)
+    return merges
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_h_forward_matches_from_terms(name):
+    merges = _check_h_forward(name, Lcg64(67), 150)
+    if name not in ("free", "lattice"):  # classes [m, n] with n fixed are distinct there
+        assert merges > 0
+
+
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 2 ** 63))
+def test_h_forward_matches_from_terms_hypothesis(name, seed):
+    _check_h_forward(name, Lcg64(seed), 3)
+
+
+def test_h_forward_keys_each_degree_once(monkeypatch):
+    """One ``GrothendieckGroup.key`` call per numerator degree, and neither
+    ``from_terms`` nor ``_keyed``."""
+    calls = []
+    real_key = GrothendieckGroup.key
+
+    def key(self, x):
+        calls.append(x)
+        return real_key(self, x)
+
+    def refused(*args):
+        raise AssertionError("h_forward went through the pair-list path")
+
+    ctx = _h_context("mult_mod_6")
+    rng = Lcg64(71)
+    fracs = [_h_fraction(ctx, rng) for _ in range(40)]
+    monkeypatch.setattr(GrothendieckGroup, "key", key)
+    monkeypatch.setattr(GroupRing, "from_terms", refused)
+    monkeypatch.setattr(GroupRing, "_keyed", refused)
+    for f in fracs:
+        calls.clear()
+        h_forward(ctx, f)
+        assert len(calls) == len(f.num.coeffs)
+    assert any(len(f.num.coeffs) > 1 for f in fracs)
