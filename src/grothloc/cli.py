@@ -295,7 +295,7 @@ def _cmd_localize_decompose(args):
 def _cmd_localize_units(args):
     ring = ring_from_dict(_load_json_arg(args.ring))
     if not isinstance(ring, ModRing):
-        raise InvalidInputError("unit enumeration works over Z/n bases")
+        raise InvalidInputError("localize units needs a Z/n ring")
     sset = MultiplicativeSet(ring, _load_sgens(args.sgens))
     loc = LocalizedRing(ring, sset)
     emb = groth_units_embedding(sset, loc)

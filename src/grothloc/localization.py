@@ -18,13 +18,15 @@ A finite S gives fractions a hashable normal form, ``LocalizedRing.key``:
 e*S is a group with identity e, S^-1 R is eR, and r/s goes to
 e*r*(e*s)^-1; e and the inverses of e*S live on the multiplicative set
 (``MultiplicativeSet.kernel``).  The classes, the units and the saturation
-are read off e and eR too.  Class lookups are dicts on this key, degree
-classes on ``GrothendieckGroup.key``.
+are read off e and eR too; over Z/n, eR is Z/n' with n' = n // gcd(e, n).
+Class lookups are dicts on this key, degree classes on
+``GrothendieckGroup.key``.
 """
 from __future__ import annotations
 
 import functools
 from collections import namedtuple
+from math import gcd
 
 from .errors import (
     InvalidInputError,
@@ -308,8 +310,9 @@ def sum_components(loc: LocalizedRing, parts) -> Fraction:
 class SaturationSet(namedtuple("SaturationSet", "ring source elements witnesses")):
     """S-bar = {a : a*b in S for some b}, with one witness b per element.
 
-    ``source`` is the MultiplicativeSet S, ``elements`` a tuple and
-    ``witnesses`` a dict from each element to its b.
+    ``source`` is the MultiplicativeSet S, ``elements`` a tuple in the
+    ring's element order and ``witnesses`` a dict from each element to its b,
+    the inverse of e*a in eR (see ``saturate``).
     """
 
     __slots__ = ()
@@ -345,16 +348,26 @@ def _power_inverses(mul, x, e, settled: dict) -> dict:
 def saturate(ring, sset: MultiplicativeSet) -> SaturationSet:
     """S-bar read off eR: a lies in S-bar exactly when x = e*a is a unit of eR.
 
-    If a*b lies in S, e*a*b lies in the group e*S.  Conversely, when a power
-    of x is e, x*c = e for a power c of x in eR, so a*c = e lies in S and c
-    is a's witness.  One walk of the powers of x settles each of them too
-    (``_power_inverses``).
+    If a*b lies in S, e*a*b lies in the group e*S.  Conversely, when x*c = e
+    for some c in eR, a*c = e lies in S and c, the inverse of x in eR, is a's
+    witness.
+
+    Over Z/n, eR is Z/n' with n' = n // gcd(e, n), since e = 1 mod n' and
+    e = 0 mod n/n'.  So S-bar is {a : gcd(a, n') = 1}, in ascending order,
+    and a's witness is e*(a^-1 mod n') mod n.  Over a finite R[M], one walk
+    of the powers of x settles each of them (``_power_inverses``).
     """
     if not ring.is_finite:
         raise OracleRequiredError(
             "saturation over an infinite ring needs externally supplied witnesses"
         )
     e = sset.kernel[0]
+    if isinstance(ring, ModRing):
+        n = ring.n
+        m = n // gcd(e, n)
+        inverses = [(u, e * pow(u, -1, m) % n) for u in range(m) if gcd(u, m) == 1]
+        witnesses = {q + u: b for q in range(0, n, m) for u, b in inverses}
+        return SaturationSet(ring, sset, tuple(witnesses), witnesses)
     inverses = {}  # x -> its inverse in eR, or None when x is no unit
     witnesses = {}
     for a in ring.elements():
@@ -540,14 +553,42 @@ class UnitsIsoReport(namedtuple(
         return self.morphism_ok and self.injective and self.surjective
 
 
+def _zmod_unit_keys(n: int, e: int) -> set:
+    """The keys of the unit classes of eR over Z/n, each class certified.
+
+    eR is Z/n' with n' = n // gcd(e, n), u -> x = e*u mod n, so the classes
+    of S^-1 R are the n' keys x.  Each is certified: a unit by its inverse y
+    in eR, x*y = e, when gcd(u, n') = 1; otherwise not a unit, by the
+    nonzero z = e*(n'/g) of eR, g = gcd(u, n'), with x*z = 0 (a unit of eR
+    kills no nonzero element of eR).  A certificate that fails raises
+    AssertionError.
+    """
+    m = n // gcd(e, n)
+    units = set()
+    for u in range(m):
+        x, g = e * u % n, gcd(u, m)
+        if g == 1:
+            y = e * pow(u, -1, m) % n
+            if x * y % n != e:
+                raise AssertionError(f"unit certificate broke: {x} times its inverse is not e")
+            units.add(x)
+        else:
+            z = e * (m // g) % n
+            if z == 0 or x * z % n:
+                raise AssertionError(f"zero-divisor certificate broke at {x}")
+    return units
+
+
 def groth_units_iso(sset: MultiplicativeSet, loc: LocalizedRing) -> UnitsIsoReport:
     """G(S-bar) = (S^-1 R)*: [s, t] goes to (s*b)/(t*b) with t*b in S.
 
     The saturation witness b turns a saturation denominator into a genuine
     one.  The morphism law is checked on a generating set of G(S-bar) (see
-    ``_units_map``); injectivity and surjectivity onto the unit classes are
-    checked over all classes, surjectivity by asking that the image keys be
-    exactly the keys of the unit classes.
+    ``_units_map``); injectivity over all its classes, and surjectivity by
+    asking that the image keys be exactly the keys of the unit classes.
+    Over Z/n the unit classes are read off eR = Z/n', every class certified
+    (``_zmod_unit_keys``); over a finite R[M] they are found by walking the
+    classes of eR (``units_of_localization``).
     """
     ring = loc.ring
     sat = saturate(ring, sset)
@@ -559,11 +600,14 @@ def groth_units_iso(sset: MultiplicativeSet, loc: LocalizedRing) -> UnitsIsoRepo
 
     carrier = [ring.one] + [a for a in sat.elements if a != ring.one]
     emb, keys = _units_map(carrier, loc, embed)
-    units = units_of_localization(loc)
-    unit_keys = {loc.key(units.class_reps[i]) for i in units.unit_indices}
+    if isinstance(ring, ModRing):
+        unit_keys = _zmod_unit_keys(ring.n, loc.sset.kernel[0])
+    else:
+        units = units_of_localization(loc)
+        unit_keys = {loc.key(units.class_reps[i]) for i in units.unit_indices}
     return UnitsIsoReport(
         groth_order=emb.group_order,
-        unit_order=units.order(),
+        unit_order=len(unit_keys),
         morphism_ok=emb.morphism_ok,
         injective=emb.injective,
         surjective=set(keys) == unit_keys,

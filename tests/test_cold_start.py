@@ -4,8 +4,8 @@ Every command runs in a fresh interpreter, so each module imported at start
 is paid once per command: the records are plain classes and
 ``collections.namedtuple`` subclasses, not dataclasses (which import
 inspect, ast, dis and tokenize) or ``typing.NamedTuple`` (which imports
-typing), and importlib.resources is imported only where the packaged
-corpus is read.
+typing), and the packaged corpus is found with os.path next to the CLI
+module, so importlib.resources is imported by no command.
 ``python -S`` skips site-packages hooks that may import these themselves.
 """
 import json

@@ -19,6 +19,7 @@ from grothloc import (
     Fraction,
     GrothendieckGroup,
     IntegerRing,
+    Lcg64,
     LocalizedRing,
     ModRing,
     MonoidRing,
@@ -123,6 +124,12 @@ def check_units_and_reports(sset, loc):
     } == scan_units_embedding(sset, loc)
 
     iso = groth_units_iso(sset, loc)
+    check_against_scan(sset, loc, iso)
+    assert iso.iso
+
+
+def check_against_scan(sset, loc, iso):
+    """The unit-correspondence report against the pairwise scans."""
     assert {
         "groth_order": iso.groth_order,
         "unit_order": iso.unit_order,
@@ -131,7 +138,6 @@ def check_units_and_reports(sset, loc):
         "surjective": iso.surjective,
         "saturation": iso.saturation.elements,
     } == scan_units_iso(sset, loc)
-    assert iso.iso
 
 
 def zmod_generator_sets(n):
@@ -525,3 +531,124 @@ def test_unit_correspondence_multiplications_grow_slowly(monkeypatch):
         assert emb.morphism_ok and emb.injective and iso.iso
         counts[n] = calls[0]
     assert counts[4000] < 2 * counts[2000], counts
+
+
+def seeded_zmod_sets(n):
+    """A seeded single generator and a seeded set of 0-3 generators of Z/n."""
+    rng = Lcg64(n)
+    return [[rng.below(n)], [rng.below(n) for _ in range(rng.below(4))]]
+
+
+def check_against_per_element_walks(sset, loc):
+    """Saturation, item for item, and the unit count against the walks of
+    every element and class, which read no n'."""
+    ring = sset.ring
+    want_elems, want_witnesses = per_element_saturation(ring, sset)
+    sat = saturate(ring, sset)
+    assert sat.elements == want_elems
+    assert list(sat.witnesses.items()) == list(want_witnesses.items())
+    iso = groth_units_iso(sset, loc)
+    assert iso.saturation.elements == want_elems
+    assert iso.unit_order == iso.groth_order == len(per_element_unit_indices(loc))
+    assert iso.iso
+    return iso
+
+
+@pytest.mark.parametrize("n", range(2, 401))
+def test_zmod_seeded_sets_match_the_walks(n):
+    """Z/n read off eR = Z/n' agrees with the per-element walks for every
+    n <= 400, and with the pairwise scans for n <= 80."""
+    ring = ModRing(n)
+    for gens in seeded_zmod_sets(n):
+        sset = MultiplicativeSet(ring, gens)
+        loc = LocalizedRing(ring, sset)
+        iso = check_against_per_element_walks(sset, loc)
+        if n <= 80:
+            check_against_scan(sset, loc, iso)
+
+
+@given(st.integers(2, 400).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=3))
+))
+def test_hypothesis_zmod_units_read_off_the_corner(case):
+    n, gens = case
+    ring = ModRing(n)
+    sset = MultiplicativeSet(ring, gens)
+    loc = LocalizedRing(ring, sset)
+    iso = check_against_per_element_walks(sset, loc)
+    if n <= 60:
+        check_against_scan(sset, loc, iso)
+
+
+def test_zmod_units_walk_no_classes(monkeypatch):
+    """Over Z/n the unit classes and the saturation are read off n' = n //
+    gcd(e, n): no class of S^-1 R is enumerated and no power is walked."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("Z/n walked its classes or powers")
+
+    for name in ("localization_classes", "units_of_localization", "_power_inverses"):
+        monkeypatch.setattr(localization, name, refuse)
+    # (n, gens, n', |S-bar|): e = 1, a corner Z/125, e = 0, and a mixture
+    for n, gens, corner, size in (
+        (2000, [7], 2000, 800), (16000, [2], 125, 12800),
+        (12, [0], 1, 12), (720, [6, 7], 5, 576),
+    ):
+        ring = ModRing(n)
+        sset = MultiplicativeSet(ring, gens)
+        rep = groth_units_iso(sset, LocalizedRing(ring, sset))
+        phi = sum(gcd(u, corner) == 1 for u in range(corner))
+        assert rep.iso and rep.unit_order == rep.groth_order == phi, (n, gens)
+        assert len(rep.saturation.elements) == size
+
+
+@pytest.mark.parametrize(
+    "label,ring,gens", monoid_ring_cases(), ids=[c[0] for c in monoid_ring_cases()]
+)
+def test_monoid_rings_walk_their_classes(label, ring, gens, monkeypatch):
+    """A finite R[M] finds its unit classes by the walk of its classes, never
+    by the Z/n certificates."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("R[M] read Z/n certificates")
+
+    monkeypatch.setattr(localization, "_zmod_unit_keys", refuse)
+    walks = []
+    honest = localization.units_of_localization
+
+    def spy(loc):
+        walks.append(loc)
+        return honest(loc)
+
+    monkeypatch.setattr(localization, "units_of_localization", spy)
+    sset = MultiplicativeSet(ring, gens)
+    loc = LocalizedRing(ring, sset)
+    assert groth_units_iso(sset, loc).iso
+    assert walks == [loc]
+
+
+def test_zmod_certificates_cover_every_class():
+    """Each of the n' classes of eR is certified a unit or a zero-divisor, and
+    the certified units are exactly the keys of the scanned unit classes."""
+    for n in range(2, 61):
+        ring = ModRing(n)
+        for gens in zmod_generator_sets(n):
+            loc = LocalizedRing(ring, MultiplicativeSet(ring, gens))
+            reps, _, _, unit_indices = scan_units(loc)
+            want = {loc.key(reps[i]) for i in unit_indices}
+            assert localization._zmod_unit_keys(n, loc.sset.kernel[0]) == want, (n, gens)
+
+
+def test_zmod_certificates_refuse_wrong_arithmetic(monkeypatch):
+    """A certificate that does not hold raises: an e that is no idempotent, an
+    inverse off by one, and gcd taken against n instead of n'.  Z/12 at e = 4
+    has eR = Z/3."""
+    assert localization._zmod_unit_keys(12, 4) == {4, 8}
+    with pytest.raises(AssertionError):
+        localization._zmod_unit_keys(12, 2)
+    with monkeypatch.context() as m:
+        m.setattr(localization, "pow", lambda u, k, mod: pow(u, k, mod) + 1, raising=False)
+        with pytest.raises(AssertionError):
+            localization._zmod_unit_keys(12, 4)
+    with monkeypatch.context() as m:
+        m.setattr(localization, "gcd", lambda a, b: gcd(a, 12))
+        with pytest.raises(AssertionError):
+            localization._zmod_unit_keys(12, 4)
