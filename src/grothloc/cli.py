@@ -45,10 +45,7 @@ from .monoid import (
     FreeCommutativeMonoid,
     IntegerLatticeMonoid,
     MonoidPresentation,
-    is_cancellative,
     monoid_from_dict,
-    quasi_zero_submonoid,
-    sample_element,
 )
 from .ring import (
     IntegerRing,
@@ -132,7 +129,7 @@ def _quasi_zero_size(m) -> int:
     product of its components' counts, never built."""
     if isinstance(m, DirectSumMonoid):
         return prod(map(_quasi_zero_size, m.components))
-    return len(quasi_zero_submonoid(m))
+    return len(m.quasi_zeros())
 
 
 def _monoid_facts(m) -> dict:
@@ -140,7 +137,7 @@ def _monoid_facts(m) -> dict:
     quasi-zero submonoid's size and whether G(M) is trivial."""
     facts = {}
     try:
-        facts["cancellative"] = is_cancellative(m)
+        facts["cancellative"] = m.cancellative()
     except GrothlocError:
         facts["cancellative"] = None
     if m.is_finite:
@@ -200,7 +197,7 @@ def _cmd_groth_order(args):
     transitive = True
     for _ in range(args.samples):
         xs = [
-            GrothElement(sample_element(m, rng, 4), sample_element(m, rng, 4))
+            GrothElement(m.sample(rng, 4), m.sample(rng, 4))
             for _ in range(3)
         ]
         x, y, z = xs
@@ -240,7 +237,7 @@ def _cmd_mring_nzd(args):
         if not monomial_is_nonzerodivisor(mring, d)
     ]
     all_nzd = not witness
-    checks = {"matches_cancellativity": all_nzd == is_cancellative(m)}
+    checks = {"matches_cancellativity": all_nzd == m.cancellative()}
     return {
         "results": {"all_nonzerodivisors": all_nzd, "zerodivisor_degrees": witness},
         "checks": checks,

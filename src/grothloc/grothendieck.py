@@ -49,10 +49,8 @@ from .monoid import (
     MonoidPresentation,
     DirectSumMonoid,
     MonoidValue,
-    is_cancellative,
     kernel_group,
     numeric_compare,
-    sample_element,
 )
 from .rng import Lcg64
 
@@ -487,7 +485,7 @@ class GrothendieckGroup:
             self._parts = [GrothendieckGroup(c) for c in base.components]
             cancellative = all(g.strategy == "cancellative-cross-sum" for g in self._parts)
             self.strategy = "cancellative-cross-sum" if cancellative else "componentwise"
-        elif is_cancellative(base):
+        elif base.cancellative():
             self.strategy = "cancellative-cross-sum"
         else:
             self.strategy = "finite-witness-enumeration"
@@ -557,7 +555,7 @@ class GrothendieckGroup:
 def canonical_map_injective(group: GrothendieckGroup) -> bool:
     """Whether m -> [m, 0] is injective: [a, 0] = [b, 0] means a + m = b + m
     for some m, so it is exactly when the base cancels."""
-    return is_cancellative(group.base)
+    return group.base.cancellative()
 
 
 def groth_classes(group: GrothendieckGroup) -> list:
@@ -589,7 +587,7 @@ def universal_extend(group: GrothendieckGroup, g, target: CayleyMonoid,
     h([a, b]) = g(a) - g(b).  The morphism law for g is verified first,
     exhaustively when the base is finite and by sampling otherwise.
     """
-    if not is_cancellative(target):  # a finite monoid that cancels is a group
+    if not target.cancellative():  # a finite monoid that cancels is a group
         raise PreconditionError("target table is not a group")
     gf = g.__getitem__ if isinstance(g, dict) else g
     base = group.base
@@ -600,7 +598,7 @@ def universal_extend(group: GrothendieckGroup, g, target: CayleyMonoid,
     else:
         rng = Lcg64(seed)
         pairs = (
-            (sample_element(base, rng), sample_element(base, rng))
+            (base.sample(rng), base.sample(rng))
             for _ in range(samples)
         )
     for a, b in pairs:
@@ -688,7 +686,7 @@ def direct_sum_groth(parts) -> FGAbelianStructure:
 
 def order_from_monoid_order(group: GrothendieckGroup, compare):
     """Transport a compatible total order on M to G(M): [a,b] < [c,d] iff a+d < b+c."""
-    if not is_cancellative(group.base):
+    if not group.base.cancellative():
         raise PreconditionError("order transport needs a cancellative base")
 
     def cmp(x: GrothElement, y: GrothElement) -> int:

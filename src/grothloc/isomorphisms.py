@@ -14,7 +14,7 @@ import functools
 from .errors import MalformedDenominatorError, PreconditionError
 from .grothendieck import GrothElement, GrothendieckGroup
 from .localization import Fraction, LocalizedRing, MultiplicativeSet
-from .monoid import FreeCommutativeMonoid, IntegerLatticeMonoid, sample_element
+from .monoid import FreeCommutativeMonoid, IntegerLatticeMonoid
 from .ring import GroupRing, GroupRingElement, MonoidRing, MRElement
 from .rng import Lcg64
 
@@ -171,7 +171,7 @@ def sample_t_fraction(ctx: HMapContext, rng: Lcg64, max_support: int = 3,
         rng, max_support=max_support, exp_bound=exp_bound, coeff_bound=coeff_bound
     )
     s_wit = _sample_s(ctx, rng, max_s_powers)
-    n = sample_element(ctx.monoid, rng, exp_bound)
+    n = ctx.monoid.sample(rng, exp_bound)
     return ctx._witnessed_fraction(num, s_wit, n)
 
 
@@ -180,8 +180,8 @@ def sample_group_ring_element(ctx: HMapContext, rng: Lcg64, max_terms: int = 3,
                               max_s_powers: int = 2):
     terms = []
     for _ in range(rng.below(max_terms + 1)):
-        a = sample_element(ctx.monoid, rng, exp_bound)
-        b = sample_element(ctx.monoid, rng, exp_bound)
+        a = ctx.monoid.sample(rng, exp_bound)
+        b = ctx.monoid.sample(rng, exp_bound)
         r = ctx.ring.sample_nonzero(rng, coeff_bound)
         s_wit = _sample_s(ctx, rng, max_s_powers)
         coeff = Fraction(r, ctx.sset.product_of(s_wit), s_wit)
@@ -222,8 +222,8 @@ def verify_isomorphism(ctx: HMapContext, samples: int = 200, seed: int = 0,
     kernel_ok = True
     zero_hits = 0
     for _ in range(kernel_samples):
-        m = sample_element(ctx.monoid, rng)
-        n = sample_element(ctx.monoid, rng)
+        m = ctx.monoid.sample(rng)
+        n = ctx.monoid.sample(rng)
         r = ctx.ring.sample(rng)
         s_wit = _sample_s(ctx, rng)
         f = ctx._witnessed_fraction(ctx.mring._reduced({m: r}), s_wit, n)

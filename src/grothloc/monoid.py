@@ -3,6 +3,11 @@
 Elements are plain values: integers index Cayley-table carriers, tuples of
 integers carry free / lattice / presented / direct-sum elements.  All
 arithmetic is exact; validation is eager for finite tables.
+
+Each family answers its own questions as methods: ``cancellative()``,
+``translation_injective(a)``, ``quasi_zeros()``, ``sample(rng, bound)`` and
+``to_dict()``.  ``CommutativeMonoid`` holds the defaults, and a direct sum
+answers each one component by component.
 """
 from __future__ import annotations
 
@@ -48,6 +53,34 @@ class CommutativeMonoid:
         """``kernel_group`` of the whole carrier, computed once per monoid:
         cancellativity, quasi-zeros, class keys and structure all read it."""
         return kernel_group(self.op, list(self.elements()))
+
+    def cancellative(self) -> bool:
+        """Decide a+c = b+c => a = b."""
+        raise UnsupportedFamilyError(
+            f"cancellativity is not decided for {type(self).__name__}"
+        )
+
+    def translation_injective(self, a: MonoidValue) -> bool:
+        """Whether x -> a+x is injective on M: every translation of a
+        cancellative monoid is."""
+        return self.cancellative()
+
+    def quasi_zeros(self) -> set:
+        """{x : x + y = y for some y} = {x : x + e = e}: x + (y+e) = y+e in the
+        group M + e forces x + e = e, and y = e is a witness.  An x in K = M + e
+        has x + e = x, so of K only e itself qualifies."""
+        if not self.is_finite:
+            raise UnsupportedFamilyError("quasi-zero search needs a finite carrier")
+        e, inv, _ = self.kernel
+        return {x for x in self.elements() if x == e or (x not in inv and self.op(x, e) == e)}
+
+    def sample(self, rng: Lcg64, bound: int = 6) -> MonoidValue:
+        """Draw a pseudo-random element; ``bound`` caps tuple coordinates."""
+        raise UnsupportedFamilyError(f"cannot sample from {type(self).__name__}")
+
+    def to_dict(self) -> dict:
+        """The JSON description ``monoid_from_dict`` reads back."""
+        raise UnsupportedFamilyError(f"cannot serialize {type(self).__name__}")
 
 
 class CayleyMonoid(CommutativeMonoid):
@@ -124,11 +157,26 @@ class CayleyMonoid(CommutativeMonoid):
     def size(self) -> int:
         return self._size
 
-    @property
-    def is_group(self) -> bool:
-        """Whether the table cancels: a finite M cancels iff it is a group
-        iff its minimal ideal M + e is M, that is iff e is the identity."""
+    def cancellative(self) -> bool:
+        """A finite M cancels iff it is a group iff its minimal ideal M + e
+        is M, that is iff e is the identity."""
         return self.kernel[0] == self._identity
+
+    def translation_injective(self, a: int) -> bool:
+        """Every translation of a group table is injective; otherwise row a
+        must be a bijection."""
+        return self.cancellative() or len(set(self.table[a])) == self._size
+
+    def sample(self, rng: Lcg64, bound: int = 6) -> int:
+        return rng.below(self._size)
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": "cayley",
+            "size": self._size,
+            "identity": self._identity,
+            "table": [list(row) for row in self.table],
+        }
 
     def __eq__(self, other):
         return self is other or (
@@ -215,6 +263,9 @@ class _TupleMonoid(CommutativeMonoid):
     def op(self, a: tuple, b: tuple) -> tuple:
         return tuple(map(add, a, b))
 
+    def cancellative(self) -> bool:
+        return True
+
     def _check_shape(self, a):
         if not isinstance(a, tuple) or len(a) != self.rank:
             raise MalformedElementError(f"expected {self.rank}-tuple, got {a!r}")
@@ -241,6 +292,12 @@ class FreeCommutativeMonoid(_TupleMonoid):
             raise MalformedElementError(f"negative exponent in {a!r}")
         return a
 
+    def sample(self, rng: Lcg64, bound: int = 6) -> tuple:
+        return tuple(rng.below(bound + 1) for _ in range(self.rank))
+
+    def to_dict(self) -> dict:
+        return {"kind": "free", "rank": self.rank}
+
 
 class IntegerLatticeMonoid(_TupleMonoid):
     """Z^k under componentwise addition (an abelian group viewed as a monoid)."""
@@ -248,6 +305,12 @@ class IntegerLatticeMonoid(_TupleMonoid):
     def validate(self, a) -> tuple:
         self._check_shape(a)
         return a
+
+    def sample(self, rng: Lcg64, bound: int = 6) -> tuple:
+        return tuple(rng.below(2 * bound + 1) - bound for _ in range(self.rank))
+
+    def to_dict(self) -> dict:
+        return {"kind": "lattice", "rank": self.rank}
 
 
 def _is_exponent_word(word: tuple) -> bool:
@@ -279,17 +342,15 @@ def _check_relation_words(rels: list, g: int) -> None:
             raise InvalidInputError(f"bad relation word {side!r}")
 
 
-class MonoidPresentation:
+class MonoidPresentation(CommutativeMonoid):
     """Finitely presented commutative monoid: generators and word relations.
 
     Elements are exponent words in N^generators; ``op`` is word addition.
-    Word equality in the presented monoid is deliberately NOT decided here;
-    only the Grothendieck group of the presentation is computed downstream.
-    A presentation is immutable, compares and hashes by its two fields, and
-    its repr names them.
+    Word equality in the presented monoid is deliberately NOT decided here,
+    nor is cancellativity; only the Grothendieck group of the presentation
+    is computed downstream.  A presentation is immutable, compares and
+    hashes by its two fields, and its repr names them.
     """
-
-    is_finite = False
 
     def __init__(self, generators: int, relations=()):
         g = generators
@@ -346,6 +407,16 @@ class MonoidPresentation:
     def size(self):
         raise UnsupportedFamilyError("presented monoids are not finite")
 
+    def sample(self, rng: Lcg64, bound: int = 6) -> tuple:
+        return tuple(rng.below(bound + 1) for _ in range(self.generators))
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": "presentation",
+            "generators": self.generators,
+            "relations": [[list(u), list(v)] for u, v in self.relations],
+        }
+
 
 class DirectSumMonoid(CommutativeMonoid):
     """Finite direct sum of monoids; elements are tuples, one slot per component."""
@@ -380,6 +451,23 @@ class DirectSumMonoid(CommutativeMonoid):
         for c in self.components:
             n *= c.size()
         return n
+
+    def cancellative(self) -> bool:
+        return all(c.cancellative() for c in self.components)
+
+    def translation_injective(self, a: tuple) -> bool:
+        return all(c.translation_injective(x) for c, x in zip(self.components, a))
+
+    def quasi_zeros(self) -> set:
+        """x + y = y holds slot by slot, so the set is the product of the
+        components' sets (an infinite component refuses, as M itself would)."""
+        return set(itertools.product(*(c.quasi_zeros() for c in self.components)))
+
+    def sample(self, rng: Lcg64, bound: int = 6) -> tuple:
+        return tuple(c.sample(rng, bound) for c in self.components)
+
+    def to_dict(self) -> dict:
+        return {"kind": "direct_sum", "components": [c.to_dict() for c in self.components]}
 
     def __eq__(self, other):
         return isinstance(other, DirectSumMonoid) and self.components == other.components
@@ -430,63 +518,6 @@ def kernel_group(op, elems) -> tuple:
     return e, inv, order
 
 
-def is_cancellative(m: CommutativeMonoid) -> bool:
-    """Decide a+c = b+c => a = b.
-
-    Read off e for Cayley tables, structural for free/lattice families,
-    componentwise for direct sums; presented monoids are rejected.
-    """
-    if isinstance(m, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
-        return True
-    if isinstance(m, CayleyMonoid):
-        return m.is_group
-    if isinstance(m, DirectSumMonoid):
-        return all(is_cancellative(c) for c in m.components)
-    raise UnsupportedFamilyError(
-        f"cancellativity is not decided for {type(m).__name__}"
-    )
-
-
-def translation_injective(m: CommutativeMonoid, a: MonoidValue) -> bool:
-    """Whether x -> a+x is injective on M: every translation of a group
-    table is, otherwise a Cayley row must be a bijection; a direct sum
-    translates componentwise, and any other family asks ``is_cancellative``
-    (which rejects presented monoids)."""
-    if isinstance(m, CayleyMonoid):
-        return m.is_group or len(set(m.table[a])) == m.size()
-    if isinstance(m, DirectSumMonoid):
-        return all(translation_injective(c, x) for c, x in zip(m.components, a))
-    return is_cancellative(m)
-
-
-def quasi_zero_submonoid(m: CommutativeMonoid) -> set:
-    """{x : x + y = y for some y} = {x : x + e = e}: x + (y+e) = y+e in the
-    group M + e forces x + e = e, and y = e is a witness.  An x in K = M + e
-    has x + e = x, so of K only e itself qualifies.  In a direct sum
-    x + y = y holds slot by slot, so the set is the product of the
-    components' sets."""
-    if not m.is_finite:
-        raise UnsupportedFamilyError("quasi-zero search needs a finite carrier")
-    if isinstance(m, DirectSumMonoid):
-        return set(itertools.product(*map(quasi_zero_submonoid, m.components)))
-    e, inv, _ = m.kernel
-    return {x for x in m.elements() if x == e or (x not in inv and m.op(x, e) == e)}
-
-
-def sample_element(m: CommutativeMonoid, rng: Lcg64, bound: int = 6) -> MonoidValue:
-    """Draw a pseudo-random element; ``bound`` caps tuple coordinates."""
-    if isinstance(m, CayleyMonoid):
-        return rng.below(m.size())
-    if isinstance(m, (FreeCommutativeMonoid, MonoidPresentation)):
-        k = m.generators if isinstance(m, MonoidPresentation) else m.rank
-        return tuple(rng.below(bound + 1) for _ in range(k))
-    if isinstance(m, IntegerLatticeMonoid):
-        return tuple(rng.below(2 * bound + 1) - bound for _ in range(m.rank))
-    if isinstance(m, DirectSumMonoid):
-        return tuple(sample_element(c, rng, bound) for c in m.components)
-    raise UnsupportedFamilyError(f"cannot sample from {type(m).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -520,29 +551,3 @@ def monoid_from_dict(data: dict) -> CommutativeMonoid:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed {kind!r} description: {exc}") from exc
     raise InvalidInputError(f"unknown monoid kind {kind!r}")
-
-
-def monoid_to_dict(m: CommutativeMonoid) -> dict:
-    if isinstance(m, CayleyMonoid):
-        return {
-            "kind": "cayley",
-            "size": m.size(),
-            "identity": m.identity,
-            "table": [list(row) for row in m.table],
-        }
-    if isinstance(m, FreeCommutativeMonoid):
-        return {"kind": "free", "rank": m.rank}
-    if isinstance(m, IntegerLatticeMonoid):
-        return {"kind": "lattice", "rank": m.rank}
-    if isinstance(m, MonoidPresentation):
-        return {
-            "kind": "presentation",
-            "generators": m.generators,
-            "relations": [[list(u), list(v)] for u, v in m.relations],
-        }
-    if isinstance(m, DirectSumMonoid):
-        return {
-            "kind": "direct_sum",
-            "components": [monoid_to_dict(c) for c in m.components],
-        }
-    raise UnsupportedFamilyError(f"cannot serialize {type(m).__name__}")

@@ -30,8 +30,6 @@ from .monoid import (
     FreeCommutativeMonoid,
     IntegerLatticeMonoid,
     idempotent_power,
-    sample_element,
-    translation_injective,
 )
 
 
@@ -375,7 +373,7 @@ class MonoidRing:
         coeff = self.coeff_ring
         if len(f.coeffs) == 1:
             ((m, s),) = f.coeffs.items()
-            return coeff.is_nonzerodivisor(s) and translation_injective(self.monoid, m)
+            return coeff.is_nonzerodivisor(s) and self.monoid.translation_injective(m)
         if self.is_finite:
             return idempotent_power(self.mul, f) == self.one
         if isinstance(self.monoid, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
@@ -417,7 +415,7 @@ class MonoidRing:
         draw = ring.sample_nonzero
         out = {}
         for _ in range(rng.below(max_support + 1)):
-            d = sample_element(monoid, rng, exp_bound)
+            d = monoid.sample(rng, exp_bound)
             out[d] = draw(rng, coeff_bound)
         return MRElement(ring, monoid, out)
 
@@ -489,7 +487,7 @@ def monomial_is_nonzerodivisor(mring: MonoidRing, m) -> bool:
     R != 0 a fiber holding x != y carries f = eps_x - eps_y, and with
     singleton fibers eps_m * f only moves the coefficients of f.
     """
-    return translation_injective(mring.monoid, mring.monoid.validate(m))
+    return mring.monoid.translation_injective(mring.monoid.validate(m))
 
 
 def group_ring_map_injective(mring: MonoidRing, group: GrothendieckGroup | None = None) -> bool:

@@ -35,8 +35,8 @@ The determinantal divisors (gcds of all k x k minors, by Laplace expansion)
 give the invariant factors of any integer matrix with no elimination at all.
 The non-zero-divisor flag read off the product of the generators and the
 injectivity of m -> [m, 0] tested on class keys are the references for the
-flag that asks each generator's ring ``is_nonzerodivisor`` and for
-``is_cancellative``.  The morphism law of G(S) -> S^-1 R checked on every
+flag that asks each generator's ring ``is_nonzerodivisor`` and for each
+family's ``cancellative()``.  The morphism law of G(S) -> S^-1 R checked on every
 pair of classes is the reference for the law checked on generators.  The
 saturation and the unit classes that walk the powers of each element on
 its own are the references for the one walk per cycle that settles every
@@ -85,8 +85,6 @@ from grothloc.monoid import (
     FreeCommutativeMonoid,
     IntegerLatticeMonoid,
     idempotent_power,
-    is_cancellative,
-    sample_element,
 )
 from grothloc.ring import ModRing, MRElement, _deg_from_json
 
@@ -1113,7 +1111,7 @@ def element_sample(mring, rng, max_support: int = 4, exp_bound: int = 6,
     """The earlier ``MonoidRing.sample``: the draws checked by ``element``."""
     out = {}
     for _ in range(rng.below(max_support + 1)):
-        d = sample_element(mring.monoid, rng, exp_bound)
+        d = mring.monoid.sample(rng, exp_bound)
         out[d] = mring.coeff_ring.sample_nonzero(rng, coeff_bound)
     return mring.element(out)
 
@@ -1140,7 +1138,7 @@ def find_order_violation(m: CommutativeMonoid, compare, sample_budget: int = 100
     Finite monoids are swept exhaustively; infinite families are sampled.
     """
     try:
-        strict = is_cancellative(m)
+        strict = m.cancellative()
     except UnsupportedFamilyError:
         strict = False
     if m.is_finite:
@@ -1148,7 +1146,7 @@ def find_order_violation(m: CommutativeMonoid, compare, sample_budget: int = 100
     else:
         rng = Lcg64(seed)
         triples = (
-            tuple(sample_element(m, rng, bound) for _ in range(3))
+            tuple(m.sample(rng, bound) for _ in range(3))
             for _ in range(sample_budget)
         )
     for a, b, c in triples:

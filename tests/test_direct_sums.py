@@ -24,11 +24,8 @@ from grothloc import (
     Lcg64,
     finite_groth_structure,
     monoid_groth_structure,
-    monoid_to_dict,
-    quasi_zero_submonoid,
 )
 from grothloc.grothendieck import kernel_group
-from grothloc.monoid import sample_element
 
 import zoo
 
@@ -66,12 +63,12 @@ def test_sum_of_three_z30_never_walks_the_product(monkeypatch, op, structure, tr
     g = GrothendieckGroup(m)
     rng = Lcg64(30)
     for _ in range(20):
-        x = GrothElement(sample_element(m, rng), sample_element(m, rng))
-        w = sample_element(m, rng)
+        x = GrothElement(m.sample(rng), m.sample(rng))
+        w = m.sample(rng)
         assert g.eq(x, g.add(x, GrothElement(w, w)))
         assert g.eq(g.add(x, g.neg(x)), g.zero())
     assert g.is_trivial() is trivial
-    assert len(quasi_zero_submonoid(m)) == quasi_zero
+    assert len(m.quasi_zeros()) == quasi_zero
 
 
 def random_sum(rng: random.Random) -> DirectSumMonoid:
@@ -88,7 +85,7 @@ def test_random_sums_match_the_product_carrier():
         elems = list(m.elements())
         e = kernel_group(m.op, elems)[0]
         assert monoid_groth_structure(m) == finite_groth_structure(m), m
-        assert quasi_zero_submonoid(m) == {x for x in elems if m.op(x, e) == e}, m
+        assert m.quasi_zeros() == {x for x in elems if m.op(x, e) == e}, m
         g = GrothendieckGroup(m)
         for _ in range(30):
             a, b, c, d = (rng.choice(elems) for _ in range(4))
@@ -99,14 +96,11 @@ def test_random_sums_match_the_product_carrier():
 def test_monoid_check_counts_the_quasi_zeros_of_a_sum(monkeypatch, tmp_path):
     """``monoid check`` and the corpus ``monoid`` kind multiply the
     components' quasi-zero counts and never build the 27 000-tuple set."""
-    honest = cli.quasi_zero_submonoid
+    def refuse(self):
+        raise AssertionError("built a direct sum's quasi-zero set")
 
-    def components_only(m):
-        assert not isinstance(m, DirectSumMonoid), "built a direct sum's quasi-zero set"
-        return honest(m)
-
-    monkeypatch.setattr(cli, "quasi_zero_submonoid", components_only)
-    doc = monoid_to_dict(three_z30("mult"))
+    monkeypatch.setattr(DirectSumMonoid, "quasi_zeros", refuse)
+    doc = three_z30("mult").to_dict()
     path = tmp_path / "sum.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     (tmp_path / "corpus.json").write_text(json.dumps({"entries": [{

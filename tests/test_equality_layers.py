@@ -31,7 +31,6 @@ from grothloc import isomorphisms
 from grothloc.grothendieck import GrothElement
 from grothloc.isomorphisms import sample_group_ring_element
 from grothloc.localization import CLOSURE_DEPTH, sample_fraction
-from grothloc.monoid import sample_element
 from grothloc.ring import GroupRingElement, MRElement
 
 import zoo
@@ -184,7 +183,7 @@ def _same_element_rewritten(ctx, u, rng, shuffle):
     monoid = ctx.monoid
     terms = []
     for key, c in u.terms:
-        shift = sample_element(monoid, rng, 3)
+        shift = monoid.sample(rng, 3)
         key = GrothElement(monoid.op(key.first, shift), monoid.op(key.second, shift))
         terms.append((key, _rescaled(ctx.loc, c, _random_witness(ctx.loc, rng, 2))))
     shuffle(terms)
@@ -201,7 +200,7 @@ def test_group_ring_eq_matches_subtraction(index):
         u = sample_group_ring_element(ctx, rng)
         v = sample_group_ring_element(ctx, rng)
         same = _same_element_rewritten(ctx, u, rng, shuffle)
-        extra = gr.add(u, gr.monomial(GrothElement(sample_element(ctx.monoid, rng, 3),
+        extra = gr.add(u, gr.monomial(GrothElement(ctx.monoid.sample(rng, 3),
                                                    ctx.monoid.identity)))
         elems = [u, v, same, extra, gr.add(u, v), gr.sub(u, v), gr.zero(), gr.one()]
         for x in elems:

@@ -34,7 +34,6 @@ from grothloc import (
     MultiplicativeSet,
     PreconditionError,
     h_forward,
-    sample_element,
 )
 
 import zoo
@@ -91,9 +90,9 @@ def _draw_terms(gr, draw, rng, max_terms=4):
     terms = []
     for _ in range(rng.below(max_terms + 1)):
         if terms and rng.below(3) == 0:
-            rep = _shifted(m, terms[rng.below(len(terms))][0], sample_element(m, rng, 2))
+            rep = _shifted(m, terms[rng.below(len(terms))][0], m.sample(rng, 2))
         else:
-            rep = GrothElement(sample_element(m, rng, 2), sample_element(m, rng, 2))
+            rep = GrothElement(m.sample(rng, 2), m.sample(rng, 2))
         terms.append((rep, draw(rng)))
     return terms
 
@@ -106,9 +105,9 @@ def _rewritten(gr, terms, draw, rng, shuffle):
     out = []
     for rep, c in terms:
         part = draw(rng)
-        out.append((_shifted(m, rep, sample_element(m, rng, 2)), part))
-        out.append((_shifted(m, rep, sample_element(m, rng, 2)), coeff.sub(c, part)))
-    extra = GrothElement(sample_element(m, rng, 2), sample_element(m, rng, 2))
+        out.append((_shifted(m, rep, m.sample(rng, 2)), part))
+        out.append((_shifted(m, rep, m.sample(rng, 2)), coeff.sub(c, part)))
+    extra = GrothElement(m.sample(rng, 2), m.sample(rng, 2))
     out.append((extra, coeff.zero))
     shuffle(out)
     return out
@@ -230,12 +229,12 @@ def _h_fraction(ctx, rng):
     witness is s's alone, since h_forward reads only the S part."""
     mring, m = ctx.mring, ctx.monoid
     num = mring.element({
-        sample_element(m, rng, 3): rng.below(ctx.ring.n)
+        m.sample(rng, 3): rng.below(ctx.ring.n)
         for _ in range(rng.below(7))
     })
     gens = ctx.sset.generators
     s_wit = tuple(rng.below(len(gens)) for _ in range(rng.below(3) if gens else 0))
-    den = mring.element({sample_element(m, rng, 3): ctx.sset.product_of(s_wit)})
+    den = mring.element({m.sample(rng, 3): ctx.sset.product_of(s_wit)})
     return Fraction(num, den, s_wit)
 
 

@@ -258,8 +258,7 @@ class TestUnitCorrespondence:
         units = units_of_localization(loc)
         assert units.order() == 2
         assert len(units.class_reps) == 3
-        from grothloc import is_cancellative
-        assert is_cancellative(units.to_cayley())
+        assert units.to_cayley().cancellative()
 
     def test_embedding_report(self, z12_at_4):
         """S = {1, 4} is idempotent at 4, so G(S) itself is trivial; the

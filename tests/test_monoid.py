@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from grothloc import (
     AxiomViolationError,
     CayleyMonoid,
+    DirectSumMonoid,
     FGAbelianStructure,
     FreeCommutativeMonoid,
     GrothendieckGroup,
@@ -18,13 +19,9 @@ from grothloc import (
     MalformedElementError,
     MonoidPresentation,
     UnsupportedFamilyError,
-    is_cancellative,
     monoid_from_dict,
     monoid_groth_structure,
-    monoid_to_dict,
     numeric_compare,
-    quasi_zero_submonoid,
-    sample_element,
 )
 import zoo
 from oracles import find_order_violation
@@ -125,23 +122,23 @@ class TestCayleyValidation:
 
 class TestCancellativity:
     def test_groups_are_cancellative(self):
-        assert is_cancellative(zoo.z2())
-        assert is_cancellative(zoo.z4())
-        assert is_cancellative(zoo.z6_add())
+        assert zoo.z2().cancellative()
+        assert zoo.z4().cancellative()
+        assert zoo.z6_add().cancellative()
 
     def test_semilattices_are_not(self):
-        assert not is_cancellative(zoo.t2())
-        assert not is_cancellative(zoo.t3())
-        assert not is_cancellative(zoo.subsets2())
-        assert not is_cancellative(zoo.z6_mult())
+        assert not zoo.t2().cancellative()
+        assert not zoo.t3().cancellative()
+        assert not zoo.subsets2().cancellative()
+        assert not zoo.z6_mult().cancellative()
 
     def test_free_and_lattice_are_cancellative(self):
-        assert is_cancellative(FreeCommutativeMonoid(3))
-        assert is_cancellative(IntegerLatticeMonoid(2))
+        assert FreeCommutativeMonoid(3).cancellative()
+        assert IntegerLatticeMonoid(2).cancellative()
 
     def test_direct_sum_follows_components(self):
-        assert not is_cancellative(zoo.t2_plus_z2())
-        assert is_cancellative(zoo.z2_plus_z2())
+        assert not zoo.t2_plus_z2().cancellative()
+        assert zoo.z2_plus_z2().cancellative()
 
     def test_matches_definition_exhaustively(self):
         """Cross-check the column criterion against the raw definition."""
@@ -153,20 +150,20 @@ class TestCancellativity:
                 for b in elems
                 for c in elems
             )
-            assert is_cancellative(m) == raw
+            assert m.cancellative() == raw
 
     def test_presentation_rejected(self):
         with pytest.raises(UnsupportedFamilyError):
-            is_cancellative(zoo.numsg_2_3())
+            zoo.numsg_2_3().cancellative()
 
 
 class TestQuasiZeros:
     def test_sizes(self):
-        assert len(quasi_zero_submonoid(zoo.t2())) == 2
-        assert len(quasi_zero_submonoid(zoo.t3())) == 3
-        assert len(quasi_zero_submonoid(zoo.z4())) == 1
-        assert len(quasi_zero_submonoid(zoo.z6_mult())) == 6
-        assert len(quasi_zero_submonoid(zoo.subsets2())) == 4
+        assert len(zoo.t2().quasi_zeros()) == 2
+        assert len(zoo.t3().quasi_zeros()) == 3
+        assert len(zoo.z4().quasi_zeros()) == 1
+        assert len(zoo.z6_mult().quasi_zeros()) == 6
+        assert len(zoo.subsets2().quasi_zeros()) == 4
 
     @staticmethod
     def counted_cyclic(monkeypatch, n):
@@ -193,9 +190,9 @@ class TestQuasiZeros:
         calls, and no row of the table is read whole."""
         n = 200
         m, calls = self.counted_cyclic(monkeypatch, n)
-        for question, want in ((quasi_zero_submonoid, {0}), (is_cancellative, True)):
+        for question, want in ((m.quasi_zeros, {0}), (m.cancellative, True)):
             calls[0] = 0
-            assert question(m) == want
+            assert question() == want
             assert calls[0] <= 3 * n, (question.__name__, calls[0])
 
     def test_four_questions_share_one_kernel_walk(self, monkeypatch):
@@ -204,8 +201,8 @@ class TestQuasiZeros:
         calls between them (1 414 when each question walked on its own)."""
         n = 200
         m, calls = self.counted_cyclic(monkeypatch, n)
-        assert quasi_zero_submonoid(m) == {0}
-        assert is_cancellative(m)
+        assert m.quasi_zeros() == {0}
+        assert m.cancellative()
         assert monoid_groth_structure(m) == FGAbelianStructure(0, (n,))
         g = GrothendieckGroup(m)
         assert g.eq(g.element(3, 5), g.element(0, 2))
@@ -213,7 +210,7 @@ class TestQuasiZeros:
 
     def test_is_a_submonoid(self):
         for m in (zoo.t2(), zoo.t3(), zoo.z4(), zoo.z6_mult(), zoo.subsets2()):
-            qz = quasi_zero_submonoid(m)
+            qz = m.quasi_zeros()
             assert m.identity in qz
             for x in qz:
                 for y in qz:
@@ -372,8 +369,8 @@ class TestOrders:
 class TestSampling:
     def test_deterministic_given_seed(self):
         m = FreeCommutativeMonoid(3)
-        a = [sample_element(m, Lcg64(7), 5) for _ in range(20)]
-        b = [sample_element(m, Lcg64(7), 5) for _ in range(20)]
+        a = [m.sample(Lcg64(7), 5) for _ in range(20)]
+        b = [m.sample(Lcg64(7), 5) for _ in range(20)]
         assert a == b
 
     def test_samples_are_valid(self):
@@ -381,7 +378,7 @@ class TestSampling:
                   IntegerLatticeMonoid(2), zoo.t2_plus_z2(), zoo.numsg_2_3()):
             rng = Lcg64(1)
             for _ in range(50):
-                m.validate(sample_element(m, rng, 4))
+                m.validate(m.sample(rng, 4))
 
 
 class TestSerialization:
@@ -390,11 +387,14 @@ class TestSerialization:
         lambda: FreeCommutativeMonoid(2),
         lambda: IntegerLatticeMonoid(3),
         zoo.numsg_2_3, zoo.t2_plus_z2,
+        lambda: DirectSumMonoid([
+            zoo.t2(), DirectSumMonoid([FreeCommutativeMonoid(1), zoo.numsg_2_3()])]),
     ])
     def test_round_trip(self, build):
         m = build()
-        again = monoid_from_dict(monoid_to_dict(m))
-        assert monoid_to_dict(again) == monoid_to_dict(m)
+        again = monoid_from_dict(m.to_dict())
+        assert again == m
+        assert again.to_dict() == m.to_dict()
 
     def test_unknown_kind_rejected(self):
         from grothloc import InvalidInputError

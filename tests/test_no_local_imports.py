@@ -1,7 +1,7 @@
 """Every import in the library sits at the top of its module.
 
 A function-level import runs its lookup on every call (``MonoidRing.sample``
-once re-imported ``sample_element`` on every draw) and hides a dependency
+once re-imported the degree sampler on every draw) and hides a dependency
 from the module header; every module the library needs is loaded by
 ``import grothloc.cli`` anyway (see tests/test_cold_start.py).
 """

@@ -1,10 +1,10 @@
 """Non-zero-divisors decided from structure, against the references they replaced.
 
 ``is_nonzerodivisor`` on each ring is compared with a sweep of the finite
-ring, ``translation_injective`` with a scan of a bounded box, the
-``MultiplicativeSet`` flag (every generator a non-zero-divisor) with the
-earlier flag read off the generators' product, and ``is_cancellative`` with
-the earlier keyed test of m -> [m, 0] (all in tests/oracles.py).  Over Z/n
+ring, each family's ``translation_injective(a)`` with a scan of a bounded
+box, the ``MultiplicativeSet`` flag (every generator a non-zero-divisor)
+with the earlier flag read off the generators' product, and each family's
+``cancellative()`` with the earlier keyed test of m -> [m, 0] (all in tests/oracles.py).  Over Z/n
 with a free or lattice M, McCoy's rule is compared with a search for a
 killer in a bounded box of multipliers.
 """
@@ -30,9 +30,7 @@ from grothloc import (
     UnsupportedFamilyError,
     canonical_map_injective,
     group_ring_map_injective,
-    is_cancellative,
     monomial_is_nonzerodivisor,
-    translation_injective,
     verify_isomorphism,
 )
 
@@ -78,14 +76,14 @@ def test_translation_on_t2_plus_infinite_matches_box_scan(infinite, box):
     points = [(t, (k,)) for t in (0, 1) for k in box]
     for a in points:
         images = {m.op(a, x) for x in points}
-        assert translation_injective(m, a) == (len(images) == len(points)), a
+        assert m.translation_injective(a) == (len(images) == len(points)), a
         mring = MonoidRing(ModRing(5), m)
-        assert monomial_is_nonzerodivisor(mring, a) == translation_injective(m, a)
+        assert monomial_is_nonzerodivisor(mring, a) == m.translation_injective(a)
 
 
 def test_translation_on_presentations_is_refused():
     with pytest.raises(UnsupportedFamilyError):
-        translation_injective(zoo.numsg_2_3(), (1, 0))
+        zoo.numsg_2_3().translation_injective((1, 0))
 
 
 def _random_element(mring, rng):
@@ -123,7 +121,7 @@ def test_flag_matches_product_flag_over_finite_monoid_rings(q, build):
 def _check_canonical_map(m):
     group = GrothendieckGroup(m)
     want = key_canonical_map_injective(group)
-    assert is_cancellative(m) == canonical_map_injective(group) == want
+    assert m.cancellative() == canonical_map_injective(group) == want
     if m.is_finite:
         assert group_ring_map_injective(MonoidRing(ModRing(2), m), group) == want
 
@@ -209,7 +207,7 @@ def test_translations_of_a_group_table_scan_no_row():
     assert lookups[0] <= 3 * n
     # a table that is not a group still scans the row it is asked about
     mult = CayleyMonoid([[i * j % 12 for j in range(12)] for i in range(12)], identity=1)
-    assert [translation_injective(mult, a) for a in (1, 5, 2, 0)] == [True, True, False, False]
+    assert [mult.translation_injective(a) for a in (1, 5, 2, 0)] == [True, True, False, False]
 
 
 def _box_killer(mring, f, exps):

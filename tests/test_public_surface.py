@@ -16,7 +16,6 @@ PACKAGE = pathlib.Path(grothloc.__file__).parent
 ALLOWED = {
     "groth_classes": "perfbench probes it by name for its class-enumeration span",
     "group_ring_map_injective": "the acceptance battery and perfbench call it",
-    "monoid_to_dict": "the writer of the monoid description format",
     "order_from_monoid_order": "the acceptance battery transports orders with it",
     "presentation_matrix": "the acceptance battery and perfbench call it",
     "sample_fraction": "the acceptance battery samples fractions with it",
