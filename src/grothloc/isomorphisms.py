@@ -93,42 +93,53 @@ class HMapContext:
 def h_forward(ctx: HMapContext, f: Fraction):
     """T^-1(R[M]) -> (S^-1 R)[G]: split the numerator by degree.
 
-    The denominator must be a monomial s * eps_n; the part of the numerator
-    in degree m contributes coefficient r_m / s at the class [m, n].  The
+    The denominator must be a monomial s * eps_n; the part r_m of the
+    numerator in degree m lies in the class [m, n], so the image has one
+    coefficient per class x, (sum of the r_m with [m, n] = x) / s.  The
     witness of s is the S part of the fraction's own witness (the indices
     below the monomial generators), so products of fractions need not lie
     in the depth-bounded S closure.
 
-    The image is merged as it is built: degrees are walked in sorted order,
-    each term is keyed once and added into its class, so terms, first-seen
-    representatives and class keys are those ``from_terms`` gives the same
-    pairs.  A zero denominator whose S part multiplies to 0 means 0 is in S
-    and in T: both rings are zero, and the image is 0.
+    Degrees are walked in sorted order and each is keyed once; a class
+    shows its first-seen representative, its numerators are summed in R,
+    and a class whose coefficient is zero in S^-1 R is dropped.  A zero
+    denominator whose S part multiplies to 0 means 0 is in S and in T: both
+    rings are zero, and the image is 0.
     """
     den = f.den
-    s_wit = tuple(i for i in f.den_witness if i < ctx._mono_offset)
-    if den.is_zero() and ctx.ring.is_zero(ctx.sset.product_of(s_wit)):
+    offset = ctx._mono_offset
+    if offset:
+        s_wit = tuple(i for i in f.den_witness if i < offset)
+        s = ctx.sset.product_of(s_wit)
+    else:
+        s_wit, s = (), ctx.ring.one
+    if den.is_zero() and ctx.ring.is_zero(s):
         return ctx.group_ring.zero()
     if len(den.coeffs) != 1:
         raise MalformedDenominatorError(
             f"denominator support has {len(den.coeffs)} degrees; need exactly 1"
         )
-    ((n, s),) = den.coeffs.items()
-    if not ctx.ring.eq(ctx.sset.product_of(s_wit), s):
+    ((n, c),) = den.coeffs.items()
+    if not ctx.ring.eq(s, c):
         raise MalformedDenominatorError(
-            f"denominator coefficient {s!r} is not a recognized S element"
+            f"denominator coefficient {c!r} is not a recognized S element"
         )
-    gr = ctx.group_ring
-    group_key, add = ctx.group.key, ctx.loc.add
+    group_key, add = ctx.group.key, ctx.ring.add
     num = f.num.coeffs
     acc = {}
     for m in sorted(num):
         x = GrothElement(m, n)
         k = group_key(x)
         slot = acc.get(k)
-        c = Fraction(num[m], s, s_wit)
-        acc[k] = (x, c) if slot is None else (slot[0], add(slot[1], c))
-    return GroupRingElement(gr, *gr._pruned(acc))
+        acc[k] = (x, num[m]) if slot is None else (slot[0], add(slot[1], num[m]))
+    is_zero = ctx.loc.is_zero
+    terms, keys = [], []
+    for k, (x, r) in acc.items():
+        c = Fraction(r, s, s_wit)
+        if not is_zero(c):
+            terms.append((x, c))
+            keys.append(k)
+    return GroupRingElement(ctx.group_ring, terms, keys)
 
 
 def h_inverse(ctx: HMapContext, u) -> Fraction:
@@ -159,8 +170,11 @@ def h_inverse(ctx: HMapContext, u) -> Fraction:
 def _sample_s(ctx: HMapContext, rng: Lcg64, max_powers: int = 2) -> tuple:
     """Witness of a random product of at most max_powers S generators
     (empty when S has none)."""
-    k = rng.below(max_powers + 1) if ctx.sset.generators else 0
-    return tuple(rng.below(len(ctx.sset.generators)) for _ in range(k))
+    gens = ctx.sset.generators
+    if not gens:
+        return ()
+    k = rng.below(max_powers + 1)
+    return tuple(rng.below(len(gens)) for _ in range(k))
 
 
 def sample_t_fraction(ctx: HMapContext, rng: Lcg64, max_support: int = 3,

@@ -8,19 +8,23 @@ expire; only user-facing construction consults the materialized closure
 
 Equality r/s = r'/s' is decided by exactly two strategies:
 cross-multiplication when the ring's ``is_nonzerodivisor`` passes every
-generator of S, and exhaustive-witness over a finite ring.  There the
-closure is all of S and e, the idempotent power of t0 = the product of all
-of S, lies in S and is divisible by every t in S, so t*(r*s' - r'*s) = 0
-for some t in S exactly when e*(r*s' - r'*s) = 0.  Both compare r*s' with r'*s and never subtract.
-Any other configuration is rejected outright.
+generator of S, and exhaustive-witness over a finite ring.  There e, the
+idempotent power of the product of all of S, lies in S and is divisible by
+every t in S, so t*(r*s' - r'*s) = 0 for some t in S exactly when
+e*(r*s' - r'*s) = 0.  The idempotent powers of commuting x and y multiply
+to that of x*y, and every power x^k, k >= 1, has the idempotent power of x,
+so e is also the idempotent power of g_1*...*g_k, the product of the
+generators (``MultiplicativeSet.idempotent``): no closure is built to
+compare fractions.  Both strategies compare r*s' with r'*s and never
+subtract.  Any other configuration is rejected outright.
 
 A finite S gives fractions a hashable normal form, ``LocalizedRing.key``:
 e*S is a group with identity e, S^-1 R is eR, and r/s goes to
-e*r*(e*s)^-1; e and the inverses of e*S live on the multiplicative set
-(``MultiplicativeSet.kernel``).  The classes, the units and the saturation
-are read off e and eR too; over Z/n, eR is Z/n' with n' = n // gcd(e, n).
-Class lookups are dicts on this key, degree classes on
-``GrothendieckGroup.key``.
+e*r*(e*s)^-1; the inverses of e*S live on the multiplicative set
+(``MultiplicativeSet.kernel``), built from the closure and that one e.
+The classes, the units and the saturation are read off e and eR too; over
+Z/n, eR is Z/n' with n' = n // gcd(e, n).  Class lookups are dicts on this
+key, degree classes on ``GrothendieckGroup.key``.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .grothendieck import CayleyMonoid, GrothElement, GrothendieckGroup
-from .monoid import FreeCommutativeMonoid, kernel_group
+from .monoid import FreeCommutativeMonoid, idempotent_power, kernel_group
 from .ring import ModRing, MonoidRing, _is_prime, degree_of, homogeneous_components
 from .rng import Lcg64
 
@@ -74,7 +78,8 @@ class MultiplicativeSet:
     ring the closure is the full set; otherwise it holds products of at most
     ``CLOSURE_DEPTH`` generators.  It is built on first read, so a set whose
     fractions are compared by cross-multiplication and carry their own
-    witnesses never builds it.
+    witnesses never builds it, and neither does one whose fractions are
+    compared through ``idempotent`` alone.
     """
 
     def __init__(self, ring, generators, *, nzd: bool | None = None):
@@ -117,6 +122,21 @@ class MultiplicativeSet:
         return self._complete
 
     @functools.cached_property
+    def idempotent(self):
+        """e, the idempotent power of the product of the generators (1 when
+        there are none): that of the product of all of S, found with no
+        closure.  Over an infinite ring the walk of powers need not end, so
+        e is refused there unless the closure is complete, as ``kernel``
+        refuses."""
+        ring = self.ring
+        if not ring.is_finite and not self.complete:
+            raise UnsupportedFamilyError(
+                "the idempotent of S needs a finite ring or a complete closure"
+            )
+        t = functools.reduce(ring.mul, self.generators, ring.one)
+        return idempotent_power(ring.mul, t)
+
+    @functools.cached_property
     def kernel(self) -> tuple:
         """``kernel_group`` of a complete closure, built on first use: e, and
         the inverses and orders of the group e*S."""
@@ -124,7 +144,7 @@ class MultiplicativeSet:
             raise UnsupportedFamilyError(
                 "a fraction key needs a completely materialized closure"
             )
-        return kernel_group(self.ring.mul, list(self.closure))
+        return kernel_group(self.ring.mul, list(self.closure), self.idempotent)
 
     def contains(self, s) -> bool:
         return s in self.closure
@@ -208,7 +228,9 @@ class LocalizedRing:
         """r/s = r'/s' from a = r*s' and b = r'*s, without forming a - b.
 
         Ring elements are kept in normal form, so a - b = 0 exactly when
-        a == b, and e*(a - b) = 0 exactly when e*a == e*b.
+        a == b, and e*(a - b) = 0 exactly when e*a == e*b.  e is the
+        idempotent power of the product of the generators
+        (``MultiplicativeSet.idempotent``), so no closure of S is read.
         """
         r = self.ring
         a = r.mul(f.num, g.den)
@@ -217,7 +239,7 @@ class LocalizedRing:
             return True
         if self.strategy == "cross-multiplication":
             return False
-        e = self.sset.kernel[0]
+        e = self.sset.idempotent
         return r.eq(r.mul(e, a), r.mul(e, b))
 
     def is_zero(self, f: Fraction) -> bool:
@@ -227,7 +249,7 @@ class LocalizedRing:
             return True
         if self.strategy == "cross-multiplication":
             return False
-        return r.is_zero(r.mul(self.sset.kernel[0], f.num))
+        return r.is_zero(r.mul(self.sset.idempotent, f.num))
 
     def key(self, f: Fraction):
         """e*r*(e*s)^-1 in eR: key(f) == key(g) exactly when eq(f, g).
@@ -361,7 +383,7 @@ def saturate(ring, sset: MultiplicativeSet) -> SaturationSet:
         raise OracleRequiredError(
             "saturation over an infinite ring needs externally supplied witnesses"
         )
-    e = sset.kernel[0]
+    e = sset.idempotent
     if isinstance(ring, ModRing):
         n = ring.n
         m = n // gcd(e, n)
@@ -439,7 +461,7 @@ def units_of_localization(loc: LocalizedRing) -> UnitGroup:
     """
     reps = localization_classes(loc)
     index = {loc.key(f): i for i, f in enumerate(reps)}
-    e = loc.sset.kernel[0]
+    e = loc.sset.idempotent
     inverses = {}
     for x in index:
         if x not in inverses:
@@ -506,7 +528,7 @@ def _units_map(carrier: list, loc: LocalizedRing, embed):
     e*s*(e*t)^-1.
     """
     one, mul = loc.ring.one, loc.ring.mul
-    e = loc.sset.kernel[0]
+    e = loc.sset.idempotent
     reps = {}
     for t in carrier:
         reps.setdefault(mul(t, e), GrothElement(one, t))
@@ -601,7 +623,7 @@ def groth_units_iso(sset: MultiplicativeSet, loc: LocalizedRing) -> UnitsIsoRepo
     carrier = [ring.one] + [a for a in sat.elements if a != ring.one]
     emb, keys = _units_map(carrier, loc, embed)
     if isinstance(ring, ModRing):
-        unit_keys = _zmod_unit_keys(ring.n, loc.sset.kernel[0])
+        unit_keys = _zmod_unit_keys(ring.n, loc.sset.idempotent)
     else:
         units = units_of_localization(loc)
         unit_keys = {loc.key(units.class_reps[i]) for i in units.unit_indices}

@@ -492,15 +492,17 @@ def idempotent_power(op, s):
     return e
 
 
-def kernel_group(op, elems) -> tuple:
+def kernel_group(op, elems, e=None) -> tuple:
     """(e, inverse map, order map) of K = elems*e for a finite commutative monoid.
 
     e is the idempotent power of the product of the whole carrier ``elems``
-    under ``op``; K is the minimal ideal, a group with identity e.  One walk
-    k, k^2, ..., k^n = e from a k in K not met yet settles its whole cycle:
-    k^i has inverse k^(n-i) and order n/gcd(i, n).
+    under ``op``, found here unless the caller passes it; K is the minimal
+    ideal, a group with identity e.  One walk k, k^2, ..., k^n = e from a k
+    in K not met yet settles its whole cycle: k^i has inverse k^(n-i) and
+    order n/gcd(i, n).
     """
-    e = idempotent_power(op, functools.reduce(op, elems))
+    if e is None:
+        e = idempotent_power(op, functools.reduce(op, elems))
     inv, order = {}, {}
     for a in elems:
         if a in inv:  # already met, so a lies in K and a*e = a

@@ -203,13 +203,13 @@ class MRElement:
         return [(d, self.coeffs[d]) for d in self.support()]
 
     def _check_base(self, other: "MRElement"):
-        if self.ring is other.ring and self.monoid is other.monoid:
-            return
+        """Called when the operands' ring or monoid differ in identity."""
         if self.ring != other.ring or self.monoid != other.monoid:
             raise BaseMismatchError("operands live over different monoid rings")
 
     def __add__(self, other):
-        self._check_base(other)
+        if self.ring is not other.ring or self.monoid is not other.monoid:
+            self._check_base(other)
         n = self.ring.characteristic
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
@@ -235,7 +235,8 @@ class MRElement:
         """Convolution on int coefficients, reduced mod n over Z/n as each
         product is added; a sum that reaches 0 is popped, so the result and
         its insertion order are those of adding the products one by one."""
-        self._check_base(other)
+        if self.ring is not other.ring or self.monoid is not other.monoid:
+            self._check_base(other)
         op = self.monoid.op
         n = self.ring.characteristic
         out = {}

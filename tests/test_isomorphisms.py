@@ -5,6 +5,7 @@ import pytest
 
 from grothloc import (
     BaseMismatchError,
+    CayleyMonoid,
     FreeCommutativeMonoid,
     GrothElement,
     HMapContext,
@@ -246,6 +247,18 @@ class TestBatteries:
         ctx = HMapContext(ModRing(3), zoo.z2(), [])
         report = verify_isomorphism(ctx, samples=60, kernel_samples=40)
         assert report["all_ok"]
+
+    @pytest.mark.parametrize("build", [
+        zoo.z6_mult, lambda: CayleyMonoid(zoo.mult_mod_table(100), identity=1),
+    ], ids=["z6_mult", "mult_mod_100"])
+    def test_battery_builds_no_t_closure(self, build):
+        """Over a non-cancellative M, fractions of T^-1(R[M]) compare through
+        e, read off the T generators, so no closure of T (|S| * |M|
+        elements, each times every generator) is built."""
+        ctx = HMapContext(ModRing(5), build(), [2])
+        assert ctx.tloc.strategy == "exhaustive-witness"
+        assert verify_isomorphism(ctx, samples=40)["all_ok"]
+        assert "closure" not in ctx.tset.__dict__
 
 
 class TestLaurent:

@@ -8,8 +8,10 @@ same coefficients, and ``class_keys`` equal to the keys of the terms.  The
 families cover keys of every kind, and elements built through the
 constructor from terms that are not in canonical form.
 
-``h_forward`` merges its image as it builds it; over the same families its
-result is checked against ``from_terms`` on the pair list it once built.
+``h_forward`` builds one fraction (sum of numerators) / s per class; over
+the same families its result is checked term for term against an oracle
+that groups the pair list by class, and against ``from_terms`` on that
+pair list with ``GroupRing.eq``.
 """
 import random
 
@@ -189,7 +191,7 @@ def test_a_merged_class_keeps_its_first_representative():
 
 
 # ---------------------------------------------------------------------------
-# h_forward against from_terms over the pairs it once listed
+# h_forward against its pair list, grouped by class
 
 # (modulus, S generators) of S^-1 R for each family; 3 over Z/12 is not a
 # unit, so coefficients may vanish in the localization.  Over an infinite
@@ -238,25 +240,47 @@ def _h_fraction(ctx, rng):
     return Fraction(num, den, s_wit)
 
 
-def _h_forward_by_pairs(ctx, f):
-    """h_forward as it was: a pair list over the sorted numerator, handed to
-    ``from_terms``."""
+def _h_pairs(ctx, f):
+    """The pairs ([m, n], r_m / s) over the sorted numerator."""
     ((n, s),) = f.den.coeffs.items()
     s_wit = tuple(i for i in f.den_witness if i < ctx._mono_offset)
-    return ctx.group_ring.from_terms(
-        [(GrothElement(m, n), Fraction(c, s, s_wit)) for m, c in f.num.items()]
-    )
+    return [(GrothElement(m, n), Fraction(c, s, s_wit)) for m, c in f.num.items()]
+
+
+def _h_forward_by_pairs(ctx, f):
+    """(terms, class keys) of h_forward from its pair list: the pairs grouped
+    by class key in first-seen order, each class's numerators summed mod n
+    over s with s's witness, and a class dropped when some t in the closure
+    of S kills its numerator (its fraction is 0 in S^-1 R)."""
+    n = ctx.ring.n
+    groups = {}
+    for x, c in _h_pairs(ctx, f):
+        k = ctx.group.key(x)
+        if k in groups:
+            groups[k][1] += c.num
+        else:
+            groups[k] = [x, c.num, c.den, c.den_witness]
+    terms, keys = [], []
+    for k, (x, r, s, s_wit) in groups.items():
+        if any(t * r % n == 0 for t in ctx.sset.closure):
+            continue
+        terms.append((x, Fraction(r % n, s, s_wit)))
+        keys.append(k)
+    return terms, keys
 
 
 def _check_h_forward(name, rng, rounds):
     """Returns how many images merged two numerator degrees into one class."""
     ctx = _h_context(name)
+    gr = ctx.group_ring
     merges = 0
     for _ in range(rounds):
         f = _h_fraction(ctx, rng)
-        u, want = h_forward(ctx, f), _h_forward_by_pairs(ctx, f)
-        assert _plain(u.terms) == _plain(want.terms)
-        assert u.class_keys == want.class_keys
+        u = h_forward(ctx, f)
+        terms, keys = _h_forward_by_pairs(ctx, f)
+        assert _plain(u.terms) == _plain(terms)
+        assert u.class_keys == keys
+        assert gr.eq(u, gr.from_terms(_h_pairs(ctx, f)))
         ((n, _),) = f.den.coeffs.items()
         classes = {ctx.group.key(GrothElement(m, n)) for m in f.num.coeffs}
         merges += len(classes) < len(f.num.coeffs)

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from grothloc import (
     CayleyMonoid,
+    DirectSumMonoid,
     Fraction,
     GrothendieckGroup,
+    HMapContext,
     IntegerRing,
     Lcg64,
     LocalizedRing,
@@ -652,3 +654,62 @@ def test_zmod_certificates_refuse_wrong_arithmetic(monkeypatch):
         m.setattr(localization, "gcd", lambda a, b: gcd(a, 12))
         with pytest.raises(AssertionError):
             localization._zmod_unit_keys(12, 4)
+
+
+# ---------------------------------------------------------------------------
+# e read off the generators against e of the whole closure
+
+
+def idempotent_cases(n):
+    """The fixed generator sets, and seeded sets of 0-3 generators."""
+    rng = Lcg64(7000 + n)
+    seeded = [[rng.below(n) for _ in range(k)] for k in range(4) for _ in range(2)]
+    return zmod_generator_sets(n) + seeded
+
+
+def check_idempotent_from_generators(sset):
+    want = localization.kernel_group(sset.ring.mul, list(sset.closure))[0]
+    assert sset.idempotent == want
+    assert sset.kernel[0] == want
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_zmod_idempotent_from_the_generators(n):
+    ring = ModRing(n)
+    for gens in idempotent_cases(n):
+        check_idempotent_from_generators(MultiplicativeSet(ring, gens))
+
+
+def test_idempotent_with_zero_in_s():
+    """Z/4 at [2] holds 0 = 2*2, so e = 0 though no generator is 0."""
+    sset = MultiplicativeSet(ModRing(4), [2])
+    assert sset.idempotent == 0
+    check_idempotent_from_generators(sset)
+
+
+@pytest.mark.parametrize("build", [
+    zoo.t2, zoo.z4, zoo.z6_mult,
+    lambda: DirectSumMonoid([zoo.t2(), CayleyMonoid(zoo.cyclic_table(3))]),
+], ids=["t2", "z4", "z6_mult", "t2_plus_z3"])
+def test_t_idempotent_from_the_generators(build):
+    """The T of HMapContext: lifted S generators and every eps_m."""
+    for n in range(2, 13):
+        for k in range(8):
+            sgens = [g for i, g in enumerate((2, 3, 5)) if k >> i & 1]
+            ctx = HMapContext(ModRing(n), build(), sgens)
+            check_idempotent_from_generators(ctx.tset)
+
+
+def test_idempotent_reads_no_closure():
+    sset = MultiplicativeSet(ModRing(60), [2, 3])
+    assert sset.idempotent == 36  # 6^2, and 36^2 = 36 mod 60
+    assert "closure" not in sset.__dict__
+
+
+def test_idempotent_over_an_infinite_ring():
+    """Over Z the walk of powers of 2 never ends, so e is refused; with a
+    complete closure, {1, -1}, it is found."""
+    zz = IntegerRing()
+    with pytest.raises(UnsupportedFamilyError):
+        MultiplicativeSet(zz, [2]).idempotent
+    assert MultiplicativeSet(zz, [-1]).idempotent == 1
