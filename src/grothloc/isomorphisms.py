@@ -4,12 +4,10 @@ T is the multiplicative set {s * eps_m : s in S, m in M} inside R[M].  The
 forward map sends a fraction with denominator s * eps_n to the group-ring
 element whose [m, n]-term has coefficient r_m / s; the inverse sends each
 term (r / s) at [m, n] to r eps_m / (s eps_n) and takes the sum of these in
-T^-1(R[M]).  No gcd reduction is attempted anywhere; equalities are
-semantic.
+T^-1(R[M]) over their common monomial denominator.  No gcd reduction is
+attempted anywhere; equalities are semantic.
 """
 from __future__ import annotations
-
-import functools
 
 from .errors import MalformedDenominatorError, PreconditionError
 from .grothendieck import GrothElement, GrothendieckGroup
@@ -145,22 +143,43 @@ def h_forward(ctx: HMapContext, f: Fraction):
 def h_inverse(ctx: HMapContext, u) -> Fraction:
     """(S^-1 R)[G] -> T^-1(R[M]): the sum of r_i eps_{m_i} / (s_i eps_{n_i}).
 
-    Each term (r_i / s_i) at [m_i, n_i] becomes a fraction of T^-1(R[M])
-    whose witness is s_i's followed by eps_{n_i}'s, and the fractions are
-    summed there.  No reduction is performed.
+    T holds only monomials, so the terms have the common denominator
+    prod s_i * eps_{n_1 + ... + n_k}, whose witness is each s_i's followed
+    by eps_{n_i}'s, term by term.  Term i contributes
+    r_i * prod_{j != i} s_j at degree m_i + sum_{j != i} n_j, read off
+    prefix and suffix products, so no convolution runs; this is the
+    fraction that adding the terms one by one in T^-1(R[M]) gives.  No
+    reduction is performed.
     """
-    mring = ctx.mring
-    fracs = [
-        Fraction(
-            mring._reduced({key.first: c.num}),
-            mring._reduced({key.second: c.den}),
-            c.den_witness + ctx.monomial_witness(key.second),
-        )
-        for key, c in u.terms
-    ]
-    if not fracs:
+    terms = u.terms
+    if not terms:
         return ctx.tloc.zero
-    return functools.reduce(ctx.tloc.add, fracs)
+    mul, op = ctx.ring.mul, ctx.monoid.op
+    # after[i]: the product of the s_j and the sum of the n_j over j > i,
+    # None for the last term; before is the same over j < i
+    after = [None] * len(terms)
+    for i in range(len(terms) - 2, -1, -1):
+        x, c = terms[i + 1]
+        s, n = c.den, x.second
+        if after[i + 1] is not None:
+            s, n = mul(s, after[i + 1][0]), op(n, after[i + 1][1])
+        after[i] = (s, n)
+    num, wit, before = {}, (), None
+    for (x, c), rest in zip(terms, after):
+        r, d = c.num, x.first
+        if before is not None:
+            r, d = mul(r, before[0]), op(d, before[1])
+        if rest is not None:
+            r, d = mul(r, rest[0]), op(d, rest[1])
+        num[d] = num.get(d, 0) + r
+        s, n = c.den, x.second
+        if before is not None:
+            s, n = mul(before[0], s), op(before[1], n)
+        before = (s, n)
+        wit += c.den_witness + ctx.monomial_witness(x.second)
+    s, n = before
+    mring = ctx.mring
+    return Fraction(mring._reduced(num), mring._reduced({n: s}), wit)
 
 
 # ---------------------------------------------------------------------------

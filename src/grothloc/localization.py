@@ -41,7 +41,7 @@ from .errors import (
 )
 from .grothendieck import CayleyMonoid, GrothElement, GrothendieckGroup
 from .monoid import FreeCommutativeMonoid, idempotent_power, kernel_group
-from .ring import ModRing, MonoidRing, _is_prime, degree_of, homogeneous_components
+from .ring import ModRing, MonoidRing, MRElement, _is_prime, degree_of
 from .rng import Lcg64
 
 # over an infinite ring the closure keeps products of at most this many generators
@@ -287,11 +287,17 @@ def sample_fraction(loc: LocalizedRing, rng, max_powers: int = 3, **sample_kw) -
 def decompose_fraction(loc: LocalizedRing, f: Fraction) -> dict:
     """Split a fraction into homogeneous components, keyed by degree class.
 
-    The numerator splits degree by degree over the fixed denominator; keys
-    [deg part, deg den] that collide in the Grothendieck group are merged,
-    and components that vanish in the localization are dropped.  A zero
-    denominator (a product of S generators, so 0 is in S) leaves the zero
-    ring, where every component vanishes.
+    The part r_m of the numerator in degree m lies, over the homogeneous
+    denominator s of degree n, in the class [m, n].  Over a base whose
+    group strategy is cancellative-cross-sum M cancels, so [m, n] = [m', n]
+    only when m = m': each degree is its own component r_m/s, keyed by
+    [m, n], and no class key is computed.  Over any other base each degree
+    is keyed once and a class gathers its coefficients into one numerator.
+    Degrees are walked in sorted order, so a class shows its first degree
+    and lists its degrees in that order.  Components that vanish in the
+    localization are dropped.  A zero denominator (a product of S
+    generators, so 0 is in S) leaves the zero ring, where every component
+    vanishes.
     """
     if not isinstance(loc.ring, MonoidRing):
         raise UnsupportedFamilyError("decomposition needs a monoid-ring base")
@@ -300,29 +306,47 @@ def decompose_fraction(loc: LocalizedRing, f: Fraction) -> dict:
     if f.den.is_zero():
         return {}
     group = loc.groth_group
-    den_deg = degree_of(f.den)
-    acc = {}
-    for part in homogeneous_components(f.num):
-        key = GrothElement(part.degree, den_deg)
-        k = group.key(key)
-        slot = acc.get(k)
-        if slot is None:
-            acc[k] = [key, part.value]
-        else:
-            slot[1] = slot[1] + part.value
+    n = degree_of(f.den)
+    coeffs = f.num.coeffs
+    if group.strategy == "cancellative-cross-sum":
+        classes = [(GrothElement(m, n), {m: coeffs[m]}) for m in sorted(coeffs)]
+    else:
+        acc = {}
+        for m in sorted(coeffs):
+            x = GrothElement(m, n)
+            slot = acc.setdefault(group.key(x), (x, {}))
+            slot[1][m] = coeffs[m]
+        classes = acc.values()
+    ring, monoid = f.num.ring, f.num.monoid
     out = {}
-    for key, num in acc.values():
-        cand = Fraction(num, f.den, f.den_witness)
-        if not loc.is_zero(cand):
-            out[key] = cand
+    for x, num in classes:
+        part = Fraction(MRElement(ring, monoid, num), f.den, f.den_witness)
+        if not loc.is_zero(part):
+            out[x] = part
     return out
 
 
 def sum_components(loc: LocalizedRing, parts) -> Fraction:
-    acc = loc.zero
-    for f in parts:
-        acc = loc.add(acc, f)
-    return acc
+    """The sum of the components of one fraction r/s: (sum of their
+    numerators)/s, in one pass over their coefficients.  The parts must
+    share one denominator (compared with the ring's ``eq``), as the
+    components from ``decompose_fraction`` do; the first part's witness is
+    kept.
+    """
+    parts = list(parts)
+    if not parts:
+        return loc.zero
+    if not isinstance(loc.ring, MonoidRing):
+        raise UnsupportedFamilyError("components live in a monoid-ring localization")
+    den = parts[0].den
+    eq = loc.ring.eq
+    acc = {}
+    for part in parts:
+        if not eq(part.den, den):
+            raise PreconditionError("components do not share one denominator")
+        for d, c in part.num.coeffs.items():
+            acc[d] = acc.get(d, 0) + c
+    return Fraction(loc.ring._reduced(acc), den, parts[0].den_witness)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ McCoy's theorem for polynomials.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from math import gcd
 
 from .errors import (
@@ -452,20 +451,6 @@ class MonoidRing:
 
 # ---------------------------------------------------------------------------
 # grading
-
-
-class HomogeneousPart(namedtuple("HomogeneousPart", "degree value")):
-    """The part of degree ``degree`` of an element, as an MRElement ``value``."""
-
-    __slots__ = ()
-
-
-def homogeneous_components(f: MRElement) -> list:
-    """Split by degree; parts are returned in sorted-degree order and sum to f."""
-    return [
-        HomogeneousPart(d, MRElement(f.ring, f.monoid, {d: f.coeffs[d]}))
-        for d in f.support()
-    ]
 
 
 def degree_of(f: MRElement):

@@ -26,8 +26,12 @@ library now reads off I + R*a = R.  Fraction and group-ring equality by
 testing a difference for zero, and the closure of a multiplicative set built
 in its constructor, are the references for the direct comparisons and the
 closure built on first read.  The inverse graded map that clears every
-coefficient over one hand-built common denominator is the reference for the
-sum of the terms in T^-1(R[M]).  Class equality branched on the strategy
+coefficient over one hand-built common denominator, and the one that adds
+the terms one by one in T^-1(R[M]), are the references for the sum read off
+prefix and suffix products.  The split of a numerator degree by degree,
+each part keyed, and the components added back one by one are the
+references for the one-pass split and the sum over the shared
+denominator.  Class equality branched on the strategy
 label (cross sums, the +e witness, lattice membership of the difference)
 and the gcd/lcm swaps that re-chain direct-sum torsion are the references
 for key equality and for the Smith normal form of the torsion diagonal.
@@ -996,8 +1000,9 @@ class RekeyedGroupRing:
 
 
 # ---------------------------------------------------------------------------
-# the inverse graded map by one common denominator; the library now sums the
-# terms r*eps_m / (s*eps_n) with ``LocalizedRing.add``
+# the inverse graded map by one common denominator, and by adding the terms
+# r*eps_m / (s*eps_n) one by one with ``LocalizedRing.add``; the library now
+# reads the common denominator's numerator off prefix and suffix products
 
 
 def common_denominator_h_inverse(ctx, u) -> Fraction:
@@ -1030,6 +1035,77 @@ def common_denominator_h_inverse(ctx, u) -> Fraction:
                 term = term * den_j
         num = num + term
     return Fraction(num, total_den, total_wit)
+
+
+def fold_h_inverse(ctx, u) -> Fraction:
+    """The earlier ``h_inverse``: each term as r*eps_m / (s*eps_n), added
+    from the first term on in T^-1(R[M])."""
+    mring = ctx.mring
+    fracs = [
+        Fraction(
+            mring.element({key.first: c.num}),
+            mring.element({key.second: c.den}),
+            c.den_witness + ctx.monomial_witness(key.second),
+        )
+        for key, c in u.terms
+    ]
+    if not fracs:
+        return ctx.tloc.zero
+    return functools.reduce(ctx.tloc.add, fracs)
+
+
+# ---------------------------------------------------------------------------
+# the graded components split degree by degree and summed back one by one;
+# the library splits in one pass, with no class key over a cancellative base,
+# and sums the components over their shared denominator
+
+
+class HomogeneousPart(NamedTuple):
+    """The part of degree ``degree`` of an element, as an MRElement ``value``."""
+
+    degree: object
+    value: MRElement
+
+
+def homogeneous_components(f: MRElement) -> list:
+    """Split by degree; parts are returned in sorted-degree order and sum to f."""
+    return [
+        HomogeneousPart(d, MRElement(f.ring, f.monoid, {d: f.coeffs[d]}))
+        for d in f.support()
+    ]
+
+
+def per_degree_decompose_fraction(loc, f: Fraction) -> dict:
+    """The earlier ``decompose_fraction``: each degree split off as its own
+    element and keyed; parts whose keys collide are added, and components
+    zero in the localization dropped."""
+    if f.den.is_zero():
+        return {}
+    group = loc.groth_group
+    (den_deg,) = f.den.coeffs
+    acc = {}
+    for part in homogeneous_components(f.num):
+        key = GrothElement(part.degree, den_deg)
+        k = group.key(key)
+        if k in acc:
+            acc[k][1] = acc[k][1] + part.value
+        else:
+            acc[k] = [key, part.value]
+    out = {}
+    for key, num in acc.values():
+        cand = Fraction(num, f.den, f.den_witness)
+        if not loc.is_zero(cand):
+            out[key] = cand
+    return out
+
+
+def fold_sum_components(loc, parts) -> Fraction:
+    """The earlier ``sum_components``: the parts added one by one, so the
+    denominator of k parts is s^k."""
+    acc = loc.zero
+    for f in parts:
+        acc = loc.add(acc, f)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 
 from grothloc import (
     BaseMismatchError,
+    Fraction,
+    GroupRingElement,
     CayleyMonoid,
     FreeCommutativeMonoid,
     GrothElement,
@@ -23,9 +25,10 @@ from grothloc import (
     sample_t_fraction,
     verify_isomorphism,
 )
+from grothloc.isomorphisms import _sample_s
 
 import zoo
-from oracles import common_denominator_h_inverse
+from oracles import common_denominator_h_inverse, fold_h_inverse
 
 
 @pytest.fixture
@@ -168,19 +171,22 @@ DIFFERENTIAL_CONTEXTS = {
     "Z/11[N^2]_at_2": lambda: HMapContext(ModRing(11), FreeCommutativeMonoid(2), [2]),
     "Z/5[Z/4]_at_2": lambda: HMapContext(ModRing(5), zoo.z4(), [2]),
     "Z/6[T2+Z/2]_at_2": lambda: HMapContext(ModRing(6), zoo.t2_z2_table(), [2]),
+    # 2 * 2 = 0 in Z/4, so 0 is in S and most products of the s_i vanish
+    "Z/4[Z/6 mult]_at_2": lambda: HMapContext(ModRing(4), zoo.z6_mult(), [2]),
 }
 
 
 class TestInverseAgainstCommonDenominator:
-    """h_inverse sums the terms in T^-1(R[M]); summed from the first term on,
-    it must give the numerator, denominator and witness that clearing every
-    coefficient over one common denominator gives."""
+    """h_inverse sums the terms in T^-1(R[M]) over their common monomial
+    denominator; it must give the numerator, denominator and witness that
+    clearing every coefficient over one common denominator gives, and that
+    adding the terms one by one from the first gives."""
 
     @staticmethod
     def assert_same(ctx, u):
         got = h_inverse(ctx, u)
-        want = common_denominator_h_inverse(ctx, u)
-        assert (got.num, got.den, got.den_witness) == (want.num, want.den, want.den_witness)
+        for want in (common_denominator_h_inverse(ctx, u), fold_h_inverse(ctx, u)):
+            assert (got.num, got.den, got.den_witness) == (want.num, want.den, want.den_witness)
 
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONTEXTS))
     def test_seeded_elements(self, name):
@@ -189,6 +195,44 @@ class TestInverseAgainstCommonDenominator:
         for _ in range(150):
             u = sample_group_ring_element(ctx, rng, max_terms=4)
             self.assert_same(ctx, u)
+
+    @staticmethod
+    def unmerged(ctx, rng, k):
+        """k sampled terms kept apart even when they share a class, as a
+        term list h_inverse reads as it stands."""
+        terms = []
+        for _ in range(k):
+            x = GrothElement(ctx.monoid.sample(rng, 4), ctx.monoid.sample(rng, 4))
+            s_wit = _sample_s(ctx, rng, 2)
+            r = ctx.ring.sample_nonzero(rng, 9)
+            terms.append((x, Fraction(r, ctx.sset.product_of(s_wit), s_wit)))
+        return GroupRingElement(ctx.group_ring, terms, [ctx.group.key(x) for x, _ in terms])
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONTEXTS))
+    def test_seeded_elements_with_up_to_eight_terms(self, name):
+        ctx = DIFFERENTIAL_CONTEXTS[name]()
+        rng = Lcg64(1101)
+        for _ in range(60):
+            self.assert_same(ctx, sample_group_ring_element(ctx, rng, max_terms=8))
+        for k in range(1, 9):
+            for _ in range(8):
+                self.assert_same(ctx, self.unmerged(ctx, rng, k))
+
+    def test_zero_in_s_sends_the_common_denominator_to_zero(self):
+        """Over Z/4 at 2 the product of the s_i is 0 once two of them are 2
+        or one is 2^2: the denominator is the zero element, and the
+        numerator keeps only the terms whose other s_j multiply to a unit."""
+        ctx = DIFFERENTIAL_CONTEXTS["Z/4[Z/6 mult]_at_2"]()
+        rng = Lcg64(1102)
+        zero_dens = nonzero_nums = 0
+        for _ in range(200):
+            u = self.unmerged(ctx, rng, 1 + rng.below(8))
+            self.assert_same(ctx, u)
+            f = h_inverse(ctx, u)
+            if f.den.is_zero():
+                zero_dens += 1
+                nonzero_nums += not f.num.is_zero()
+        assert zero_dens > 100 and nonzero_nums > 0
 
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONTEXTS))
     def test_empty_element(self, name):

@@ -79,19 +79,17 @@ def test_structure_repr_and_equality():
 
 def test_named_tuple_records_keep_reprs_and_hold_no_dict():
     from grothloc.localization import EmbeddingReport, SaturationSet, UnitsIsoReport
-    from grothloc.ring import HomogeneousPart
 
     x = GrothElement((1, 0), (0, 2))
     assert repr(x) == "GrothElement(first=(1, 0), second=(0, 2))"
     assert x == ((1, 0), (0, 2)) and x.first == (1, 0)
-    assert repr(HomogeneousPart((1,), 3)) == "HomogeneousPart(degree=(1,), value=3)"
     rep = EmbeddingReport([0, 1], [0, 1], True, True)
     assert rep.group_order == 2
     assert repr(rep) == "EmbeddingReport(classes=[0, 1], image=[0, 1], morphism_ok=True, injective=True)"
     sat = SaturationSet(None, None, (1,), {1: 1})
     iso = UnitsIsoReport(2, 2, True, True, False, sat)
     assert iso.iso is False and iso._replace(surjective=True).iso is True
-    for rec in (x, FGAbelianStructure(1, ()), HomogeneousPart((1,), 3), rep, sat, iso):
+    for rec in (x, FGAbelianStructure(1, ()), rep, sat, iso):
         assert not hasattr(rec, "__dict__")
         with pytest.raises(AttributeError):
             rec.extra = 1

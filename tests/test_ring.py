@@ -19,7 +19,6 @@ from grothloc import (
     ZeroDegreeError,
     degree_of,
     group_ring_map_injective,
-    homogeneous_components,
     monomial_is_nonzerodivisor,
     ring_from_dict,
 )
@@ -180,18 +179,6 @@ class TestConvolution:
 
 
 class TestGrading:
-    def test_components_sum_back(self):
-        mring = MonoidRing(ModRing(5), FreeCommutativeMonoid(2))
-        rng = Lcg64(8)
-        for _ in range(30):
-            f = mring.sample(rng)
-            parts = homogeneous_components(f)
-            total = mring.zero
-            for part in parts:
-                assert degree_of(part.value) == part.degree
-                total = total + part.value
-            assert total == f
-
     def test_product_of_homogeneous_is_homogeneous(self):
         mring = MonoidRing(ModRing(5), FreeCommutativeMonoid(2))
         m = mring.monoid
