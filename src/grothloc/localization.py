@@ -19,12 +19,12 @@ compare fractions.  Both strategies compare r*s' with r'*s and never
 subtract.  Any other configuration is rejected outright.
 
 A finite S gives fractions a hashable normal form, ``LocalizedRing.key``:
-e*S is a group with identity e, S^-1 R is eR, and r/s goes to
-e*r*(e*s)^-1; the inverses of e*S live on the multiplicative set
-(``MultiplicativeSet.kernel``), built from the closure and that one e.
-The classes, the units and the saturation are read off e and eR too; over
-Z/n, eR is Z/n' with n' = n // gcd(e, n).  Class lookups are dicts on this
-key, degree classes on ``GrothendieckGroup.key``.
+e*S is a group with identity e, S^-1 R is isomorphic to eR (Atiyah and
+Macdonald, ch. 3), and r/s goes to e*r*(e*s)^-1.  One ``CornerRing`` per
+multiplicative set (``MultiplicativeSet.corner``) holds the inverses of
+the units of eR, so the keys, the saturation and the unit classes are all
+read off it; over Z/n, eR is Z/n' with n' = n // gcd(e, n).  Class lookups
+are dicts on this key, degree classes on ``GrothendieckGroup.key``.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .grothendieck import CayleyMonoid, GrothElement, GrothendieckGroup
-from .monoid import FreeCommutativeMonoid, idempotent_power, kernel_group
+from .monoid import FreeCommutativeMonoid, idempotent_power
 from .ring import ModRing, MonoidRing, MRElement, _is_prime, degree_of
 from .rng import Lcg64
 
@@ -67,6 +67,86 @@ def _decided_nzd(ring, g) -> bool:
         return ring.is_nonzerodivisor(g)
     except UnsupportedFamilyError:
         return False
+
+
+def _power_inverses(mul, x, e, settled: dict, limit=None) -> dict:
+    """The powers of x in eR that ``settled`` lacks, each mapped to its
+    inverse in eR, or to None when no power of x is e.
+
+    The powers of x share one idempotent power, so they are all units or all
+    not.  The walk x, x^2, ... stops at the first repeat or at the first
+    power y = x^k already in ``settled``.  On a repeat, when x^p = e first,
+    x^(p+1) = x closes the walk and x^i, x^(p-i) are inverse.  At a settled
+    y with inverse y', x^i has inverse x^(k-i)*y', one product each; at a
+    settled non-unit every walked power is one too.  A walk that would pass
+    ``limit`` powers stops, and x alone is settled as None: no power of x up
+    to x^limit is e.
+    """
+    powers, seen = [x], {x}
+    y = mul(x, x)
+    while y not in seen and y not in settled:
+        if len(powers) == limit:
+            return {x: None}
+        powers.append(y)
+        seen.add(y)
+        y = mul(y, x)
+    if y in settled:
+        inv = settled[y]
+        if inv is None:
+            return dict.fromkeys(powers)
+        return {p: mul(q, inv) for p, q in zip(powers, reversed(powers))}
+    if e not in seen:
+        return dict.fromkeys(powers)
+    return dict(zip(powers, powers[-2::-1] + [e]))
+
+
+class CornerRing:
+    """eR = {e*a : a in R} for an idempotent e of R, a ring with identity e:
+    ``inverse(x)`` is the inverse of x in eR, or None when x is no unit, and
+    ``units`` maps each unit of eR to its inverse, for a finite R.
+
+    Over Z/n, eR is Z/n' with n' = n // gcd(e, n), since e = 1 mod n' and
+    e = 0 mod n/n'.  Each of its n' classes x = e*u is certified: a unit by
+    its inverse y = e*(u^-1 mod n'), x*y = e, when gcd(u, n') = 1; otherwise
+    a non-unit by the nonzero z = e*(n'/g), g = gcd(u, n'), with x*z = 0 (a
+    unit of eR kills no nonzero element of eR).  A certificate that fails
+    raises AssertionError, and ``inverse`` is a lookup in ``units``.  Over
+    any other ring ``inverse`` settles the powers of x in one table, walking
+    at most ``limit`` of them (``_power_inverses``).
+    """
+
+    def __init__(self, ring, e, limit=None):
+        self._ring, self._e, self._limit = ring, e, limit
+        self._settled = {}  # x -> its inverse in eR, or None when x is no unit
+        if isinstance(ring, ModRing):
+            n = ring.n
+            m = n // gcd(e, n)
+            self.units = units = {}
+            self.inverse = units.get  # every class of eR is certified below
+            for u in range(m):
+                x, g = e * u % n, gcd(u, m)
+                if g == 1:
+                    units[x] = y = e * pow(u, -1, m) % n
+                    if x * y % n != e:
+                        raise AssertionError(f"unit certificate broke: {x}*{y} is not e")
+                else:
+                    z = e * (m // g) % n
+                    if z == 0 or x * z % n:
+                        raise AssertionError(f"zero-divisor certificate broke at {x}")
+
+    def inverse(self, x):
+        settled = self._settled
+        if x not in settled:
+            settled.update(_power_inverses(self._ring.mul, x, self._e, settled, self._limit))
+        return settled[x]
+
+    @functools.cached_property
+    def units(self) -> dict:
+        ring, inverse = self._ring, self.inverse
+        if not ring.is_finite:
+            raise UnsupportedFamilyError("the units of eR are listed over a finite ring")
+        eR = dict.fromkeys(ring.mul(self._e, a) for a in ring.elements())
+        return {x: y for x in eR if (y := inverse(x)) is not None}
 
 
 class MultiplicativeSet:
@@ -126,8 +206,7 @@ class MultiplicativeSet:
         """e, the idempotent power of the product of the generators (1 when
         there are none): that of the product of all of S, found with no
         closure.  Over an infinite ring the walk of powers need not end, so
-        e is refused there unless the closure is complete, as ``kernel``
-        refuses."""
+        e is refused there unless the closure is complete."""
         ring = self.ring
         if not ring.is_finite and not self.complete:
             raise UnsupportedFamilyError(
@@ -137,14 +216,12 @@ class MultiplicativeSet:
         return idempotent_power(ring.mul, t)
 
     @functools.cached_property
-    def kernel(self) -> tuple:
-        """``kernel_group`` of a complete closure, built on first use: e, and
-        the inverses and orders of the group e*S."""
-        if not self.complete:
-            raise UnsupportedFamilyError(
-                "a fraction key needs a completely materialized closure"
-            )
-        return kernel_group(self.ring.mul, list(self.closure), self.idempotent)
+    def corner(self) -> CornerRing:
+        """eR with e = ``idempotent``, built on first use.  Over an infinite
+        ring, where ``idempotent`` asks S to be finite, an element of the
+        group e*S has order at most |S|, so no walk of powers goes further."""
+        e = self.idempotent
+        return CornerRing(self.ring, e, None if self.ring.is_finite else len(self.closure))
 
     def contains(self, s) -> bool:
         return s in self.closure
@@ -254,14 +331,14 @@ class LocalizedRing:
     def key(self, f: Fraction):
         """e*r*(e*s)^-1 in eR: key(f) == key(g) exactly when eq(f, g).
 
-        (e*s)^-1 lies in K, inside eR, so the factor e on r is implied.
+        (e*s)^-1 lies in eR, so the factor e on r is implied.  s may lie
+        anywhere in the saturation of S, where e*s is a unit of eR.
         """
-        e, inv, _ = self.sset.kernel
-        r = self.ring
-        try:
-            return r.mul(f.num, inv[r.mul(e, f.den)])
-        except KeyError:
-            raise PreconditionError(f"denominator {f.den!r} is not in S") from None
+        sset, r = self.sset, self.ring
+        inv = sset.corner.inverse(r.mul(sset.idempotent, f.den))
+        if inv is None:
+            raise PreconditionError(f"denominator {f.den!r} is not in the saturation of S")
+        return r.mul(f.num, inv)
 
     @functools.cached_property
     def groth_group(self) -> GrothendieckGroup:
@@ -364,64 +441,24 @@ class SaturationSet(namedtuple("SaturationSet", "ring source elements witnesses"
     __slots__ = ()
 
 
-def _power_inverses(mul, x, e, settled: dict) -> dict:
-    """The powers of x in eR that ``settled`` lacks, each mapped to its
-    inverse in eR, or to None when no power of x is e.
-
-    The powers of x share one idempotent power, so they are all units or all
-    not.  The walk x, x^2, ... stops at the first repeat or at the first
-    power y = x^k already in ``settled``.  On a repeat, when x^p = e first,
-    x^(p+1) = x closes the walk and x^i, x^(p-i) are inverse.  At a settled
-    y with inverse y', x^i has inverse x^(k-i)*y', one product each; at a
-    settled non-unit every walked power is one too.
-    """
-    powers, seen = [x], {x}
-    y = mul(x, x)
-    while y not in seen and y not in settled:
-        powers.append(y)
-        seen.add(y)
-        y = mul(y, x)
-    if y in settled:
-        inv = settled[y]
-        if inv is None:
-            return dict.fromkeys(powers)
-        return {p: mul(q, inv) for p, q in zip(powers, reversed(powers))}
-    if e not in seen:
-        return dict.fromkeys(powers)
-    return dict(zip(powers, powers[-2::-1] + [e]))
-
-
 def saturate(ring, sset: MultiplicativeSet) -> SaturationSet:
     """S-bar read off eR: a lies in S-bar exactly when x = e*a is a unit of eR.
 
     If a*b lies in S, e*a*b lies in the group e*S.  Conversely, when x*c = e
     for some c in eR, a*c = e lies in S and c, the inverse of x in eR, is a's
-    witness.
-
-    Over Z/n, eR is Z/n' with n' = n // gcd(e, n), since e = 1 mod n' and
-    e = 0 mod n/n'.  So S-bar is {a : gcd(a, n') = 1}, in ascending order,
-    and a's witness is e*(a^-1 mod n') mod n.  Over a finite R[M], one walk
-    of the powers of x settles each of them (``_power_inverses``).
+    witness.  One pass of R, in the ring's element order: one product and
+    one lookup in ``CornerRing.units`` per element.
     """
     if not ring.is_finite:
         raise OracleRequiredError(
             "saturation over an infinite ring needs externally supplied witnesses"
         )
-    e = sset.idempotent
-    if isinstance(ring, ModRing):
-        n = ring.n
-        m = n // gcd(e, n)
-        inverses = [(u, e * pow(u, -1, m) % n) for u in range(m) if gcd(u, m) == 1]
-        witnesses = {q + u: b for q in range(0, n, m) for u, b in inverses}
-        return SaturationSet(ring, sset, tuple(witnesses), witnesses)
-    inverses = {}  # x -> its inverse in eR, or None when x is no unit
+    e, units, mul = sset.idempotent, sset.corner.units, ring.mul
     witnesses = {}
     for a in ring.elements():
-        x = ring.mul(e, a)
-        if x not in inverses:
-            inverses.update(_power_inverses(ring.mul, x, e, inverses))
-        if inverses[x] is not None:
-            witnesses[a] = inverses[x]
+        b = units.get(mul(e, a))
+        if b is not None:
+            witnesses[a] = b
     return SaturationSet(ring, sset, tuple(witnesses), witnesses)
 
 
@@ -479,18 +516,12 @@ def localization_classes(loc: LocalizedRing) -> list:
 
 
 def units_of_localization(loc: LocalizedRing) -> UnitGroup:
-    """A class is a unit exactly when its key x in eR has idempotent power e:
-    x^k = e inverts x, and the powers of a unit of eR meet no other idempotent.
-    One walk of the powers of x settles each of them (``_power_inverses``).
-    """
+    """A class is a unit exactly when its key x is a unit of eR
+    (``CornerRing.inverse``)."""
     reps = localization_classes(loc)
     index = {loc.key(f): i for i, f in enumerate(reps)}
-    e = loc.sset.idempotent
-    inverses = {}
-    for x in index:
-        if x not in inverses:
-            inverses.update(_power_inverses(loc.ring.mul, x, e, inverses))
-    unit_indices = [i for x, i in index.items() if inverses[x] is not None]
+    inverse = loc.sset.corner.inverse
+    unit_indices = [i for x, i in index.items() if inverse(x) is not None]
     return UnitGroup(loc, reps, index[loc.key(loc.one)], unit_indices, index)
 
 
@@ -599,42 +630,15 @@ class UnitsIsoReport(namedtuple(
         return self.morphism_ok and self.injective and self.surjective
 
 
-def _zmod_unit_keys(n: int, e: int) -> set:
-    """The keys of the unit classes of eR over Z/n, each class certified.
-
-    eR is Z/n' with n' = n // gcd(e, n), u -> x = e*u mod n, so the classes
-    of S^-1 R are the n' keys x.  Each is certified: a unit by its inverse y
-    in eR, x*y = e, when gcd(u, n') = 1; otherwise not a unit, by the
-    nonzero z = e*(n'/g) of eR, g = gcd(u, n'), with x*z = 0 (a unit of eR
-    kills no nonzero element of eR).  A certificate that fails raises
-    AssertionError.
-    """
-    m = n // gcd(e, n)
-    units = set()
-    for u in range(m):
-        x, g = e * u % n, gcd(u, m)
-        if g == 1:
-            y = e * pow(u, -1, m) % n
-            if x * y % n != e:
-                raise AssertionError(f"unit certificate broke: {x} times its inverse is not e")
-            units.add(x)
-        else:
-            z = e * (m // g) % n
-            if z == 0 or x * z % n:
-                raise AssertionError(f"zero-divisor certificate broke at {x}")
-    return units
-
-
 def groth_units_iso(sset: MultiplicativeSet, loc: LocalizedRing) -> UnitsIsoReport:
     """G(S-bar) = (S^-1 R)*: [s, t] goes to (s*b)/(t*b) with t*b in S.
 
     The saturation witness b turns a saturation denominator into a genuine
     one.  The morphism law is checked on a generating set of G(S-bar) (see
     ``_units_map``); injectivity over all its classes, and surjectivity by
-    asking that the image keys be exactly the keys of the unit classes.
-    Over Z/n the unit classes are read off eR = Z/n', every class certified
-    (``_zmod_unit_keys``); over a finite R[M] they are found by walking the
-    classes of eR (``units_of_localization``).
+    asking that the image keys be exactly the keys of the unit classes: the
+    units of eR (``CornerRing.units``), since x/1 has key x for every x in
+    eR.  No class of S^-1 R is enumerated.
     """
     ring = loc.ring
     sat = saturate(ring, sset)
@@ -646,11 +650,7 @@ def groth_units_iso(sset: MultiplicativeSet, loc: LocalizedRing) -> UnitsIsoRepo
 
     carrier = [ring.one] + [a for a in sat.elements if a != ring.one]
     emb, keys = _units_map(carrier, loc, embed)
-    if isinstance(ring, ModRing):
-        unit_keys = _zmod_unit_keys(ring.n, loc.sset.idempotent)
-    else:
-        units = units_of_localization(loc)
-        unit_keys = {loc.key(units.class_reps[i]) for i in units.unit_indices}
+    unit_keys = set(loc.sset.corner.units)
     return UnitsIsoReport(
         groth_order=emb.group_order,
         unit_order=len(unit_keys),

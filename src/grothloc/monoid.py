@@ -61,9 +61,9 @@ class CommutativeMonoid:
         )
 
     def translation_injective(self, a: MonoidValue) -> bool:
-        """Whether x -> a+x is injective on M: every translation of a
-        cancellative monoid is."""
-        return self.cancellative()
+        """Whether x -> a+x is injective on M: the identity's translation
+        is, and every translation of a cancellative monoid is."""
+        return a == self.identity or self.cancellative()
 
     def quasi_zeros(self) -> set:
         """{x : x + y = y for some y} = {x : x + e = e}: x + (y+e) = y+e in the
@@ -492,17 +492,15 @@ def idempotent_power(op, s):
     return e
 
 
-def kernel_group(op, elems, e=None) -> tuple:
+def kernel_group(op, elems) -> tuple:
     """(e, inverse map, order map) of K = elems*e for a finite commutative monoid.
 
     e is the idempotent power of the product of the whole carrier ``elems``
-    under ``op``, found here unless the caller passes it; K is the minimal
-    ideal, a group with identity e.  One walk k, k^2, ..., k^n = e from a k
-    in K not met yet settles its whole cycle: k^i has inverse k^(n-i) and
-    order n/gcd(i, n).
+    under ``op``; K is the minimal ideal, a group with identity e.  One walk
+    k, k^2, ..., k^n = e from a k in K not met yet settles its whole cycle:
+    k^i has inverse k^(n-i) and order n/gcd(i, n).
     """
-    if e is None:
-        e = idempotent_power(op, functools.reduce(op, elems))
+    e = idempotent_power(op, functools.reduce(op, elems))
     inv, order = {}, {}
     for a in elems:
         if a in inv:  # already met, so a lies in K and a*e = a

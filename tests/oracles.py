@@ -251,7 +251,7 @@ def per_element_saturation(ring, sset) -> tuple:
 def per_element_unit_indices(loc) -> list:
     """Indices of the unit classes, one idempotent power per class key."""
     index = {loc.key(f): i for i, f in enumerate(localization_classes(loc))}
-    e = loc.sset.kernel[0]
+    e = kernel_group(loc.ring.mul, list(loc.sset.closure))[0]
     return [i for x, i in index.items() if idempotent_power(loc.ring.mul, x) == e]
 
 
@@ -315,7 +315,7 @@ def all_pairs_units_map(carrier: list, loc, embed):
     keys be distinct.
     """
     one, mul = loc.ring.one, loc.ring.mul
-    e = loc.sset.kernel[0]
+    e = kernel_group(mul, list(loc.sset.closure))[0]
     reps = {}
     for t in carrier:
         reps.setdefault(mul(t, e), GrothElement(one, t))
@@ -910,7 +910,7 @@ def difference_loc_eq(loc, f, g) -> bool:
         return r.is_zero(cross)
     if r.is_zero(cross):
         return True
-    return r.is_zero(r.mul(loc.sset.kernel[0], cross))
+    return r.is_zero(r.mul(kernel_group(r.mul, list(loc.sset.closure))[0], cross))
 
 
 def difference_loc_is_zero(loc, f) -> bool:

@@ -262,6 +262,20 @@ class TestMringNzd:
         assert rep["results"] == {"degree": json.loads(degree), "nonzerodivisor": flag}
 
 
+    def test_identity_degree_of_a_presentation(self, tmp_path):
+        """The identity's translation is injective even where cancellativity
+        is not decided, as on the numerical semigroup <2, 3>."""
+        code, rep = run(
+            tmp_path,
+            "mring", "nzd",
+            "--ring", ZMOD5,
+            "--monoid", str(CORPUS / "numsg_2_3.json"),
+            "--degree", "[0, 0]",
+        )
+        assert code == 0
+        assert rep["results"] == {"degree": [0, 0], "nonzerodivisor": True}
+
+
 class TestLocalizeDecompose:
     def test_rank_one_components_carry_integer_degrees(self, tmp_path, free1):
         code, rep = run(

@@ -35,7 +35,8 @@ from grothloc import (
     units_of_localization,
 )
 from grothloc import localization
-from grothloc.localization import SaturationSet, _units_map
+from grothloc.localization import CornerRing, SaturationSet, _units_map
+from grothloc.monoid import kernel_group
 
 import zoo
 from oracles import (
@@ -252,7 +253,7 @@ def test_power_inverses_settle_every_power():
                     got = localization._power_inverses(ring.mul, x, e, before)
                     assert x in got and not got.keys() & before.keys()
                     for y, inv in got.items():
-                        f, want, _ = localization.kernel_group(ring.mul, [y])
+                        f, want, _ = kernel_group(ring.mul, [y])
                         assert inv == (want[y] if f == e else None), (n, e, x, y)
                 settled.update(got)
             assert settled.keys() == set(eR)
@@ -290,16 +291,15 @@ def test_one_walk_per_cycle_matches_per_element_walks(n, gens, bound):
     (2000, 8_000, 25_000), (8000, 30_000, 120_000),
 ])
 def test_walks_stop_at_the_first_settled_power(n, saturate_bound, units_bound):
-    """Z/n at [7]: a walk that stops at the first power already settled and
-    reads the inverses off it keeps ``saturate`` under 8 000 products on
-    Z/2000 (a walk of each whole cycle took 39 701) and under 30 000 on
-    Z/8000 (189 372); the unit classes take under 25 000 (52 942) and
-    120 000 (256 849)."""
+    """Z/n at [7], once the corner is built: ``saturate`` makes one product
+    per element, under 8 000 products on Z/2000 (a walk of each whole cycle
+    took 39 701) and under 30 000 on Z/8000 (189 372); the unit classes,
+    read off the corner, take under 25 000 (52 942) and 120 000 (256 849)."""
     ring = ModRing(n)
     sset = MultiplicativeSet(ring, [7])
     loc = LocalizedRing(ring, sset)
     sset.closure
-    loc.sset.kernel
+    sset.corner
     calls = []
     honest = ring.mul
 
@@ -607,24 +607,17 @@ def test_zmod_units_walk_no_classes(monkeypatch):
     "label,ring,gens", monoid_ring_cases(), ids=[c[0] for c in monoid_ring_cases()]
 )
 def test_monoid_rings_walk_their_classes(label, ring, gens, monkeypatch):
-    """A finite R[M] finds its unit classes by the walk of its classes, never
-    by the Z/n certificates."""
+    """A finite R[M] reads its unit classes off the corner's walk of eR: it
+    never takes the Z/n branch (whose gcd and pow are refused) and never
+    enumerates the classes of S^-1 R."""
     def refuse(*args, **kwargs):
-        raise AssertionError("R[M] read Z/n certificates")
+        raise AssertionError("R[M] took the Z/n branch or enumerated classes")
 
-    monkeypatch.setattr(localization, "_zmod_unit_keys", refuse)
-    walks = []
-    honest = localization.units_of_localization
-
-    def spy(loc):
-        walks.append(loc)
-        return honest(loc)
-
-    monkeypatch.setattr(localization, "units_of_localization", spy)
+    for name in ("gcd", "pow", "localization_classes", "units_of_localization"):
+        monkeypatch.setattr(localization, name, refuse, raising=False)
     sset = MultiplicativeSet(ring, gens)
     loc = LocalizedRing(ring, sset)
     assert groth_units_iso(sset, loc).iso
-    assert walks == [loc]
 
 
 def test_zmod_certificates_cover_every_class():
@@ -633,27 +626,91 @@ def test_zmod_certificates_cover_every_class():
     for n in range(2, 61):
         ring = ModRing(n)
         for gens in zmod_generator_sets(n):
-            loc = LocalizedRing(ring, MultiplicativeSet(ring, gens))
+            sset = MultiplicativeSet(ring, gens)
+            loc = LocalizedRing(ring, sset)
             reps, _, _, unit_indices = scan_units(loc)
             want = {loc.key(reps[i]) for i in unit_indices}
-            assert localization._zmod_unit_keys(n, loc.sset.kernel[0]) == want, (n, gens)
+            e = kernel_group(ring.mul, list(sset.closure))[0]
+            assert set(CornerRing(ring, e).units) == want, (n, gens)
 
 
 def test_zmod_certificates_refuse_wrong_arithmetic(monkeypatch):
     """A certificate that does not hold raises: an e that is no idempotent, an
     inverse off by one, and gcd taken against n instead of n'.  Z/12 at e = 4
     has eR = Z/3."""
-    assert localization._zmod_unit_keys(12, 4) == {4, 8}
+    ring = ModRing(12)
+    assert CornerRing(ring, 4).units == {4: 4, 8: 8}
     with pytest.raises(AssertionError):
-        localization._zmod_unit_keys(12, 2)
+        CornerRing(ring, 2).units
     with monkeypatch.context() as m:
         m.setattr(localization, "pow", lambda u, k, mod: pow(u, k, mod) + 1, raising=False)
         with pytest.raises(AssertionError):
-            localization._zmod_unit_keys(12, 4)
+            CornerRing(ring, 4).units
     with monkeypatch.context() as m:
         m.setattr(localization, "gcd", lambda a, b: gcd(a, 12))
         with pytest.raises(AssertionError):
-            localization._zmod_unit_keys(12, 4)
+            CornerRing(ring, 4).units
+
+
+def corner_cases():
+    """(ring, generators): every Z/n with n <= 60 at every fixed set, and
+    the monoid rings."""
+    for n in range(2, 61):
+        for gens in zmod_generator_sets(n):
+            yield ModRing(n), gens
+    for _, ring, gens in monoid_ring_cases():
+        yield ring, gens
+
+
+def test_corner_inverse_against_a_scan_of_eR():
+    """inverse(x) is None exactly when no y of eR has x*y = e, and
+    otherwise x*inverse(x) = e; units holds every unit with that inverse."""
+    for ring, gens in corner_cases():
+        sset = MultiplicativeSet(ring, gens)
+        e = sset.idempotent
+        eR = list(dict.fromkeys(ring.mul(e, a) for a in ring.elements()))
+        corner = sset.corner
+        units = {}
+        for x in eR:
+            inv = corner.inverse(x)
+            has_inverse = any(ring.mul(x, y) == e for y in eR)
+            assert (inv is not None) == has_inverse, (ring, gens, x)
+            if inv is not None:
+                assert ring.mul(x, inv) == e, (ring, gens, x)
+                units[x] = inv
+        assert corner.units == units, (ring, gens)
+
+
+def test_key_reads_the_saturation():
+    """Over Z/12 at [4], 2 lies in S-bar (2*2 = 4) but not in S, and 3 lies
+    in neither (e*3 = 0 for e = 4)."""
+    ring = ModRing(12)
+    sset = MultiplicativeSet(ring, [4])
+    loc = LocalizedRing(ring, sset)
+    assert not sset.contains(2)
+    assert loc.key(Fraction(1, 2, ())) == loc.key(Fraction(2, 4, (0,)))
+    with pytest.raises(PreconditionError):
+        loc.key(Fraction(1, 3, ()))
+
+
+def test_key_outside_s_stops_over_an_infinite_ring():
+    """Z at [-1]: 2 is no unit and its powers never repeat, so the walk
+    stops at |S| powers and the key refuses, well inside 1 000 products."""
+    zz = IntegerRing()
+    loc = LocalizedRing(zz, MultiplicativeSet(zz, [-1]))
+    calls = []
+    honest = zz.mul
+
+    def counting(a, b):
+        calls.append(None)
+        if len(calls) > 1000:
+            raise AssertionError("the key walked past 1 000 products")
+        return honest(a, b)
+
+    zz.mul = counting
+    with pytest.raises(PreconditionError):
+        loc.key(Fraction(1, 2, ()))
+    assert loc.key(Fraction(3, -1, (0,))) == -3
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +725,9 @@ def idempotent_cases(n):
 
 
 def check_idempotent_from_generators(sset):
-    want = localization.kernel_group(sset.ring.mul, list(sset.closure))[0]
+    want = kernel_group(sset.ring.mul, list(sset.closure))[0]
     assert sset.idempotent == want
-    assert sset.kernel[0] == want
+    assert sset.corner.inverse(want) == want
 
 
 @pytest.mark.parametrize("n", range(2, 61))

@@ -86,6 +86,20 @@ def test_translation_on_presentations_is_refused():
         zoo.numsg_2_3().translation_injective((1, 0))
 
 
+def test_identity_translation_needs_no_cancellativity():
+    """x -> 0 + x is the identity map, so a scalar of R[<2,3>] is a
+    non-zero-divisor when it is one of R, and S = {3} over Z localizes by
+    cross-multiplication although <2,3>'s cancellativity is undecided."""
+    m = zoo.numsg_2_3()
+    assert m.translation_injective(m.identity)
+    mring = MonoidRing(IntegerRing(), m)
+    assert mring.is_nonzerodivisor(mring.scalar(3))
+    z6 = MonoidRing(ModRing(6), m)
+    assert not z6.is_nonzerodivisor(z6.scalar(3))
+    loc = LocalizedRing(mring, MultiplicativeSet(mring, [mring.scalar(3)]))
+    assert loc.strategy == "cross-multiplication"
+
+
 def _random_element(mring, rng):
     degs = list(mring.monoid.elements())
     n = mring.coeff_ring.n

@@ -20,6 +20,9 @@ ALLOWED = {
     "presentation_matrix": "the acceptance battery and perfbench call it",
     "sample_fraction": "the acceptance battery samples fractions with it",
     "universal_extend": "the universal property of G(M), a candidate CLI command",
+    "units_of_localization": "perfbench/tracing.py probes it and localization_classes "
+                             "by name, and the acceptance battery compares its class "
+                             "representatives with the scan oracle",
 }
 
 
