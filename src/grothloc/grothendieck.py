@@ -49,6 +49,7 @@ from .monoid import (
     MonoidPresentation,
     DirectSumMonoid,
     MonoidValue,
+    _word_rows,
     kernel_group,
     numeric_compare,
 )
@@ -215,12 +216,24 @@ def _eliminate(orig: list, n: int) -> SNFResult:
     until the entry is 0.  Finishing each gcd in place keeps entries
     small; arithmetic is exact regardless.
 
+    A presentation's rows were read off its words once, when it was built,
+    and come here without the words being read again (``presentation_snf``).
+
     A is kept as sparse rows and V is dense, so the pivot search, the row
     and column passes and the divisibility scan read only nonzeros.  A's
     rows are keyed by original column; a column swap permutes the map from
     elimination order to original column instead of touching every row.  No
     U is carried: each row swap, negation and row addition is applied to A
     and logged, and the log is returned (see ``SNFResult``).
+
+    A column index lists, for each original column, the rows that may meet
+    it: each row carries the label of the input row it started as, a row
+    swap moves two labels, and a row or column addition that gives a row a
+    new entry adds its label to that column's list.  An entry that cancels
+    stays listed and is filtered out by membership when the list is read.
+    The row pass of a pivot column and the rows a column swap brings into
+    the pivot column are read off the index, so a pass visits only the rows
+    listed there and not every row below the pivot.
 
     The certificate U*A*V == D is checked exactly on every call.  Each of
     the r rows of A that holds a pivot must be the single entry d_i at its
@@ -236,11 +249,19 @@ def _eliminate(orig: list, n: int) -> SNFResult:
     V = _eye(n)
     col = list(range(n))  # column j of the elimination is original column col[j]
     pos = list(range(n))  # and original column c is column pos[c]
+    label = list(range(m))  # row i of A started as input row label[i]
+    at = label[:]  # and input row r is now row at[r]
+    listed = [[] for _ in range(n)]  # original column c -> labels of rows that may meet it
+    for r, row in zip(label, A):
+        for c in row:
+            listed[c].append(r)
     # At step t every row i >= t is zero in columns < t and every row i < t
     # is the single entry (i, i), so the passes below skip rows < t.
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
+        label[i], label[j] = label[j], label[i]
+        at[label[i]], at[label[j]] = i, j
         ops.extend((i, j, 0))
 
     def swap_cols(i, j):
@@ -249,16 +270,35 @@ def _eliminate(orig: list, n: int) -> SNFResult:
         for row in V:
             row[i], row[j] = row[j], row[i]
 
+    def add_row(src, dst, q):
+        # row dst += q * row src; a column new to dst lists it
+        out, r = A[dst], label[dst]
+        for k, y in A[src].items():
+            if k in out:
+                x = out[k] + q * y
+                if x:
+                    out[k] = x
+                else:
+                    del out[k]
+            else:
+                out[k] = q * y
+                listed[k].append(r)
+        ops.extend((src, dst, q))
+
     def add_col(src, dst, q, meet):
         # column dst += q * column src; ``meet`` lists the rows where src is nonzero
         cs, cd = col[src], col[dst]
         for r in meet:
             row = A[r]
-            x = row.get(cd, 0) + q * row[cs]
-            if x:
-                row[cd] = x
+            if cd in row:
+                x = row[cd] + q * row[cs]
+                if x:
+                    row[cd] = x
+                else:
+                    del row[cd]
             else:
-                del row[cd]
+                row[cd] = q * row[cs]
+                listed[cd].append(label[r])
         for row in V:
             row[dst] += q * row[src]
 
@@ -291,14 +331,15 @@ def _eliminate(orig: list, n: int) -> SNFResult:
             negate_row(t)
         while True:
             ct = col[t]
-            # the rows below t that meet column t; a pass changes only row t
-            # and the row it works on, so the list stays exact
-            for i in [i for i in range(t + 1, m) if ct in A[i]]:
+            # the rows below t that meet column t, in order; a pass changes
+            # only row t and the row it works on, so the list stays exact, and
+            # a row listed twice is clear by its second visit
+            below = [i for i in map(at.__getitem__, listed[ct]) if i > t and ct in A[i]]
+            for i in sorted(below):
                 while ct in A[i]:  # Euclid: a remainder becomes the pivot
                     q = A[i][ct] // A[t][ct]
                     if q:
-                        _add_row(A, t, i, -q)
-                        ops.extend((t, i, -q))
+                        add_row(t, i, -q)
                     if ct in A[i]:
                         swap_rows(t, i)
             # only row t meets column t now, until a column swap refills it
@@ -311,7 +352,9 @@ def _eliminate(orig: list, n: int) -> SNFResult:
                         add_col(t, j, -q, meet)
                     if col[j] in A[t]:
                         swap_cols(t, j)
-                        meet = [i for i in range(t, m) if col[t] in A[i]]
+                        # the rows that meet the new column t, each once
+                        c = col[t]
+                        meet = {i for i in map(at.__getitem__, listed[c]) if i >= t and c in A[i]}
                         dirty = True
             if dirty:
                 continue
@@ -325,8 +368,7 @@ def _eliminate(orig: list, n: int) -> SNFResult:
             )
             if culprit is None:
                 break
-            _add_row(A, culprit, t, 1)
-            ops.extend((culprit, t, 1))
+            add_row(culprit, t, 1)
         t += 1
 
     diag = _pivot_diagonal(A, col, t)
@@ -429,36 +471,22 @@ def structure_from_snf(snf: SNFResult) -> FGAbelianStructure:
     return FGAbelianStructure(snf.ncols - len(nonzero), torsion)
 
 
-def _relation_rows(relations) -> list:
-    """The sparse rows {j: u_j - v_j} of ``presentation_matrix``, read off
-    the nonzero entries of each side, with plain int values."""
-    rows = []
-    for u, v in relations:
-        row = dict(itertools.compress(enumerate(u), u))
-        for j, y in itertools.compress(enumerate(v), v):
-            x = row.get(j, 0) - y
-            if x:
-                row[j] = x
-            else:
-                del row[j]
-        rows.append(row)
-    if not set(map(type, itertools.chain.from_iterable(map(dict.values, rows)))) <= {int}:
-        # int subclasses such as IntEnum members, which presentations accept
-        rows = [{j: int(x) for j, x in row.items()} for row in rows]
-    return rows
-
-
 def presentation_snf(p: MonoidPresentation) -> SNFResult:
     """The Smith normal form of p's relation matrix, computed once per
     presentation object and kept on it; callers must not mutate it.
 
-    The rows go to ``_eliminate`` as sparse rows, without a dense matrix;
-    the result is the one ``smith_normal_form(presentation_matrix(p),
-    ncols=p.generators)`` gives, bit for bit."""
+    The elimination takes over the sparse rows that p read off its words
+    when it was built: the words are not read again, no dense matrix is
+    made, and p holds no rows once its form is computed.  The result is
+    the one ``smith_normal_form(presentation_matrix(p), ncols=p.generators)``
+    gives, bit for bit."""
     snf = p.__dict__.get("_snf")
     if snf is None:
-        snf = _eliminate(_relation_rows(p.relations), p.generators)
-        object.__setattr__(p, "_snf", snf)  # p refuses plain assignment
+        rows = p.__dict__.pop("_rows", None)  # p refuses plain deletion
+        if rows is None:  # an elimination that raised or was interrupted took them
+            rows = _word_rows(p.relations, p.generators)
+        snf = _eliminate(rows, p.generators)
+        object.__setattr__(p, "_snf", snf)
     return snf
 
 

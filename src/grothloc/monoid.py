@@ -321,25 +321,45 @@ def _is_exponent_word(word: tuple) -> bool:
     return all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in word)
 
 
-def _check_relation_words(rels: list, g: int) -> None:
-    """Raise on the first relation word that is not g nonnegative ints.
+def _word_rows(rels: list, g: int) -> list:
+    """The sparse rows {j: u_j - v_j} of the relations u = v, with plain int
+    values; raise on the first word that is not g nonnegative ints.
 
-    All words are checked at once, by C-level passes over their lengths and
-    over the types and the minimum of all their entries; the per-word scan
-    runs only when that fails, to name the first bad word (or to accept int
-    subclasses such as IntEnum members).
+    The lengths and types of all words are checked at once, by C-level
+    passes; the per-word scan runs only when that fails, to name the first
+    bad word (or to accept int subclasses such as IntEnum members, read as
+    plain ints).  The sign is checked on the nonzero entries only, as each
+    row is read off them.
     """
-    flat = itertools.chain.from_iterable
-    words = list(flat(rels))
-    if (
+    words = list(itertools.chain.from_iterable(rels))
+    if not (
         set(map(len, words)) <= {g}
-        and set(map(type, flat(words))) <= {int}
-        and min(flat(words), default=0) >= 0
+        and set(map(type, itertools.chain.from_iterable(words))) <= {int}
     ):
-        return
-    for side in words:
-        if len(side) != g or not _is_exponent_word(side):
-            raise InvalidInputError(f"bad relation word {side!r}")
+        for side in words:
+            if len(side) != g or not _is_exponent_word(side):
+                raise InvalidInputError(f"bad relation word {side!r}")
+        rels = [(tuple(map(int, u)), tuple(map(int, v))) for u, v in rels]
+    cols = range(g)
+    rows = []
+    for u, v in rels:
+        row = {}
+        for j in itertools.compress(cols, u):
+            x = u[j]
+            if x < 0:
+                raise InvalidInputError(f"bad relation word {u!r}")
+            row[j] = x
+        for j in itertools.compress(cols, v):
+            y = v[j]
+            if y < 0:
+                raise InvalidInputError(f"bad relation word {v!r}")
+            x = row.get(j, 0) - y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+        rows.append(row)
+    return rows
 
 
 class MonoidPresentation(CommutativeMonoid):
@@ -349,7 +369,10 @@ class MonoidPresentation(CommutativeMonoid):
     Word equality in the presented monoid is deliberately NOT decided here,
     nor is cancellativity; only the Grothendieck group of the presentation
     is computed downstream.  A presentation is immutable, compares and
-    hashes by its two fields, and its repr names them.
+    hashes by its two fields, and its repr names them.  Its words are read
+    once, at construction, into the sparse rows u - v of its relation
+    matrix; ``presentation_snf`` takes them over and drops them, and a copy
+    or a pickle is rebuilt from the two fields.
     """
 
     def __init__(self, generators: int, relations=()):
@@ -364,9 +387,10 @@ class MonoidPresentation(CommutativeMonoid):
                 u, v = (tuple(side) for side in rel)
                 rels.append((u, v))
         except Exception:
-            _check_relation_words(rels, g)  # a bad word before the fault is named first
+            _word_rows(rels, g)  # a bad word before the fault is named first
             raise
-        _check_relation_words(rels, g)
+        # read once: presentation_snf takes these rows and drops them
+        object.__setattr__(self, "_rows", _word_rows(rels, g))
         object.__setattr__(self, "generators", g)
         object.__setattr__(self, "relations", tuple(rels))
 
@@ -383,6 +407,9 @@ class MonoidPresentation(CommutativeMonoid):
 
     def __hash__(self):
         return hash((self.generators, self.relations))
+
+    def __reduce__(self):
+        return MonoidPresentation, (self.generators, self.relations)
 
     def __repr__(self):
         return f"MonoidPresentation(generators={self.generators!r}, relations={self.relations!r})"

@@ -58,6 +58,7 @@ reference for elements that carry the class keys they were merged by.
 """
 import functools
 import itertools
+import operator
 from collections import Counter
 from math import gcd, lcm
 from typing import NamedTuple
@@ -601,12 +602,8 @@ def complement_of_maximals_over(ring, ideal, maximals) -> list:
 def dense_matmul(a: list, b: list) -> list:
     if not a or not b:
         return [[] for _ in a]
-    cols = len(b[0])
-    inner = len(b)
-    return [
-        [sum(row[i] * b[i][j] for i in range(inner)) for j in range(cols)]
-        for row in a
-    ]
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, c)) for c in cols] for row in a]
 
 
 class DenseSNF(NamedTuple):

@@ -17,19 +17,27 @@ multiplier) or a broken column transform must still trip the
 certificate, and the certificate's check of D's shape (``_pivot_diagonal``)
 must refuse an off-diagonal entry and a broken divisibility chain.  The
 result holds only the invariant factors of D and builds ``.D`` on its first
-read.  ``presentation_snf`` reads the relation rows straight off the words
-into the same elimination core (``_eliminate``), must match
-``smith_normal_form`` on the dense relation matrix field for field, and
-runs the elimination once per presentation object; a pivot tie goes to
-the shortest row, so a shuffled multiplication table must make the row
-additions of a sorted one.  The invariant factors are also checked
+read.  The row and column passes read the rows that meet a column off a
+column index, so shuffled multiplication tables up to n = 40 and matrices
+whose rows cancel to empty while a column swap refills the pivot column
+are checked against the dense form too, and the log and V of three inputs
+are pinned by digest.  A presentation reads its words once, at
+construction, into the sparse rows that ``presentation_snf`` hands to the
+same elimination core (``_eliminate``) without reading the words again; it
+must match ``smith_normal_form`` on the dense relation matrix field for
+field, and runs the elimination once per presentation object; a pivot tie
+goes to the shortest row, so a shuffled multiplication table must make the
+row additions of a sorted one.  The invariant factors are also checked
 against ``oracles.determinantal_invariant_factors``, read off the gcds of
 all k x k minors with no elimination, and the 9- and 8-generator
 matrices that the earlier promote-and-restart pass stalled on must finish
 under a time bound with small transforms.
 """
 import contextlib
+import copy
 import enum
+import hashlib
+import pickle
 import random
 import signal
 import time
@@ -108,6 +116,41 @@ def test_multiplication_mod_n_relations_match_dense():
     rng = random.Random(20)
     for n in range(1, 31):
         assert_same_as_dense(cayley_relation_rows(n, rng), ncols=n)
+
+
+def test_larger_multiplication_tables_match_dense():
+    """n = 31..40: the row pass of each pivot column visits only the rows
+    the column index lists, hundreds of rows below the pivot."""
+    rng = random.Random(31)
+    for n in range(31, 41):
+        assert_same_as_dense(cayley_relation_rows(n, rng), ncols=n)
+
+
+def cancelling_rows(rng, m, n):
+    """Multiples of two base rows mixed with random rows: a multiple of the
+    pivot row cancels to empty in the row pass, and a pivot-row entry that
+    the pivot does not divide makes a column swap that brings rows below
+    the pivot into the pivot column (the pass that repeats)."""
+    base = random_rows(rng, 2, n, 0.7, 6)
+    return [
+        [rng.choice((-2, -1, 1, 2)) * x for x in rng.choice(base)]
+        if rng.random() < 0.5 else random_rows(rng, 1, n, 0.5, 6)[0]
+        for _ in range(m)
+    ]
+
+
+def test_cancelling_rows_and_refilled_pivot_columns_match_dense():
+    """A row missing from the column index can leave a pivot column
+    uncleared and the elimination looping, hence the time limit."""
+    rng = random.Random(12)
+    with time_limit(10.0):
+        for m in range(2, 9):
+            for n in range(2, 7):
+                for _ in range(4):
+                    rows = cancelling_rows(rng, m, n)
+                    assert_same_as_dense(rows, ncols=n)
+                    assert smith_normal_form(rows, ncols=n).invariant_factors == \
+                        determinantal_invariant_factors(rows, n)
 
 
 def unimodular(rng, n, steps, cap=12):
@@ -462,9 +505,7 @@ def test_identical_sides_and_shared_generators_match_the_matrix():
         ((3, 0, 0, 2), (3, 0, 0, 0)),
         ((0, 0, 0, 1), (0, 0, 0, 1)),
     ))
-    assert grothendieck._relation_rows(p.relations) == [
-        {}, {0: 1, 1: 1, 2: -3}, {}, {1: 3}, {3: 2}, {}
-    ]
+    assert p._rows == [{}, {0: 1, 1: 1, 2: -3}, {}, {1: 3}, {3: 2}, {}]
     assert_presentation_snf_is_the_matrix_snf(p)
 
 
@@ -482,7 +523,7 @@ def test_intenum_words_give_plain_int_entries():
         ((E.TWO, E.ONE, 0), (1, E.ZERO, E.TWO)),
         ((0, E.TWO, E.ONE), (0, E.TWO, 0)),
     ))
-    rows = grothendieck._relation_rows(p.relations)
+    rows = p._rows
     assert rows == [{0: 4}, {0: 1, 1: 1, 2: -2}, {2: 1}]
     assert all(type(x) is int for row in rows for x in row.values())
     got = assert_presentation_snf_is_the_matrix_snf(p)
@@ -505,10 +546,129 @@ def test_shuffled_multiplication_tables_match_the_matrix():
         assert got.invariant_factors == [1] * n  # 0 absorbs: G(M) is trivial
 
 
+class Unreadable:
+    """Stands in for a presentation's relations: reading them fails."""
+
+    def __iter__(self):
+        raise AssertionError("the relation words were read again")
+
+    __getitem__ = __len__ = __iter__
+
+
+def test_words_are_read_once_at_construction():
+    """The sparse rows are read off the words when the presentation is
+    built; the elimination, the structure and the class keys never read
+    the words again, and the rows are dropped once the result is kept."""
+    p = MonoidPresentation(3, (((2, 0, 0), (0, 1, 0)), ((0, 4, 0), (0, 0, 0))))
+    want = smith_normal_form(presentation_matrix(p), ncols=3)
+    object.__setattr__(p, "relations", Unreadable())
+    got = presentation_snf(p)
+    assert (got.V, got.invariant_factors, got.row_ops) == (want.V, want.invariant_factors, want.row_ops)
+    assert "_rows" not in vars(p)
+    s = monoid_groth_structure(p)
+    assert (s.free_rank, s.torsion_invariants) == (1, (8,))
+    group = GrothendieckGroup(p)
+    assert group.key(group.canonical((0, 2, 0))) == group.key(group.canonical((4, 0, 0)))
+    assert group.key(group.canonical((1, 0, 0))) != group.key(group.zero())
+
+
+def test_rows_an_interrupted_elimination_took_over_are_read_again(monkeypatch):
+    """An elimination interrupted halfway has taken the rows over and left
+    them changed; the next call reads them off the words again and gives
+    the result a fresh presentation gives."""
+    rels = (((2, 0, 0), (0, 1, 0)), ((0, 4, 0), (0, 0, 0)))
+    p = MonoidPresentation(3, rels)
+    honest = grothendieck._eliminate
+
+    def interrupted(rows, n):
+        rows[0][0] = 99
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(grothendieck, "_eliminate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        presentation_snf(p)
+    monkeypatch.setattr(grothendieck, "_eliminate", honest)
+    got = presentation_snf(p)
+    want = presentation_snf(MonoidPresentation(3, rels))
+    assert (got.V, got.invariant_factors, got.row_ops) == (want.V, want.invariant_factors, want.row_ops)
+
+
+def test_copies_read_their_own_words():
+    """A copy or a pickle is rebuilt from the two fields, so it never
+    shares the rows that an elimination takes over."""
+    p = MonoidPresentation(3, (((2, 0, 0), (0, 1, 0)), ((0, 4, 0), (0, 0, 0))))
+    twin = copy.copy(p)
+    assert twin == p and twin._rows is not p._rows
+    want = presentation_snf(p)
+    for q in (twin, pickle.loads(pickle.dumps(p))):
+        got = presentation_snf(q)
+        assert (got.V, got.invariant_factors, got.row_ops) == (want.V, want.invariant_factors, want.row_ops)
+
+
 def row_additions(snf):
     """The logged (src, dst, q) entries that add a multiple of one row to another."""
     ops = snf.row_ops
     return sum(1 for k in range(0, len(ops), 3) if ops[k + 2] and ops[k] != ops[k + 1])
+
+
+def multiplication_relations(n):
+    """e_a + e_b = e_(ab mod n) for each unordered pair, in (a, b) order."""
+    return [
+        (
+            tuple(int(i == a) + int(i == b) for i in range(n)),
+            tuple(int(i == a * b % n) for i in range(n)),
+        )
+        for a in range(n)
+        for b in range(a, n)
+    ]
+
+
+def shuffled_multiplication(n, seed):
+    """Multiplication mod n as a presentation, with about half the sides
+    swapped and the relations shuffled by ``random.Random(seed)``, as the
+    CI builds it."""
+    rng = random.Random(seed)
+    rels = [r if rng.random() < 0.5 else r[::-1] for r in multiplication_relations(n)]
+    rng.shuffle(rels)
+    return MonoidPresentation(n, rels)
+
+
+# ``ldr_rows`` case 2 139 of random.Random(7) with k = 6..10 cycling: its
+# transforms grow to entries of over 2 000 bits
+TWELVE_BY_TEN = [
+    [-2523, -168, -300, -132, 2868, 432, -246, -24, 324, 4128],
+    [1221, 42, 84, 78, -1050, -198, 57, 42, -162, -1734],
+    [432, 900, 39, 882, -1086, -450, 900, 0, 0, -1068],
+    [5238, 90, 630, 99, -5778, -1017, 414, -486, -648, -8379],
+    [-5238, -117, -621, -126, 5769, 1017, -432, 459, 648, 8370],
+    [21, 528, -210, 528, 456, 18, 354, 546, 0, 456],
+    [0, 162, -54, 162, 108, 0, 108, 162, 0, 108],
+    [-90, -144, 36, -126, 72, 36, -144, -36, 0, 54],
+    [-1260, 0, -126, 0, 1278, 198, -54, 36, 162, 1926],
+    [-324, 0, 0, 0, 162, 0, 0, 0, 0, 324],
+    [216, 486, -18, 486, -414, -216, 468, 54, 0, -414],
+    [2628, 54, 306, 54, -2880, -504, 216, -234, -324, -4176],
+]
+
+
+def log_digest(snf):
+    return hashlib.sha256(repr((snf.row_ops, snf.V)).encode()).hexdigest()
+
+
+def test_row_log_and_column_transform_are_pinned():
+    """The sha256 of (row_ops, V) that the elimination gave before it read
+    its passes off a column index: the index changes which rows a pass
+    reads, never the operations it applies or their order.  A broken index
+    can loop, hence the time limit."""
+    mod60, mod150 = shuffled_multiplication(60, 60), shuffled_multiplication(150, 150)
+    with time_limit(10.0):
+        assert log_digest(presentation_snf(mod60)) == \
+            "90cd22bffc7178469f89cc66bfb50117e3155792ef7b7ce894af321a73478225"
+        assert log_digest(presentation_snf(mod150)) == \
+            "78424f3daabfe96998fe396935b02643e7af7acd7b92c4fb52b1c059244f21f3"
+        got = smith_normal_form(TWELVE_BY_TEN, ncols=10)
+    assert got.invariant_factors == [3, 3, 3, 9, 9, 18, 54, 54, 162, 162]
+    assert log_digest(got) == "276950b0d5ac3a46d21286af8f7c6d1ce0caade869bab5d8141cd7713fa929b5"
 
 
 def test_row_work_does_not_depend_on_relation_order():
@@ -517,22 +677,10 @@ def test_row_work_does_not_depend_on_relation_order():
     shortest row, so both make the same number of row additions.  Taking the
     first minimum in row-major order made 3.7 times as many on the shuffled
     input."""
-    n = 60
-    rels = [
-        (
-            tuple(int(i == a) + int(i == b) for i in range(n)),
-            tuple(int(i == a * b % n) for i in range(n)),
-        )
-        for a in range(n)
-        for b in range(a, n)
-    ]
-    rng = random.Random(60)
-    shuffled = [r if rng.random() < 0.5 else r[::-1] for r in rels]
-    rng.shuffle(shuffled)
-    ordered = presentation_snf(MonoidPresentation(n, rels))
-    got = presentation_snf(MonoidPresentation(n, shuffled))
+    ordered = presentation_snf(MonoidPresentation(60, multiplication_relations(60)))
+    got = presentation_snf(shuffled_multiplication(60, 60))
     assert row_additions(got) == row_additions(ordered)
-    assert got.invariant_factors == ordered.invariant_factors == [1] * n
+    assert got.invariant_factors == ordered.invariant_factors == [1] * 60
 
 
 @given(st.integers(0, 5).flatmap(lambda k: st.tuples(
