@@ -114,31 +114,37 @@ def _sparse_eye(n: int) -> list:
     return [{i: 1} for i in range(n)]
 
 
-def _add_row(rows: list, src: int, dst: int, q: int) -> None:
-    """Sparse row dst += q * sparse row src, dropping entries that cancel."""
-    out = rows[dst]
-    for k, y in rows[src].items():
-        x = out.get(k, 0) + q * y
-        if x:
-            out[k] = x
-        else:
-            del out[k]
-
-
 def _replay(ops: list, rows: list) -> list:
     """Apply logged row operations to sparse ``rows`` in place and return them.
 
     ``ops`` is flat, three entries per operation (i, j, q): q == 0 swaps rows
-    i and j, i == j negates row i, and otherwise row j += q * row i.
+    i and j, i == j negates row i, and otherwise row j += q * row i,
+    dropping entries that cancel.  A run of consecutive additions from one
+    source row reads its entries once; a swap, a negation or a new source
+    row starts a new run.
     """
     it = iter(ops)
+    src = None  # the source row of the current run, and its entries
     for i, j, q in zip(it, it, it):
         if not q:
             rows[i], rows[j] = rows[j], rows[i]
+            src = None
         elif i == j:
             rows[i] = {k: -x for k, x in rows[i].items()}
+            src = None
         else:
-            _add_row(rows, i, j, q)
+            if i != src:
+                src, entries = i, tuple(rows[i].items())
+            out = rows[j]
+            for k, y in entries:
+                if k in out:
+                    x = out[k] + q * y
+                    if x:
+                        out[k] = x
+                    else:
+                        del out[k]
+                else:
+                    out[k] = q * y
     return rows
 
 
@@ -214,7 +220,9 @@ def _eliminate(orig: list, n: int) -> SNFResult:
     The step then clears the pivot's column and its row one entry at a
     time by Euclid: divide, subtract, and swap a remainder in as the pivot,
     until the entry is 0.  Finishing each gcd in place keeps entries
-    small; arithmetic is exact regardless.
+    small; arithmetic is exact regardless.  A lone 1 (a lone -1 once
+    negated), as every pivot of a Cayley table is, skips Euclid: each
+    listed row i below pops its entry x and logs (t, i, -x), as Euclid would.
 
     A presentation's rows were read off its words once, when it was built,
     and come here without the words being read again (``presentation_snf``).
@@ -238,10 +246,11 @@ def _eliminate(orig: list, n: int) -> SNFResult:
     The certificate U*A*V == D is checked exactly on every call.  Each of
     the r rows of A that holds a pivot must be the single entry d_i at its
     diagonal position, with d_i >= 1 dividing d_(i+1) (``_pivot_diagonal``),
-    and the rows past r must be empty.  Replaying the log on the input rows
-    gives U*A directly, in sparse rows: each pivot row must equal
-    (U*A)_i * V, and each of the m - r rows past the last pivot must have
-    (U*A)_i == 0, which implies (U*A)_i * V == 0 and skips the product.
+    and the rows past r must be empty.  Replaying the log on the input rows,
+    run by run (``_replay``), gives U*A directly, in sparse rows: each pivot
+    row must equal (U*A)_i * V, and each of the m - r rows past the last
+    pivot must have (U*A)_i == 0, which implies (U*A)_i * V == 0 and skips
+    the product.
     """
     m = len(orig)
     A = [dict(row) for row in orig]
@@ -329,6 +338,15 @@ def _eliminate(orig: list, n: int) -> SNFResult:
             swap_cols(t, pj)
         if A[t][col[t]] < 0:
             negate_row(t)
+        if best == 1 and len(A[t]) == 1:
+            # row i += -x * row t just drops x; a row listed twice pops 0
+            ct = col[t]
+            for i in sorted(i for i in map(at.__getitem__, listed[ct]) if i > t):
+                x = A[i].pop(ct, 0)
+                if x:
+                    ops.extend((t, i, -x))
+            t += 1
+            continue
         while True:
             ct = col[t]
             # the rows below t that meet column t, in order; a pass changes

@@ -15,7 +15,7 @@ import functools
 import itertools
 import numbers
 from math import gcd
-from operator import add, itemgetter
+from operator import add, countOf, itemgetter
 
 from .errors import (
     AxiomViolationError,
@@ -326,15 +326,15 @@ def _word_rows(rels: list, g: int) -> list:
     values; raise on the first word that is not g nonnegative ints.
 
     The lengths and types of all words are checked at once, by C-level
-    passes; the per-word scan runs only when that fails, to name the first
-    bad word (or to accept int subclasses such as IntEnum members, read as
-    plain ints).  The sign is checked on the nonzero entries only, as each
-    row is read off them.
+    passes that count matches and keep no list; the per-word scan runs
+    only when that fails, to name the first bad word (or to accept int
+    subclasses such as IntEnum members, read as plain ints).  The sign is
+    checked on the nonzero entries only, as each row is read off them.
     """
     words = list(itertools.chain.from_iterable(rels))
     if not (
         set(map(len, words)) <= {g}
-        and set(map(type, itertools.chain.from_iterable(words))) <= {int}
+        and countOf(map(type, itertools.chain.from_iterable(words)), int) == g * len(words)
     ):
         for side in words:
             if len(side) != g or not _is_exponent_word(side):
@@ -384,8 +384,8 @@ class MonoidPresentation(CommutativeMonoid):
             for rel in relations:
                 if len(rel) != 2:
                     raise InvalidInputError(f"relation must be a word pair, got {rel!r}")
-                u, v = (tuple(side) for side in rel)
-                rels.append((u, v))
+                u, v = rel
+                rels.append((tuple(u), tuple(v)))
         except Exception:
             _word_rows(rels, g)  # a bad word before the fault is named first
             raise

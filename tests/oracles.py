@@ -9,6 +9,8 @@ code path with either key.
 
 The dense Smith normal form takes the sparse elimination's steps in the
 same order on dense lists, with U carried as a matrix, as its reference.
+The replay of a row-operation log one operation at a time, each addition
+reading its source row afresh, is the reference for the replay run by run.
 The divisor-chain matching of element orders, the sweeps over every
 element of R[M] and of a finite R, the saturation search over R x R, the
 Cayley table of a multiplicative set and the numpy check of a Cayley
@@ -733,6 +735,35 @@ def dense_smith_normal_form(rows, ncols: int | None = None) -> DenseSNF:
         raise AssertionError("transform bookkeeping broke: U*A*V != D")
     diag = [A[i][i] for i in range(limit)]
     return DenseSNF(D=A, U=U, V=V, invariant_factors=diag, nrows=m, ncols=n)
+
+
+def _add_row(rows: list, src: int, dst: int, q: int) -> None:
+    """Sparse row dst += q * sparse row src, dropping entries that cancel."""
+    out = rows[dst]
+    for k, y in rows[src].items():
+        x = out.get(k, 0) + q * y
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+
+
+def replay_one_by_one(ops: list, rows: list) -> list:
+    """Apply logged row operations to sparse ``rows`` in place and return them.
+
+    ``ops`` is flat, three entries per operation (i, j, q): q == 0 swaps rows
+    i and j, i == j negates row i, and otherwise row j += q * row i, read
+    off row i afresh for each operation.
+    """
+    it = iter(ops)
+    for i, j, q in zip(it, it, it):
+        if not q:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i == j:
+            rows[i] = {k: -x for k, x in rows[i].items()}
+        else:
+            _add_row(rows, i, j, q)
+    return rows
 
 
 def determinantal_divisors(rows, ncols: int) -> list:

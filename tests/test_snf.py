@@ -21,7 +21,13 @@ read.  The row and column passes read the rows that meet a column off a
 column index, so shuffled multiplication tables up to n = 40 and matrices
 whose rows cancel to empty while a column swap refills the pivot column
 are checked against the dense form too, and the log and V of three inputs
-are pinned by digest.  A presentation reads its words once, at
+are pinned by digest.  A pivot row that is a lone 1 clears its column by
+popping each listed entry; sparse 0/+-1 rows, rows listed twice in such a
+column and eliminations that run both paths are checked against the dense
+form.  The certificate replays the log run by run, one read of the source
+row per run of additions; hypothesis logs whose runs are broken by a swap,
+a negation or an addition into the source row must replay as
+``oracles.replay_one_by_one`` does.  A presentation reads its words once, at
 construction, into the sparse rows that ``presentation_snf`` hands to the
 same elimination core (``_eliminate``) without reading the words again; it
 must match ``smith_normal_form`` on the dense relation matrix field for
@@ -40,6 +46,7 @@ import hashlib
 import pickle
 import random
 import signal
+import sys
 import time
 import tracemalloc
 
@@ -60,7 +67,7 @@ from grothloc import (
 from grothloc import grothendieck
 
 import zoo
-from oracles import dense_smith_normal_form, determinantal_invariant_factors
+from oracles import dense_smith_normal_form, determinantal_invariant_factors, replay_one_by_one
 
 
 def assert_same_as_dense(rows, ncols=None):
@@ -151,6 +158,88 @@ def test_cancelling_rows_and_refilled_pivot_columns_match_dense():
                     assert_same_as_dense(rows, ncols=n)
                     assert smith_normal_form(rows, ncols=n).invariant_factors == \
                         determinantal_invariant_factors(rows, n)
+
+
+def record_pivot_passes(monkeypatch):
+    """Record each column pass of ``_eliminate`` as (lone, negated, twice):
+    whether a lone 1 cleared the column, whether its row was a lone -1
+    negated first, and whether a row sat twice in the list it cleared.
+    Read off the elimination's frame when it sorts the rows of a pass."""
+    passes = []
+
+    def spy(rows):
+        rows = sorted(rows)
+        f = sys._getframe(1).f_locals
+        t, ops = f["t"], f["ops"]
+        lone = f["best"] == 1 and len(f["A"][t]) == 1
+        passes.append((lone, lone and ops[-3:] == [t, t, -1], lone and len(rows) > len(set(rows))))
+        return rows
+
+    monkeypatch.setattr(grothendieck, "sorted", spy, raising=False)
+    return passes
+
+
+def unit_rows(rng, m, n):
+    """Sparse rows of one or two entries +-1, now and then +-2."""
+    rows = []
+    for _ in range(m):
+        row = [0] * n
+        for j in rng.sample(range(n), rng.randint(1, min(n, 2))):
+            row[j] = rng.choice((-2, 2) if rng.random() < 0.1 else (-1, 1))
+        rows.append(row)
+    return rows
+
+
+def test_lone_unit_pivots_match_dense(monkeypatch):
+    """Most pivots of sparse 0/+-1 rows are a lone +-1, which clears its
+    column by popping each listed entry; a lone -1 is negated first."""
+    passes = record_pivot_passes(monkeypatch)
+    rng = random.Random(34)
+    for m in range(1, 13):
+        for n in range(1, 9):
+            for _ in range(3):
+                assert_same_as_dense(unit_rows(rng, m, n), ncols=n)
+    lone = sum(p[0] for p in passes)
+    assert lone > 0.8 * len(passes), (lone, len(passes))
+    assert any(p[1] for p in passes)
+
+
+def test_rows_listed_twice_under_a_lone_one_match_dense(monkeypatch):
+    """A row that lost its entry in a column and gained it again is listed
+    there twice; when a lone 1 clears that column the second pop finds 0
+    and logs nothing.  Dense 0/+-1 rows give such cases, found by search."""
+    passes = record_pivot_passes(monkeypatch)
+    rng = random.Random(10)
+    twice = 0
+    for _ in range(120):
+        passes.clear()
+        assert_same_as_dense(random_rows(rng, 10, 6, 0.5, 1), ncols=6)
+        twice += any(p[2] for p in passes)
+    assert twice >= 1
+
+
+def test_lone_ones_then_euclid_in_one_elimination(monkeypatch):
+    """Rows e_j for the first k columns go first as lone 1s; what is left
+    of the other rows has entries of at least 2, so the later pivots need
+    Euclid, and both paths run in one elimination."""
+    passes = record_pivot_passes(monkeypatch)
+    rng = random.Random(35)
+    for n in range(3, 9):
+        for k in range(1, n):
+            for _ in range(2):
+                rows = [[int(i == j) for i in range(n)] for j in range(k)]
+                rows += [
+                    [rng.randint(-3, 3) if i < k else rng.choice((-1, 1)) * rng.randint(2, 9)
+                     for i in range(n)]
+                    for _ in range(rng.randint(1, 5))
+                ]
+                rng.shuffle(rows)
+                passes.clear()
+                assert_same_as_dense(rows, ncols=n)
+                assert smith_normal_form(rows, ncols=n).invariant_factors == \
+                    determinantal_invariant_factors(rows, n)
+                kinds = [p[0] for p in passes]
+                assert kinds[:k] == [True] * k and False in kinds[k:], kinds
 
 
 def unimodular(rng, n, steps, cap=12):
@@ -382,6 +471,65 @@ def test_dense_u_is_built_on_first_read_only(monkeypatch):
     assert calls == [78, 78]
     assert first == dense_smith_normal_form(rows).U
     assert all(len(row) == got.nrows for row in first)
+
+
+def assert_replays_agree(ops, rows):
+    """The run-by-run replay and the one-by-one reference, on copies of
+    ``rows``, give the same rows with their entries in the same order."""
+    got = grothendieck._replay(ops, [dict(row) for row in rows])
+    want = replay_one_by_one(ops, [dict(row) for row in rows])
+    assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+
+
+def test_replay_runs_end_where_their_source_row_changes():
+    """Each log holds a run from row 0 that something breaks before row 0
+    is a source again: an addition into row 0, a swap that brings another
+    row in as row 0, a negation of row 0.  A replay that kept row 0's
+    entries across the break would add stale ones."""
+    rows = [{0: 1, 1: 2}, {1: 1, 2: -1}, {0: 3}, {2: 5}]
+    for breaker in ([1, 0, 2], [3, 0, -1], [2, 0, 0], [0, 0, -1], [0, 3, 0]):
+        ops = [0, 1, 2, 0, 2, -1] + breaker + [0, 3, 1, 0, 1, -3]
+        assert_replays_agree(ops, rows)
+    # an addition that cancels an entry of its destination, then re-adds it
+    assert_replays_agree([0, 1, -1, 0, 1, 1, 0, 2, -3], [{0: 1}, {0: 1, 1: 1}, {0: 3}])
+
+
+def logged_ops(m):
+    """Logs over m rows made of blocks: a run of additions from a source row
+    s, an operation that changes row s (a swap, a negation of s, or an
+    addition into s), and a second run from s."""
+    q = st.integers(-3, 3).filter(bool)
+    run = st.lists(st.tuples(st.integers(1, m - 1), q), min_size=1, max_size=3)
+
+    def block(s, first, kind, b, qb, second):
+        other = (s + b) % m
+        breaker = {"swap": (s, other, 0), "negate": (s, s, -1), "add": (other, s, qb)}[kind]
+        adds = [(s, (s + d) % m, c) for d, c in first] + [breaker]
+        return [x for op in adds + [(s, (s + d) % m, c) for d, c in second] for x in op]
+
+    blocks = st.builds(block, st.integers(0, m - 1), run, st.sampled_from(("swap", "negate", "add")),
+                       st.integers(1, m - 1), q, run)
+    return st.lists(blocks, min_size=1, max_size=4).map(lambda bs: [x for b in bs for x in b])
+
+
+@given(st.integers(2, 3).flatmap(lambda m: st.tuples(
+    st.lists(st.dictionaries(st.integers(0, 3), st.integers(-4, 4).filter(bool), min_size=1, max_size=4),
+             min_size=m, max_size=m),
+    logged_ops(m),
+)))
+def test_hypothesis_logs_replay_as_one_by_one(case):
+    rows, ops = case
+    assert_replays_agree(ops, rows)
+
+
+def test_elimination_logs_replay_as_one_by_one():
+    """Logs the elimination made, on Cayley tables (long runs from lone 1s)
+    and on matrices that need Euclid, replayed on their input rows."""
+    rng = random.Random(36)
+    for rows in (cayley_relation_rows(12, rng), ELEVEN_BY_NINE, TWELVE_BY_TEN,
+                 random_rows(rng, 10, 6, 0.5, 1), random_rows(rng, 8, 8, 0.7, 9)):
+        sparse = [{k: x for k, x in enumerate(row) if x} for row in rows]
+        assert_replays_agree(smith_normal_form(rows).row_ops, sparse)
 
 
 def test_multiplication_mod_60_presentation_leaves_u_sparse():
@@ -658,8 +806,10 @@ def log_digest(snf):
 def test_row_log_and_column_transform_are_pinned():
     """The sha256 of (row_ops, V) that the elimination gave before it read
     its passes off a column index: the index changes which rows a pass
-    reads, never the operations it applies or their order.  A broken index
-    can loop, hence the time limit."""
+    reads, never the operations it applies or their order.  Nor does the
+    lone-1 path, which pops the entries of a column that Euclid would clear
+    by row additions and logs the same additions.  A broken index can loop,
+    hence the time limit."""
     mod60, mod150 = shuffled_multiplication(60, 60), shuffled_multiplication(150, 150)
     with time_limit(10.0):
         assert log_digest(presentation_snf(mod60)) == \
