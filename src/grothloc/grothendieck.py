@@ -4,25 +4,9 @@ A class is an ordered pair [a, b] read as "a minus b"; two pairs are
 identified when (a+d) + m = (b+c) + m for some witness m.  Every class has
 a hashable normal form, ``GrothendieckGroup.key``, and equality is key
 equality, so class lists, term merging and membership tests are dict and
-set operations.  ``GrothendieckGroup.strategy`` names how the key is
-computed:
-
-* cancellative-cross-sum: a+d = b+c directly (witness never needed); the
-  key is a - b for free and lattice monoids, a + (-b) for finite groups,
-  and the tuple of component keys for direct sums.
-* finite-witness-enumeration: a Cayley table; one witness suffices.  With
-  e the idempotent power of the sum of all elements, K = M + e is a group
-  with identity e (the minimal ideal; Clifford & Preston, Grillet), so
-  [a, b] = [c, d] iff a+d+e = b+c+e, and the key is (a+e) + inverse_K(b+e).
-  G(M) is K.
-* presentation-lattice: membership of (a+d) - (b+c) in the integer row
-  lattice of the relation matrix, read off the Smith normal form; the key
-  is y = (a-b)V with free slots kept, torsion slots reduced mod d_j and
-  unit slots dropped.
-* componentwise: a direct sum, finite or not, with a non-cancellative or
-  presented component; the key is the tuple of component keys.  G of a
-  direct sum is the direct sum of the components' G, so no direct sum is
-  walked as one carrier of tuples.
+set operations.  The base monoid's family computes the key, the label
+``GrothendieckGroup.strategy`` and the structure (``groth_key``,
+``groth_strategy`` and ``groth_structure`` in ``monoid``).
 
 All integer linear algebra uses arbitrary-precision Python ints.
 """
@@ -40,18 +24,6 @@ from .errors import (
     PreconditionError,
     TorsionWitnessError,
     UnsupportedFamilyError,
-)
-from .monoid import (
-    CayleyMonoid,
-    CommutativeMonoid,
-    FreeCommutativeMonoid,
-    IntegerLatticeMonoid,
-    MonoidPresentation,
-    DirectSumMonoid,
-    MonoidValue,
-    _word_rows,
-    kernel_group,
-    numeric_compare,
 )
 from .rng import Lcg64
 
@@ -225,7 +197,7 @@ def _eliminate(orig: list, n: int) -> SNFResult:
     listed row i below pops its entry x and logs (t, i, -x), as Euclid would.
 
     A presentation's rows were read off its words once, when it was built,
-    and come here without the words being read again (``presentation_snf``).
+    and come here without the words being read again (``MonoidPresentation.snf``).
 
     A is kept as sparse rows and V is dense, so the pivot search, the row
     and column passes and the divisibility scan read only nonzeros.  A's
@@ -409,7 +381,7 @@ def smith_normal_form(rows, ncols: int | None = None) -> SNFResult:
     straight into a sparse row ({col: value}); a list of Python ints is read
     in place, anything else (numpy ints, tuples, iterators) is vetted entry
     by entry first.  The sparse rows go to ``_eliminate``, the one
-    elimination core, which ``presentation_snf`` feeds directly; see there
+    elimination core, which ``MonoidPresentation.snf`` feeds directly; see there
     for the pivot rule, the row-operation log and the certificate checked
     on every call.  The result holds V, the invariant factors and the log;
     D and U are built when first read (see ``SNFResult``).
@@ -454,7 +426,7 @@ class FGAbelianStructure(namedtuple("FGAbelianStructure", "free_rank torsion_inv
         return n
 
 
-def presentation_matrix(p: MonoidPresentation) -> list:
+def presentation_matrix(p) -> list:
     """One row u - v per relation, over the generator coordinates."""
     return [list(map(sub, u, v)) for u, v in p.relations]
 
@@ -489,28 +461,9 @@ def structure_from_snf(snf: SNFResult) -> FGAbelianStructure:
     return FGAbelianStructure(snf.ncols - len(nonzero), torsion)
 
 
-def presentation_snf(p: MonoidPresentation) -> SNFResult:
-    """The Smith normal form of p's relation matrix, computed once per
-    presentation object and kept on it; callers must not mutate it.
-
-    The elimination takes over the sparse rows that p read off its words
-    when it was built: the words are not read again, no dense matrix is
-    made, and p holds no rows once its form is computed.  The result is
-    the one ``smith_normal_form(presentation_matrix(p), ncols=p.generators)``
-    gives, bit for bit."""
-    snf = p.__dict__.get("_snf")
-    if snf is None:
-        rows = p.__dict__.pop("_rows", None)  # p refuses plain deletion
-        if rows is None:  # an elimination that raised or was interrupted took them
-            rows = _word_rows(p.relations, p.generators)
-        snf = _eliminate(rows, p.generators)
-        object.__setattr__(p, "_snf", snf)
-    return snf
-
-
-def groth_of_presentation(p: MonoidPresentation) -> FGAbelianStructure:
-    """Grothendieck group of a presented monoid: Z^k modulo relation rows."""
-    return structure_from_snf(presentation_snf(p))
+def presentation_snf(p) -> SNFResult:
+    """The Smith normal form of a presentation's relation matrix, kept on it."""
+    return p.snf
 
 
 # ---------------------------------------------------------------------------
@@ -520,32 +473,20 @@ def groth_of_presentation(p: MonoidPresentation) -> FGAbelianStructure:
 class GrothendieckGroup:
     """Pairs over a base monoid with a decidable identification."""
 
-    def __init__(self, base: CommutativeMonoid):
+    def __init__(self, base):
         self.base = base
-        self._slots = None
-        self._parts = None
-        if isinstance(base, MonoidPresentation):
-            self.strategy = "presentation-lattice"
-            self._slots = snf_slots(presentation_snf(base))
-        elif isinstance(base, DirectSumMonoid):
-            self._parts = [GrothendieckGroup(c) for c in base.components]
-            cancellative = all(g.strategy == "cancellative-cross-sum" for g in self._parts)
-            self.strategy = "cancellative-cross-sum" if cancellative else "componentwise"
-        elif base.cancellative():
-            self.strategy = "cancellative-cross-sum"
-        else:
-            self.strategy = "finite-witness-enumeration"
+        self.strategy = base.groth_strategy()
 
     # -- construction
 
-    def element(self, a: MonoidValue, b: MonoidValue) -> GrothElement:
+    def element(self, a, b) -> GrothElement:
         return GrothElement(self.base.validate(a), self.base.validate(b))
 
     def zero(self) -> GrothElement:
         e = self.base.identity
         return GrothElement(e, e)
 
-    def canonical(self, m: MonoidValue) -> GrothElement:
+    def canonical(self, m) -> GrothElement:
         """The image of a monoid element: [m, 0]."""
         return GrothElement(self.base.validate(m), self.base.identity)
 
@@ -573,19 +514,7 @@ class GrothendieckGroup:
 
     def key(self, x: GrothElement):
         """Hashable normal form: key(x) == key(y) exactly when x and y are one class."""
-        base = self.base
-        if self._slots is not None:
-            return lattice_key(self._slots, list(map(sub, x.first, x.second)))
-        if self._parts is not None:
-            return tuple(
-                g.key(GrothElement(a, b))
-                for g, a, b in zip(self._parts, x.first, x.second)
-            )
-        if base.is_finite:
-            e, inv, _ = base.kernel
-            # (a+e) - (b+e) in K; the inverse already lies in K, so +e is implied
-            return base.op(x.first, inv[base.op(x.second, e)])
-        return tuple(map(sub, x.first, x.second))
+        return self.base.groth_key(x.first, x.second)
 
     def eq(self, x: GrothElement, y: GrothElement) -> bool:
         return self.key(x) == self.key(y)
@@ -595,7 +524,7 @@ class GrothendieckGroup:
 
     def is_trivial(self) -> bool:
         """Whether every class collapses to zero: G(M) has order 1."""
-        return monoid_groth_structure(self.base).order() == 1
+        return self.base.groth_structure().order() == 1
 
 
 def canonical_map_injective(group: GrothendieckGroup) -> bool:
@@ -626,9 +555,9 @@ def groth_classes(group: GrothendieckGroup) -> list:
 # universal property
 
 
-def universal_extend(group: GrothendieckGroup, g, target: CayleyMonoid,
+def universal_extend(group: GrothendieckGroup, g, target,
                      samples: int = 200, seed: int = 0):
-    """Extend a monoid morphism g: M -> H to h: G(M) -> H.
+    """Extend a monoid morphism g: M -> H, H a finite table, to h: G(M) -> H.
 
     h([a, b]) = g(a) - g(b).  The morphism law for g is verified first,
     exhaustively when the base is finite and by sampling otherwise.
@@ -662,7 +591,7 @@ def universal_extend(group: GrothendieckGroup, g, target: CayleyMonoid,
 # structure of finite Grothendieck groups
 
 
-def finite_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
+def finite_groth_structure(m) -> FGAbelianStructure:
     """Invariant-factor decomposition of G(M) for finite M.
 
     G(M) is the kernel group K = M + e.  For a prime p with p-parts p^e_i of
@@ -700,21 +629,9 @@ def finite_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
     return FGAbelianStructure(0, tuple(reversed(invariants)))
 
 
-def monoid_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
-    """Structure of G(M) for any supported family, dispatching as needed."""
-    if isinstance(m, MonoidPresentation):
-        return groth_of_presentation(m)
-    if isinstance(m, FreeCommutativeMonoid):
-        return FGAbelianStructure(m.rank, ())
-    if isinstance(m, IntegerLatticeMonoid):
-        return FGAbelianStructure(m.rank, ())
-    if isinstance(m, DirectSumMonoid):
-        return direct_sum_groth(monoid_groth_structure(c) for c in m.components)
-    if m.is_finite:
-        return finite_groth_structure(m)
-    raise UnsupportedFamilyError(
-        f"no structure computation for {type(m).__name__}"
-    )
+def monoid_groth_structure(m) -> FGAbelianStructure:
+    """Structure of G(M), as M's family computes it."""
+    return m.groth_structure()
 
 
 def direct_sum_groth(parts) -> FGAbelianStructure:
@@ -728,6 +645,11 @@ def direct_sum_groth(parts) -> FGAbelianStructure:
 
 # ---------------------------------------------------------------------------
 # total orders
+
+
+def numeric_compare(a, b) -> int:
+    """-1, 0 or 1; tuples compare lexicographically."""
+    return (a > b) - (a < b)
 
 
 def order_from_monoid_order(group: GrothendieckGroup, compare):

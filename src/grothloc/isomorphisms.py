@@ -9,7 +9,7 @@ attempted anywhere; equalities are semantic.
 """
 from __future__ import annotations
 
-from .errors import MalformedDenominatorError, PreconditionError
+from .errors import MalformedDenominatorError
 from .grothendieck import GrothElement, GrothendieckGroup
 from .localization import Fraction, LocalizedRing, MultiplicativeSet
 from .monoid import FreeCommutativeMonoid, IntegerLatticeMonoid
@@ -20,11 +20,9 @@ from .rng import Lcg64
 class HMapContext:
     """Everything both directions of the map need, built once.
 
-    T generators are laid out as the lifted S generators followed by the
-    monomial generators (every eps_m for a finite monoid, the unit-vector
-    eps's for a free monoid, the eps's of +e_i and then of -e_i for a
-    lattice), so denominator witnesses compose positionally.  ``MonoidRing``
-    decides whether each of them is a non-zero-divisor.
+    T generators are the lifted S generators followed by the eps's of the
+    monoid's ``t_generators()``, so denominator witnesses compose
+    positionally; ``MonoidRing`` decides whether each is a non-zero-divisor.
     """
 
     def __init__(self, ring, monoid, sgens, *, nzd: bool | None = None):
@@ -38,38 +36,14 @@ class HMapContext:
 
         lifted = [self.mring.scalar(g) for g in self.sset.generators]
         self._mono_offset = len(lifted)
-        self._mono_index = None
-        if self.monoid.is_finite:
-            elems = list(self.monoid.elements())
-            self._mono_index = {m: i for i, m in enumerate(elems)}
-            mono_gens = [self.mring.epsilon(m) for m in elems]
-        elif isinstance(self.monoid, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
-            rank = self.monoid.rank
-            signs = (1, -1) if isinstance(self.monoid, IntegerLatticeMonoid) else (1,)
-            mono_gens = [
-                self.mring.epsilon(tuple(sign if j == i else 0 for j in range(rank)))
-                for sign in signs
-                for i in range(rank)
-            ]
-        else:
-            raise PreconditionError(
-                f"no T generator layout for {type(self.monoid).__name__}"
-            )
+        mono_gens = [self.mring.epsilon(m) for m in self.monoid.t_generators()]
         self.tset = MultiplicativeSet(self.mring, lifted + mono_gens)
         self.tloc = LocalizedRing(self.mring, self.tset)
 
     # -- witness plumbing (lifted S generators keep their indices inside T)
 
     def monomial_witness(self, n) -> tuple:
-        if self._mono_index is not None:
-            return (self._mono_offset + self._mono_index[n],)
-        # |n_j| copies of eps(+e_j), or of eps(-e_j) when n_j < 0
-        rank = len(n)
-        wit = ()
-        for j, e in enumerate(n):
-            if e:
-                wit += (self._mono_offset + j + (rank if e < 0 else 0),) * abs(e)
-        return wit
+        return self.monoid.monomial_witness(n, self._mono_offset)
 
     def monomial_fraction(self, num: MRElement, s, n) -> Fraction:
         """num over the denominator s * eps_n; s must be in the S closure.

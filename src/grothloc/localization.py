@@ -39,8 +39,8 @@ from .errors import (
     UndecidableConfigurationError,
     UnsupportedFamilyError,
 )
-from .grothendieck import CayleyMonoid, GrothElement, GrothendieckGroup
-from .monoid import FreeCommutativeMonoid, idempotent_power
+from .grothendieck import GrothElement, GrothendieckGroup
+from .monoid import CayleyMonoid, FreeCommutativeMonoid, idempotent_power
 from .ring import ModRing, MonoidRing, MRElement, _is_prime, degree_of
 from .rng import Lcg64
 

@@ -4,10 +4,10 @@ Elements are plain values: integers index Cayley-table carriers, tuples of
 integers carry free / lattice / presented / direct-sum elements.  All
 arithmetic is exact; validation is eager for finite tables.
 
-Each family answers its own questions as methods: ``cancellative()``,
-``translation_injective(a)``, ``quasi_zeros()``, ``sample(rng, bound)`` and
-``to_dict()``.  ``CommutativeMonoid`` holds the defaults, and a direct sum
-answers each one component by component.
+Each family answers its own questions as methods, ``cancellative()``,
+``quasi_zeros()``, ``to_dict()``, G(M) (``groth_key(a, b)``,
+``groth_structure()``) and the layout of T (``t_generators()``) among them.
+``CommutativeMonoid`` holds the defaults; a direct sum asks its components.
 """
 from __future__ import annotations
 
@@ -15,13 +15,23 @@ import functools
 import itertools
 import numbers
 from math import gcd
-from operator import add, countOf, itemgetter
+from operator import add, countOf, itemgetter, sub
 
+from . import grothendieck
 from .errors import (
     AxiomViolationError,
     InvalidInputError,
     MalformedElementError,
+    PreconditionError,
     UnsupportedFamilyError,
+)
+from .grothendieck import (
+    FGAbelianStructure,
+    direct_sum_groth,
+    finite_groth_structure,
+    lattice_key,
+    snf_slots,
+    structure_from_snf,
 )
 from .rng import Lcg64
 
@@ -73,6 +83,40 @@ class CommutativeMonoid:
             raise UnsupportedFamilyError("quasi-zero search needs a finite carrier")
         e, inv, _ = self.kernel
         return {x for x in self.elements() if x == e or (x not in inv and self.op(x, e) == e)}
+
+    def groth_strategy(self) -> str:
+        """How ``groth_key`` decides [a, b] = [c, d], as a label:
+        cancellative-cross-sum when a+d = b+c decides it with no witness,
+        finite-witness-enumeration on a finite carrier that does not cancel."""
+        return "cancellative-cross-sum" if self.cancellative() else "finite-witness-enumeration"
+
+    def groth_key(self, a: MonoidValue, b: MonoidValue):
+        """Hashable normal form of the class [a, b] of G(M), here of a finite
+        carrier.  With e the idempotent power of the sum of all elements,
+        K = M + e is a group with identity e (the minimal ideal; Clifford &
+        Preston, Grillet), so [a, b] = [c, d] iff a+d+e = b+c+e, and the key
+        is (a+e) + inverse_K(b+e); the inverse lies in K, so +e is implied."""
+        e, inv, _ = self.kernel
+        return self.op(a, inv[self.op(b, e)])
+
+    def groth_structure(self) -> FGAbelianStructure:
+        """G(M) as Z^r + sum of Z/d_i; a finite carrier's is K (see ``groth_key``)."""
+        return finite_groth_structure(self)
+
+    def t_generators(self) -> list:
+        """The degrees m of the monomial generators eps_m of T, in the order
+        ``monomial_witness`` counts them: every element of a finite carrier."""
+        if not self.is_finite:
+            raise PreconditionError(f"no T generator layout for {type(self).__name__}")
+        return list(self.elements())
+
+    def monomial_witness(self, n: MonoidValue, offset: int) -> tuple:
+        """Positions, each past ``offset``, of t_generators() that sum to n."""
+        return (offset + self._positions[n],)
+
+    @functools.cached_property
+    def _positions(self) -> dict:
+        return {m: i for i, m in enumerate(self.elements())}
 
     def sample(self, rng: Lcg64, bound: int = 6) -> MonoidValue:
         """Draw a pseudo-random element; ``bound`` caps tuple coordinates."""
@@ -248,6 +292,8 @@ def _first_assoc_failure(table):
 class _TupleMonoid(CommutativeMonoid):
     """Common code for families whose elements are integer tuples of fixed rank."""
 
+    _signs = (1,)  # T is generated by the eps of s*e_i, s in _signs
+
     def __init__(self, rank: int):
         if isinstance(rank, bool) or not isinstance(rank, int):
             raise InvalidInputError(f"rank must be an int, got {rank!r}")
@@ -265,6 +311,26 @@ class _TupleMonoid(CommutativeMonoid):
 
     def cancellative(self) -> bool:
         return True
+
+    def groth_key(self, a: tuple, b: tuple) -> tuple:
+        """a - b: the base cancels, so the difference is the class."""
+        return tuple(map(sub, a, b))
+
+    def groth_structure(self) -> FGAbelianStructure:
+        return FGAbelianStructure(self.rank, ())
+
+    def t_generators(self) -> list:
+        """+e_1, ..., +e_k, then (on a lattice) -e_1, ..., -e_k."""
+        k = self.rank
+        return [tuple(s if j == i else 0 for j in range(k)) for s in self._signs for i in range(k)]
+
+    def monomial_witness(self, n: tuple, offset: int) -> tuple:
+        """|n_j| copies of +e_j, or of -e_j when n_j < 0."""
+        wit = ()
+        for j, e in enumerate(n):
+            if e:
+                wit += (offset + j + (self.rank if e < 0 else 0),) * abs(e)
+        return wit
 
     def _check_shape(self, a):
         if not isinstance(a, tuple) or len(a) != self.rank:
@@ -301,6 +367,8 @@ class FreeCommutativeMonoid(_TupleMonoid):
 
 class IntegerLatticeMonoid(_TupleMonoid):
     """Z^k under componentwise addition (an abelian group viewed as a monoid)."""
+
+    _signs = (1, -1)
 
     def validate(self, a) -> tuple:
         self._check_shape(a)
@@ -368,11 +436,11 @@ class MonoidPresentation(CommutativeMonoid):
     Elements are exponent words in N^generators; ``op`` is word addition.
     Word equality in the presented monoid is deliberately NOT decided here,
     nor is cancellativity; only the Grothendieck group of the presentation
-    is computed downstream.  A presentation is immutable, compares and
+    is computed (``snf``).  A presentation is immutable, compares and
     hashes by its two fields, and its repr names them.  Its words are read
     once, at construction, into the sparse rows u - v of its relation
-    matrix; ``presentation_snf`` takes them over and drops them, and a copy
-    or a pickle is rebuilt from the two fields.
+    matrix; ``snf`` takes them over and drops them, and a copy or a pickle
+    is rebuilt from the two fields.
     """
 
     def __init__(self, generators: int, relations=()):
@@ -389,7 +457,7 @@ class MonoidPresentation(CommutativeMonoid):
         except Exception:
             _word_rows(rels, g)  # a bad word before the fault is named first
             raise
-        # read once: presentation_snf takes these rows and drops them
+        # read once: snf takes these rows and drops them
         object.__setattr__(self, "_rows", _word_rows(rels, g))
         object.__setattr__(self, "generators", g)
         object.__setattr__(self, "relations", tuple(rels))
@@ -436,6 +504,34 @@ class MonoidPresentation(CommutativeMonoid):
 
     def sample(self, rng: Lcg64, bound: int = 6) -> tuple:
         return tuple(rng.below(bound + 1) for _ in range(self.generators))
+
+    @functools.cached_property
+    def snf(self) -> grothendieck.SNFResult:
+        """The Smith normal form of ``presentation_matrix(p)``, bit for bit,
+        kept; callers must not mutate it.  It takes over the rows read off the
+        words at construction, so no dense matrix is made."""
+        rows = self.__dict__.pop("_rows", None)  # plain deletion is refused
+        if rows is None:  # an elimination that raised or was interrupted took them
+            rows = _word_rows(self.relations, self.generators)
+        return grothendieck._eliminate(rows, self.generators)
+
+    @functools.cached_property
+    def _slots(self) -> list:
+        return snf_slots(self.snf)
+
+    def groth_strategy(self) -> str:
+        """presentation-lattice: [a, b] = [c, d] iff (a+d) - (b+c) lies in
+        the integer row lattice of the relation matrix, read off ``snf``."""
+        return "presentation-lattice"
+
+    def groth_key(self, a: tuple, b: tuple) -> tuple:
+        """y = (a-b)V with free slots kept, torsion slots reduced mod d_j and
+        unit slots dropped."""
+        return lattice_key(self._slots, list(map(sub, a, b)))
+
+    def groth_structure(self) -> FGAbelianStructure:
+        """Z^generators modulo the relation rows."""
+        return structure_from_snf(self.snf)
 
     def to_dict(self) -> dict:
         return {
@@ -485,6 +581,18 @@ class DirectSumMonoid(CommutativeMonoid):
     def translation_injective(self, a: tuple) -> bool:
         return all(c.translation_injective(x) for c, x in zip(self.components, a))
 
+    def groth_strategy(self) -> str:
+        """componentwise unless every component cancels by cross sums: G of a
+        direct sum is the sum of the components' G, never one carrier of tuples."""
+        cancellative = all(c.groth_strategy() == "cancellative-cross-sum" for c in self.components)
+        return "cancellative-cross-sum" if cancellative else "componentwise"
+
+    def groth_key(self, a: tuple, b: tuple) -> tuple:
+        return tuple(c.groth_key(x, y) for c, x, y in zip(self.components, a, b))
+
+    def groth_structure(self) -> FGAbelianStructure:
+        return direct_sum_groth(c.groth_structure() for c in self.components)
+
     def quasi_zeros(self) -> set:
         """x + y = y holds slot by slot, so the set is the product of the
         components' sets (an infinite component refuses, as M itself would)."""
@@ -504,11 +612,6 @@ class DirectSumMonoid(CommutativeMonoid):
 
     def __repr__(self):
         return f"DirectSumMonoid({self.components!r})"
-
-
-def numeric_compare(a, b) -> int:
-    """-1, 0 or 1; tuples compare lexicographically."""
-    return (a > b) - (a < b)
 
 
 def idempotent_power(op, s):

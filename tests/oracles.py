@@ -56,7 +56,10 @@ otherwise) were library functions that only tests called.  The K[x] check
 that looked every S element up in a depth-8 closure is the reference for
 the one that builds each witness from its degree.  Group-ring arithmetic
 on plain term lists that keys every term again at each step is the
-reference for elements that carry the class keys they were merged by.
+reference for elements that carry the class keys they were merged by.  The
+strategy choice, class key and structure that dispatched on the monoid's
+family by ``isinstance`` are the references for each family's
+``groth_strategy``, ``groth_key`` and ``groth_structure``.
 """
 import functools
 import itertools
@@ -84,7 +87,14 @@ from grothloc import (
     smith_normal_form,
 )
 from grothloc.errors import InvalidInputError, PreconditionError, UnsupportedFamilyError
-from grothloc.grothendieck import _eye, kernel_group, lattice_key
+from grothloc.grothendieck import (
+    _eye,
+    direct_sum_groth,
+    finite_groth_structure,
+    lattice_key,
+    snf_slots,
+    structure_from_snf,
+)
 from grothloc.localization import EmbeddingReport
 from grothloc.monoid import (
     CommutativeMonoid,
@@ -92,6 +102,7 @@ from grothloc.monoid import (
     FreeCommutativeMonoid,
     IntegerLatticeMonoid,
     idempotent_power,
+    kernel_group,
 )
 from grothloc.ring import ModRing, MRElement, _deg_from_json
 
@@ -160,7 +171,7 @@ def strategy_eq(group, x: GrothElement, y: GrothElement) -> bool:
     if m.is_finite:
         e = kernel_group(m.op, list(m.elements()))[0]
         return m.op(lhs, e) == m.op(rhs, e)
-    return not any(lattice_key(group._slots, [p - q for p, q in zip(lhs, rhs)]))
+    return not any(lattice_key(group.base._slots, [p - q for p, q in zip(lhs, rhs)]))
 
 
 # ---------------------------------------------------------------------------
@@ -1323,3 +1334,72 @@ def closure_kx_counterexample_check(p: int = 5, samples: int = 50, seed: int = 0
         "unit_samples": samples,
         "unit_rewrites_ok": rewrites_ok,
     }
+
+
+# ---------------------------------------------------------------------------
+# G(M) by isinstance ladders over the five families, as GrothendieckGroup and
+# monoid_groth_structure computed it before each family answered for itself;
+# kept verbatim but for a presentation's Smith normal form, which is computed
+# afresh from its dense relation matrix instead of read off the presentation
+
+
+def ladder_presentation_snf(p: MonoidPresentation):
+    return smith_normal_form(presentation_matrix(p), ncols=p.generators)
+
+
+def ladder_groth_of_presentation(p: MonoidPresentation) -> FGAbelianStructure:
+    """Grothendieck group of a presented monoid: Z^k modulo relation rows."""
+    return structure_from_snf(ladder_presentation_snf(p))
+
+
+class LadderGroup:
+    """``GrothendieckGroup``'s strategy choice and key as ladders."""
+
+    def __init__(self, base: CommutativeMonoid):
+        self.base = base
+        self._slots = None
+        self._parts = None
+        if isinstance(base, MonoidPresentation):
+            self.strategy = "presentation-lattice"
+            self._slots = snf_slots(ladder_presentation_snf(base))
+        elif isinstance(base, DirectSumMonoid):
+            self._parts = [LadderGroup(c) for c in base.components]
+            cancellative = all(g.strategy == "cancellative-cross-sum" for g in self._parts)
+            self.strategy = "cancellative-cross-sum" if cancellative else "componentwise"
+        elif base.cancellative():
+            self.strategy = "cancellative-cross-sum"
+        else:
+            self.strategy = "finite-witness-enumeration"
+
+    def key(self, x: GrothElement):
+        """Hashable normal form: key(x) == key(y) exactly when x and y are one class."""
+        base = self.base
+        if self._slots is not None:
+            return lattice_key(self._slots, list(map(operator.sub, x.first, x.second)))
+        if self._parts is not None:
+            return tuple(
+                g.key(GrothElement(a, b))
+                for g, a, b in zip(self._parts, x.first, x.second)
+            )
+        if base.is_finite:
+            e, inv, _ = base.kernel
+            # (a+e) - (b+e) in K; the inverse already lies in K, so +e is implied
+            return base.op(x.first, inv[base.op(x.second, e)])
+        return tuple(map(operator.sub, x.first, x.second))
+
+
+def ladder_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
+    """Structure of G(M) for any supported family, dispatching as needed."""
+    if isinstance(m, MonoidPresentation):
+        return ladder_groth_of_presentation(m)
+    if isinstance(m, FreeCommutativeMonoid):
+        return FGAbelianStructure(m.rank, ())
+    if isinstance(m, IntegerLatticeMonoid):
+        return FGAbelianStructure(m.rank, ())
+    if isinstance(m, DirectSumMonoid):
+        return direct_sum_groth(ladder_groth_structure(c) for c in m.components)
+    if m.is_finite:
+        return finite_groth_structure(m)
+    raise UnsupportedFamilyError(
+        f"no structure computation for {type(m).__name__}"
+    )

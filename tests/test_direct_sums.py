@@ -25,7 +25,7 @@ from grothloc import (
     finite_groth_structure,
     monoid_groth_structure,
 )
-from grothloc.grothendieck import kernel_group
+from grothloc.monoid import kernel_group
 
 import zoo
 

@@ -29,7 +29,6 @@ from grothloc import (
     direct_sum_groth,
     finite_groth_structure,
     groth_classes,
-    groth_of_presentation,
     groth_units_iso,
     monoid_groth_structure,
     numeric_compare,
@@ -39,7 +38,7 @@ from grothloc import (
     structure_from_snf,
     universal_extend,
 )
-from grothloc.grothendieck import kernel_group
+from grothloc.monoid import kernel_group
 
 import zoo
 from oracles import sweep_group_inverses, walk_kernel_group
@@ -246,13 +245,13 @@ class TestPresentationStrategy:
             assert lhs == ((u2 - v2) == (w2 - x2))
 
     def test_structure_values(self):
-        assert groth_of_presentation(zoo.numsg_2_3()) == \
+        assert zoo.numsg_2_3().groth_structure() == \
             FGAbelianStructure(1, ())
-        assert groth_of_presentation(zoo.n_cross_z2()) == \
+        assert zoo.n_cross_z2().groth_structure() == \
             FGAbelianStructure(1, (2,))
-        assert groth_of_presentation(zoo.z4_presented()) == \
+        assert zoo.z4_presented().groth_structure() == \
             FGAbelianStructure(0, (4,))
-        assert groth_of_presentation(MonoidPresentation(3, ())) == \
+        assert MonoidPresentation(3, ()).groth_structure() == \
             FGAbelianStructure(3, ())
 
     def test_presentation_matrix_rows(self):
@@ -495,7 +494,7 @@ class TestTotalOrders:
                 for _ in range(rng.below(4))
             )
             p = MonoidPresentation(k, rels)
-            if not groth_of_presentation(p).torsion_invariants:
+            if not p.groth_structure().torsion_invariants:
                 found.append(p)
         return found
 
