@@ -49,7 +49,6 @@ from .monoid import (
 )
 from .ring import (
     IntegerRing,
-    ModRing,
     MonoidRing,
     _deg_from_json,
     _deg_to_json,
@@ -291,7 +290,7 @@ def _cmd_localize_decompose(args):
 
 def _cmd_localize_units(args):
     ring = ring_from_dict(_load_json_arg(args.ring))
-    if not isinstance(ring, ModRing):
+    if not ring.is_finite:
         raise InvalidInputError("localize units needs a Z/n ring")
     sset = MultiplicativeSet(ring, _load_sgens(args.sgens))
     loc = LocalizedRing(ring, sset)

@@ -21,16 +21,15 @@ subtract.  Any other configuration is rejected outright.
 A finite S gives fractions a hashable normal form, ``LocalizedRing.key``:
 e*S is a group with identity e, S^-1 R is isomorphic to eR (Atiyah and
 Macdonald, ch. 3), and r/s goes to e*r*(e*s)^-1.  One ``CornerRing`` per
-multiplicative set (``MultiplicativeSet.corner``) holds the inverses of
-the units of eR, so the keys, the saturation and the unit classes are all
-read off it; over Z/n, eR is Z/n' with n' = n // gcd(e, n).  Class lookups
+multiplicative set (``MultiplicativeSet.corner``, built by the ring's own
+``corner``) holds the inverses of the units of eR, so the keys, the
+saturation and the unit classes are all read off it.  Class lookups
 are dicts on this key, degree classes on ``GrothendieckGroup.key``.
 """
 from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from math import gcd
 
 from .errors import (
     InvalidInputError,
@@ -41,7 +40,7 @@ from .errors import (
 )
 from .grothendieck import GrothElement, GrothendieckGroup
 from .monoid import CayleyMonoid, FreeCommutativeMonoid, idempotent_power
-from .ring import ModRing, MonoidRing, MRElement, _is_prime, degree_of
+from .ring import CornerRing, ModRing, MonoidRing, MRElement, _is_prime, degree_of
 from .rng import Lcg64
 
 # over an infinite ring the closure keeps products of at most this many generators
@@ -69,86 +68,6 @@ def _decided_nzd(ring, g) -> bool:
         return False
 
 
-def _power_inverses(mul, x, e, settled: dict, limit=None) -> dict:
-    """The powers of x in eR that ``settled`` lacks, each mapped to its
-    inverse in eR, or to None when no power of x is e.
-
-    The powers of x share one idempotent power, so they are all units or all
-    not.  The walk x, x^2, ... stops at the first repeat or at the first
-    power y = x^k already in ``settled``.  On a repeat, when x^p = e first,
-    x^(p+1) = x closes the walk and x^i, x^(p-i) are inverse.  At a settled
-    y with inverse y', x^i has inverse x^(k-i)*y', one product each; at a
-    settled non-unit every walked power is one too.  A walk that would pass
-    ``limit`` powers stops, and x alone is settled as None: no power of x up
-    to x^limit is e.
-    """
-    powers, seen = [x], {x}
-    y = mul(x, x)
-    while y not in seen and y not in settled:
-        if len(powers) == limit:
-            return {x: None}
-        powers.append(y)
-        seen.add(y)
-        y = mul(y, x)
-    if y in settled:
-        inv = settled[y]
-        if inv is None:
-            return dict.fromkeys(powers)
-        return {p: mul(q, inv) for p, q in zip(powers, reversed(powers))}
-    if e not in seen:
-        return dict.fromkeys(powers)
-    return dict(zip(powers, powers[-2::-1] + [e]))
-
-
-class CornerRing:
-    """eR = {e*a : a in R} for an idempotent e of R, a ring with identity e:
-    ``inverse(x)`` is the inverse of x in eR, or None when x is no unit, and
-    ``units`` maps each unit of eR to its inverse, for a finite R.
-
-    Over Z/n, eR is Z/n' with n' = n // gcd(e, n), since e = 1 mod n' and
-    e = 0 mod n/n'.  Each of its n' classes x = e*u is certified: a unit by
-    its inverse y = e*(u^-1 mod n'), x*y = e, when gcd(u, n') = 1; otherwise
-    a non-unit by the nonzero z = e*(n'/g), g = gcd(u, n'), with x*z = 0 (a
-    unit of eR kills no nonzero element of eR).  A certificate that fails
-    raises AssertionError, and ``inverse`` is a lookup in ``units``.  Over
-    any other ring ``inverse`` settles the powers of x in one table, walking
-    at most ``limit`` of them (``_power_inverses``).
-    """
-
-    def __init__(self, ring, e, limit=None):
-        self._ring, self._e, self._limit = ring, e, limit
-        self._settled = {}  # x -> its inverse in eR, or None when x is no unit
-        if isinstance(ring, ModRing):
-            n = ring.n
-            m = n // gcd(e, n)
-            self.units = units = {}
-            self.inverse = units.get  # every class of eR is certified below
-            for u in range(m):
-                x, g = e * u % n, gcd(u, m)
-                if g == 1:
-                    units[x] = y = e * pow(u, -1, m) % n
-                    if x * y % n != e:
-                        raise AssertionError(f"unit certificate broke: {x}*{y} is not e")
-                else:
-                    z = e * (m // g) % n
-                    if z == 0 or x * z % n:
-                        raise AssertionError(f"zero-divisor certificate broke at {x}")
-
-    def inverse(self, x):
-        settled = self._settled
-        if x not in settled:
-            settled.update(_power_inverses(self._ring.mul, x, self._e, settled, self._limit))
-        return settled[x]
-
-    @functools.cached_property
-    def units(self) -> dict:
-        ring, inverse = self._ring, self.inverse
-        if not ring.is_finite:
-            raise UnsupportedFamilyError("the units of eR are listed over a finite ring")
-        eR = dict.fromkeys(ring.mul(self._e, a) for a in ring.elements())
-        return {x: y for x in eR if (y := inverse(x)) is not None}
-
-
 class MultiplicativeSet:
     """Generators plus the materialized closure {products of generators}.
 
@@ -171,7 +90,7 @@ class MultiplicativeSet:
             self.nzd_flag = all(_decided_nzd(ring, g) for g in self.generators)
         else:
             self.nzd_flag = bool(nzd)
-        self.homogeneous_flag = isinstance(ring, MonoidRing) and all(
+        self.homogeneous_flag = ring.grading is not None and all(
             not g.is_zero() and len(g.coeffs) == 1 for g in self.generators
         )
 
@@ -217,11 +136,12 @@ class MultiplicativeSet:
 
     @functools.cached_property
     def corner(self) -> CornerRing:
-        """eR with e = ``idempotent``, built on first use.  Over an infinite
+        """eR with e = ``idempotent``, built by the ring on first use (over
+        Z/n, the certified Z/n' of ``ModRing.corner``).  Over an infinite
         ring, where ``idempotent`` asks S to be finite, an element of the
         group e*S has order at most |S|, so no walk of powers goes further."""
         e = self.idempotent
-        return CornerRing(self.ring, e, None if self.ring.is_finite else len(self.closure))
+        return self.ring.corner(e, None if self.ring.is_finite else len(self.closure))
 
     def contains(self, s) -> bool:
         return s in self.closure
@@ -342,9 +262,9 @@ class LocalizedRing:
 
     @functools.cached_property
     def groth_group(self) -> GrothendieckGroup:
-        if not isinstance(self.ring, MonoidRing):
+        if self.ring.grading is None:
             raise UnsupportedFamilyError("grading needs a monoid-ring base")
-        return GrothendieckGroup(self.ring.monoid)
+        return GrothendieckGroup(self.ring.grading)
 
 
 def sample_fraction(loc: LocalizedRing, rng, max_powers: int = 3, **sample_kw) -> Fraction:
@@ -376,13 +296,11 @@ def decompose_fraction(loc: LocalizedRing, f: Fraction) -> dict:
     generators, so 0 is in S) leaves the zero ring, where every component
     vanishes.
     """
-    if not isinstance(loc.ring, MonoidRing):
-        raise UnsupportedFamilyError("decomposition needs a monoid-ring base")
+    group = loc.groth_group
     if not loc.sset.homogeneous_flag:
         raise PreconditionError("decomposition needs homogeneous denominators")
     if f.den.is_zero():
         return {}
-    group = loc.groth_group
     n = degree_of(f.den)
     coeffs = f.num.coeffs
     if group.strategy == "cancellative-cross-sum":
@@ -413,8 +331,7 @@ def sum_components(loc: LocalizedRing, parts) -> Fraction:
     parts = list(parts)
     if not parts:
         return loc.zero
-    if not isinstance(loc.ring, MonoidRing):
-        raise UnsupportedFamilyError("components live in a monoid-ring localization")
+    loc.groth_group  # components live in a graded localization
     den = parts[0].den
     eq = loc.ring.eq
     acc = {}

@@ -8,10 +8,12 @@ class keeps its first-seen pair as its displayed key, and an element keeps
 the class keys it was merged by.  Every ring decides its non-zero-divisors
 from its structure (``is_nonzerodivisor``): a != 0 over Z, gcd(a, n) = 1
 over Z/n, and over R[M] from R and the translations x -> m+x of M, or by
-McCoy's theorem for polynomials.
+McCoy's theorem (``no_scalar_kills``).  Each ring names its ``grading``
+and builds its corner eR (``corner``).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from math import gcd
 
@@ -24,12 +26,7 @@ from .errors import (
     ZeroDegreeError,
 )
 from .grothendieck import GrothElement, GrothendieckGroup, canonical_map_injective
-from .monoid import (
-    CommutativeMonoid,
-    FreeCommutativeMonoid,
-    IntegerLatticeMonoid,
-    idempotent_power,
-)
+from .monoid import CommutativeMonoid, idempotent_power
 
 
 def _is_prime(n: int) -> bool:
@@ -43,7 +40,89 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class IntegerRing:
+def _power_inverses(mul, x, e, settled: dict, limit=None) -> dict:
+    """The powers of x in eR that ``settled`` lacks, each mapped to its
+    inverse in eR, or to None when no power of x is e.
+
+    The powers of x share one idempotent power, so they are all units or all
+    not.  The walk x, x^2, ... stops at the first repeat or at the first
+    power y = x^k already in ``settled``.  On a repeat, when x^p = e first,
+    x^(p+1) = x closes the walk and x^i, x^(p-i) are inverse.  At a settled
+    y with inverse y', x^i has inverse x^(k-i)*y', one product each; at a
+    settled non-unit every walked power is one too.  A walk that would pass
+    ``limit`` powers stops, and x alone is settled as None: no power of x up
+    to x^limit is e.
+    """
+    powers, seen = [x], {x}
+    y = mul(x, x)
+    while y not in seen and y not in settled:
+        if len(powers) == limit:
+            return {x: None}
+        powers.append(y)
+        seen.add(y)
+        y = mul(y, x)
+    if y in settled:
+        inv = settled[y]
+        if inv is None:
+            return dict.fromkeys(powers)
+        return {p: mul(q, inv) for p, q in zip(powers, reversed(powers))}
+    if e not in seen:
+        return dict.fromkeys(powers)
+    return dict(zip(powers, powers[-2::-1] + [e]))
+
+
+class CornerRing:
+    """eR = {e*a : a in R} for an idempotent e of R, a ring with identity e:
+    ``inverse(x)`` is the inverse of x in eR, or None when x is no unit, and
+    ``units`` maps each unit of eR to its inverse, for a finite R.
+
+    ``inverse`` settles the powers of x in one table, walking at most
+    ``limit`` of them (``_power_inverses``); ``ModRing.corner`` certifies
+    every class of eR up front instead.
+    """
+
+    def __init__(self, ring, e, limit=None):
+        self._ring, self._e, self._limit = ring, e, limit
+        self._settled = {}  # x -> its inverse in eR, or None when x is no unit
+
+    def inverse(self, x):
+        settled = self._settled
+        if x not in settled:
+            settled.update(_power_inverses(self._ring.mul, x, self._e, settled, self._limit))
+        return settled[x]
+
+    @functools.cached_property
+    def units(self) -> dict:
+        ring, inverse = self._ring, self.inverse
+        if not ring.is_finite:
+            raise UnsupportedFamilyError("the units of eR are listed over a finite ring")
+        eR = dict.fromkeys(ring.mul(self._e, a) for a in ring.elements())
+        return {x: y for x in eR if (y := inverse(x)) is not None}
+
+
+class _Ring:
+    """What the ring families share: no grading, equality of normal forms,
+    a - b = a + (-b), McCoy's test on a scalar, and eR walked by powers."""
+
+    grading = None  # the monoid M grading the ring, or None
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def eq(self, a, b) -> bool:
+        return a == b
+
+    def is_zero(self, a) -> bool:
+        return a == 0
+
+    def is_nonzerodivisor(self, a) -> bool:
+        return self.no_scalar_kills((a,))
+
+    def corner(self, e, limit=None) -> CornerRing:
+        return CornerRing(self, e, limit)
+
+
+class IntegerRing(_Ring):
     """Z with machine-independent exact arithmetic."""
 
     is_finite = False
@@ -60,17 +139,9 @@ class IntegerRing:
     def neg(self, a: int) -> int:
         return -a
 
-    def sub(self, a: int, b: int) -> int:
-        return a - b
-
-    def eq(self, a: int, b: int) -> bool:
-        return a == b
-
-    def is_zero(self, a: int) -> bool:
-        return a == 0
-
-    def is_nonzerodivisor(self, a: int) -> bool:
-        return a != 0
+    def no_scalar_kills(self, coeffs) -> bool:
+        """Whether no r != 0 has r*c = 0 for every c: some c is nonzero."""
+        return any(coeffs)
 
     def validate(self, a) -> int:
         if not isinstance(a, int) or isinstance(a, bool):
@@ -97,7 +168,7 @@ class IntegerRing:
         return "IntegerRing()"
 
 
-class ModRing:
+class ModRing(_Ring):
     """Z/n with representatives 0..n-1; a field exactly when n is prime."""
 
     is_finite = True
@@ -121,17 +192,34 @@ class ModRing:
     def neg(self, a: int) -> int:
         return (-a) % self.n
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.n
+    def no_scalar_kills(self, coeffs) -> bool:
+        """Whether no r != 0 has r*c = 0 mod n for every c: all r*c vanish
+        exactly when n / gcd(n, c_1, ..., c_k) divides r."""
+        return gcd(self.n, *coeffs) == 1
 
-    def eq(self, a: int, b: int) -> bool:
-        return a == b
-
-    def is_zero(self, a: int) -> bool:
-        return a == 0
-
-    def is_nonzerodivisor(self, a: int) -> bool:
-        return gcd(a, self.n) == 1
+    def corner(self, e: int, limit=None) -> CornerRing:
+        """eR is Z/n' with n' = n // gcd(e, n), since e = 1 mod n' and e = 0
+        mod n/n'.  Each of its n' classes x = e*u is certified: a unit by its
+        inverse y = e*(u^-1 mod n'), x*y = e, when gcd(u, n') = 1; otherwise a
+        non-unit by the nonzero z = e*(n'/g), g = gcd(u, n'), with x*z = 0 (a
+        unit of eR kills no nonzero element of eR).  A certificate that fails
+        raises AssertionError, and ``inverse`` is a lookup in ``units``."""
+        n = self.n
+        m = n // gcd(e, n)
+        corner = CornerRing(self, e, limit)
+        corner.units = units = {}
+        corner.inverse = units.get  # every class of eR is certified below
+        for u in range(m):
+            x, g = e * u % n, gcd(u, m)
+            if g == 1:
+                units[x] = y = e * pow(u, -1, m) % n
+                if x * y % n != e:
+                    raise AssertionError(f"unit certificate broke: {x}*{y} is not e")
+            else:
+                z = e * (m // g) % n
+                if z == 0 or x * z % n:
+                    raise AssertionError(f"zero-divisor certificate broke at {x}")
+        return corner
 
     def validate(self, a) -> int:
         if not isinstance(a, int) or isinstance(a, bool):
@@ -275,7 +363,7 @@ class MRElement:
         return "MR(" + " + ".join(parts) + ")"
 
 
-class MonoidRing:
+class MonoidRing(_Ring):
     """R[M]: the ring of finite-support maps M -> R under convolution.
 
     R is Z or Z/n (an ``IntegerRing`` or a ``ModRing``): coefficients are
@@ -289,7 +377,7 @@ class MonoidRing:
                 f"monoid-ring coefficients must be Z or Z/n, got {coeff_ring!r}"
             )
         self.coeff_ring = coeff_ring
-        self.monoid = monoid
+        self.grading = self.monoid = monoid
         self.is_finite = coeff_ring.is_finite and self.monoid.is_finite
         self.zero = MRElement(coeff_ring, self.monoid, {})
         self.one = self.epsilon(self.monoid.identity)
@@ -348,39 +436,33 @@ class MonoidRing:
     def neg(self, f: MRElement) -> MRElement:
         return -f
 
-    def sub(self, f: MRElement, g: MRElement) -> MRElement:
-        return f - g
-
-    def eq(self, f: MRElement, g: MRElement) -> bool:
-        return f == g
-
     def is_zero(self, f: MRElement) -> bool:
         return f.is_zero()
 
     def is_nonzerodivisor(self, f: MRElement) -> bool:
         """Whether f*g = 0 forces g = 0.  s*eps_m is one exactly when s is one
         in R and x -> m+x is injective (see ``monomial_is_nonzerodivisor``).
-        Otherwise f is one when it is a unit of a finite R[M]; with M free or
-        a lattice, when it is nonzero over Z, and over Z/n when
-        gcd(n, c_1, ..., c_k) = 1 for its coefficients c_i.  Anything else is
-        undecided.
+        Otherwise f is one when it is a unit of a finite R[M]; with M
+        cancellative and G(M) torsion-free, when no nonzero scalar kills its
+        coefficients (the coefficient ring's ``no_scalar_kills``).  Anything
+        else is undecided.
 
-        The Z/n rule is McCoy's theorem: f in R[x_1, ..., x_k] is a
-        zero-divisor exactly when r*f = 0 for a constant r != 0.  A Laurent f
-        times a unit monomial is a polynomial with the same coefficients, and
-        r*c_i = 0 mod n for all i exactly when n / gcd(n, c_1, ..., c_k)
-        divides r."""
-        coeff = self.coeff_ring
+        The second rule is McCoy's theorem: f in R[x_1, ..., x_k] is a
+        zero-divisor exactly when r*f = 0 for a constant r != 0.  Such an M
+        embeds in G(M) = Z^r, so R[M] is a subring of the Laurent ring
+        R[Z^r], holding its constants; a Laurent f times a unit monomial is a
+        polynomial with the same coefficients."""
+        coeff, monoid = self.coeff_ring, self.monoid
         if len(f.coeffs) == 1:
             ((m, s),) = f.coeffs.items()
-            return coeff.is_nonzerodivisor(s) and self.monoid.translation_injective(m)
+            return coeff.is_nonzerodivisor(s) and monoid.translation_injective(m)
         if self.is_finite:
             return idempotent_power(self.mul, f) == self.one
-        if isinstance(self.monoid, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
-            if isinstance(coeff, ModRing):
-                return gcd(coeff.n, *f.coeffs.values()) == 1
-            if isinstance(coeff, IntegerRing):
-                return not f.is_zero()
+        if (
+            monoid.groth_strategy() == "cancellative-cross-sum"
+            and not monoid.groth_structure().torsion_invariants
+        ):
+            return coeff.no_scalar_kills(f.coeffs.values())
         raise UnsupportedFamilyError(f"zero-divisors are not decided over {self!r}")
 
     def validate(self, f) -> MRElement:

@@ -59,7 +59,11 @@ on plain term lists that keys every term again at each step is the
 reference for elements that carry the class keys they were merged by.  The
 strategy choice, class key and structure that dispatched on the monoid's
 family by ``isinstance`` are the references for each family's
-``groth_strategy``, ``groth_key`` and ``groth_structure``.
+``groth_strategy``, ``groth_key`` and ``groth_structure``.  Likewise the
+rings' answers by ``isinstance``: McCoy's ladder on free and lattice
+monoids over Z and Z/n, the corner ring's Z/n initialiser and the four
+``MonoidRing`` gates of the localization are the references for each
+ring's ``is_nonzerodivisor``, ``corner`` and ``grading``.
 """
 import functools
 import itertools
@@ -104,7 +108,7 @@ from grothloc.monoid import (
     idempotent_power,
     kernel_group,
 )
-from grothloc.ring import ModRing, MRElement, _deg_from_json
+from grothloc.ring import IntegerRing, ModRing, MRElement, _deg_from_json, _power_inverses
 
 
 def in_relation_lattice(p: MonoidPresentation, w) -> bool:
@@ -1403,3 +1407,94 @@ def ladder_groth_structure(m: CommutativeMonoid) -> FGAbelianStructure:
     raise UnsupportedFamilyError(
         f"no structure computation for {type(m).__name__}"
     )
+
+
+# The rings' answers by isinstance ladders, as ring.py and localization.py
+# gave them before each ring family answered for itself; kept verbatim
+
+
+def ladder_scalar_is_nonzerodivisor(ring, a: int) -> bool:
+    """``IntegerRing.is_nonzerodivisor`` and ``ModRing.is_nonzerodivisor``."""
+    if isinstance(ring, IntegerRing):
+        return a != 0
+    return gcd(a, ring.n) == 1
+
+
+def ladder_is_nonzerodivisor(mring: MonoidRing, f: MRElement) -> bool:
+    """``MonoidRing.is_nonzerodivisor`` with McCoy's rule on free and lattice
+    monoids only."""
+    coeff = mring.coeff_ring
+    if len(f.coeffs) == 1:
+        ((m, s),) = f.coeffs.items()
+        return coeff.is_nonzerodivisor(s) and mring.monoid.translation_injective(m)
+    if mring.is_finite:
+        return idempotent_power(mring.mul, f) == mring.one
+    if isinstance(mring.monoid, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
+        if isinstance(coeff, ModRing):
+            return gcd(coeff.n, *f.coeffs.values()) == 1
+        if isinstance(coeff, IntegerRing):
+            return not f.is_zero()
+    raise UnsupportedFamilyError(f"zero-divisors are not decided over {mring!r}")
+
+
+class LadderCornerRing:
+    """``CornerRing`` with its Z/n branch in the initialiser."""
+
+    def __init__(self, ring, e, limit=None):
+        self._ring, self._e, self._limit = ring, e, limit
+        self._settled = {}  # x -> its inverse in eR, or None when x is no unit
+        if isinstance(ring, ModRing):
+            n = ring.n
+            m = n // gcd(e, n)
+            self.units = units = {}
+            self.inverse = units.get  # every class of eR is certified below
+            for u in range(m):
+                x, g = e * u % n, gcd(u, m)
+                if g == 1:
+                    units[x] = y = e * pow(u, -1, m) % n
+                    if x * y % n != e:
+                        raise AssertionError(f"unit certificate broke: {x}*{y} is not e")
+                else:
+                    z = e * (m // g) % n
+                    if z == 0 or x * z % n:
+                        raise AssertionError(f"zero-divisor certificate broke at {x}")
+
+    def inverse(self, x):
+        settled = self._settled
+        if x not in settled:
+            settled.update(_power_inverses(self._ring.mul, x, self._e, settled, self._limit))
+        return settled[x]
+
+    @functools.cached_property
+    def units(self) -> dict:
+        ring, inverse = self._ring, self.inverse
+        if not ring.is_finite:
+            raise UnsupportedFamilyError("the units of eR are listed over a finite ring")
+        eR = dict.fromkeys(ring.mul(self._e, a) for a in ring.elements())
+        return {x: y for x in eR if (y := inverse(x)) is not None}
+
+
+def ladder_homogeneous_flag(ring, generators) -> bool:
+    """``MultiplicativeSet.homogeneous_flag``."""
+    return isinstance(ring, MonoidRing) and all(
+        not g.is_zero() and len(g.coeffs) == 1 for g in generators
+    )
+
+
+def ladder_groth_group(loc) -> GrothendieckGroup:
+    """``LocalizedRing.groth_group``."""
+    if not isinstance(loc.ring, MonoidRing):
+        raise UnsupportedFamilyError("grading needs a monoid-ring base")
+    return GrothendieckGroup(loc.ring.monoid)
+
+
+def ladder_decompose_gate(loc) -> None:
+    """The family check at the head of ``decompose_fraction``."""
+    if not isinstance(loc.ring, MonoidRing):
+        raise UnsupportedFamilyError("decomposition needs a monoid-ring base")
+
+
+def ladder_sum_components_gate(loc) -> None:
+    """The family check of ``sum_components`` on a nonempty list of parts."""
+    if not isinstance(loc.ring, MonoidRing):
+        raise UnsupportedFamilyError("components live in a monoid-ring localization")

@@ -1,10 +1,13 @@
-"""How G(M) is computed lives with each monoid family, not in its callers.
+"""What each monoid and ring family answers lives with it, not in its callers.
 
 ``grothendieck.py`` holds the Smith normal form and ``GrothendieckGroup``
 and imports nothing from ``monoid.py``; ``monoid.py`` imports from it.  Neither
-``grothendieck.py`` nor ``isomorphisms.py`` asks ``isinstance`` of a monoid
-family: the family's own methods (``groth_key``, ``groth_structure``,
-``t_generators``, ...) answer, so a new family edits no ladder there.
+``grothendieck.py``, ``isomorphisms.py`` nor ``ring.py`` asks ``isinstance``
+of a monoid family: the family's own methods (``groth_key``,
+``groth_structure``, ``t_generators``, ...) answer.  Neither
+``localization.py`` nor ``isomorphisms.py`` asks it of a ring family: the
+ring's ``grading``, ``corner`` and ``is_nonzerodivisor`` answer.  So a new
+family edits no ladder there.
 """
 import ast
 from pathlib import Path
@@ -16,6 +19,7 @@ FAMILIES = {
     "CayleyMonoid", "FreeCommutativeMonoid", "IntegerLatticeMonoid",
     "MonoidPresentation", "DirectSumMonoid",
 }
+RING_FAMILIES = {"IntegerRing", "ModRing", "MonoidRing"}
 
 
 def _monoid_imports(tree):
@@ -31,9 +35,9 @@ def _monoid_imports(tree):
             yield node.lineno
 
 
-def _family_isinstance(tree):
-    """Line numbers of isinstance calls whose second argument names a family,
-    alone or in a tuple."""
+def _family_isinstance(tree, families=FAMILIES):
+    """Line numbers of isinstance calls whose second argument names one of
+    ``families``, alone or in a tuple."""
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
@@ -43,7 +47,7 @@ def _family_isinstance(tree):
         ):
             kinds = node.args[1]
             kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
-            if any(getattr(k, "id", getattr(k, "attr", None)) in FAMILIES for k in kinds):
+            if any(getattr(k, "id", getattr(k, "attr", None)) in families for k in kinds):
                 yield node.lineno
 
 
@@ -61,6 +65,16 @@ def test_no_family_ladder_in_grothendieck_or_isomorphisms():
     assert found == {"grothendieck.py": [], "isomorphisms.py": []}
 
 
+def test_no_monoid_family_ladder_in_ring():
+    assert list(_family_isinstance(_tree("ring.py"))) == []
+
+
+def test_no_ring_ladder_in_localization_or_isomorphisms():
+    names = ("localization.py", "isomorphisms.py")
+    found = {name: list(_family_isinstance(_tree(name), RING_FAMILIES)) for name in names}
+    assert found == dict.fromkeys(names, [])
+
+
 def test_the_guard_sees_planted_cases():
     tree = ast.parse(
         "from .monoid import CayleyMonoid\n"
@@ -70,6 +84,11 @@ def test_the_guard_sees_planted_cases():
         "    if isinstance(m, MonoidPresentation):\n"
         "        return 1\n"
         "    return isinstance(m, (int, monoid.FreeCommutativeMonoid)) or isinstance(m, dict)\n"
+        "def g(r):\n"
+        "    if isinstance(r, ring.ModRing):\n"
+        "        return 1\n"
+        "    return isinstance(r, (int, MonoidRing)) or isinstance(r, IntegerRing)\n"
     )
     assert sorted(_monoid_imports(tree)) == [1, 2, 3]
     assert sorted(_family_isinstance(tree)) == [5, 7]
+    assert sorted(_family_isinstance(tree, RING_FAMILIES)) == [9, 11, 11]

@@ -35,7 +35,8 @@ from grothloc import (
     units_of_localization,
 )
 from grothloc import localization
-from grothloc.localization import CornerRing, SaturationSet, _units_map
+from grothloc import ring as rings
+from grothloc.localization import SaturationSet, _units_map
 from grothloc.monoid import kernel_group
 
 import zoo
@@ -250,7 +251,7 @@ def test_power_inverses_settle_every_power():
                 for before in ({}, settled):
                     if x in before:
                         continue
-                    got = localization._power_inverses(ring.mul, x, e, before)
+                    got = rings._power_inverses(ring.mul, x, e, before)
                     assert x in got and not got.keys() & before.keys()
                     for y, inv in got.items():
                         f, want, _ = kernel_group(ring.mul, [y])
@@ -588,8 +589,9 @@ def test_zmod_units_walk_no_classes(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Z/n walked its classes or powers")
 
-    for name in ("localization_classes", "units_of_localization", "_power_inverses"):
+    for name in ("localization_classes", "units_of_localization"):
         monkeypatch.setattr(localization, name, refuse)
+    monkeypatch.setattr(rings, "_power_inverses", refuse)
     # (n, gens, n', |S-bar|): e = 1, a corner Z/125, e = 0, and a mixture
     for n, gens, corner, size in (
         (2000, [7], 2000, 800), (16000, [2], 125, 12800),
@@ -608,13 +610,14 @@ def test_zmod_units_walk_no_classes(monkeypatch):
 )
 def test_monoid_rings_walk_their_classes(label, ring, gens, monkeypatch):
     """A finite R[M] reads its unit classes off the corner's walk of eR: it
-    never takes the Z/n branch (whose gcd and pow are refused) and never
-    enumerates the classes of S^-1 R."""
+    never builds the certified Z/n corner (``ModRing.corner`` is refused)
+    and never enumerates the classes of S^-1 R."""
     def refuse(*args, **kwargs):
         raise AssertionError("R[M] took the Z/n branch or enumerated classes")
 
-    for name in ("gcd", "pow", "localization_classes", "units_of_localization"):
-        monkeypatch.setattr(localization, name, refuse, raising=False)
+    for name in ("localization_classes", "units_of_localization"):
+        monkeypatch.setattr(localization, name, refuse)
+    monkeypatch.setattr(ModRing, "corner", refuse)
     sset = MultiplicativeSet(ring, gens)
     loc = LocalizedRing(ring, sset)
     assert groth_units_iso(sset, loc).iso
@@ -631,7 +634,7 @@ def test_zmod_certificates_cover_every_class():
             reps, _, _, unit_indices = scan_units(loc)
             want = {loc.key(reps[i]) for i in unit_indices}
             e = kernel_group(ring.mul, list(sset.closure))[0]
-            assert set(CornerRing(ring, e).units) == want, (n, gens)
+            assert set(ring.corner(e).units) == want, (n, gens)
 
 
 def test_zmod_certificates_refuse_wrong_arithmetic(monkeypatch):
@@ -639,17 +642,17 @@ def test_zmod_certificates_refuse_wrong_arithmetic(monkeypatch):
     inverse off by one, and gcd taken against n instead of n'.  Z/12 at e = 4
     has eR = Z/3."""
     ring = ModRing(12)
-    assert CornerRing(ring, 4).units == {4: 4, 8: 8}
+    assert ring.corner(4).units == {4: 4, 8: 8}
     with pytest.raises(AssertionError):
-        CornerRing(ring, 2).units
+        ring.corner(2)
     with monkeypatch.context() as m:
-        m.setattr(localization, "pow", lambda u, k, mod: pow(u, k, mod) + 1, raising=False)
+        m.setattr(rings, "pow", lambda u, k, mod: pow(u, k, mod) + 1, raising=False)
         with pytest.raises(AssertionError):
-            CornerRing(ring, 4).units
+            ring.corner(4)
     with monkeypatch.context() as m:
-        m.setattr(localization, "gcd", lambda a, b: gcd(a, 12))
+        m.setattr(rings, "gcd", lambda a, b: gcd(a, 12))
         with pytest.raises(AssertionError):
-            CornerRing(ring, 4).units
+            ring.corner(4)
 
 
 def corner_cases():
