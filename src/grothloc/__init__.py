@@ -30,7 +30,6 @@ from .grothendieck import (
     numeric_compare,
     order_from_monoid_order,
     presentation_matrix,
-    presentation_snf,
     smith_normal_form,
     structure_from_snf,
     universal_extend,

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from math import prod
 
 from .errors import (
     AxiomViolationError,
@@ -21,14 +20,7 @@ from .errors import (
     InvalidInputError,
     TorsionWitnessError,
 )
-from .grothendieck import (
-    GrothElement,
-    GrothendieckGroup,
-    build_total_order,
-    monoid_groth_structure,
-    presentation_snf,
-    structure_from_snf,
-)
+from .grothendieck import GrothElement, GrothendieckGroup, monoid_groth_structure
 from .localization import (
     LocalizedRing,
     MultiplicativeSet,
@@ -40,15 +32,8 @@ from .localization import (
     sum_components,
 )
 from .isomorphisms import HMapContext, laurent_iso, verify_isomorphism
-from .monoid import (
-    DirectSumMonoid,
-    FreeCommutativeMonoid,
-    IntegerLatticeMonoid,
-    MonoidPresentation,
-    monoid_from_dict,
-)
+from .monoid import FreeCommutativeMonoid, monoid_from_dict
 from .ring import (
-    IntegerRing,
     MonoidRing,
     _deg_from_json,
     _deg_to_json,
@@ -70,8 +55,6 @@ class _Parser(argparse.ArgumentParser):
 def _common(sub):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--samples", type=int, default=200)
-    # --depth reads into inputs_sha256 only, so reports keep their bytes
-    sub.add_argument("--depth", type=int, default=8)
     sub.add_argument("--out", default=None, help="report path (default stdout)")
 
 
@@ -123,25 +106,21 @@ def _groth_key_json(key: GrothElement) -> list:
 # commands
 
 
-def _quasi_zero_size(m) -> int:
-    """How many quasi-zeros a finite M has; a direct sum's are counted as the
-    product of its components' counts, never built."""
-    if isinstance(m, DirectSumMonoid):
-        return prod(map(_quasi_zero_size, m.components))
-    return len(m.quasi_zeros())
+def _cancellative(m) -> bool | None:
+    """Whether M cancels, or None when its family does not decide it."""
+    try:
+        return m.cancellative()
+    except GrothlocError:
+        return None
 
 
 def _monoid_facts(m) -> dict:
-    """Cancellativity (None when undecided) and, on a finite carrier, the
-    quasi-zero submonoid's size and whether G(M) is trivial."""
-    facts = {}
-    try:
-        facts["cancellative"] = m.cancellative()
-    except GrothlocError:
-        facts["cancellative"] = None
+    """Cancellativity (None when undecided), whether G(M) is trivial and, on
+    a finite carrier, the quasi-zero submonoid's size."""
+    facts = {"cancellative": _cancellative(m)}
     if m.is_finite:
-        facts["quasi_zero_size"] = _quasi_zero_size(m)
-        facts["groth_trivial"] = GrothendieckGroup(m).is_trivial()
+        facts["quasi_zero_size"] = m.quasi_zero_size()
+    facts["groth_trivial"] = GrothendieckGroup(m).is_trivial()
     return facts
 
 
@@ -153,8 +132,6 @@ def _cmd_monoid_check(args):
         results["carrier_size"] = m.size()
         all_quasi_zero = results["quasi_zero_size"] == m.size()
         checks["quasi_zero_all_iff_trivial"] = all_quasi_zero == results["groth_trivial"]
-    else:
-        results["groth_trivial"] = monoid_groth_structure(m).order() == 1
     ok = all(checks.values())
     return {"results": results, "checks": checks}, ok
 
@@ -167,28 +144,29 @@ def _cmd_groth_compute(args):
 
 def _cmd_groth_order(args):
     m = _load_monoid_file(args, "monoid")
-    if isinstance(m, (FreeCommutativeMonoid, IntegerLatticeMonoid)):
-        # G(N^k) = G(Z^k) = Z^k: k generators, no relations
-        m = MonoidPresentation(m.rank, ())
-    if not isinstance(m, MonoidPresentation):
-        raise InvalidInputError(
-            "total orders are built from presentation, free or lattice descriptions"
-        )
-    snf = presentation_snf(m)
-    s = structure_from_snf(snf)
-    results = {"structure": _structure_json(s)}
     try:
-        order = build_total_order(s, snf)
+        order = m.total_order()
     except TorsionWitnessError as exc:
-        results["orderable"] = False
-        results["torsion_witness"] = list(exc.element)
-        results["torsion_order"] = exc.order
+        order = None
+        results = {
+            "orderable": False,
+            "torsion_witness": list(exc.element),
+            "torsion_order": exc.order,
+        }
+    else:
+        results = {
+            "orderable": True,
+            "certificate": {
+                "free_positions": order.free_positions,
+                "column_transform": order.column_transform,
+            },
+        }
+    results["structure"] = _structure_json(monoid_groth_structure(m))
+    if _cancellative(m) is None:
+        # the order is on G(M); whether M itself cancels is left open
+        results["cancellative"] = None
+    if order is None:
         return {"results": results, "checks": {}}, True
-    results["orderable"] = True
-    results["certificate"] = {
-        "free_positions": order.free_positions,
-        "column_transform": snf.V,
-    }
     group = GrothendieckGroup(m)
     rng = Lcg64(args.seed)
     compatible = True
@@ -263,7 +241,7 @@ def _cmd_localize_decompose(args):
     f = loc.from_witness(num, tuple(witness))
     parts = decompose_fraction(loc, f)
     ordered = sorted(parts.items(), key=lambda kv: json.dumps(_groth_key_json(kv[0])))
-    rank_one = isinstance(m, FreeCommutativeMonoid) and m.rank == 1
+    rank_one = m == FreeCommutativeMonoid(1)
     components = {}
     for key, part in ordered:
         entry = {"num": mring.to_list(part.num), "den": mring.to_list(part.den)}
@@ -317,7 +295,7 @@ def _iso_context(ring, m, sgens: list) -> HMapContext:
     Over Z the generators must be nonzero; S then holds only
     non-zero-divisors, so fractions compare by cross-multiplication.
     """
-    if isinstance(ring, IntegerRing) and any(ring.is_zero(ring.validate(g)) for g in sgens):
+    if not ring.is_finite and any(ring.is_zero(ring.validate(g)) for g in sgens):
         raise InvalidInputError("zero generator over Z is not supported")
     return HMapContext(ring, m, sgens)
 
@@ -537,6 +515,7 @@ def _inputs_digest(args) -> str:
         for k, v in vars(args).items()
         if k not in skip and v is not None and isinstance(v, (str, int, bool))
     }
+    inputs["depth"] = 8  # the retired --depth option's default: digests keep their bytes
     blob = json.dumps(inputs, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -565,10 +544,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     command = f"{args.group_cmd} {args.sub}" if args.sub else args.group_cmd
     try:
-        for name in ("samples", "depth"):
-            value = getattr(args, name)
-            if value < 0:
-                raise InvalidInputError(f"--{name} must be nonnegative, got {value}")
+        if args.samples < 0:
+            raise InvalidInputError(f"--samples must be nonnegative, got {args.samples}")
         body, ok = args.func(args)
         digest = _inputs_digest(args)
     except AxiomViolationError as exc:

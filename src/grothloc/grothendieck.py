@@ -461,11 +461,6 @@ def structure_from_snf(snf: SNFResult) -> FGAbelianStructure:
     return FGAbelianStructure(snf.ncols - len(nonzero), torsion)
 
 
-def presentation_snf(p) -> SNFResult:
-    """The Smith normal form of a presentation's relation matrix, kept on it."""
-    return p.snf
-
-
 # ---------------------------------------------------------------------------
 # the group itself
 
@@ -669,12 +664,14 @@ class GrothOrder:
 
     Every non-unit slot of the SNF is then free (``free_positions``), so the
     coordinates of a class are its lattice key (``GrothendieckGroup.key``);
-    comparison is lexicographic on them.
+    comparison is lexicographic on them.  ``free_positions`` and the SNF's
+    column transform V (``column_transform``) are the order's certificate.
     """
 
     def __init__(self, snf: SNFResult):
         self._slots = snf_slots(snf)
         self.free_positions = [j for j, _, _ in self._slots]
+        self.column_transform = snf.V
 
     def coords(self, x: GrothElement) -> tuple:
         return lattice_key(self._slots, list(map(sub, x.first, x.second)))

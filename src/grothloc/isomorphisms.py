@@ -159,38 +159,37 @@ def h_inverse(ctx: HMapContext, u) -> Fraction:
 # ---------------------------------------------------------------------------
 # sampling
 
+# the samplers' bounds: exponents up to 4, coefficients up to 9, and products
+# of at most two S generators
+EXP_BOUND, COEFF_BOUND, S_POWERS = 4, 9, 2
 
-def _sample_s(ctx: HMapContext, rng: Lcg64, max_powers: int = 2) -> tuple:
-    """Witness of a random product of at most max_powers S generators
-    (empty when S has none)."""
+
+def _sample_s(ctx: HMapContext, rng: Lcg64) -> tuple:
+    """Witness of a random product of at most S_POWERS S generators (empty
+    when S has none)."""
     gens = ctx.sset.generators
     if not gens:
         return ()
-    k = rng.below(max_powers + 1)
+    k = rng.below(S_POWERS + 1)
     return tuple(rng.below(len(gens)) for _ in range(k))
 
 
-def sample_t_fraction(ctx: HMapContext, rng: Lcg64, max_support: int = 3,
-                      exp_bound: int = 4, coeff_bound: int = 9,
-                      max_s_powers: int = 2) -> Fraction:
-    """Random numerator over a random monomial denominator s * eps_n."""
-    num = ctx.mring.sample(
-        rng, max_support=max_support, exp_bound=exp_bound, coeff_bound=coeff_bound
-    )
-    s_wit = _sample_s(ctx, rng, max_s_powers)
-    n = ctx.monoid.sample(rng, exp_bound)
+def sample_t_fraction(ctx: HMapContext, rng: Lcg64) -> Fraction:
+    """Random numerator of at most three terms over a random monomial
+    denominator s * eps_n."""
+    num = ctx.mring.sample(rng, max_support=3, exp_bound=EXP_BOUND, coeff_bound=COEFF_BOUND)
+    s_wit = _sample_s(ctx, rng)
+    n = ctx.monoid.sample(rng, EXP_BOUND)
     return ctx._witnessed_fraction(num, s_wit, n)
 
 
-def sample_group_ring_element(ctx: HMapContext, rng: Lcg64, max_terms: int = 3,
-                              exp_bound: int = 4, coeff_bound: int = 9,
-                              max_s_powers: int = 2):
+def sample_group_ring_element(ctx: HMapContext, rng: Lcg64, max_terms: int = 3):
     terms = []
     for _ in range(rng.below(max_terms + 1)):
-        a = ctx.monoid.sample(rng, exp_bound)
-        b = ctx.monoid.sample(rng, exp_bound)
-        r = ctx.ring.sample_nonzero(rng, coeff_bound)
-        s_wit = _sample_s(ctx, rng, max_s_powers)
+        a = ctx.monoid.sample(rng, EXP_BOUND)
+        b = ctx.monoid.sample(rng, EXP_BOUND)
+        r = ctx.ring.sample_nonzero(rng, COEFF_BOUND)
+        s_wit = _sample_s(ctx, rng)
         coeff = Fraction(r, ctx.sset.product_of(s_wit), s_wit)
         terms.append((GrothElement(a, b), coeff))
     return ctx.group_ring.from_terms(terms)
@@ -250,8 +249,7 @@ def verify_isomorphism(ctx: HMapContext, samples: int = 200, seed: int = 0,
     }
 
 
-def laurent_iso(ring, rank: int, samples: int = 200, seed: int = 0,
-                exp_bound: int = 4) -> dict:
+def laurent_iso(ring, rank: int, samples: int = 200, seed: int = 0) -> dict:
     """R[Z^k] as the monomial localization of R[N^k], round-tripped exactly.
 
     A Laurent element embeds by clearing negative exponents with one common
@@ -290,14 +288,14 @@ def laurent_iso(ring, rank: int, samples: int = 200, seed: int = 0,
     key_match_ok = True
     product_ok = True
     for _ in range(samples):
-        u = lring.sample(rng, max_support=4, exp_bound=exp_bound)
+        u = lring.sample(rng, max_support=4, exp_bound=EXP_BOUND)
         f = embed(u)
         image = h_forward(ctx, f)
         if not ctx.group_ring.eq(image, expected(u)):
             key_match_ok = False
         if not ctx.tloc.eq(h_inverse(ctx, image), f):
             roundtrip_ok = False
-        v = lring.sample(rng, max_support=3, exp_bound=exp_bound)
+        v = lring.sample(rng, max_support=3, exp_bound=EXP_BOUND)
         lhs = h_forward(ctx, embed(u * v))
         rhs = ctx.group_ring.mul(image, h_forward(ctx, embed(v)))
         if not ctx.group_ring.eq(lhs, rhs):

@@ -6,7 +6,8 @@ arithmetic is exact; validation is eager for finite tables.
 
 Each family answers its own questions as methods, ``cancellative()``,
 ``quasi_zeros()``, ``to_dict()``, G(M) (``groth_key(a, b)``,
-``groth_structure()``) and the layout of T (``t_generators()``) among them.
+``groth_structure()``, ``total_order()``) and the layout of T
+(``t_generators()``) among them.
 ``CommutativeMonoid`` holds the defaults; a direct sum asks its components.
 """
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
-from math import gcd
+from math import gcd, prod
 from operator import add, countOf, itemgetter, sub
 
 from . import grothendieck
@@ -27,6 +28,7 @@ from .errors import (
 )
 from .grothendieck import (
     FGAbelianStructure,
+    build_total_order,
     direct_sum_groth,
     finite_groth_structure,
     lattice_key,
@@ -84,6 +86,10 @@ class CommutativeMonoid:
         e, inv, _ = self.kernel
         return {x for x in self.elements() if x == e or (x not in inv and self.op(x, e) == e)}
 
+    def quasi_zero_size(self) -> int:
+        """How many quasi-zeros M has (see ``quasi_zeros``)."""
+        return len(self.quasi_zeros())
+
     def groth_strategy(self) -> str:
         """How ``groth_key`` decides [a, b] = [c, d], as a label:
         cancellative-cross-sum when a+d = b+c decides it with no witness,
@@ -102,6 +108,15 @@ class CommutativeMonoid:
     def groth_structure(self) -> FGAbelianStructure:
         """G(M) as Z^r + sum of Z/d_i; a finite carrier's is K (see ``groth_key``)."""
         return finite_groth_structure(self)
+
+    def total_order(self) -> grothendieck.GrothOrder:
+        """A total order on G(M) compatible with addition (``GrothOrder``),
+        or TorsionWitnessError when G(M) has torsion.  Built only where G(M)
+        is read off a Smith normal form: presentations, free and lattice
+        monoids; any other family refuses."""
+        raise InvalidInputError(
+            "total orders are built from presentation, free or lattice descriptions"
+        )
 
     def t_generators(self) -> list:
         """The degrees m of the monomial generators eps_m of T, in the order
@@ -319,6 +334,10 @@ class _TupleMonoid(CommutativeMonoid):
     def groth_structure(self) -> FGAbelianStructure:
         return FGAbelianStructure(self.rank, ())
 
+    def total_order(self) -> grothendieck.GrothOrder:
+        """G(N^k) = G(Z^k) = Z^k: ordered as k generators with no relations."""
+        return MonoidPresentation(self.rank, ()).total_order()
+
     def t_generators(self) -> list:
         """+e_1, ..., +e_k, then (on a lattice) -e_1, ..., -e_k."""
         k = self.rank
@@ -533,6 +552,10 @@ class MonoidPresentation(CommutativeMonoid):
         """Z^generators modulo the relation rows."""
         return structure_from_snf(self.snf)
 
+    def total_order(self) -> grothendieck.GrothOrder:
+        """Lexicographic on the free slots of ``snf``; any torsion refuses."""
+        return build_total_order(self.groth_structure(), self.snf)
+
     def to_dict(self) -> dict:
         return {
             "kind": "presentation",
@@ -597,6 +620,10 @@ class DirectSumMonoid(CommutativeMonoid):
         """x + y = y holds slot by slot, so the set is the product of the
         components' sets (an infinite component refuses, as M itself would)."""
         return set(itertools.product(*(c.quasi_zeros() for c in self.components)))
+
+    def quasi_zero_size(self) -> int:
+        """The product of the components' counts; the set is never built."""
+        return prod(c.quasi_zero_size() for c in self.components)
 
     def sample(self, rng: Lcg64, bound: int = 6) -> tuple:
         return tuple(c.sample(rng, bound) for c in self.components)

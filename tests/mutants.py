@@ -35,6 +35,10 @@ Mutant = namedtuple("Mutant", "name file snippet replacement tests")
 KEYS = "tests/test_localization_keys.py::"
 GRADED = "tests/test_graded_components.py::"
 NZD = "tests/test_nonzerodivisors.py::"
+FAMILY = "tests/test_family_groth.py::"
+SUMS = "tests/test_direct_sums.py::"
+ORDER = "tests/test_cli.py::TestGrothOrder::"
+SWEEP = "tests/test_family_sweep.py::test_stdout_and_exit_code_match_fixture"
 SPLIT = GRADED + "test_seeded_fractions_match_the_per_degree_split"
 CORNER_TESTS = [
     KEYS + "test_zmod_certificates_cover_every_class",
@@ -126,6 +130,71 @@ MUTANTS = [
             NZD + "test_mccoy_over_zmod_polynomials_matches_box_search[6]",
             NZD + "test_mccoy_over_z6_in_several_variables_matches_box_search[free2]",
         ],
+    ),
+    Mutant(
+        "mccoy-despite-torsion",
+        "grothloc/ring.py",
+        "and not monoid.groth_structure().torsion_invariants",
+        "and True",
+        ["tests/test_ring_protocol.py::test_monoid_rings_match_the_ladder[z2-IntegerRing()]"],
+    ),
+    # each monoid family's G(M) and T layout
+    Mutant(
+        "sum-label-always-componentwise",
+        "grothloc/monoid.py",
+        'return "cancellative-cross-sum" if cancellative else "componentwise"',
+        'return "componentwise"',
+        [FAMILY + "test_nested_sums_match_the_ladders"],
+    ),
+    Mutant(
+        "lattice-witness-sign",
+        "grothloc/monoid.py",
+        "(self.rank if e < 0 else 0)",
+        "(self.rank if e > 0 else 0)",
+        [FAMILY + "test_lattice_witnesses_sum_to_the_degree"],
+    ),
+    Mutant(
+        "eager-snf-in-group",
+        "grothloc/grothendieck.py",
+        "self.strategy = base.groth_strategy()",
+        "self.strategy = base.groth_structure() and base.groth_strategy()",
+        [FAMILY + "test_context_refuses_a_presentation_before_any_elimination"],
+    ),
+    Mutant(
+        "presentation-slot-dropped",
+        "grothloc/monoid.py",
+        "return snf_slots(self.snf)",
+        "return snf_slots(self.snf)[:-1]",
+        [FAMILY + "test_zoo_matches_the_ladders[MonoidPresentation(generators=1, relations=(((4,), (0,)),))]"],
+    ),
+    Mutant(
+        "sum-part-dropped",
+        "grothloc/monoid.py",
+        "return tuple(c.groth_key(x, y) for c, x, y in zip(self.components, a, b))",
+        "return tuple(c.groth_key(x, y) for c, x, y in zip(self.components[:-1], a, b))",
+        [SUMS + "test_random_sums_match_the_product_carrier"],
+    ),
+    # what groth order and monoid check ask of a family
+    Mutant(
+        "sum-quasi-zero-count-added",
+        "grothloc/monoid.py",
+        "return prod(c.quasi_zero_size() for c in self.components)",
+        "return sum(c.quasi_zero_size() for c in self.components)",
+        [SUMS + "test_monoid_check_counts_the_quasi_zeros_of_a_sum"],
+    ),
+    Mutant(
+        "tuple-order-on-rank-minus-one",
+        "grothloc/monoid.py",
+        "return MonoidPresentation(self.rank, ()).total_order()",
+        "return MonoidPresentation(self.rank - 1, ()).total_order()",
+        [ORDER + "test_lattice_orders_like_free[2]", SWEEP + "[groth order free2]"],
+    ),
+    Mutant(
+        "presentation-order-without-torsion-check",
+        "grothloc/monoid.py",
+        "return build_total_order(self.groth_structure(), self.snf)",
+        "return build_total_order(self.groth_structure()._replace(torsion_invariants=()), self.snf)",
+        [ORDER + "test_torsion_witness_reported"],
     ),
 ]
 

@@ -150,7 +150,7 @@ class TestGrothOrder:
             calls.append(args)
             return honest(*args, **kwargs)
 
-        # the elimination core, behind smith_normal_form and presentation_snf
+        # the elimination core, behind smith_normal_form and MonoidPresentation.snf
         monkeypatch.setattr(grothendieck, "_eliminate", spy)
         code, rep = run(
             tmp_path, "groth", "order", "--monoid", str(CORPUS / "numsg_2_3.json"),
@@ -176,6 +176,21 @@ class TestGrothOrder:
         assert rep["results"]["orderable"] is False
         assert rep["results"]["torsion_order"] == 2
         assert rep["results"]["torsion_witness"]
+        assert rep["results"]["cancellative"] is None
+
+    def test_presentation_leaves_cancellativity_open(self, tmp_path):
+        """<a, b | a + b = b> has G(M) = Z, so G(M) is ordered; but
+        a + b = 0 + b with a != 0, so M does not cancel and has no compatible
+        order.  Cancellativity of a presentation is not decided, and the
+        report says so next to ``orderable`` instead of implying it."""
+        pres = tmp_path / "absorbed.json"
+        pres.write_text(json.dumps({"kind": "presentation", "generators": 2,
+                                    "relations": [[[1, 1], [0, 1]]]}), encoding="utf-8")
+        code, rep = run(tmp_path, "groth", "order", "--monoid", str(pres))
+        assert code == 0 and rep["ok"] is True
+        assert rep["results"]["orderable"] is True
+        assert rep["results"]["cancellative"] is None
+        assert rep["results"]["structure"] == {"free_rank": 1, "torsion": []}
 
     @pytest.mark.parametrize("rank", [0, 1, 2, 3])
     def test_lattice_orders_like_free(self, tmp_path, rank):
@@ -193,12 +208,16 @@ class TestGrothOrder:
         assert lattice["checks"] == free["checks"]
         assert lattice["results"]["structure"] == {"free_rank": rank, "torsion": []}
         assert all(lattice["checks"].values())
+        assert "cancellative" not in lattice["results"]  # decided: both cancel
 
-    def test_cayley_input_rejected(self, tmp_path):
-        code, rep = run(
-            tmp_path, "groth", "order", "--monoid", str(CORPUS / "t2.json")
-        )
-        assert code == 2
+    def test_cayley_input_rejected(self, tmp_path, t2_plus_n):
+        for monoid in (str(CORPUS / "t2.json"), t2_plus_n):
+            code, rep = run(tmp_path, "groth", "order", "--monoid", monoid)
+            assert code == 2
+            assert rep["error"] == "InvalidInputError"
+            assert rep["detail"] == (
+                "total orders are built from presentation, free or lattice descriptions"
+            )
 
 
 class TestMringNzd:
@@ -459,13 +478,15 @@ class TestIsoCommands:
         assert rep["checks"]["all_ok"] is True
 
     def test_verify_at_depth_two(self, tmp_path, free1):
+        """The sampler's fractions are products of up to two S generators
+        (depth two, fixed now that ``--depth`` is gone); over Z at [2] on N
+        each is built from its own witness and the round trip holds."""
         code, rep = run(
             tmp_path,
             "iso", "verify",
             "--ring", '{"kind": "Z"}',
             "--monoid", free1,
             "--sgens", "[2]",
-            "--depth", "2",
         )
         assert code == 0
         assert rep["checks"]["all_ok"] is True
@@ -481,18 +502,18 @@ class TestIsoCommands:
                         "--samples", "20")
         assert code == 0 and rep["ok"] is True
 
-    @pytest.mark.parametrize("depth", ["0", "1", "2"])
-    def test_verify_below_the_sampled_powers(self, tmp_path, depth):
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_verify_below_the_sampled_powers(self, tmp_path, seed):
         """The sampler draws products of up to two S generators and carries
-        their witnesses; ``--depth`` is still accepted and read by nothing
-        but ``inputs_sha256``."""
+        their witnesses, so over Z at [2] every fraction it draws is built
+        with no closure of S, whatever the seed."""
         code, rep = run(
             tmp_path,
             "iso", "verify",
             "--ring", '{"kind": "Z"}',
             "--monoid", str(CORPUS / "free2.json"),
             "--sgens", "[2]",
-            "--depth", depth,
+            "--seed", seed,
         )
         assert code == 0
         assert rep["checks"]["all_ok"] is True
@@ -504,12 +525,17 @@ class TestIsoCommands:
          "--sgens", "[[[1, [1, 0]]]]",
          "--fraction", '{"num": [[1, [2, 0]], [3, [0, 1]]], "den_witness": [0, 0]}'),
     ], ids=["iso_verify", "localize_decompose"])
-    def test_depth_changes_only_the_inputs_digest(self, tmp_path, argv):
-        reports = [run(tmp_path, *argv, "--depth", d, name=f"d{d}.json") for d in ("0", "8")]
-        (c0, r0), (c8, r8) = reports
-        assert c0 == c8 == 0
-        assert r0.pop("inputs_sha256") != r8.pop("inputs_sha256")
-        assert r0 == r8
+    def test_depth_is_a_usage_error(self, tmp_path, capsys, argv):
+        """``--depth`` is gone from every subcommand: passing it exits 64 and
+        writes no report.  Its former default 8 stays in ``inputs_sha256``,
+        so a run without it keeps its digest (the golden reports pin it)."""
+        out = tmp_path / "report.json"
+        for depth in ("0", "8"):
+            assert main([*argv, "--depth", depth, "--out", str(out)]) == 64
+            assert "unrecognized arguments: --depth" in capsys.readouterr().err
+        assert not out.exists()
+        code, rep = run(tmp_path, *argv)
+        assert code == 0 and rep["ok"] is True
 
     def test_laurent_rank_one(self, tmp_path):
         code, rep = run(
@@ -725,10 +751,8 @@ def test_non_integer_modulus_exits_two(tmp_path, modulus):
 @pytest.mark.parametrize("argv", [
     ["iso", "laurent", "--ring", '{"kind": "Z"}', "--rank", "1", "--samples", "-3"],
     ["groth", "order", "--monoid", str(CORPUS / "numsg_2_3.json"), "--samples", "-2"],
-    ["iso", "verify", "--ring", '{"kind": "Z"}', "--monoid", str(CORPUS / "free2.json"),
-     "--sgens", "[2]", "--depth", "-1"],
     ["monoid", "check", str(CORPUS / "t2.json"), "--samples", "-1"],
-], ids=["laurent_samples", "order_samples", "verify_depth", "check_samples"])
+], ids=["laurent_samples", "order_samples", "check_samples"])
 def test_negative_count_exits_two(tmp_path, argv):
     code, rep = run(tmp_path, *argv)
     assert code == 2

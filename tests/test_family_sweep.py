@@ -6,7 +6,10 @@ graded isomorphism) run on each packaged monoid file and on two sums nested
 in sums.  ``tests/golden/family_sweep.json`` holds, per run, the stdout
 text and the exit code, captured before the family questions moved from
 module-level dispatchers onto the monoid classes; refusals (exit 2) are
-pinned with their ``detail`` strings.
+pinned with their ``detail`` strings.  One row was re-pinned since:
+``groth order numsg_2_3`` now carries ``"cancellative": null``, because a
+presentation's cancellativity is not decided and ``orderable`` is about
+G(M) only.
 """
 import json
 from pathlib import Path

@@ -203,7 +203,7 @@ class TestInverseAgainstCommonDenominator:
         terms = []
         for _ in range(k):
             x = GrothElement(ctx.monoid.sample(rng, 4), ctx.monoid.sample(rng, 4))
-            s_wit = _sample_s(ctx, rng, 2)
+            s_wit = _sample_s(ctx, rng)
             r = ctx.ring.sample_nonzero(rng, 9)
             terms.append((x, Fraction(r, ctx.sset.product_of(s_wit), s_wit)))
         return GroupRingElement(ctx.group_ring, terms, [ctx.group.key(x) for x, _ in terms])

@@ -6,8 +6,9 @@ and imports nothing from ``monoid.py``; ``monoid.py`` imports from it.  Neither
 of a monoid family: the family's own methods (``groth_key``,
 ``groth_structure``, ``t_generators``, ...) answer.  Neither
 ``localization.py`` nor ``isomorphisms.py`` asks it of a ring family: the
-ring's ``grading``, ``corner`` and ``is_nonzerodivisor`` answer.  So a new
-family edits no ladder there.
+ring's ``grading``, ``corner`` and ``is_nonzerodivisor`` answer.  ``cli.py``
+asks it of neither: ``total_order``, ``quasi_zero_size`` and ``is_finite``
+answer there.  So a new family edits no ladder in any of them.
 """
 import ast
 from pathlib import Path
@@ -73,6 +74,11 @@ def test_no_ring_ladder_in_localization_or_isomorphisms():
     names = ("localization.py", "isomorphisms.py")
     found = {name: list(_family_isinstance(_tree(name), RING_FAMILIES)) for name in names}
     assert found == dict.fromkeys(names, [])
+
+
+def test_no_family_ladder_in_cli():
+    found = list(_family_isinstance(_tree("cli.py"), FAMILIES | RING_FAMILIES))
+    assert found == []
 
 
 def test_the_guard_sees_planted_cases():

@@ -18,9 +18,11 @@ def test_snippet_occurs_exactly_once(mutant):
 def test_named_tests_are_defined(mutant):
     assert mutant.tests
     for test_id in mutant.tests:
-        path, name = test_id.split("::")
-        tree = ast.parse((mutants.ROOT / path).read_text(encoding="utf-8"))
-        defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        path, *classes, name = test_id.split("::")
+        body = ast.parse((mutants.ROOT / path).read_text(encoding="utf-8")).body
+        for cls in classes:
+            body = next(n.body for n in body if isinstance(n, ast.ClassDef) and n.name == cls)
+        defined = {n.name for n in body if isinstance(n, ast.FunctionDef)}
         assert name.split("[")[0] in defined, test_id
 
 

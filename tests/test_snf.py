@@ -28,8 +28,8 @@ form.  The certificate replays the log run by run, one read of the source
 row per run of additions; hypothesis logs whose runs are broken by a swap,
 a negation or an addition into the source row must replay as
 ``oracles.replay_one_by_one`` does.  A presentation reads its words once, at
-construction, into the sparse rows that ``presentation_snf`` hands to the
-same elimination core (``_eliminate``) without reading the words again; it
+construction, into the sparse rows that its ``snf`` hands to the same
+elimination core (``_eliminate``) without reading the words again; it
 must match ``smith_normal_form`` on the dense relation matrix field for
 field, and runs the elimination once per presentation object; a pivot tie
 goes to the shortest row, so a shuffled multiplication table must make the
@@ -61,7 +61,6 @@ from grothloc import (
     MonoidPresentation,
     monoid_groth_structure,
     presentation_matrix,
-    presentation_snf,
     smith_normal_form,
 )
 from grothloc import grothendieck
@@ -585,7 +584,7 @@ def test_rows_of_any_iterable_kind_match_lists():
 
 def test_structure_and_group_share_one_elimination(monkeypatch):
     """The spy sits on the elimination core, which both the public
-    ``smith_normal_form`` and ``presentation_snf`` call."""
+    ``smith_normal_form`` and ``MonoidPresentation.snf`` call."""
     calls = []
     honest = grothendieck._eliminate
 
@@ -605,17 +604,17 @@ def test_structure_and_group_share_one_elimination(monkeypatch):
     assert len(calls) == 2
 
 
-def assert_presentation_snf_is_the_matrix_snf(p):
-    """``presentation_snf`` builds sparse rows straight from the words; it
+def assert_snf_is_the_matrix_snf(p):
+    """``MonoidPresentation.snf`` builds sparse rows straight from the words; it
     must give what the dense relation matrix gives, field for field, with
     every entry a plain int, and keep the result on the presentation."""
-    got = presentation_snf(p)
+    got = p.snf
     want = smith_normal_form(presentation_matrix(p), ncols=p.generators)
     for name in ("D", "U", "V", "invariant_factors", "row_ops", "nrows", "ncols"):
         assert getattr(got, name) == getattr(want, name), name
     for rows in (got.D, got.U, got.V, [got.invariant_factors, got.row_ops]):
         assert all(type(x) is int for row in rows for x in row)
-    assert presentation_snf(p) is got
+    assert p.snf is got
     return got
 
 
@@ -626,18 +625,18 @@ def test_presentation_snf_matches_a_fresh_elimination():
         rels = tuple(
             (tuple(max(x, 0) for x in row), tuple(max(-x, 0) for x in row)) for row in rows
         )
-        assert_presentation_snf_is_the_matrix_snf(MonoidPresentation(k, rels))
+        assert_snf_is_the_matrix_snf(MonoidPresentation(k, rels))
 
 
 def test_zoo_presentations_match_the_matrix():
     for p in (zoo.numsg_2_3(), zoo.n_cross_z2(), zoo.z4_presented(),
               zoo.integers_presented(1), zoo.integers_presented(3)):
-        assert_presentation_snf_is_the_matrix_snf(p)
+        assert_snf_is_the_matrix_snf(p)
 
 
 def test_presentations_without_generators_match_the_matrix():
     for rels in ((), (((), ()),), (((), ()),) * 3):
-        got = assert_presentation_snf_is_the_matrix_snf(MonoidPresentation(0, rels))
+        got = assert_snf_is_the_matrix_snf(MonoidPresentation(0, rels))
         assert (got.nrows, got.ncols, got.invariant_factors) == (len(rels), 0, [])
         assert got.D == [[] for _ in rels] and got.V == []
 
@@ -654,7 +653,7 @@ def test_identical_sides_and_shared_generators_match_the_matrix():
         ((0, 0, 0, 1), (0, 0, 0, 1)),
     ))
     assert p._rows == [{}, {0: 1, 1: 1, 2: -3}, {}, {1: 3}, {3: 2}, {}]
-    assert_presentation_snf_is_the_matrix_snf(p)
+    assert_snf_is_the_matrix_snf(p)
 
 
 def test_intenum_words_give_plain_int_entries():
@@ -674,7 +673,7 @@ def test_intenum_words_give_plain_int_entries():
     rows = p._rows
     assert rows == [{0: 4}, {0: 1, 1: 1, 2: -2}, {2: 1}]
     assert all(type(x) is int for row in rows for x in row.values())
-    got = assert_presentation_snf_is_the_matrix_snf(p)
+    got = assert_snf_is_the_matrix_snf(p)
     assert got.invariant_factors == [1, 1, 4]
 
 
@@ -690,7 +689,7 @@ def test_shuffled_multiplication_tables_match_the_matrix():
                 v = tuple(int(i == a * b % n) for i in range(n))
                 rels.append((u, v) if rng.random() < 0.5 else (v, u))
         rng.shuffle(rels)
-        got = assert_presentation_snf_is_the_matrix_snf(MonoidPresentation(n, rels))
+        got = assert_snf_is_the_matrix_snf(MonoidPresentation(n, rels))
         assert got.invariant_factors == [1] * n  # 0 absorbs: G(M) is trivial
 
 
@@ -710,7 +709,7 @@ def test_words_are_read_once_at_construction():
     p = MonoidPresentation(3, (((2, 0, 0), (0, 1, 0)), ((0, 4, 0), (0, 0, 0))))
     want = smith_normal_form(presentation_matrix(p), ncols=3)
     object.__setattr__(p, "relations", Unreadable())
-    got = presentation_snf(p)
+    got = p.snf
     assert (got.V, got.invariant_factors, got.row_ops) == (want.V, want.invariant_factors, want.row_ops)
     assert "_rows" not in vars(p)
     s = monoid_groth_structure(p)
@@ -734,10 +733,10 @@ def test_rows_an_interrupted_elimination_took_over_are_read_again(monkeypatch):
 
     monkeypatch.setattr(grothendieck, "_eliminate", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        presentation_snf(p)
+        p.snf
     monkeypatch.setattr(grothendieck, "_eliminate", honest)
-    got = presentation_snf(p)
-    want = presentation_snf(MonoidPresentation(3, rels))
+    got = p.snf
+    want = MonoidPresentation(3, rels).snf
     assert (got.V, got.invariant_factors, got.row_ops) == (want.V, want.invariant_factors, want.row_ops)
 
 
@@ -747,9 +746,9 @@ def test_copies_read_their_own_words():
     p = MonoidPresentation(3, (((2, 0, 0), (0, 1, 0)), ((0, 4, 0), (0, 0, 0))))
     twin = copy.copy(p)
     assert twin == p and twin._rows is not p._rows
-    want = presentation_snf(p)
+    want = p.snf
     for q in (twin, pickle.loads(pickle.dumps(p))):
-        got = presentation_snf(q)
+        got = q.snf
         assert (got.V, got.invariant_factors, got.row_ops) == (want.V, want.invariant_factors, want.row_ops)
 
 
@@ -812,9 +811,9 @@ def test_row_log_and_column_transform_are_pinned():
     hence the time limit."""
     mod60, mod150 = shuffled_multiplication(60, 60), shuffled_multiplication(150, 150)
     with time_limit(10.0):
-        assert log_digest(presentation_snf(mod60)) == \
+        assert log_digest(mod60.snf) == \
             "90cd22bffc7178469f89cc66bfb50117e3155792ef7b7ce894af321a73478225"
-        assert log_digest(presentation_snf(mod150)) == \
+        assert log_digest(mod150.snf) == \
             "78424f3daabfe96998fe396935b02643e7af7acd7b92c4fb52b1c059244f21f3"
         got = smith_normal_form(TWELVE_BY_TEN, ncols=10)
     assert got.invariant_factors == [3, 3, 3, 9, 9, 18, 54, 54, 162, 162]
@@ -827,8 +826,8 @@ def test_row_work_does_not_depend_on_relation_order():
     shortest row, so both make the same number of row additions.  Taking the
     first minimum in row-major order made 3.7 times as many on the shuffled
     input."""
-    ordered = presentation_snf(MonoidPresentation(60, multiplication_relations(60)))
-    got = presentation_snf(shuffled_multiplication(60, 60))
+    ordered = MonoidPresentation(60, multiplication_relations(60)).snf
+    got = shuffled_multiplication(60, 60).snf
     assert row_additions(got) == row_additions(ordered)
     assert got.invariant_factors == ordered.invariant_factors == [1] * 60
 
@@ -839,7 +838,7 @@ def test_row_work_does_not_depend_on_relation_order():
 )))
 def test_hypothesis_presentations_match_the_matrix(case):
     k, rels = case
-    assert_presentation_snf_is_the_matrix_snf(MonoidPresentation(k, rels))
+    assert_snf_is_the_matrix_snf(MonoidPresentation(k, rels))
 
 
 def test_d_is_built_on_first_read_only():
@@ -857,7 +856,7 @@ def test_d_is_built_on_first_read_only():
     p = MonoidPresentation(3, (((2, 0, 0), (0, 1, 0)), ((0, 4, 0), (0, 0, 0))))
     monoid_groth_structure(p)
     GrothendieckGroup(p)
-    snf = presentation_snf(p)
+    snf = p.snf
     assert "D" not in vars(snf) and "U" not in vars(snf)
     assert snf.D == dense_smith_normal_form(presentation_matrix(p), ncols=3).D
 
